@@ -25,7 +25,7 @@ from .errors import (
     VocabularyMismatchError,
 )
 from .eval import BenchmarkReport, BenchmarkSuiteConfig, EditStats, run_benchmark, ser, standard_suite
-from .fusion import FusionConfig, acoustic_confidence, combine, jsd, lambda_k, sequence_log_score
+from .fusion import acoustic_confidence, combine, jsd, lambda_k
 from .lattice import (
     Arc,
     Lattice,
@@ -50,8 +50,6 @@ from .static_prior import (
     NGramPrior,
     TalaIndependentPrior,
     TalaPosteriorTable,
-    tala_posterior,
-    ti_prior,
     train_prior,
     train_tala_table,
 )

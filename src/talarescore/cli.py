@@ -100,14 +100,11 @@ def build_parser() -> argparse.ArgumentParser:
 def _add_rescore_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--rho", type=float, default=0.03)
     p.add_argument("--beta", type=float, default=0.5)
-    p.add_argument("--w-dyn", type=int, default=32)
     p.add_argument("--w-tau", type=int, default=16)
     p.add_argument("--k-beam", type=int, default=150)
     p.add_argument("--delta-beam", type=float, default=10.0)
     p.add_argument("--lambda", dest="lambda_mode", default="adaptive", help="adaptive or fixed:<v>")
     p.add_argument("--eps-jsd", type=float, default=1e-8)
-    p.add_argument("--decay-scope", choices=rescorer.DECAY_SCOPES, default="global")
-    p.add_argument("--beam-scope", choices=rescorer.BEAM_SCOPES, default="global")
 
 
 def _apply_config_file(parser: argparse.ArgumentParser, argv: list[str]) -> list[str]:
@@ -212,14 +209,11 @@ def cmd_rescore(args: argparse.Namespace) -> int:
     cfg = rescorer.RescoreConfig(
         rho=args.rho,
         beta=args.beta,
-        w_dyn=args.w_dyn,
         w_tau=args.w_tau,
         k_beam=args.k_beam,
         delta_beam=args.delta_beam,
         lambda_mode=args.lambda_mode,
         eps_jsd=args.eps_jsd,
-        decay_scope=args.decay_scope,
-        beam_scope=args.beam_scope,
         collect_traces=args.diagnostics is not None,
     )
     if args.dump_expanded_dir:
@@ -241,13 +235,15 @@ def cmd_rescore(args: argparse.Namespace) -> int:
                     diag_lines += _diagnostic_lines(path, diag)
         except (TalarescoreError, ValueError, OSError) as exc:
             failures.append((path, exc))
-    core.save_sequences(outputs, args.out, model.vocab)
-    if args.diagnostics is not None:
-        args.diagnostics.write_text("".join(f"{l}\n" for l in diag_lines), encoding="utf-8")
     if failures:
+        # Hypothesis line i must belong to lattice i, so a partial run writes
+        # neither output file.
         for path, exc in failures:
             print(f"error: {path}: {exc}", file=sys.stderr)
         return 1
+    core.save_sequences(outputs, args.out, model.vocab)
+    if args.diagnostics is not None:
+        args.diagnostics.write_text("".join(f"{l}\n" for l in diag_lines), encoding="utf-8")
     print(f"rescored {len(outputs)} lattice(s) into {args.out}")
     return 0
 
@@ -290,7 +286,6 @@ def suite_from_config(values: dict[str, str], seed_override: int | None = None) 
     rescore_fields = {
         "rho": float,
         "beta": float,
-        "w_dyn": int,
         "k_beam": int,
         "delta_beam": float,
         "eps_jsd": float,
@@ -306,8 +301,6 @@ def suite_from_config(values: dict[str, str], seed_override: int | None = None) 
             kwargs[key] = simple[key](value)
         elif key in rescore_fields:
             rescore_kwargs[key] = rescore_fields[key](value)
-        elif key in ("decay_scope", "beam_scope"):
-            rescore_kwargs[key] = value
         else:
             raise ValueError(f"unknown suite config key: {key!r}")
     if deviation_kwargs:

@@ -17,8 +17,6 @@ import numpy as np
 
 from .core import SENTINEL_ID, StrokeSequence, StrokeVocabulary
 
-DECAY_SCOPES = ("global", "row")
-
 
 @dataclass(frozen=True, eq=False)
 class DirichletState:
@@ -75,30 +73,17 @@ def init_alpha(
     return alpha
 
 
-def update(
-    state: DirichletState,
-    prev: int,
-    nxt: int,
-    decay_scope: str = "global",
-) -> DirichletState:
+def update(state: DirichletState, prev: int, nxt: int) -> DirichletState:
     """Observe the transition ``prev -> nxt`` and return the decayed state.
 
-    With the default ``global`` scope every cell decays by ``1 - rho`` before
-    the observed cell gains ``rho``; the ``row`` scope confines the decay to
-    the ``prev`` row.
+    Every cell decays by ``1 - rho`` before the observed cell gains ``rho``.
     """
-    if decay_scope not in DECAY_SCOPES:
-        raise ValueError(f"decay_scope must be one of {DECAY_SCOPES}")
     n = state.num_playable
     if not 0 <= prev <= n:
         raise ValueError(f"prev id {prev} out of range")
     if not 1 <= nxt <= n:
         raise ValueError(f"next id {nxt} is not a playable stroke")
-    if decay_scope == "global":
-        alpha = state.alpha * (1.0 - state.rho)
-    else:
-        alpha = state.alpha.copy()
-        alpha[prev] *= 1.0 - state.rho
+    alpha = state.alpha * (1.0 - state.rho)
     alpha[prev, nxt - 1] += state.rho
     return DirichletState._trusted(alpha, state.rho)
 

@@ -10,7 +10,6 @@ to [0, 1] and yields a convex combination.  Every function here is pure.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -18,31 +17,12 @@ import numpy as np
 LOG2 = math.log(2.0)
 
 
-@dataclass(frozen=True)
-class FusionConfig:
-    """Fusion knobs: rhythmic strength, JSD smoothing, interpolation mode.
-
-    ``lambda_mode`` is either ``"adaptive"`` or ``"fixed:<v>"`` with v in
-    [0, 1]; a bare number is accepted as shorthand for the fixed form.
-    """
-
-    beta: float = 0.5
-    eps_jsd: float = 1e-8
-    lambda_mode: str = "adaptive"
-
-    def __post_init__(self) -> None:
-        if self.beta < 0:
-            raise ValueError("beta must be non-negative")
-        if self.eps_jsd <= 0:
-            raise ValueError("eps_jsd must be positive")
-        parse_lambda_mode(self.lambda_mode)
-
-    def fixed_lambda(self) -> float | None:
-        return parse_lambda_mode(self.lambda_mode)
-
-
 def parse_lambda_mode(mode: str) -> float | None:
-    """None for adaptive, otherwise the fixed weight."""
+    """None for adaptive, otherwise the fixed weight.
+
+    ``mode`` is either ``"adaptive"`` or ``"fixed:<v>"`` with v in [0, 1]; a
+    bare number is accepted as shorthand for the fixed form.
+    """
     text = str(mode).strip()
     if text == "adaptive":
         return None
@@ -121,12 +101,3 @@ def combine(p_static: np.ndarray, p_dyn: np.ndarray, lam: float) -> np.ndarray:
         raise ValueError(f"lambda must lie in [0, 1], got {lam}")
     return (1.0 - lam) * p_static + lam * p_dyn
 
-
-def sequence_log_score(per_stroke_probs: Sequence[float]) -> float:
-    """Sum of natural-log probabilities along a candidate sequence."""
-    total = 0.0
-    for p in per_stroke_probs:
-        if p <= 0:
-            raise ValueError(f"probabilities must be positive, got {p}")
-        total += math.log(p)
-    return total

@@ -9,6 +9,7 @@ Lattices are immutable after construction and safe to share across threads.
 from __future__ import annotations
 
 import heapq
+import math
 import sys
 from dataclasses import dataclass
 from functools import cached_property
@@ -70,32 +71,18 @@ class Lattice:
                 raise LatticeFormatError(f"arc {i} endpoint out of range")
             if not self.vocab.is_playable(arc.label):
                 raise LatticeFormatError(f"arc {i} label {arc.label} is not a playable stroke")
+            if not math.isfinite(arc.w_ac):
+                raise LatticeFormatError(f"arc {i} score {arc.w_ac!r} is not finite")
             indeg[arc.dst] += 1
         if indeg[self.start] != 0:
             raise LatticeFormatError("start node has incoming arcs")
-        self._check_acyclic()
+        if len(self.topological_order) != n:
+            raise LatticeFormatError("lattice contains a cycle")
         fwd = self._reachable({self.start}, forward=True)
         bwd = self._reachable(set(self.finals), forward=False)
         for v in range(n):
             if v not in fwd or v not in bwd:
                 raise LatticeFormatError(f"node {v} lies on no start-to-final path")
-
-    def _check_acyclic(self) -> None:
-        indeg = [0] * self.n_nodes
-        for arc in self.arcs:
-            indeg[arc.dst] += 1
-        queue = [v for v in range(self.n_nodes) if indeg[v] == 0]
-        order = []
-        while queue:
-            v = queue.pop()
-            order.append(v)
-            for aid in self.outgoing[v]:
-                d = self.arcs[aid].dst
-                indeg[d] -= 1
-                if indeg[d] == 0:
-                    queue.append(d)
-        if len(order) != self.n_nodes:
-            raise LatticeFormatError("lattice contains a cycle")
 
     def _reachable(self, seeds: set[int], forward: bool) -> set[int]:
         adjacency = self.outgoing if forward else self.incoming
@@ -128,6 +115,7 @@ class Lattice:
 
     @cached_property
     def topological_order(self) -> tuple[int, ...]:
+        """Nodes in topological order; shorter than ``n_nodes`` on a cycle."""
         indeg = [0] * self.n_nodes
         for arc in self.arcs:
             indeg[arc.dst] += 1
@@ -356,21 +344,24 @@ def loads_lattice(
     finals: set[int] = set()
     raw_arcs: list[tuple[int, int, str, float]] = []
     for line in lines[1:]:
-        parts = line.split()
-        if parts[0] == "vocab":
-            if len(parts) != 2:
-                raise LatticeFormatError(f"bad vocab line: {line!r}")
-            vocab_ref = parts[1]
-        elif parts[0] == "start":
-            start = int(parts[1])
-        elif parts[0] == "final":
-            finals.update(int(p) for p in parts[1:])
-        elif parts[0] == "arc":
-            if len(parts) != 5:
-                raise LatticeFormatError(f"bad arc line: {line!r}")
-            raw_arcs.append((int(parts[1]), int(parts[2]), parts[3], float(parts[4])))
-        else:
-            raise LatticeFormatError(f"unknown directive: {parts[0]!r}")
+        kind, *args = line.split()
+        # Tuple unpacking checks each directive's arity; it and every numeric
+        # conversion raise ValueError, reported below with the line.
+        try:
+            if kind == "vocab":
+                (vocab_ref,) = args
+            elif kind == "start":
+                (raw,) = args
+                start = int(raw)
+            elif kind == "final":
+                finals.update(int(p) for p in args)
+            elif kind == "arc":
+                src, dst, symbol, score = args
+                raw_arcs.append((int(src), int(dst), symbol, float(score)))
+            else:
+                raise LatticeFormatError(f"unknown directive: {kind!r}")
+        except ValueError as exc:
+            raise LatticeFormatError(f"bad {kind} line {line!r}: {exc}") from None
     if start is None or not finals:
         raise LatticeFormatError("missing start or final directive")
 

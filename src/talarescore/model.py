@@ -20,6 +20,7 @@ on playable rows, 1 on the sentinel row).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
@@ -141,58 +142,83 @@ def loads_model(text: str) -> RhythmModel:
     lines = [l.strip() for l in text.splitlines() if l.strip() and not l.startswith("#")]
     if not lines or lines[0] != FORMAT_HEADER:
         raise ModelFormatError(f"expected header {FORMAT_HEADER!r}")
-    header: dict[str, str] = {}
+    header: dict[str, float] = {}
     vocab: StrokeVocabulary | None = None
     priors: dict[str, float] = {}
     ngram_counts: dict[str, dict[tuple[int, ...], dict[int, int]]] = {}
     tau_counts: dict[str, dict[tuple[int, ...], int]] = {}
-    alpha_entries: list[tuple[str, str, float]] = []
+    alpha_entries: list[tuple[int, int, float]] = []
     for line in lines[1:]:
-        parts = line.split()
-        kind = parts[0]
-        if kind in ("n", "laplace_k", "w_tau", "eps_dir"):
-            header[kind] = parts[1]
-        elif kind == "vocab":
-            vocab = StrokeVocabulary.of(parts[1:])
-        elif kind == "tala":
-            priors[parts[1]] = float(parts[2])
-        elif kind == "count":
-            if vocab is None:
-                raise ModelFormatError("count line before vocab line")
-            tala = parts[1]
-            *ctx_syms, nxt_sym, count = parts[2:]
-            ctx = tuple(vocab.id_of(s) for s in ctx_syms)
-            slot = ngram_counts.setdefault(tala, {}).setdefault(ctx, {})
-            slot[vocab.id_of(nxt_sym)] = int(count)
-        elif kind == "taucount":
-            if vocab is None:
-                raise ModelFormatError("taucount line before vocab line")
-            tala = parts[1]
-            *win_syms, count = parts[2:]
-            window = tuple(vocab.id_of(s) for s in win_syms)
-            tau_counts.setdefault(tala, {})[window] = int(count)
-        elif kind == "alpha":
-            alpha_entries.append((parts[1], parts[2], float(parts[3])))
-        else:
-            raise ModelFormatError(f"unknown directive: {kind!r}")
-    missing = {"n", "laplace_k", "w_tau", "eps_dir"} - set(header)
+        kind, *args = line.split()
+        # Tuple unpacking checks each directive's arity; it and every numeric
+        # conversion raise ValueError, reported below with the line.
+        try:
+            if kind in _HEADER_FIELDS:
+                (raw,) = args
+                value = _HEADER_FIELDS[kind](raw)
+                if not (value > 0 and math.isfinite(value)):
+                    raise ValueError(f"{kind} must be positive and finite")
+                header[kind] = value
+            elif kind == "vocab":
+                vocab = StrokeVocabulary.of(args)
+            elif kind in ("count", "taucount", "alpha") and vocab is None:
+                raise ModelFormatError(f"{kind} line before vocab line")
+            elif kind == "tala":
+                tala, raw = args
+                prior = float(raw)
+                if not (prior > 0 and math.isfinite(prior)):
+                    raise ValueError("tala prior must be positive and finite")
+                priors[tala] = prior
+            elif kind == "count":
+                tala, *ctx_syms, nxt_sym, raw = args
+                ctx = tuple(vocab.id_of(s) for s in ctx_syms)
+                nxt = _playable_id(vocab, nxt_sym)
+                count = int(raw)
+                if count < 0:
+                    raise ValueError("count must be non-negative")
+                ngram_counts.setdefault(tala, {}).setdefault(ctx, {})[nxt] = count
+            elif kind == "taucount":
+                tala, *win_syms, raw = args
+                window = tuple(vocab.id_of(s) for s in win_syms)
+                count = int(raw)
+                if count < 0 or not window:
+                    raise ValueError("want a non-empty window and a non-negative count")
+                tau_counts.setdefault(tala, {})[window] = count
+            elif kind == "alpha":
+                prev_sym, next_sym, raw = args
+                value = float(raw)
+                if not (value > 0 and math.isfinite(value)):
+                    raise ValueError("alpha must be positive and finite")
+                alpha_entries.append((vocab.id_of(prev_sym), _playable_id(vocab, next_sym), value))
+            else:
+                raise ModelFormatError(f"unknown directive: {kind!r}")
+        except ValueError as exc:
+            raise ModelFormatError(f"bad {kind} line {line!r}: {exc}") from None
+    missing = set(_HEADER_FIELDS) - set(header)
     if missing:
         raise ModelFormatError(f"missing header fields: {sorted(missing)}")
     if vocab is None:
         raise ModelFormatError("missing vocab line")
     if not priors:
         raise ModelFormatError("no tala lines")
-    n = int(header["n"])
-    laplace_k = float(header["laplace_k"])
-    w_tau = int(header["w_tau"])
-    eps_dir = float(header["eps_dir"])
+    eps_dir = header["eps_dir"]
     for tala in priors:
         ngram_counts.setdefault(tala, {})
         tau_counts.setdefault(tala, {})
-    prior = NGramPrior(n, laplace_k, vocab.num_playable, ngram_counts)
-    table = TalaPosteriorTable(w_tau, laplace_k, tau_counts, priors)
+    prior = NGramPrior(header["n"], header["laplace_k"], vocab.num_playable, ngram_counts)
+    table = TalaPosteriorTable(header["w_tau"], header["laplace_k"], tau_counts, priors)
     alpha0 = np.full((vocab.num_symbols, vocab.num_playable), eps_dir, dtype=float)
     alpha0[SENTINEL_ID, :] = 1.0
-    for prev_sym, next_sym, value in alpha_entries:
-        alpha0[vocab.id_of(prev_sym), vocab.id_of(next_sym) - 1] = value
+    for prev, nxt, value in alpha_entries:
+        alpha0[prev, nxt - 1] = value
     return RhythmModel(vocab=vocab, prior=prior, tala_table=table, alpha0=alpha0, eps_dir=eps_dir)
+
+
+_HEADER_FIELDS = {"n": int, "laplace_k": float, "w_tau": int, "eps_dir": float}
+
+
+def _playable_id(vocab: StrokeVocabulary, symbol: str) -> int:
+    stroke_id = vocab.id_of(symbol)
+    if stroke_id == SENTINEL_ID:
+        raise ValueError(f"{symbol!r} is not a playable stroke")
+    return stroke_id

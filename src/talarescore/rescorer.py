@@ -25,55 +25,45 @@ from pathlib import Path
 import numpy as np
 
 from .core import SENTINEL_ID, StrokeSequence, StrokeVocabulary
-from .dynamic_model import DECAY_SCOPES, DirichletState, predict, update
+from .dynamic_model import DirichletState, predict, update
 from .errors import RescoreError, VocabularyMismatchError
 from .fusion import acoustic_confidence, combine, jsd, lambda_k, parse_lambda_mode
 from .lattice import Lattice
 from .model import RhythmModel
 from .static_prior import NextStrokePrior
 
-BEAM_SCOPES = ("global", "frontier")
-
 
 @dataclass(frozen=True, kw_only=True)
 class RescoreConfig:
     """Decode-time hyperparameters.
 
-    ``w_dyn`` documents the effective memory scale of the dynamic model that
-    accompanies ``rho``; next-stroke prediction itself conditions only on the
-    previous stroke through the pseudo-count matrix, so ``w_dyn`` does not
-    enter the math.  ``delta_beam`` is a natural-log score band.  Histories
-    are stored in full: the n-gram context, the tala window, and the final
-    transcription all read from them.
+    ``delta_beam`` is a natural-log score band.  Histories are stored in
+    full: the n-gram context, the tala window, and the final transcription
+    all read from them.
     """
 
     rho: float = 0.03
     beta: float = 0.5
-    w_dyn: int = 32
     w_tau: int = 16
     k_beam: int = 150
     delta_beam: float = 10.0
     lambda_mode: str = "adaptive"
     eps_jsd: float = 1e-8
-    decay_scope: str = "global"
-    beam_scope: str = "global"
     collect_traces: bool = False
 
     def __post_init__(self) -> None:
         if self.k_beam < 1:
             raise ValueError("k_beam must be >= 1")
-        if self.delta_beam < 0:
+        if not self.delta_beam >= 0:  # NaN fails too
             raise ValueError("delta_beam must be non-negative")
         if not 0.0 < self.rho < 1.0:
             raise ValueError("rho must lie in (0, 1)")
-        if self.beta < 0:
+        if not self.beta >= 0:
             raise ValueError("beta must be non-negative")
+        if not self.eps_jsd > 0:
+            raise ValueError("eps_jsd must be positive")
         if self.w_tau < 1:
             raise ValueError("w_tau must be >= 1")
-        if self.decay_scope not in DECAY_SCOPES:
-            raise ValueError(f"decay_scope must be one of {DECAY_SCOPES}")
-        if self.beam_scope not in BEAM_SCOPES:
-            raise ValueError(f"beam_scope must be one of {BEAM_SCOPES}")
         parse_lambda_mode(self.lambda_mode)
 
 
@@ -81,8 +71,9 @@ class RescoreConfig:
 class ExpandedState:
     """One (lattice node, history, Dirichlet snapshot) decoding state.
 
-    ``history`` always begins with the start sentinel; ``acc_score`` is the
-    sum of rescored arc weights along the backpointer chain.
+    ``history`` always begins with the start sentinel; ``weight`` is the
+    rescored weight of the arc from ``parent`` (0.0 at the root) and
+    ``acc_score`` the sum of those weights along the backpointer chain.
     """
 
     id: int
@@ -92,24 +83,19 @@ class ExpandedState:
     acc_score: float
     parent: int | None
     arc_id: int | None
-
-
-@dataclass(frozen=True)
-class ExpandedArc:
-    src: int
-    dst: int
-    label: int
-    weight: float
-    lattice_arc: int
+    weight: float = 0.0
 
 
 @dataclass(eq=False)
 class ExpandedLattice:
-    """Tree of expanded states; terminals sit on final acoustic nodes."""
+    """Tree of expanded states; terminals sit on final acoustic nodes.
+
+    Each non-root state is the head of exactly one expanded arc, the one from
+    its ``parent``; the tree's arcs are therefore ``states[1:]``.
+    """
 
     vocab: StrokeVocabulary
     states: list[ExpandedState] = field(default_factory=list)
-    arcs: list[ExpandedArc] = field(default_factory=list)
     terminals: list[int] = field(default_factory=list)
 
     @property
@@ -236,13 +222,13 @@ def rescore(
                 id=len(exp.states),
                 node=arc.dst,
                 history=state.history + (q,),
-                dirichlet=update(state.dirichlet, prev, q, cfg.decay_scope),
+                dirichlet=update(state.dirichlet, prev, q),
                 acc_score=state.acc_score + weight,
                 parent=sid,
                 arc_id=arc_id,
+                weight=weight,
             )
             exp.states.append(child)
-            exp.arcs.append(ExpandedArc(sid, child.id, q, weight, arc_id))
             if arc.dst in lat.finals:
                 exp.terminals.append(child.id)
             heapq.heappush(queue, (-child.acc_score, push_counter, child.id))
@@ -251,7 +237,7 @@ def rescore(
 
         diag.max_queue_size = max(diag.max_queue_size, len(queue))
         if prune_active and queue:
-            queue = _prune(queue, exp, cfg, diag)
+            queue = _prune(queue, cfg, diag)
 
     if not exp.terminals:
         raise RescoreError(
@@ -263,46 +249,24 @@ def rescore(
 
 def _prune(
     queue: list[tuple[float, int, int]],
-    exp: ExpandedLattice,
     cfg: RescoreConfig,
     diag: RescoreDiagnostics,
 ) -> list[tuple[float, int, int]]:
     """Score-band then capacity pruning; FIFO on exact ties."""
-    if cfg.beam_scope == "global":
-        n0 = len(queue)
-        if math.isfinite(cfg.delta_beam):
-            # The heap top is the best queued score.
-            cutoff = queue[0][0] + cfg.delta_beam
-            kept = [e for e in queue if e[0] <= cutoff]
-            diag.pruned_band += n0 - len(kept)
-        else:
-            kept = queue
-        if len(kept) > cfg.k_beam:
-            kept.sort()
-            diag.pruned_capacity += len(kept) - cfg.k_beam
-            return kept[: cfg.k_beam]  # a sorted list is a valid heap
-        if kept is queue or len(kept) == n0:
-            return queue
-        heapq.heapify(kept)
-        return kept
-
-    by_depth: dict[int, list[tuple[float, int, int]]] = {}
-    for entry in queue:
-        depth = len(exp.states[entry[2]].history) - 1
-        by_depth.setdefault(depth, []).append(entry)
-    kept = []
-    for group in by_depth.values():
-        if math.isfinite(cfg.delta_beam):
-            best_neg = min(e[0] for e in group)
-            within = [e for e in group if e[0] <= best_neg + cfg.delta_beam]
-            diag.pruned_band += len(group) - len(within)
-        else:
-            within = group
-        if len(within) > cfg.k_beam:
-            within.sort()
-            diag.pruned_capacity += len(within) - cfg.k_beam
-            within = within[: cfg.k_beam]
-        kept.extend(within)
+    n0 = len(queue)
+    if math.isfinite(cfg.delta_beam):
+        # The heap top is the best queued score.
+        cutoff = queue[0][0] + cfg.delta_beam
+        kept = [e for e in queue if e[0] <= cutoff]
+        diag.pruned_band += n0 - len(kept)
+    else:
+        kept = queue
+    if len(kept) > cfg.k_beam:
+        kept.sort()
+        diag.pruned_capacity += len(kept) - cfg.k_beam
+        return kept[: cfg.k_beam]  # a sorted list is a valid heap
+    if kept is queue or len(kept) == n0:
+        return queue
     heapq.heapify(kept)
     return kept
 
@@ -357,9 +321,9 @@ def dumps_expanded(exp: ExpandedLattice) -> str:
     lines = ["lattice v1", f"vocab {exp.vocab.num_playable}", f"start {exp.start_state}"]
     if exp.terminals:
         lines.append("final " + " ".join(str(t) for t in exp.terminals))
-    for arc in exp.arcs:
+    for st in exp.states[1:]:
         lines.append(
-            f"arc {arc.src} {arc.dst} {exp.vocab.symbol_of(arc.label)} {float(arc.weight)!r}"
+            f"arc {st.parent} {st.id} {exp.vocab.symbol_of(st.history[-1])} {float(st.weight)!r}"
         )
     for st in exp.states:
         syms = " ".join(exp.vocab.symbol_of(s) for s in st.history[1:])

@@ -147,32 +147,26 @@ class TalaPosteriorTable:
         self.priors = priors
         self.talas: tuple[str, ...] = tuple(sorted(priors))
         self._prior_vec = np.array([priors[t] for t in self.talas])
-        self._post_cache: dict[tuple[int, ...], np.ndarray] = {}
 
     def posterior(self, u: Sequence[int]) -> np.ndarray:
         """P(tala | u) over ``self.talas``; reduces to the prior for unseen u.
 
-        Callers must treat the returned array as read-only.
+        Not memoized: :class:`TalaIndependentPrior` memoizes the mixture on a
+        key that determines ``u``.
         """
         if len(u) > self.w_tau:
             raise ValueError(f"history window longer than w_tau={self.w_tau}")
         key = tuple(u)
-        cached = self._post_cache.get(key)
-        if cached is not None:
-            return cached
         if not key:
             # No evidence yet: Bayes' rule collapses to the prior.
-            post = self._prior_vec / self._prior_vec.sum()
-        else:
-            weights = np.array(
-                [
-                    (self.counts.get(t, {}).get(key, 0) + self.laplace_k) * self.priors[t]
-                    for t in self.talas
-                ]
-            )
-            post = weights / weights.sum()
-        self._post_cache[key] = post
-        return post
+            return self._prior_vec / self._prior_vec.sum()
+        weights = np.array(
+            [
+                (self.counts.get(t, {}).get(key, 0) + self.laplace_k) * self.priors[t]
+                for t in self.talas
+            ]
+        )
+        return weights / weights.sum()
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, TalaPosteriorTable):
@@ -210,38 +204,11 @@ def train_tala_table(
     return TalaPosteriorTable(w_tau, laplace_k, counts, priors)
 
 
-def tala_posterior(table: TalaPosteriorTable, u: Sequence[int]) -> np.ndarray:
-    """P(tala | u) ordered like ``table.talas``."""
-    return table.posterior(u)
-
-
-def ti_prior(
-    prior: NGramPrior,
-    table: TalaPosteriorTable,
-    history: Sequence[int],
-) -> np.ndarray:
-    """Tala-independent next-stroke distribution for a playable-stroke history.
+class TalaIndependentPrior:
+    """Memoizing tala-independent :class:`NextStrokePrior`.
 
     Marginalizes the per-tala n-gram over the online tala posterior computed
-    from the most recent ``w_tau`` strokes.
-    """
-    if set(prior.talas) != set(table.talas):
-        raise ValueError("prior and posterior table trained on different tala sets")
-    for sid in history:
-        if not 1 <= sid <= prior.num_playable:
-            raise VocabularyError(f"history stroke id {sid} outside the prior's vocabulary")
-    u = tuple(history[-table.w_tau :]) if table.w_tau else ()
-    post = table.posterior(u)
-    ctx = prior.context_of(history)
-    mix = np.zeros(prior.num_playable)
-    for weight, tala in zip(post, table.talas):
-        mix += weight * prior.distribution(tala, ctx)
-    return mix
-
-
-class TalaIndependentPrior:
-    """Memoizing :class:`NextStrokePrior` over (prior, posterior table).
-
+    from the most recent ``w_tau`` strokes of a playable-stroke history.
     ``w_tau`` may narrow (never widen) the table's trained window.  The memo
     key is the shortest history suffix the distribution depends on, so repeats
     across sequences and beam branches are served from cache.
@@ -261,6 +228,8 @@ class TalaIndependentPrior:
         cached = self._cache.get(key)
         if cached is not None:
             return cached
+        if key and (min(key) < 1 or max(key) > self.prior.num_playable):
+            raise VocabularyError(f"history {key} holds a stroke id outside the prior's vocabulary")
         u = key[-self.w_tau :] if self.w_tau else ()
         post = self.table.posterior(u)
         ctx = self.prior.context_of(key)

@@ -144,10 +144,7 @@ def replay_path_score(lat, model, cfg, arc_ids) -> float:
         p_comb = [(1 - lam) * a_ + lam * b_ for a_, b_ in zip(p_ti, p_dyn)]
         total += arc.w_ac + cfg.beta * math.log(p_comb[q - 1])
         one_minus = 1.0 - cfg.rho
-        if cfg.decay_scope == "global":
-            alpha = [[x * one_minus for x in r] for r in alpha]
-        else:
-            alpha[prev] = [x * one_minus for x in alpha[prev]]
+        alpha = [[x * one_minus for x in r] for r in alpha]
         alpha[prev][q - 1] += cfg.rho
         history.append(q)
         prev = q

@@ -38,9 +38,8 @@ from talarescore.lattice import (
 )
 from talarescore.model import train_model
 from talarescore.rescorer import RescoreConfig, rescore
-from talarescore.static_prior import ti_prior
 
-from .oracles import best_path_by_replay, levenshtein_distance
+from .oracles import best_path_by_replay, levenshtein_distance, ti_prior_dist
 
 EXHAUSTIVE = RescoreConfig(k_beam=10**9, delta_beam=math.inf)
 
@@ -146,7 +145,7 @@ def test_criterion_2_degeneracy_identities(small_lattice_ensemble, model):
                 for tr in diag.traces:
                     state = exp.states[tr.state_id]
                     if component == "static":
-                        ref = ti_prior(model.prior, model.tala_table, state.history[1:])
+                        ref = np.array(ti_prior_dist(model, state.history[1:]))
                     else:
                         ref = predict(state.dirichlet, state.history[-1])
                     assert np.max(np.abs(tr.p_comb - ref)) < 1e-12
@@ -159,10 +158,11 @@ def test_criterion_3_numerical_invariants(model, vocab):
         trials = 10_000
 
         # Emitted distributions: mixture prior, dynamic prediction, combination.
+        static = model.static_prior()
         state = model.initial_dirichlet(rho=0.03)
         for i in range(trials):
             history = tuple(rng.randrange(1, n + 1) for _ in range(rng.randrange(0, 24)))
-            p_static = ti_prior(model.prior, model.tala_table, history)
+            p_static = static.prob(history)
             prev = history[-1] if history else 0
             p_dyn = predict(state, prev)
             lam = lambda_k(rng.random(), rng.uniform(0.0, LOG2))

@@ -1,9 +1,14 @@
 from __future__ import annotations
 
+import hashlib
+
 import pytest
 
 from talarescore.cli import main
-from talarescore.core import default_vocabulary, load_sequences
+from talarescore.core import builtin_tala, default_vocabulary, generate_sequence, load_sequences
+from talarescore.eval import build_training_corpus, split_seed, standard_suite
+from talarescore.lattice import LatticeGenConfig, generate_lattice, save_lattice
+from talarescore.model import save_model, train_model
 
 
 def run(argv):
@@ -173,6 +178,52 @@ def test_rescore_reports_failed_lattices(tmp_path, capsys):
     assert code == 1
     assert "bad.lat" in capsys.readouterr().err
 
+    # A failure in the middle of the list would shift every later hypothesis
+    # up one line, so no output file is written at all.
+    truth = gen_corpus(tmp_path, name="t.txt", count=2)
+    lat_dir = tmp_path / "lats"
+    run(["gen-lattice", "--sequences", str(truth), "--out-dir", str(lat_dir), "--seed", "5"])
+    first, last = sorted(map(str, lat_dir.glob("*.lat")))
+    bare_start = tmp_path / "bare_start.lat"
+    bare_start.write_text("lattice v1\nvocab 5\nstart\nfinal 1\narc 0 1 Dha -1.0\n", encoding="utf-8")
+    diag = tmp_path / "diag.txt"
+    code = run(
+        ["rescore", first, str(bare_start), last, "--model", str(model_path),
+         "--out", str(out), "--diagnostics", str(diag)]
+    )
+    assert code == 1
+    assert "bare_start.lat" in capsys.readouterr().err
+    assert not out.exists() and not diag.exists()
+
+
+def test_expanded_dump_is_pinned_on_a_standard_suite_lattice(tmp_path):
+    """``--dump-expanded-dir`` bytes for the standard suite's first tintal test
+    lattice, pinned by sha256 under adaptive and fixed interpolation."""
+    suite = standard_suite()
+    vocab = default_vocabulary()
+    save_model(train_model(build_training_corpus(suite, vocab), vocab), tmp_path / "m.tiprior")
+    # Streams 1 and 2 of the suite seed draw the test truths and lattices.
+    truth = generate_sequence(
+        builtin_tala("tintal", vocab), suite.cycles, suite.deviation, split_seed(suite.seed, 1, 0), vocab
+    )
+    lat_cfg = LatticeGenConfig(
+        rng_seed=split_seed(suite.seed, 2, 0),
+        branching=suite.branching,
+        noise_sigma=suite.noise_sigma,
+        margin=suite.margin,
+    )
+    save_lattice(generate_lattice(truth, lat_cfg, vocab), tmp_path / "a.lat")
+    pinned = {
+        "adaptive": "165a397139f01bd58d338a0bd9bc230b96de637ca10579bdc68b3c5c5b2f8015",
+        "fixed:0": "01d2918df177089739c2b1c2b2dc90e262c4c73a94636c9ba77df32f63621508",
+    }
+    for mode, digest in pinned.items():
+        dump_dir = tmp_path / mode.replace(":", "_")
+        argv = ["rescore", str(tmp_path / "a.lat"), "--model", str(tmp_path / "m.tiprior"),
+                "--out", str(tmp_path / "h.txt"), "--lambda", mode, "--dump-expanded-dir", str(dump_dir)]
+        assert run(argv) == 0
+        assert hashlib.sha256((dump_dir / "0000.exp").read_bytes()).hexdigest() == digest
+
 
 def test_bench_emits_seven_rows_and_is_byte_stable(tmp_path):
     suite = tmp_path / "suite.cfg"
@@ -245,7 +296,6 @@ def test_decode_defaults_pin_standard_hyperparameters():
     )
     assert args.rho == 0.03
     assert args.beta == 0.5
-    assert args.w_dyn == 32
     assert args.w_tau == 16
     assert args.k_beam == 150
     assert args.delta_beam == 10.0

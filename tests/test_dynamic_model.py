@@ -68,15 +68,6 @@ def test_matrix_total_recurrence():
     assert abs(st.alpha.sum() - 1.0) < (0.9**50) * 10
 
 
-def test_row_decay_scope_touches_only_the_row():
-    st = state([[1.0, 1.0], [2.0, 2.0], [4.0, 4.0]], rho=0.5)
-    nxt = update(st, A, B, decay_scope="row")
-    assert np.array_equal(nxt.alpha[B], st.alpha[B])
-    assert np.array_equal(nxt.alpha[SENTINEL_ID], st.alpha[SENTINEL_ID])
-    assert nxt.alpha[A, A - 1] == 1.0
-    assert nxt.alpha[A, B - 1] == 1.5
-
-
 def test_predict_uniform_row():
     st = state([[1.0, 1.0], [2.0, 2.0], [1.0, 1.0]])
     assert np.allclose(predict(st, A), [0.5, 0.5])

@@ -8,13 +8,11 @@ import pytest
 
 from talarescore.fusion import (
     LOG2,
-    FusionConfig,
     acoustic_confidence,
     combine,
     jsd,
     lambda_k,
     parse_lambda_mode,
-    sequence_log_score,
 )
 
 from .oracles import confidence as oracle_confidence, jsd_nats
@@ -162,16 +160,6 @@ def test_combine_validates_inputs():
         combine(p, p, 1.5)
 
 
-def test_sequence_log_score():
-    assert sequence_log_score([1.0, 1.0]) == 0.0
-    assert sequence_log_score([0.5]) == pytest.approx(-LOG2, abs=1e-15)
-    assert sequence_log_score([0.8, 0.25]) == pytest.approx(
-        math.log(0.8) + math.log(0.25), abs=1e-15
-    )
-    with pytest.raises(ValueError, match="positive"):
-        sequence_log_score([0.5, 0.0])
-
-
 def test_lambda_mode_parsing():
     assert parse_lambda_mode("adaptive") is None
     assert parse_lambda_mode("fixed:0.25") == 0.25
@@ -181,13 +169,3 @@ def test_lambda_mode_parsing():
     with pytest.raises(ValueError):
         parse_lambda_mode("sometimes")
 
-
-def test_fusion_config_validation():
-    FusionConfig()
-    with pytest.raises(ValueError):
-        FusionConfig(beta=-0.1)
-    with pytest.raises(ValueError):
-        FusionConfig(eps_jsd=0.0)
-    with pytest.raises(ValueError):
-        FusionConfig(lambda_mode="nope")
-    assert FusionConfig(lambda_mode="fixed:0.5").fixed_lambda() == 0.5

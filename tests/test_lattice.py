@@ -245,6 +245,19 @@ def test_malformed_files_rejected():
         loads_lattice("lattice v1\nwhat 1\n")
     with pytest.raises(LatticeFormatError, match="missing"):
         loads_lattice("lattice v1\nvocab 2\narc 0 1 Dha -1.0\n")
+    # Wrong arity or a non-numeric field is reported with the offending line.
+    for bad in ("start", "start zero", "start 0 1", "vocab", "final 1 b",
+                "arc 0 1 Dha", "arc 0 x Dha -1.0", "arc 0 1 Dha low"):
+        text = f"lattice v1\nvocab 2\nstart 0\nfinal 1\n{bad}\n"
+        with pytest.raises(LatticeFormatError, match=f"bad .*{bad!r}"):
+            loads_lattice(text)
+
+
+@pytest.mark.parametrize("score", ["nan", "inf", "-inf"])
+def test_non_finite_arc_scores_rejected(vocab, score):
+    text = f"lattice v1\nvocab 5\nstart 0\nfinal 2\narc 0 1 Dha -1.0\narc 1 2 Na {score}\n"
+    with pytest.raises(LatticeFormatError, match="arc 1 score .* not finite"):
+        loads_lattice(text, vocab=vocab)
 
 
 def test_path_score_is_left_to_right_sum(vocab):

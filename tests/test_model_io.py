@@ -6,7 +6,6 @@ import pytest
 from talarescore.core import StrokeSequence
 from talarescore.errors import ModelFormatError
 from talarescore.model import dumps_model, load_model, loads_model, save_model, train_model
-from talarescore.static_prior import ti_prior
 
 
 def test_round_trip_structural_equality(small_corpus, vocab, tmp_path):
@@ -53,7 +52,7 @@ def test_single_tala_model_prior_equals_its_ngram(vocab):
     corpus = [StrokeSequence((1, 2, 1, 2, 3), tala_label="solo")]
     model = train_model(corpus, vocab, n=2)
     history = (1, 2)
-    mix = ti_prior(model.prior, model.tala_table, history)
+    mix = model.static_prior().prob(history)
     ngram = model.prior.distribution("solo", model.prior.context_of(history))
     assert np.array_equal(mix, ngram)
 
@@ -81,6 +80,28 @@ def test_malformed_model_files():
             "tiprior v1\nn 2\nlaplace_k 1.0\nw_tau 4\neps_dir 1.0\n"
             "vocab Dha\ntala t1 1.0\nbogus x\n"
         )
+
+
+VALID_MODEL = "tiprior v1\nn 2\nlaplace_k 1.0\nw_tau 4\neps_dir 1.0\nvocab Dha Na\ntala t 1.0\n"
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [
+        # wrong arity or a non-numeric field
+        "n", "n three", "w_tau 2.5", "tala t", "alpha Dha Na", "count t Na", "taucount t 3",
+        "count t Dha Na many",
+        # values no trained model can hold
+        "count t Dha Na -5", "count t Dha Na 2.5", "count t Dha <s> 1", "taucount t Na -1",
+        "alpha Dha Na nan", "alpha Dha Na inf", "alpha Dha Na 0.0", "alpha Dha Na -1.0",
+        "alpha Dha <s> 2.0", "tala t -1.0", "tala t 0", "tala t nan", "eps_dir 0", "laplace_k inf",
+    ],
+)
+def test_malformed_model_lines_name_the_line(bad):
+    loads_model(VALID_MODEL)
+    with pytest.raises(ModelFormatError) as exc:
+        loads_model(VALID_MODEL + bad + "\n")
+    assert repr(bad) in str(exc.value)
 
 
 def test_train_rejects_empty_corpus(vocab):

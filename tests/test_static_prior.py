@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -10,11 +11,11 @@ from talarescore.errors import VocabularyError
 from talarescore.static_prior import (
     TalaIndependentPrior,
     TalaPosteriorTable,
-    tala_posterior,
-    ti_prior,
     train_prior,
     train_tala_table,
 )
+
+from .oracles import ti_prior_dist
 
 AB = StrokeVocabulary.of(["A", "B"])
 A, B = 1, 2
@@ -72,7 +73,7 @@ def test_posterior_hand_example():
         counts={"t1": {(A,): 3}, "t2": {}},
         priors={"t1": 0.5, "t2": 0.5},
     )
-    post = tala_posterior(table, (A,))
+    post = table.posterior((A,))
     # (3+1)*0.5 vs (0+1)*0.5 -> 0.8 / 0.2
     assert post[table.talas.index("t1")] == pytest.approx(0.8, abs=1e-12)
     assert post[table.talas.index("t2")] == pytest.approx(0.2, abs=1e-12)
@@ -85,21 +86,21 @@ def test_posterior_unseen_window_equals_prior():
         counts={"t1": {}, "t2": {}},
         priors={"t1": 0.7, "t2": 0.3},
     )
-    post = tala_posterior(table, (B, B))
+    post = table.posterior((B, B))
     assert post[table.talas.index("t1")] == pytest.approx(0.7, abs=1e-12)
-    post_empty = tala_posterior(table, ())
+    post_empty = table.posterior(())
     assert post_empty[table.talas.index("t1")] == pytest.approx(0.7, abs=1e-12)
 
 
 def test_posterior_single_tala_is_one():
     table = TalaPosteriorTable(w_tau=4, laplace_k=1.0, counts={"t1": {}}, priors={"t1": 1.0})
-    assert tala_posterior(table, (A,))[0] == pytest.approx(1.0, abs=1e-15)
+    assert table.posterior((A,))[0] == pytest.approx(1.0, abs=1e-15)
 
 
 def test_posterior_rejects_overlong_window():
     table = TalaPosteriorTable(w_tau=2, laplace_k=1.0, counts={"t1": {}}, priors={"t1": 1.0})
     with pytest.raises(ValueError, match="w_tau"):
-        tala_posterior(table, (A, B, A))
+        table.posterior((A, B, A))
 
 
 def test_posterior_monotone_in_count():
@@ -109,7 +110,7 @@ def test_posterior_monotone_in_count():
         table = TalaPosteriorTable(
             w_tau=4, laplace_k=1.0, counts={"t1": {(A,): c}, "t2": {(A,): 2}}, priors=priors
         )
-        p1 = tala_posterior(table, (A,))[table.talas.index("t1")]
+        p1 = table.posterior((A,))[table.talas.index("t1")]
         assert p1 > last
         last = p1
 
@@ -141,7 +142,7 @@ def test_ti_prior_single_tala_degenerates_to_ngram():
     prior = train_prior(corpus, AB, n=2)
     table = train_tala_table(corpus, w_tau=3)
     history = (A, B, A)
-    mix = ti_prior(prior, table, history)
+    mix = TalaIndependentPrior(prior, table).prob(history)
     ngram = prior.distribution("t1", prior.context_of(history))
     assert np.array_equal(mix, ngram)
 
@@ -158,7 +159,7 @@ def test_ti_prior_two_tala_hand_mixture():
     expected = np.zeros(2)
     for w, tala in zip(post, table.talas):
         expected += w * prior.distribution(tala, (B,))
-    got = ti_prior(prior, table, history)
+    got = TalaIndependentPrior(prior, table).prob(history)
     assert np.all(np.abs(got - expected) < 1e-12)
 
 
@@ -170,9 +171,10 @@ def test_ti_prior_mixture_bounds_and_normalization():
     ]
     prior = train_prior(corpus, AB, n=3)
     table = train_tala_table(corpus, w_tau=4)
+    ti = TalaIndependentPrior(prior, table)
     for _ in range(200):
         history = tuple(rng.choice((A, B)) for _ in range(rng.randrange(0, 10)))
-        mix = ti_prior(prior, table, history)
+        mix = ti.prob(history)
         assert mix.sum() == pytest.approx(1.0, abs=1e-9)
         assert (mix > 0).all()
         ctx = prior.context_of(history)
@@ -185,8 +187,10 @@ def test_ti_prior_rejects_foreign_ids():
     corpus = [StrokeSequence((A, B), tala_label="t1")]
     prior = train_prior(corpus, AB, n=2)
     table = train_tala_table(corpus, w_tau=2)
-    with pytest.raises(VocabularyError):
-        ti_prior(prior, table, (9,))
+    ti = TalaIndependentPrior(prior, table)
+    for history in ((9,), (SENTINEL_ID,), (A, 9)):
+        with pytest.raises(VocabularyError):
+            ti.prob(history)
 
 
 def test_ti_prior_rejects_mismatched_tala_sets():
@@ -195,7 +199,7 @@ def test_ti_prior_rejects_mismatched_tala_sets():
     prior = train_prior(c1, AB, n=2)
     table = train_tala_table(c2, w_tau=2)
     with pytest.raises(ValueError, match="tala sets"):
-        ti_prior(prior, table, (A,))
+        TalaIndependentPrior(prior, table)
 
 
 def test_cached_interface_matches_module_function():
@@ -207,9 +211,10 @@ def test_cached_interface_matches_module_function():
     prior = train_prior(corpus, AB, n=3)
     table = train_tala_table(corpus, w_tau=5)
     cached = TalaIndependentPrior(prior, table)
+    model = SimpleNamespace(prior=prior, tala_table=table)
     for _ in range(100):
         history = tuple(rng.choice((A, B)) for _ in range(rng.randrange(0, 12)))
-        assert np.array_equal(cached.prob(history), ti_prior(prior, table, history))
+        assert np.allclose(cached.prob(history), ti_prior_dist(model, history), rtol=0, atol=1e-15)
 
 
 def test_cached_interface_window_narrowing():
