@@ -371,9 +371,14 @@ def loads_lattice(
         arcs = tuple(Arc(s, d, vocab.id_of(sym), w) for s, d, sym, w in raw_arcs)
     except VocabularyError as exc:
         raise LatticeFormatError(str(exc)) from exc
-    n_nodes = 1 + max(
-        [start, *finals, *(a.src for a in arcs), *(a.dst for a in arcs)]
-    )
+    # Per-node structures are sized by the largest id, so a sparse id would
+    # cost memory and time before validation could reject its phantom nodes.
+    ids = {start, *finals, *(a.src for a in arcs), *(a.dst for a in arcs)}
+    n_nodes = 1 + max(ids)
+    if n_nodes > len(ids):
+        raise LatticeFormatError(
+            f"node id {n_nodes - 1} is not dense: {len(ids)} distinct node ids must be 0..{len(ids) - 1}"
+        )
     return Lattice(
         vocab=vocab,
         n_nodes=n_nodes,

@@ -154,12 +154,19 @@ def loads_model(text: str) -> RhythmModel:
         # conversion raise ValueError, reported below with the line.
         try:
             if kind in _HEADER_FIELDS:
+                if kind in header:
+                    raise ValueError(f"repeated {kind} line")
                 (raw,) = args
                 value = _HEADER_FIELDS[kind](raw)
                 if not (value > 0 and math.isfinite(value)):
                     raise ValueError(f"{kind} must be positive and finite")
                 header[kind] = value
             elif kind == "vocab":
+                # Count keys, which follow the vocab line, are checked
+                # against n and w_tau as they are read.
+                missing = set(_HEADER_FIELDS) - set(header)
+                if missing:
+                    raise ModelFormatError(f"missing header fields {sorted(missing)} before the vocab line")
                 vocab = StrokeVocabulary.of(args)
             elif kind in ("count", "taucount", "alpha") and vocab is None:
                 raise ModelFormatError(f"{kind} line before vocab line")
@@ -171,6 +178,8 @@ def loads_model(text: str) -> RhythmModel:
                 priors[tala] = prior
             elif kind == "count":
                 tala, *ctx_syms, nxt_sym, raw = args
+                if len(ctx_syms) != header["n"] - 1:
+                    raise ValueError(f"want a context of n-1 = {header['n'] - 1} strokes")
                 ctx = tuple(vocab.id_of(s) for s in ctx_syms)
                 nxt = _playable_id(vocab, nxt_sym)
                 count = int(raw)
@@ -181,8 +190,8 @@ def loads_model(text: str) -> RhythmModel:
                 tala, *win_syms, raw = args
                 window = tuple(vocab.id_of(s) for s in win_syms)
                 count = int(raw)
-                if count < 0 or not window:
-                    raise ValueError("want a non-empty window and a non-negative count")
+                if count < 0 or not 0 < len(window) <= header["w_tau"]:
+                    raise ValueError("want a window of 1..w_tau strokes and a non-negative count")
                 tau_counts.setdefault(tala, {})[window] = count
             elif kind == "alpha":
                 prev_sym, next_sym, raw = args

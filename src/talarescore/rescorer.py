@@ -17,7 +17,7 @@ already added to the expanded lattice keep competing in the final selection.
 
 from __future__ import annotations
 
-import heapq
+import bisect
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -158,7 +158,6 @@ def rescore(
     fixed_lam = parse_lambda_mode(cfg.lambda_mode)
     beta = cfg.beta
     collect = cfg.collect_traces
-    prune_active = math.isfinite(cfg.delta_beam) or cfg.k_beam < (1 << 60)
 
     exp = ExpandedLattice(vocab=model.vocab)
     diag = RescoreDiagnostics()
@@ -174,11 +173,13 @@ def rescore(
     exp.states.append(root)
 
     node_confidence: dict[int, float] = {}
+    # Ascending on (-acc_score, push order, state id): the best state is
+    # first, exact ties pop FIFO, and both pruning rules cut a suffix.
     queue: list[tuple[float, int, int]] = [(-0.0, 0, 0)]
     push_counter = 1
 
     while queue:
-        _, _, sid = heapq.heappop(queue)
+        _, _, sid = queue.pop(0)
         diag.pops += 1
         state = exp.states[sid]
         out_arcs = lat.outgoing[state.node]
@@ -231,13 +232,17 @@ def rescore(
             exp.states.append(child)
             if arc.dst in lat.finals:
                 exp.terminals.append(child.id)
-            heapq.heappush(queue, (-child.acc_score, push_counter, child.id))
+            bisect.insort(queue, (-child.acc_score, push_counter, child.id))
             push_counter += 1
             diag.pushes += 1
 
-        diag.max_queue_size = max(diag.max_queue_size, len(queue))
-        if prune_active and queue:
-            queue = _prune(queue, cfg, diag)
+        queued = len(queue)
+        diag.max_queue_size = max(diag.max_queue_size, queued)
+        del queue[bisect.bisect_right(queue, (queue[0][0] + cfg.delta_beam, math.inf)) :]
+        in_band = len(queue)
+        del queue[cfg.k_beam :]
+        diag.pruned_band += queued - in_band
+        diag.pruned_capacity += in_band - len(queue)
 
     if not exp.terminals:
         raise RescoreError(
@@ -245,30 +250,6 @@ def rescore(
         )
     best = viterbi_expanded(exp)
     return best, exp, diag
-
-
-def _prune(
-    queue: list[tuple[float, int, int]],
-    cfg: RescoreConfig,
-    diag: RescoreDiagnostics,
-) -> list[tuple[float, int, int]]:
-    """Score-band then capacity pruning; FIFO on exact ties."""
-    n0 = len(queue)
-    if math.isfinite(cfg.delta_beam):
-        # The heap top is the best queued score.
-        cutoff = queue[0][0] + cfg.delta_beam
-        kept = [e for e in queue if e[0] <= cutoff]
-        diag.pruned_band += n0 - len(kept)
-    else:
-        kept = queue
-    if len(kept) > cfg.k_beam:
-        kept.sort()
-        diag.pruned_capacity += len(kept) - cfg.k_beam
-        return kept[: cfg.k_beam]  # a sorted list is a valid heap
-    if kept is queue or len(kept) == n0:
-        return queue
-    heapq.heapify(kept)
-    return kept
 
 
 def viterbi_expanded(exp: ExpandedLattice) -> StrokeSequence:

@@ -3,7 +3,9 @@
 The static prior is a mixture: an online posterior over the latent tala,
 estimated from a recent-history window, weights per-tala Laplace-smoothed
 n-gram distributions over the next stroke.  Trained tables are immutable and
-may be shared across threads; the memo caches below are pure memoization.
+may be shared across threads; :class:`TalaIndependentPrior` memoizes the
+mixture on the values it depends on, so its memo is bounded by the training
+data, not by decode traffic.
 """
 
 from __future__ import annotations
@@ -49,7 +51,6 @@ class NGramPrior:
         self.laplace_k = laplace_k
         self.num_playable = num_playable
         self.counts = counts
-        self._dist_cache: dict[tuple[str, tuple[int, ...]], np.ndarray] = {}
 
     @property
     def talas(self) -> tuple[str, ...]:
@@ -64,14 +65,11 @@ class NGramPrior:
         return ctx
 
     def distribution(self, tala: str, context: tuple[int, ...]) -> np.ndarray:
-        """Smoothed conditional over playable strokes; cached per context.
+        """Smoothed conditional over playable strokes, as a fresh array.
 
-        Callers must treat the returned array as read-only.
+        Not memoized: :class:`TalaIndependentPrior` memoizes the mixture, so
+        this runs only on a mixture miss.
         """
-        key = (tala, context)
-        cached = self._dist_cache.get(key)
-        if cached is not None:
-            return cached
         k = self.laplace_k
         probs = np.full(self.num_playable, k, dtype=float)
         table = self.counts.get(tala)
@@ -80,7 +78,6 @@ class NGramPrior:
         for nxt, c in table.get(context, {}).items():
             probs[nxt - 1] += c
         probs /= probs.sum()
-        self._dist_cache[key] = probs
         return probs
 
     def __eq__(self, other: object) -> bool:
@@ -151,8 +148,9 @@ class TalaPosteriorTable:
     def posterior(self, u: Sequence[int]) -> np.ndarray:
         """P(tala | u) over ``self.talas``; reduces to the prior for unseen u.
 
-        Not memoized: :class:`TalaIndependentPrior` memoizes the mixture on a
-        key that determines ``u``.
+        Not memoized: for a non-empty ``u`` the result depends only on the
+        per-tala counts of ``u``, which :class:`TalaIndependentPrior` uses as
+        its memo key.
         """
         if len(u) > self.w_tau:
             raise ValueError(f"history window longer than w_tau={self.w_tau}")
@@ -210,8 +208,10 @@ class TalaIndependentPrior:
     Marginalizes the per-tala n-gram over the online tala posterior computed
     from the most recent ``w_tau`` strokes of a playable-stroke history.
     ``w_tau`` may narrow (never widen) the table's trained window.  The memo
-    key is the shortest history suffix the distribution depends on, so repeats
-    across sequences and beam branches are served from cache.
+    key is ``(counts, ctx)``: the window's training count per tala (``None``
+    for an empty window, whose posterior is the normalized prior) and the
+    n-gram context.  Windows never seen in training share one key per context.
+    Cached arrays are shared; callers must treat them as read-only.
     """
 
     def __init__(self, prior: NGramPrior, table: TalaPosteriorTable, w_tau: int | None = None):
@@ -220,21 +220,23 @@ class TalaIndependentPrior:
         self.prior = prior
         self.table = table
         self.w_tau = min(w_tau, table.w_tau) if w_tau is not None else table.w_tau
-        self._cache: dict[tuple[int, ...], np.ndarray] = {}
+        self._cache: dict[tuple[tuple[int, ...] | None, tuple[int, ...]], np.ndarray] = {}
         self._suffix = max(self.w_tau, prior.n - 1)
+        self._window_counts = [table.counts.get(t, {}) for t in table.talas]
 
     def prob(self, history: Sequence[int]) -> np.ndarray:
-        key = tuple(history[-self._suffix :]) if self._suffix else ()
-        cached = self._cache.get(key)
+        recent = tuple(history[-self._suffix :]) if self._suffix else ()
+        if recent and (min(recent) < 1 or max(recent) > self.prior.num_playable):
+            raise VocabularyError(f"history {recent} holds a stroke id outside the prior's vocabulary")
+        u = recent[-self.w_tau :] if self.w_tau else ()
+        ctx = self.prior.context_of(recent)
+        counts = tuple(c.get(u, 0) for c in self._window_counts) if u else None
+        cached = self._cache.get((counts, ctx))
         if cached is not None:
             return cached
-        if key and (min(key) < 1 or max(key) > self.prior.num_playable):
-            raise VocabularyError(f"history {key} holds a stroke id outside the prior's vocabulary")
-        u = key[-self.w_tau :] if self.w_tau else ()
         post = self.table.posterior(u)
-        ctx = self.prior.context_of(key)
         mix = np.zeros(self.prior.num_playable)
         for weight, tala in zip(post, self.table.talas):
             mix += weight * self.prior.distribution(tala, ctx)
-        self._cache[key] = mix
+        self._cache[counts, ctx] = mix
         return mix

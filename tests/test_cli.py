@@ -197,8 +197,9 @@ def test_rescore_reports_failed_lattices(tmp_path, capsys):
 
 
 def test_expanded_dump_is_pinned_on_a_standard_suite_lattice(tmp_path):
-    """``--dump-expanded-dir`` bytes for the standard suite's first tintal test
-    lattice, pinned by sha256 under adaptive and fixed interpolation."""
+    """``--dump-expanded-dir`` bytes and beam counters for the standard suite's
+    first tintal test lattice, pinned under adaptive and fixed interpolation
+    and under a score band narrow enough that both pruning rules cut."""
     suite = standard_suite()
     vocab = default_vocabulary()
     save_model(train_model(build_training_corpus(suite, vocab), vocab), tmp_path / "m.tiprior")
@@ -214,15 +215,28 @@ def test_expanded_dump_is_pinned_on_a_standard_suite_lattice(tmp_path):
     )
     save_lattice(generate_lattice(truth, lat_cfg, vocab), tmp_path / "a.lat")
     pinned = {
-        "adaptive": "165a397139f01bd58d338a0bd9bc230b96de637ca10579bdc68b3c5c5b2f8015",
-        "fixed:0": "01d2918df177089739c2b1c2b2dc90e262c4c73a94636c9ba77df32f63621508",
+        ("adaptive", "10.0"): (
+            "165a397139f01bd58d338a0bd9bc230b96de637ca10579bdc68b3c5c5b2f8015",
+            "summary pops=6117 pushes=17601 pruned_band=0 pruned_capacity=11485 max_queue=152",
+        ),
+        ("fixed:0", "10.0"): (
+            "01d2918df177089739c2b1c2b2dc90e262c4c73a94636c9ba77df32f63621508",
+            "summary pops=6483 pushes=18822 pruned_band=0 pruned_capacity=12340 max_queue=152",
+        ),
+        ("adaptive", "2.0"): (
+            "4b7fa4edd72d440d4bf7713f612214aee9b77b130e5e31f2e8c9b26086582224",
+            "summary pops=5235 pushes=15156 pruned_band=8277 pruned_capacity=1645 max_queue=152",
+        ),
     }
-    for mode, digest in pinned.items():
-        dump_dir = tmp_path / mode.replace(":", "_")
+    for (mode, band), (digest, summary) in pinned.items():
+        dump_dir = tmp_path / f"{mode.replace(':', '_')}_{band}"
+        diag = dump_dir / "diag.txt"
         argv = ["rescore", str(tmp_path / "a.lat"), "--model", str(tmp_path / "m.tiprior"),
-                "--out", str(tmp_path / "h.txt"), "--lambda", mode, "--dump-expanded-dir", str(dump_dir)]
+                "--out", str(tmp_path / "h.txt"), "--lambda", mode, "--delta-beam", band,
+                "--dump-expanded-dir", str(dump_dir), "--diagnostics", str(diag)]
         assert run(argv) == 0
         assert hashlib.sha256((dump_dir / "0000.exp").read_bytes()).hexdigest() == digest
+        assert diag.read_text().splitlines()[1] == summary
 
 
 def test_bench_emits_seven_rows_and_is_byte_stable(tmp_path):

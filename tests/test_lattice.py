@@ -260,6 +260,21 @@ def test_non_finite_arc_scores_rejected(vocab, score):
         loads_lattice(text, vocab=vocab)
 
 
+@pytest.mark.parametrize(
+    "body, sparse_id",
+    [
+        ("start 0\nfinal 1000000\narc 0 1000000 Dha -1.0\n", 1000000),
+        ("start 0\nfinal 2\narc 0 3 Dha -1.0\narc 3 2 Na -1.0\n", 3),
+        ("start 5\nfinal 1\narc 5 1 Dha -1.0\n", 5),
+    ],
+    ids=["far-final", "gap", "far-start"],
+)
+def test_sparse_node_ids_rejected_at_parse(vocab, body, sparse_id):
+    # A gap in the ids is named before any per-node structure is sized by it.
+    with pytest.raises(LatticeFormatError, match=f"node id {sparse_id} is not dense"):
+        loads_lattice("lattice v1\nvocab 5\n" + body, vocab=vocab)
+
+
 def test_path_score_is_left_to_right_sum(vocab):
     # Associativity trap: the spec fixes the addition order along the path.
     scores = [0.1, 0.2, 0.3, -0.7, 1e-9]

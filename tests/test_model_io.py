@@ -95,6 +95,10 @@ VALID_MODEL = "tiprior v1\nn 2\nlaplace_k 1.0\nw_tau 4\neps_dir 1.0\nvocab Dha N
         "count t Dha Na -5", "count t Dha Na 2.5", "count t Dha <s> 1", "taucount t Na -1",
         "alpha Dha Na nan", "alpha Dha Na inf", "alpha Dha Na 0.0", "alpha Dha Na -1.0",
         "alpha Dha <s> 2.0", "tala t -1.0", "tala t 0", "tala t nan", "eps_dir 0", "laplace_k inf",
+        # keys the n-gram and window tables of an n=2, w_tau=4 model never read
+        "count t Na 7", "count t Dha Na Na 7", "taucount t Dha Na Dha Na Dha 1",
+        # a header value redefined after count keys were checked against it
+        "n 3",
     ],
 )
 def test_malformed_model_lines_name_the_line(bad):
@@ -102,6 +106,19 @@ def test_malformed_model_lines_name_the_line(bad):
     with pytest.raises(ModelFormatError) as exc:
         loads_model(VALID_MODEL + bad + "\n")
     assert repr(bad) in str(exc.value)
+
+
+def test_count_keys_are_checked_against_the_header():
+    # An order-3 model reads contexts of exactly two strokes.
+    header = "tiprior v1\nn 3\nlaplace_k 1.0\nw_tau 2\neps_dir 1.0\nvocab Dha Na\ntala t 1.0\n"
+    loads_model(header + "count t Dha Na Na 7\ntaucount t Dha Na 2\n")
+    for bad in ("count t Dha Na 7", "taucount t Dha Na Dha 2"):
+        with pytest.raises(ModelFormatError, match=f"bad .*{bad!r}"):
+            loads_model(header + bad + "\n")
+    # Count keys can only be checked once n and w_tau are known.
+    early = "tiprior v1\nn 3\nlaplace_k 1.0\nvocab Dha Na\nw_tau 2\neps_dir 1.0\ntala t 1.0\n"
+    with pytest.raises(ModelFormatError, match=r"missing header fields \['eps_dir', 'w_tau'\] before the vocab"):
+        loads_model(early + "count t Dha Na Na 7\n")
 
 
 def test_train_rejects_empty_corpus(vocab):

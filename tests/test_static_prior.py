@@ -231,3 +231,47 @@ def test_cached_interface_window_narrowing():
     for w, tala in zip(post, table.talas):
         expected += w * prior.distribution(tala, prior.context_of(history))
     assert np.allclose(narrow.prob(history), expected, atol=1e-15)
+
+
+def test_memo_is_bounded_by_training_not_by_traffic():
+    # Windows unseen in training all have the prior as their tala posterior,
+    # so they share one memo entry per n-gram context.
+    rng = random.Random(5)
+    corpus = [
+        StrokeSequence(tuple(rng.choice((A, B)) for _ in range(40)), tala_label=t) for t in ("t1", "t2")
+    ]
+    prior = train_prior(corpus, AB, n=3)
+    table = train_tala_table(corpus, w_tau=10)
+    ti = TalaIndependentPrior(prior, table)
+    model = SimpleNamespace(prior=prior, tala_table=table)
+    histories = {tuple(rng.choice((A, B)) for _ in range(12)) for _ in range(600)}
+    contexts, seen = set(), set()
+    for history in histories:
+        assert np.allclose(ti.prob(history), ti_prior_dist(model, history), rtol=0, atol=1e-15)
+        contexts.add(prior.context_of(history))
+        if any(history[-10:] in table.counts[t] for t in table.talas):
+            seen.add(history[-10:])
+    assert len(histories) > 500 and seen
+    assert len(ti._cache) <= len(contexts) + len(seen)
+
+
+@pytest.mark.parametrize("first", ["empty", "unseen"])
+def test_empty_history_keeps_the_normalized_prior(first):
+    # With laplace_k != 1 the normalized prior and the zero-count posterior
+    # can differ in the last bits, so an empty window must not share the memo
+    # entry of an unseen window with the same (here empty) context.
+    corpus = [StrokeSequence((A,), tala_label="t1"), StrokeSequence((B,) * 7, tala_label="t2")]
+    prior = train_prior(corpus, AB, n=1, laplace_k=0.3)
+    table = train_tala_table(corpus, w_tau=4, laplace_k=0.3)
+    ti = TalaIndependentPrior(prior, table)
+    histories = {"empty": (), "unseen": (B, A, A, A)}
+    order = [first, *(h for h in histories if h != first)]
+    results = {}
+    for name in order:
+        history = histories[name]
+        expected = np.zeros(2)
+        for weight, tala in zip(table.posterior(history), table.talas):
+            expected += weight * prior.distribution(tala, ())
+        results[name] = ti.prob(history)
+        assert np.array_equal(results[name], expected)
+    assert not np.array_equal(results["empty"], results["unseen"])
