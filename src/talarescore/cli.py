@@ -1,9 +1,9 @@
 """Command-line interface: corpus/lattice generation, training, rescoring,
 evaluation, and ablation sweeps.
 
-Exit codes: 0 success, 1 runtime failure, 2 usage error.  A ``--config`` file
-holds flat ``key=value`` pairs (keys are flag names with dashes or
-underscores); explicit flags override file values.
+Exit codes: 0 success, 1 runtime failure, 2 usage error.  A ``--config PATH``
+(or ``--config=PATH``) file holds flat ``key=value`` pairs (keys are flag
+names with dashes or underscores); explicit flags override file values.
 """
 
 from __future__ import annotations
@@ -20,7 +20,10 @@ from .errors import TalarescoreError
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
     parser = build_parser()
-    args = parser.parse_args(_apply_config_file(parser, argv))
+    argv, config = _apply_config_file(argv)
+    args = parser.parse_args(argv)
+    if getattr(args, "config", None) != config:
+        parser.error("give --config once, as --config PATH or --config=PATH")
     try:
         return args.func(args)
     except (TalarescoreError, ValueError, OSError) as exc:
@@ -107,16 +110,22 @@ def _add_rescore_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--eps-jsd", type=float, default=1e-8)
 
 
-def _apply_config_file(parser: argparse.ArgumentParser, argv: list[str]) -> list[str]:
-    """Insert file-provided values as flags before the explicit ones."""
-    if "--config" not in argv:
-        return argv
-    idx = argv.index("--config")
-    if idx + 1 >= len(argv):
-        return argv
-    values = read_config_file(Path(argv[idx + 1]))
+def _apply_config_file(argv: list[str]) -> tuple[list[str], Path | None]:
+    """Insert file-provided values as flags before the explicit ones.
+
+    Returns the new argument list and the file read, if any.
+    """
+    for i, token in enumerate(argv):
+        if token == "--config" and i + 1 < len(argv):
+            path = Path(argv[i + 1])
+            break
+        if token.startswith("--config="):
+            path = Path(token.split("=", 1)[1])
+            break
+    else:
+        return argv, None
     injected: list[str] = []
-    for key, value in values.items():
+    for key, value in read_config_file(path).items():
         flag = "--" + key.replace("_", "-")
         if value.lower() in ("true", "false"):
             if value.lower() == "true":
@@ -124,7 +133,7 @@ def _apply_config_file(parser: argparse.ArgumentParser, argv: list[str]) -> list
         else:
             injected += [flag, value]
     # argparse lets later occurrences win, so explicit flags override the file.
-    return argv[:1] + injected + argv[1:]
+    return argv[:1] + injected + argv[1:], path
 
 
 def read_config_file(path: Path) -> dict[str, str]:

@@ -13,6 +13,13 @@ terminal state in the expanded lattice.
 Because the dynamic model evolves along each path, the expanded lattice is a
 tree rooted at the start state.  Pruning only stops further expansion: states
 already added to the expanded lattice keep competing in the final selection.
+
+A pushed state is a backpointer record (node, parent, arc, stroke, scores).
+Its history and Dirichlet snapshot are built from its parent's only when it
+is popped with outgoing arcs: the history gains the state's stroke and the
+snapshot observes the transition into it.  Most pushed states are cut by the
+capacity rule and never popped, so they cost only the record; the histories
+the final selection and the dump read are rebuilt from the backpointers.
 """
 
 from __future__ import annotations
@@ -37,9 +44,9 @@ from .static_prior import NextStrokePrior
 class RescoreConfig:
     """Decode-time hyperparameters.
 
-    ``delta_beam`` is a natural-log score band.  Histories are stored in
-    full: the n-gram context, the tala window, and the final transcription
-    all read from them.
+    ``delta_beam`` is a natural-log score band and ``k_beam`` the queue
+    capacity.  A popped state's full history is built and passed to the
+    static prior, which reads the n-gram context and the tala window from it.
     """
 
     rho: float = 0.03
@@ -67,23 +74,24 @@ class RescoreConfig:
         parse_lambda_mode(self.lambda_mode)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(slots=True, eq=False)
 class ExpandedState:
-    """One (lattice node, history, Dirichlet snapshot) decoding state.
+    """One decoding state, as pushed: a backpointer record.
 
-    ``history`` always begins with the start sentinel; ``weight`` is the
-    rescored weight of the arc from ``parent`` (0.0 at the root) and
-    ``acc_score`` the sum of those weights along the backpointer chain.
+    ``stroke`` is the model stroke id of the arc from ``parent`` (the start
+    sentinel at the root), ``weight`` that arc's rescored weight (0.0 at the
+    root) and ``acc_score`` the sum of those weights along the backpointer
+    chain.  The state's history is the chain's strokes; see
+    ``ExpandedLattice.history``.
     """
 
     id: int
     node: int
-    history: tuple[int, ...]
-    dirichlet: DirichletState
-    acc_score: float
     parent: int | None
     arc_id: int | None
-    weight: float = 0.0
+    stroke: int
+    weight: float
+    acc_score: float
 
 
 @dataclass(eq=False)
@@ -91,16 +99,31 @@ class ExpandedLattice:
     """Tree of expanded states; terminals sit on final acoustic nodes.
 
     Each non-root state is the head of exactly one expanded arc, the one from
-    its ``parent``; the tree's arcs are therefore ``states[1:]``.
+    its ``parent``; the tree's arcs are therefore ``states[1:]``.  A parent's
+    id is always below its children's.  ``snapshots`` maps the id of each
+    state popped with outgoing arcs (the root included) to its history and
+    Dirichlet snapshot; states never expanded have none.
     """
 
     vocab: StrokeVocabulary
     states: list[ExpandedState] = field(default_factory=list)
     terminals: list[int] = field(default_factory=list)
+    snapshots: dict[int, tuple[tuple[int, ...], DirichletState]] = field(default_factory=dict)
 
     @property
     def start_state(self) -> int:
         return 0
+
+    def history(self, state_id: int) -> tuple[int, ...]:
+        """Stroke ids from the root to ``state_id``, led by the start sentinel."""
+        strokes: list[int] = []
+        st = self.states[state_id]
+        while st.parent is not None:
+            strokes.append(st.stroke)
+            st = self.states[st.parent]
+        strokes.append(st.stroke)
+        strokes.reverse()
+        return tuple(strokes)
 
     def arc_chain(self, state_id: int) -> tuple[int, ...]:
         """Original lattice arc ids from the root to ``state_id``."""
@@ -161,34 +184,34 @@ def rescore(
 
     exp = ExpandedLattice(vocab=model.vocab)
     diag = RescoreDiagnostics()
-    root = ExpandedState(
-        id=0,
-        node=lat.start,
-        history=(SENTINEL_ID,),
-        dirichlet=model.initial_dirichlet(cfg.rho),
-        acc_score=0.0,
-        parent=None,
-        arc_id=None,
-    )
-    exp.states.append(root)
+    states, terminals, snapshots = exp.states, exp.terminals, exp.snapshots
+    states.append(ExpandedState(0, lat.start, None, None, SENTINEL_ID, 0.0, 0.0))
+    snapshots[0] = ((SENTINEL_ID,), model.initial_dirichlet(cfg.rho))
 
     node_confidence: dict[int, float] = {}
-    # Ascending on (-acc_score, push order, state id): the best state is
-    # first, exact ties pop FIFO, and both pruning rules cut a suffix.
-    queue: list[tuple[float, int, int]] = [(-0.0, 0, 0)]
-    push_counter = 1
+    # Ascending on (-acc_score, state id): the best state is first, exact
+    # ties pop FIFO since ids are given in push order, and both pruning rules
+    # cut a suffix.
+    queue: list[tuple[float, int]] = [(-0.0, 0)]
 
     while queue:
-        _, _, sid = queue.pop(0)
+        _, sid = queue.pop(0)
         diag.pops += 1
-        state = exp.states[sid]
+        state = states[sid]
         out_arcs = lat.outgoing[state.node]
         if not out_arcs:
             continue
 
-        prev = state.history[-1]
-        p_dyn = predict(state.dirichlet, prev)
-        p_static = static.prob(state.history[1:])
+        prev = state.stroke
+        if state.parent is None:
+            history, dirichlet = snapshots[sid]
+        else:
+            history, dirichlet = snapshots[state.parent]
+            dirichlet = update(dirichlet, history[-1], prev)
+            history += (prev,)
+            snapshots[sid] = (history, dirichlet)
+        p_dyn = predict(dirichlet, prev)
+        p_static = static.prob(history[1:])
         if fixed_lam is None or collect:
             conf = node_confidence.get(state.node)
             if conf is None:
@@ -205,7 +228,7 @@ def rescore(
                 StepTrace(
                     state_id=sid,
                     node=state.node,
-                    depth=len(state.history) - 1,
+                    depth=len(history) - 1,
                     confidence=conf,
                     divergence=div,
                     lam=lam,
@@ -215,26 +238,23 @@ def rescore(
                 )
             )
 
+        probs = p_comb.tolist()
         for arc_id in out_arcs:
             arc = lat.arcs[arc_id]
             q = label_map[arc.label]
-            weight = arc.w_ac + beta * math.log(p_comb[q - 1])
-            child = ExpandedState(
-                id=len(exp.states),
-                node=arc.dst,
-                history=state.history + (q,),
-                dirichlet=update(state.dirichlet, prev, q),
-                acc_score=state.acc_score + weight,
-                parent=sid,
-                arc_id=arc_id,
-                weight=weight,
-            )
-            exp.states.append(child)
+            p = probs[q - 1]
+            if not 0.0 < p < math.inf:  # NaN fails too
+                raise RescoreError(
+                    f"state {sid} (node {state.node}), arc {arc_id}: combined probability "
+                    f"{p!r} of {model.vocab.symbol_of(q)} is not a finite positive number"
+                )
+            weight = arc.w_ac + beta * math.log(p)
+            child_id = len(states)
+            acc = state.acc_score + weight
+            states.append(ExpandedState(child_id, arc.dst, sid, arc_id, q, weight, acc))
             if arc.dst in lat.finals:
-                exp.terminals.append(child.id)
-            bisect.insort(queue, (-child.acc_score, push_counter, child.id))
-            push_counter += 1
-            diag.pushes += 1
+                terminals.append(child_id)
+            bisect.insort(queue, (-acc, child_id))
 
         queued = len(queue)
         diag.max_queue_size = max(diag.max_queue_size, queued)
@@ -244,6 +264,7 @@ def rescore(
         diag.pruned_band += queued - in_band
         diag.pruned_capacity += in_band - len(queue)
 
+    diag.pushes = len(states) - 1
     if not exp.terminals:
         raise RescoreError(
             "no terminal state survived pruning; widen k_beam or delta_beam"
@@ -272,7 +293,7 @@ def viterbi_expanded(exp: ExpandedLattice) -> StrokeSequence:
             chain = exp.arc_chain(sid)
             if chain < best_chain:
                 best_id, best_chain = sid, chain
-    return StrokeSequence(exp.states[best_id].history[1:])
+    return StrokeSequence(exp.history(best_id)[1:])
 
 
 def _map_labels(lat: Lattice, vocab: StrokeVocabulary) -> dict[int, int]:
@@ -302,13 +323,13 @@ def dumps_expanded(exp: ExpandedLattice) -> str:
     lines = ["lattice v1", f"vocab {exp.vocab.num_playable}", f"start {exp.start_state}"]
     if exp.terminals:
         lines.append("final " + " ".join(str(t) for t in exp.terminals))
+    histories: list[tuple[str, ...]] = [()]
     for st in exp.states[1:]:
-        lines.append(
-            f"arc {st.parent} {st.id} {exp.vocab.symbol_of(st.history[-1])} {float(st.weight)!r}"
-        )
-    for st in exp.states:
-        syms = " ".join(exp.vocab.symbol_of(s) for s in st.history[1:])
-        lines.append(f"# history {st.id} {syms}".rstrip())
+        symbol = exp.vocab.symbol_of(st.stroke)
+        lines.append(f"arc {st.parent} {st.id} {symbol} {float(st.weight)!r}")
+        histories.append(histories[st.parent] + (symbol,))
+    for sid, syms in enumerate(histories):
+        lines.append(f"# history {sid} {' '.join(syms)}".rstrip())
     return "".join(f"{l}\n" for l in lines)
 
 

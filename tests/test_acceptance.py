@@ -143,11 +143,11 @@ def test_criterion_2_degeneracy_identities(small_lattice_ensemble, model):
                 _, exp, diag = rescore(lat, model, cfg)
                 assert diag.traces
                 for tr in diag.traces:
-                    state = exp.states[tr.state_id]
+                    history, dirichlet = exp.snapshots[tr.state_id]
                     if component == "static":
-                        ref = np.array(ti_prior_dist(model, state.history[1:]))
+                        ref = np.array(ti_prior_dist(model, history[1:]))
                     else:
-                        ref = predict(state.dirichlet, state.history[-1])
+                        ref = predict(dirichlet, history[-1])
                     assert np.max(np.abs(tr.p_comb - ref)) < 1e-12
 
 
@@ -246,7 +246,7 @@ def test_criterion_5_state_expansion_keeps_merged_histories(model, vocab):
         _, exp, _ = rescore(lat, model, EXHAUSTIVE)
         merged = [s for s in exp.states if s.node == 3]
         assert len(merged) == 3
-        assert {s.history[1:] for s in merged} == {(dha, dha), (dha, na), (tin, tin)}
+        assert {exp.history(s.id)[1:] for s in merged} == {(dha, dha), (dha, na), (tin, tin)}
 
 
 def test_criterion_6_trend_reproduction(benchmark_report):

@@ -302,6 +302,36 @@ def test_config_file_provides_defaults_flags_override(tmp_path):
     assert len(seqs[0]) == 32  # file's cycles=2 applied
 
 
+def test_config_file_given_with_equals_sign_is_applied(tmp_path):
+    cfg = tmp_path / "gen.cfg"
+    cfg.write_text("tala=tintal\ncycles=2\ncount=3\nseed=11\n", encoding="utf-8")
+    out = tmp_path / "seqs.txt"
+    assert run(["gen-corpus", f"--config={cfg}", "--out", str(out)]) == 0
+    assert len(load_sequences(out, default_vocabulary())) == 3
+    # A bad value in the file is a usage error under either spelling.
+    bad = tmp_path / "bad.cfg"
+    bad.write_text("k_beam=bogus\n", encoding="utf-8")
+    for spelling in (["--config", str(bad)], [f"--config={bad}"]):
+        with pytest.raises(SystemExit) as exc:
+            run(["rescore", "x.lat", "--model", "m", "--out", str(tmp_path / "o"), *spelling])
+        assert exc.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "spelling",
+    [["--conf", "{cfg}"], ["--config", "{cfg}", "--config", "{cfg}2"]],
+    ids=["abbreviated", "repeated"],
+)
+def test_config_file_not_applied_is_a_usage_error(tmp_path, spelling):
+    cfg = tmp_path / "gen.cfg"
+    cfg.write_text("tala=tintal\ncycles=2\ncount=3\nseed=11\n", encoding="utf-8")
+    (tmp_path / "gen.cfg2").write_text("count=1\n", encoding="utf-8")
+    argv = ["gen-corpus", "--tala", "tintal", "--seed", "1", "--out", str(tmp_path / "s.txt")]
+    with pytest.raises(SystemExit) as exc:
+        run(argv + [token.format(cfg=cfg) for token in spelling])
+    assert exc.value.code == 2
+
+
 def test_decode_defaults_pin_standard_hyperparameters():
     from talarescore.cli import build_parser
 

@@ -6,8 +6,12 @@ import random
 import numpy as np
 import pytest
 
+from talarescore import rescorer
+from talarescore.core import builtin_tala, default_vocabulary, generate_sequence
 from talarescore.errors import RescoreError, VocabularyMismatchError
-from talarescore.lattice import Arc, Lattice, viterbi_acoustic
+from talarescore.eval import build_training_corpus, split_seed, standard_suite
+from talarescore.lattice import Arc, Lattice, LatticeGenConfig, generate_lattice, viterbi_acoustic
+from talarescore.model import train_model
 from talarescore.rescorer import (
     ExpandedLattice,
     RescoreConfig,
@@ -113,7 +117,7 @@ def test_appendix_style_diamond_keeps_three_histories(vocab, small_model):
     lat = Lattice(vocab=vocab, n_nodes=5, arcs=arcs, start=0, finals=frozenset({4}))
     _, exp, _ = rescore(lat, small_model, EXHAUSTIVE)
     merged = [s for s in exp.states if s.node == 3]
-    histories = {s.history[1:] for s in merged}
+    histories = {exp.history(s.id)[1:] for s in merged}
     assert len(merged) == 3
     assert histories == {(dha, dha), (dha, na), (tin, tin)}
 
@@ -125,13 +129,12 @@ def test_expanded_lattice_is_a_tree(vocab, small_model):
     for st in exp.states:
         if st.id == 0:
             assert st.parent is None
-            assert st.history == (0,)
+            assert exp.history(st.id) == (0,)
         else:
             assert st.parent is not None
-            parent = exp.states[st.parent]
-            assert st.history[:-1] == parent.history
+            assert exp.history(st.id) == exp.history(st.parent) + (st.stroke,)
             # depth equals history length minus the sentinel
-            assert len(exp.arc_chain(st.id)) == len(st.history) - 1
+            assert len(exp.arc_chain(st.id)) == len(exp.history(st.id)) - 1
     # Terminal scores equal the sum of arc weights along their chains.
     for t in exp.terminals:
         acc = 0.0
@@ -157,11 +160,11 @@ def test_fixed_lambda_traces_match_component_models(vocab, small_model):
         _, exp, diag = rescore(lat, small_model, cfg)
         assert diag.traces
         for tr in diag.traces:
-            state = exp.states[tr.state_id]
+            history, dirichlet = exp.snapshots[tr.state_id]
             if pick == "static":
-                ref = np.array(ti_prior_dist(small_model, state.history[1:]))
+                ref = np.array(ti_prior_dist(small_model, history[1:]))
             else:
-                ref = predict(state.dirichlet, state.history[-1])
+                ref = predict(dirichlet, history[-1])
             assert np.max(np.abs(tr.p_comb - ref)) < 1e-12
 
 
@@ -264,16 +267,94 @@ def test_viterbi_expanded_picks_best_terminal_directly(vocab, small_model):
     from talarescore.rescorer import ExpandedState
 
     exp = ExpandedLattice(vocab=vocab)
-    dirichlet = small_model.initial_dirichlet(rho=0.03)
     exp.states.append(
-        ExpandedState(id=0, node=0, history=(0,), dirichlet=dirichlet, acc_score=0.0, parent=None, arc_id=None)
+        ExpandedState(id=0, node=0, parent=None, arc_id=None, stroke=0, weight=0.0, acc_score=0.0)
     )
     for sid, (label, score, arc_id) in enumerate([(1, -1.0, 0), (2, -2.0, 1)], start=1):
         exp.states.append(
             ExpandedState(
-                id=sid, node=1, history=(0, label), dirichlet=dirichlet,
-                acc_score=score, parent=0, arc_id=arc_id, weight=score,
+                id=sid, node=1, parent=0, arc_id=arc_id, stroke=label,
+                weight=score, acc_score=score,
             )
         )
         exp.terminals.append(sid)
     assert viterbi_expanded(exp).strokes == (1,)
+
+
+@pytest.mark.parametrize(
+    "mode, bad",
+    [("fixed:0", 0.0), ("fixed:0", math.nan), ("fixed:0.5", math.nan)],
+    ids=["zero", "nan", "nan-mixed"],
+)
+def test_degenerate_prior_probability_is_a_rescore_error(vocab, small_model, mode, bad):
+    class DegeneratePrior:
+        def prob(self, history):
+            p = np.full(vocab.num_playable, 1.0 / vocab.num_playable)
+            p[1] = bad  # stroke id 2
+            return p
+
+    arcs = (Arc(0, 1, 1, -0.5), Arc(1, 2, 2, -0.5))
+    lat = Lattice(vocab=vocab, n_nodes=3, arcs=arcs, start=0, finals=frozenset({2}))
+    cfg = RescoreConfig(lambda_mode=mode)
+    with pytest.raises(RescoreError, match=r"state 1 \(node 1\), arc 1: .* of Dhin"):
+        rescore(lat, small_model, cfg, static_prior=DegeneratePrior())
+
+
+@pytest.fixture(scope="module")
+def standard_lattice():
+    """The standard suite's first tintal test lattice and the suite's model."""
+    suite = standard_suite()
+    vocab = default_vocabulary()
+    truth = generate_sequence(
+        builtin_tala("tintal", vocab), suite.cycles, suite.deviation, split_seed(suite.seed, 1, 0), vocab
+    )
+    lat_cfg = LatticeGenConfig(
+        rng_seed=split_seed(suite.seed, 2, 0),
+        branching=suite.branching,
+        noise_sigma=suite.noise_sigma,
+        margin=suite.margin,
+    )
+    model = train_model(build_training_corpus(suite, vocab), vocab)
+    return generate_lattice(truth, lat_cfg, vocab), model
+
+
+@pytest.mark.parametrize("k_beam", [150, 12])
+def test_history_and_dirichlet_are_built_at_pop(monkeypatch, standard_lattice, k_beam):
+    lat, model = standard_lattice
+    real_update = rescorer.update
+    calls = []
+
+    def counting_update(state, prev, nxt):
+        calls.append((prev, nxt))
+        return real_update(state, prev, nxt)
+
+    monkeypatch.setattr(rescorer, "update", counting_update)
+    cfg = RescoreConfig(k_beam=k_beam, collect_traces=True)
+    _, exp, diag = rescore(lat, model, cfg)
+    monkeypatch.undo()
+
+    # One trace per state popped with outgoing arcs; only those were updated.
+    expanded = [tr.state_id for tr in diag.traces]
+    assert expanded[0] == 0 and len(set(expanded)) == len(expanded)
+    assert len(calls) == len(expanded) - 1
+    assert diag.pruned_capacity > 0
+    # States cut by capacity, or never popped, hold no snapshot.
+    assert set(exp.snapshots) == set(expanded)
+
+    # Every history, cut states included, extends its parent's by its stroke.
+    histories = {0: (0,)}
+    assert exp.history(0) == (0,)
+    for st in exp.states[1:]:
+        histories[st.id] = histories[st.parent] + (st.stroke,)
+        assert exp.history(st.id) == histories[st.id]
+
+    # Each snapshot is bit-identical to the initial state updated along its
+    # history one transition at a time.
+    eager = {0: model.initial_dirichlet(cfg.rho)}
+    for sid in sorted(exp.snapshots):
+        st = exp.states[sid]
+        if sid:
+            eager[sid] = real_update(eager[st.parent], histories[st.parent][-1], st.stroke)
+        history, dirichlet = exp.snapshots[sid]
+        assert history == histories[sid]
+        assert np.array_equal(dirichlet.alpha, eager[sid].alpha)
