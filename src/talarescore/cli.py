@@ -20,7 +20,10 @@ from .errors import TalarescoreError
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
     parser = build_parser()
-    argv, config = _apply_config_file(argv)
+    try:
+        argv, config = _apply_config_file(argv)
+    except (ValueError, OSError) as exc:
+        parser.error(f"--config: {exc}")
     args = parser.parse_args(argv)
     if getattr(args, "config", None) != config:
         parser.error("give --config once, as --config PATH or --config=PATH")

@@ -88,9 +88,17 @@ def update(state: DirichletState, prev: int, nxt: int) -> DirichletState:
     return DirichletState._trusted(alpha, state.rho)
 
 
-def predict(state: DirichletState, prev: int) -> np.ndarray:
-    """Next-stroke distribution: the normalized ``prev`` row."""
+def predict(state: DirichletState, prev: int) -> list[float]:
+    """Next-stroke distribution: the normalized ``prev`` row, as a list.
+
+    It runs once per expanded decoding state, so it works on Python floats;
+    the row total is summed left to right, as numpy sums fewer than 8 cells
+    (see :mod:`talarescore.fusion`).
+    """
     if not 0 <= prev <= state.num_playable:
         raise ValueError(f"prev id {prev} out of range")
-    row = state.alpha[prev]
-    return row / row.sum()
+    row = state.alpha[prev].tolist()
+    total = 0.0
+    for x in row:
+        total += x
+    return [x / total for x in row]

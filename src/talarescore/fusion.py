@@ -5,6 +5,19 @@ acoustic-confidence term (one minus the normalized entropy of the competing
 arc scores) and the Jensen-Shannon divergence between the two rhythmic
 distributions, normalized by its log 2 upper bound; it is therefore confined
 to [0, 1] and yields a convex combination.  Every function here is pure.
+
+:func:`jsd` and :func:`combine` run once per expanded decoding state on
+distributions of a handful of cells, so they work on Python floats: per-call
+numpy overhead, not arithmetic, would set their cost.  Their results must
+stay bit-identical to the same formulas on numpy arrays (the tests keep those
+as references), since the pinned outputs rest on them.  The element-wise
+operations are correctly rounded either way.  The logarithms stay
+``np.log``, whose result differs from ``math.log`` in the last bit on some
+inputs, and are taken in one batched call, since ``np.log`` gives each element
+the same bits whatever the array's length or the element's position.  The
+sums are explicit left-to-right loops from ``0.0``: that is what numpy's sum
+does below 8 cells (from 8 on it sums pairwise), whereas the builtin ``sum``
+is compensated from Python 3.12 on.
 """
 
 from __future__ import annotations
@@ -37,26 +50,29 @@ def parse_lambda_mode(mode: str) -> float | None:
     return value
 
 
-def jsd(p: np.ndarray, q: np.ndarray, eps: float) -> float:
+def jsd(p: Sequence[float], q: Sequence[float], eps: float) -> float:
     """Jensen-Shannon divergence in nats, within [0, log 2].
 
     Both inputs are smoothed by ``eps`` and renormalized before the divergence
     is computed, so zero cells cannot produce infinities.  The computation
     treats p and q identically, making the result exactly symmetric.
     """
-    p = np.asarray(p, dtype=float)
-    q = np.asarray(q, dtype=float)
-    if p.shape != q.shape:
-        raise ValueError(f"support mismatch: {p.shape} vs {q.shape}")
+    n = len(p)
+    if n != len(q):
+        raise ValueError(f"support mismatch: {n} vs {len(q)}")
     if eps <= 0:
         raise ValueError("eps must be positive")
-    scale = 1.0 + p.shape[0] * eps
-    ps = (p + eps) / scale
-    qs = (q + eps) / scale
-    m = 0.5 * (ps + qs)
-    log_m = np.log(m)
-    kl_pm = float(np.sum(ps * (np.log(ps) - log_m)))
-    kl_qm = float(np.sum(qs * (np.log(qs) - log_m)))
+    scale = 1.0 + n * eps
+    ps = [(x + eps) / scale for x in p]
+    qs = [(x + eps) / scale for x in q]
+    m = [0.5 * (a + b) for a, b in zip(ps, qs)]
+    logs = np.log(ps + qs + m).tolist()
+    kl_pm = 0.0
+    kl_qm = 0.0
+    for i in range(n):
+        log_m = logs[2 * n + i]
+        kl_pm += ps[i] * (logs[i] - log_m)
+        kl_qm += qs[i] * (logs[n + i] - log_m)
     return max(0.5 * kl_pm + 0.5 * kl_qm, 0.0)
 
 
@@ -91,13 +107,11 @@ def lambda_k(confidence: float, divergence: float) -> float:
     return min(max(lam, 0.0), 1.0)
 
 
-def combine(p_static: np.ndarray, p_dyn: np.ndarray, lam: float) -> np.ndarray:
-    """Convex combination ``(1 - lam) * p_static + lam * p_dyn``."""
-    p_static = np.asarray(p_static, dtype=float)
-    p_dyn = np.asarray(p_dyn, dtype=float)
-    if p_static.shape != p_dyn.shape:
-        raise ValueError(f"support mismatch: {p_static.shape} vs {p_dyn.shape}")
+def combine(p_static: Sequence[float], p_dyn: Sequence[float], lam: float) -> list[float]:
+    """Convex combination ``(1 - lam) * p_static + lam * p_dyn``, as a list."""
+    if len(p_static) != len(p_dyn):
+        raise ValueError(f"support mismatch: {len(p_static)} vs {len(p_dyn)}")
     if not 0.0 <= lam <= 1.0:
         raise ValueError(f"lambda must lie in [0, 1], got {lam}")
-    return (1.0 - lam) * p_static + lam * p_dyn
-
+    keep = 1.0 - lam
+    return [keep * s + lam * d for s, d in zip(p_static, p_dyn)]

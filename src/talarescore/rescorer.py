@@ -211,18 +211,26 @@ def rescore(
             history += (prev,)
             snapshots[sid] = (history, dirichlet)
         p_dyn = predict(dirichlet, prev)
-        p_static = static.prob(history[1:])
-        if fixed_lam is None or collect:
-            conf = node_confidence.get(state.node)
-            if conf is None:
-                conf = acoustic_confidence([lat.arcs[a].w_ac for a in out_arcs])
-                node_confidence[state.node] = conf
-            div = jsd(p_dyn, p_static, cfg.eps_jsd)
-        else:
-            conf = float("nan")
-            div = float("nan")
-        lam = fixed_lam if fixed_lam is not None else lambda_k(conf, div)
-        p_comb = combine(p_static, p_dyn, lam)
+        p_static = np.asarray(static.prob(history[1:])).tolist()
+        try:
+            if fixed_lam is None or collect:
+                conf = node_confidence.get(state.node)
+                if conf is None:
+                    conf = acoustic_confidence([lat.arcs[a].w_ac for a in out_arcs])
+                    node_confidence[state.node] = conf
+                div = jsd(p_dyn, p_static, cfg.eps_jsd)
+            else:
+                conf = float("nan")
+                div = float("nan")
+            lam = fixed_lam if fixed_lam is not None else lambda_k(conf, div)
+            probs = combine(p_static, p_dyn, lam)
+        except ValueError as err:
+            # A custom static prior of the wrong length, or with a NaN that
+            # makes the adaptive weight NaN.
+            raise RescoreError(
+                f"state {sid} (node {state.node}): static prior {p_static!r} does not "
+                f"combine with the dynamic prediction: {err}"
+            ) from None
         if collect:
             diag.traces.append(
                 StepTrace(
@@ -232,13 +240,12 @@ def rescore(
                     confidence=conf,
                     divergence=div,
                     lam=lam,
-                    p_static=p_static,
-                    p_dyn=p_dyn,
-                    p_comb=p_comb,
+                    p_static=np.array(p_static),
+                    p_dyn=np.array(p_dyn),
+                    p_comb=np.array(probs),
                 )
             )
 
-        probs = p_comb.tolist()
         for arc_id in out_arcs:
             arc = lat.arcs[arc_id]
             q = label_map[arc.label]

@@ -21,8 +21,8 @@ from .errors import VocabularyError
 class NextStrokePrior(Protocol):
     """Anything that yields a next-stroke distribution given the history.
 
-    The returned array has one strictly positive entry per playable stroke
-    (index ``stroke_id - 1``) and sums to 1.  This is the seam where a learned
+    The returned array (or list) has one strictly positive entry per playable
+    stroke (index ``stroke_id - 1``) and sums to 1.  This is the seam where a learned
     sequence model could replace the count-based prior.
     """
 

@@ -164,9 +164,9 @@ def test_criterion_3_numerical_invariants(model, vocab):
             history = tuple(rng.randrange(1, n + 1) for _ in range(rng.randrange(0, 24)))
             p_static = static.prob(history)
             prev = history[-1] if history else 0
-            p_dyn = predict(state, prev)
+            p_dyn = np.asarray(predict(state, prev))
             lam = lambda_k(rng.random(), rng.uniform(0.0, LOG2))
-            p_comb = combine(p_static, p_dyn, lam)
+            p_comb = np.asarray(combine(p_static, p_dyn, lam))
             for dist in (p_static, p_dyn, p_comb):
                 assert abs(float(dist.sum()) - 1.0) < 1e-9
                 assert (dist > 0.0).all()

@@ -317,6 +317,19 @@ def test_config_file_given_with_equals_sign_is_applied(tmp_path):
         assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("content", [None, "tala=tintal\ncycles\n"], ids=["missing", "no-equals"])
+def test_unreadable_config_file_is_a_usage_error(tmp_path, capsys, content):
+    cfg = tmp_path / "gen.cfg"
+    if content is not None:
+        cfg.write_text(content, encoding="utf-8")
+    with pytest.raises(SystemExit) as exc:
+        run(["gen-corpus", "--config", str(cfg), "--seed", "1", "--out", str(tmp_path / "s.txt")])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "error: --config: " in err and "Traceback" not in err
+    assert ("gen.cfg" if content is None else "'cycles'") in err
+
+
 @pytest.mark.parametrize(
     "spelling",
     [["--conf", "{cfg}"], ["--config", "{cfg}", "--config", "{cfg}2"]],

@@ -6,6 +6,7 @@ import random
 import numpy as np
 import pytest
 
+from talarescore.dynamic_model import DirichletState, predict
 from talarescore.fusion import (
     LOG2,
     acoustic_confidence,
@@ -14,6 +15,7 @@ from talarescore.fusion import (
     lambda_k,
     parse_lambda_mode,
 )
+from talarescore.rescorer import RescoreConfig
 
 from .oracles import confidence as oracle_confidence, jsd_nats
 
@@ -146,7 +148,7 @@ def test_combine_cellwise_bounds():
         p = rand_dist(rng, 4)
         q = rand_dist(rng, 4)
         lam = rng.random()
-        mix = combine(p, q, lam)
+        mix = np.asarray(combine(p, q, lam))
         assert (mix >= np.minimum(p, q) - 1e-15).all()
         assert (mix <= np.maximum(p, q) + 1e-15).all()
         assert mix.sum() == pytest.approx(1.0, abs=1e-9)
@@ -169,3 +171,87 @@ def test_lambda_mode_parsing():
     with pytest.raises(ValueError):
         parse_lambda_mode("sometimes")
 
+
+# Reference formulas on numpy arrays.  The package's float versions must
+# reproduce their bits exactly, since the pinned outputs rest on them.
+
+
+def numpy_predict(alpha, prev):
+    row = alpha[prev]
+    return row / row.sum()
+
+
+def numpy_jsd(p, q, eps):
+    p = np.asarray(p, dtype=float)
+    q = np.asarray(q, dtype=float)
+    scale = 1.0 + p.shape[0] * eps
+    ps = (p + eps) / scale
+    qs = (q + eps) / scale
+    m = 0.5 * (ps + qs)
+    log_m = np.log(m)
+    kl_pm = float(np.sum(ps * (np.log(ps) - log_m)))
+    kl_qm = float(np.sum(qs * (np.log(qs) - log_m)))
+    return max(0.5 * kl_pm + 0.5 * kl_qm, 0.0)
+
+
+def numpy_combine(p_static, p_dyn, lam):
+    return (1.0 - lam) * np.asarray(p_static, dtype=float) + lam * np.asarray(p_dyn, dtype=float)
+
+
+TINY = (0.0, 5e-324, 1e-300, 1e-12, 5e-9, 1e-8)
+
+
+def rough_cells(rng, n):
+    """Cells on widely spread scales, a fifth of them zero or near it."""
+    return [
+        rng.choice(TINY) if rng.random() < 0.2 else rng.random() * 10 ** rng.uniform(-6, 2)
+        for _ in range(n)
+    ]
+
+
+def rough_dist(rng, n):
+    cells = rough_cells(rng, n)
+    cells[rng.randrange(n)] += 1.0  # never all zero
+    z = sum(cells)
+    return [c / z for c in cells]
+
+
+def trial_lengths(rng, trials):
+    # The decoder's 5-stroke vocabulary, then every length numpy sums
+    # sequentially (below 8 cells).
+    for i in range(trials):
+        yield 5 if i % 2 == 0 else rng.randrange(2, 8)
+
+
+def test_predict_is_bit_identical_to_numpy_formula():
+    rng = random.Random(2024)
+    for n in trial_lengths(rng, 10_000):
+        alpha = np.array([rough_cells(rng, n) for _ in range(n + 1)])
+        alpha[alpha == 0.0] = 1e-300  # Dirichlet pseudo-counts are positive
+        state = DirichletState(alpha=alpha, rho=0.03)
+        prev = rng.randrange(n + 1)
+        got = predict(state, prev)
+        assert type(got) is list
+        assert got == numpy_predict(alpha, prev).tolist()
+
+
+def test_jsd_is_bit_identical_to_numpy_formula():
+    rng = random.Random(7)
+    eps = RescoreConfig().eps_jsd
+    for n in trial_lengths(rng, 10_000):
+        p = rough_dist(rng, n)
+        q = p if rng.random() < 0.05 else rough_dist(rng, n)
+        got = jsd(p, q, eps)
+        assert type(got) is float
+        assert got == numpy_jsd(p, q, eps)
+
+
+def test_combine_is_bit_identical_to_numpy_formula():
+    rng = random.Random(11)
+    for n in trial_lengths(rng, 10_000):
+        p = rough_dist(rng, n)
+        q = rough_dist(rng, n)
+        lam = rng.choice((0.0, 1.0)) if rng.random() < 0.1 else rng.random()
+        got = combine(p, q, lam)
+        assert type(got) is list
+        assert got == numpy_combine(p, q, lam).tolist()

@@ -281,12 +281,22 @@ def test_viterbi_expanded_picks_best_terminal_directly(vocab, small_model):
     assert viterbi_expanded(exp).strokes == (1,)
 
 
+AT_DHIN_ARC = r"state 1 \(node 1\), arc 1: .* of Dhin"
+
+
 @pytest.mark.parametrize(
-    "mode, bad",
-    [("fixed:0", 0.0), ("fixed:0", math.nan), ("fixed:0.5", math.nan)],
-    ids=["zero", "nan", "nan-mixed"],
+    "mode, bad, match",
+    [
+        ("fixed:0", 0.0, AT_DHIN_ARC),
+        ("fixed:0", math.nan, AT_DHIN_ARC),
+        ("fixed:0.5", math.nan, AT_DHIN_ARC),
+        # The NaN makes the divergence, so the adaptive weight of every
+        # state, NaN: the root state already fails.
+        ("adaptive", math.nan, r"state 0 \(node 0\): .* lambda must lie in \[0, 1\], got nan"),
+    ],
+    ids=["zero", "nan", "nan-mixed", "nan-adaptive"],
 )
-def test_degenerate_prior_probability_is_a_rescore_error(vocab, small_model, mode, bad):
+def test_degenerate_prior_probability_is_a_rescore_error(vocab, small_model, mode, bad, match):
     class DegeneratePrior:
         def prob(self, history):
             p = np.full(vocab.num_playable, 1.0 / vocab.num_playable)
@@ -296,8 +306,32 @@ def test_degenerate_prior_probability_is_a_rescore_error(vocab, small_model, mod
     arcs = (Arc(0, 1, 1, -0.5), Arc(1, 2, 2, -0.5))
     lat = Lattice(vocab=vocab, n_nodes=3, arcs=arcs, start=0, finals=frozenset({2}))
     cfg = RescoreConfig(lambda_mode=mode)
-    with pytest.raises(RescoreError, match=r"state 1 \(node 1\), arc 1: .* of Dhin"):
+    with pytest.raises(RescoreError, match=match):
         rescore(lat, small_model, cfg, static_prior=DegeneratePrior())
+
+
+@pytest.mark.parametrize("mode", ["adaptive", "fixed:0.5"])
+@pytest.mark.parametrize("cells", [5, 4], ids=["full", "short"])
+def test_plain_list_prior_decodes_and_a_short_one_is_a_rescore_error(vocab, small_model, mode, cells):
+    class ListPrior:
+        def prob(self, history):
+            return [1.0 / cells] * cells
+
+    class ArrayPrior:
+        def prob(self, history):
+            return np.full(cells, 1.0 / cells)
+
+    lat = random_grid_lattice(vocab, random.Random(61), stages=4, width=2)
+    cfg = RescoreConfig(lambda_mode=mode)
+    if cells < vocab.num_playable:
+        # Not truncated to the shorter support.
+        with pytest.raises(RescoreError, match=r"state 0 \(node 0\): .*support mismatch"):
+            rescore(lat, small_model, cfg, static_prior=ListPrior())
+        return
+    hyp, exp, _ = rescore(lat, small_model, cfg, static_prior=ListPrior())
+    ref, ref_exp, _ = rescore(lat, small_model, cfg, static_prior=ArrayPrior())
+    assert hyp.strokes == ref.strokes
+    assert [st.acc_score for st in exp.states] == [st.acc_score for st in ref_exp.states]
 
 
 @pytest.fixture(scope="module")
