@@ -18,7 +18,7 @@ import numpy as np
 from .core import SENTINEL_ID, StrokeSequence, StrokeVocabulary
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class DirichletState:
     """Pseudo-count matrix ``alpha[prev_id, next_id - 1]`` plus forgetting rate."""
 

@@ -215,7 +215,6 @@ class LatticeGenConfig:
     noise_sigma: float = 0.0
     p_del: float = 0.0
     p_ins: float = 0.0
-    confusion: dict[str, tuple[tuple[str, float], ...]] | None = None
     margin: float = 1.0
 
     def __post_init__(self) -> None:
@@ -282,22 +281,13 @@ def _competitors(
     vocab: StrokeVocabulary,
     count: int | None = None,
 ) -> list[int]:
-    """Distinct competitor labels for one position, by confusion weight."""
+    """Distinct competitor labels for one position, drawn uniformly."""
     want = cfg.branching - 1 if count is None else count
     if want <= 0:
         return []
-    if cfg.confusion is not None:
-        entry = cfg.confusion.get(vocab.symbol_of(true_label))
-    else:
-        entry = None
-    if entry:
-        ids = [vocab.id_of(n) for n, _ in entry]
-        weights = np.array([w for _, w in entry], dtype=float)
-    else:
-        ids = [p for p in vocab.playable_ids if p != true_label]
-        weights = np.ones(len(ids))
+    ids = [p for p in vocab.playable_ids if p != true_label]
     want = min(want, len(ids))
-    probs = weights / weights.sum()
+    probs = np.ones(len(ids)) / len(ids)
     chosen = rng.choice(len(ids), size=want, replace=False, p=probs)
     return [ids[int(i)] for i in chosen]
 

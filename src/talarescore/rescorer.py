@@ -15,11 +15,14 @@ tree rooted at the start state.  Pruning only stops further expansion: states
 already added to the expanded lattice keep competing in the final selection.
 
 A pushed state is a backpointer record (node, parent, arc, stroke, scores).
-Its history and Dirichlet snapshot are built from its parent's only when it
-is popped with outgoing arcs: the history gains the state's stroke and the
-snapshot observes the transition into it.  Most pushed states are cut by the
-capacity rule and never popped, so they cost only the record; the histories
-the final selection and the dump read are rebuilt from the backpointers.
+Its static-prior state and Dirichlet snapshot are built from its parent's
+only when it is popped with outgoing arcs: the prior state advances by the
+state's stroke and the snapshot observes the transition into it.  The prior
+state holds only the strokes the prior reads (the built-in prior keeps the
+last ``max(w_tau, n - 1)``), so a pop copies no path history.  Most pushed
+states are cut by the capacity rule and never popped, so they cost only the
+record; histories (the winner's, the dump's, a trace's depth) are rebuilt
+from the backpointers.
 """
 
 from __future__ import annotations
@@ -28,6 +31,7 @@ import bisect
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Sequence
 
 import numpy as np
 
@@ -45,8 +49,7 @@ class RescoreConfig:
     """Decode-time hyperparameters.
 
     ``delta_beam`` is a natural-log score band and ``k_beam`` the queue
-    capacity.  A popped state's full history is built and passed to the
-    static prior, which reads the n-gram context and the tala window from it.
+    capacity.  ``w_tau`` is the built-in static prior's tala window.
     """
 
     rho: float = 0.03
@@ -101,14 +104,17 @@ class ExpandedLattice:
     Each non-root state is the head of exactly one expanded arc, the one from
     its ``parent``; the tree's arcs are therefore ``states[1:]``.  A parent's
     id is always below its children's.  ``snapshots`` maps the id of each
-    state popped with outgoing arcs (the root included) to its history and
-    Dirichlet snapshot; states never expanded have none.
+    state popped with outgoing arcs (the root included) to its static-prior
+    state and Dirichlet snapshot; states never expanded have none.  For the
+    built-in prior the prior state is the last ``max(w_tau, n - 1)`` strokes
+    of the state's playable history; for a prior with only ``prob`` it is
+    the whole playable history.
     """
 
     vocab: StrokeVocabulary
     states: list[ExpandedState] = field(default_factory=list)
     terminals: list[int] = field(default_factory=list)
-    snapshots: dict[int, tuple[tuple[int, ...], DirichletState]] = field(default_factory=dict)
+    snapshots: dict[int, tuple[object, DirichletState]] = field(default_factory=dict)
 
     @property
     def start_state(self) -> int:
@@ -138,7 +144,10 @@ class ExpandedLattice:
 
 @dataclass(frozen=True)
 class StepTrace:
-    """Per-expansion instrumentation for one popped state."""
+    """Per-expansion instrumentation for one popped state.
+
+    The distributions are the sequences the decode computed, not copies.
+    """
 
     state_id: int
     node: int
@@ -146,9 +155,9 @@ class StepTrace:
     confidence: float
     divergence: float
     lam: float
-    p_static: np.ndarray
-    p_dyn: np.ndarray
-    p_comb: np.ndarray
+    p_static: Sequence[float]
+    p_dyn: Sequence[float]
+    p_comb: Sequence[float]
 
 
 @dataclass(eq=False)
@@ -172,12 +181,16 @@ def rescore(
 
     Every lattice arc symbol must exist in the model vocabulary; the returned
     sequence uses model stroke ids.  ``static_prior`` swaps in a replacement
-    next-stroke model (histories are passed as playable model ids); by default
-    the model's own marginalized n-gram prior is used.
+    next-stroke model (histories are passed as playable model ids; see
+    :class:`~talarescore.static_prior.NextStrokePrior`); by default the
+    model's own marginalized n-gram prior is used.
     """
     cfg = cfg or RescoreConfig()
     label_map = _map_labels(lat, model.vocab)
     static = static_prior if static_prior is not None else model.static_prior(w_tau=cfg.w_tau)
+    if not all(hasattr(static, name) for name in ("start", "advance", "dist")):
+        static = _HistoryPrior(static)
+    advance, dist = static.advance, static.dist
     fixed_lam = parse_lambda_mode(cfg.lambda_mode)
     beta = cfg.beta
     collect = cfg.collect_traces
@@ -186,7 +199,7 @@ def rescore(
     diag = RescoreDiagnostics()
     states, terminals, snapshots = exp.states, exp.terminals, exp.snapshots
     states.append(ExpandedState(0, lat.start, None, None, SENTINEL_ID, 0.0, 0.0))
-    snapshots[0] = ((SENTINEL_ID,), model.initial_dirichlet(cfg.rho))
+    snapshots[0] = (static.start(), model.initial_dirichlet(cfg.rho))
 
     node_confidence: dict[int, float] = {}
     # Ascending on (-acc_score, state id): the best state is first, exact
@@ -204,14 +217,14 @@ def rescore(
 
         prev = state.stroke
         if state.parent is None:
-            history, dirichlet = snapshots[sid]
+            prior_state, dirichlet = snapshots[sid]
         else:
-            history, dirichlet = snapshots[state.parent]
-            dirichlet = update(dirichlet, history[-1], prev)
-            history += (prev,)
-            snapshots[sid] = (history, dirichlet)
+            prior_state, dirichlet = snapshots[state.parent]
+            dirichlet = update(dirichlet, states[state.parent].stroke, prev)
+            prior_state = advance(prior_state, prev)
+            snapshots[sid] = (prior_state, dirichlet)
         p_dyn = predict(dirichlet, prev)
-        p_static = np.asarray(static.prob(history[1:])).tolist()
+        p_static = dist(prior_state)
         try:
             if fixed_lam is None or collect:
                 conf = node_confidence.get(state.node)
@@ -236,13 +249,13 @@ def rescore(
                 StepTrace(
                     state_id=sid,
                     node=state.node,
-                    depth=len(history) - 1,
+                    depth=len(exp.history(sid)) - 1,
                     confidence=conf,
                     divergence=div,
                     lam=lam,
-                    p_static=np.array(p_static),
-                    p_dyn=np.array(p_dyn),
-                    p_comb=np.array(probs),
+                    p_static=p_static,
+                    p_dyn=p_dyn,
+                    p_comb=probs,
                 )
             )
 
@@ -278,6 +291,23 @@ def rescore(
         )
     best = viterbi_expanded(exp)
     return best, exp, diag
+
+
+class _HistoryPrior:
+    """Steps a prior that has only ``prob(history)``: the state is the
+    playable history, and ``dist`` hands it to ``prob``."""
+
+    def __init__(self, prior: NextStrokePrior) -> None:
+        self.prob = prior.prob
+
+    def start(self) -> tuple[int, ...]:
+        return ()
+
+    def advance(self, state: tuple[int, ...], stroke: int) -> tuple[int, ...]:
+        return state + (stroke,)
+
+    def dist(self, state: tuple[int, ...]) -> list[float]:
+        return np.asarray(self.prob(state)).tolist()
 
 
 def viterbi_expanded(exp: ExpandedLattice) -> StrokeSequence:

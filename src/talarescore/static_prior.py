@@ -23,7 +23,10 @@ class NextStrokePrior(Protocol):
 
     The returned array (or list) has one strictly positive entry per playable
     stroke (index ``stroke_id - 1``) and sums to 1.  This is the seam where a learned
-    sequence model could replace the count-based prior.
+    sequence model could replace the count-based prior.  ``rescore`` passes
+    each decoding state's full playable history; a prior that also has
+    :class:`TalaIndependentPrior`'s ``start``/``advance``/``dist`` is stepped
+    through those instead, with a state that holds only what it reads.
     """
 
     def prob(self, history: Sequence[int]) -> np.ndarray: ...
@@ -207,11 +210,21 @@ class TalaIndependentPrior:
 
     Marginalizes the per-tala n-gram over the online tala posterior computed
     from the most recent ``w_tau`` strokes of a playable-stroke history.
-    ``w_tau`` may narrow (never widen) the table's trained window.  The memo
-    key is ``(counts, ctx)``: the window's training count per tala (``None``
-    for an empty window, whose posterior is the normalized prior) and the
-    n-gram context.  Windows never seen in training share one key per context.
-    Cached arrays are shared; callers must treat them as read-only.
+    ``w_tau`` may narrow (never widen) the table's trained window.
+
+    The prior is stateful: its state is the tuple of the last
+    ``max(w_tau, n - 1)`` strokes, all the mixture reads.  ``start()`` is the
+    empty history's state, ``advance(state, stroke)`` checks the stroke id
+    and appends it, and ``dist(state)`` returns the mixture as a tuple of
+    floats.  ``prob(history)`` is ``dist`` of the history's state, as a
+    read-only array.
+
+    The memo key is ``(counts, ctx)``: the window's training count per tala
+    (``None`` for an empty window, whose posterior is the normalized prior)
+    and the n-gram context.  Windows never seen in training share one key per
+    context, so the memo is bounded by the training data.  It holds each
+    mixture twice, as a tuple and as an array marked read-only, so no caller
+    can change what later calls return.
     """
 
     def __init__(self, prior: NGramPrior, table: TalaPosteriorTable, w_tau: int | None = None):
@@ -220,17 +233,38 @@ class TalaIndependentPrior:
         self.prior = prior
         self.table = table
         self.w_tau = min(w_tau, table.w_tau) if w_tau is not None else table.w_tau
-        self._cache: dict[tuple[tuple[int, ...] | None, tuple[int, ...]], np.ndarray] = {}
+        self._cache: dict[
+            tuple[tuple[int, ...] | None, tuple[int, ...]], tuple[tuple[float, ...], np.ndarray]
+        ] = {}
         self._suffix = max(self.w_tau, prior.n - 1)
         self._window_counts = [table.counts.get(t, {}) for t in table.talas]
 
+    def start(self) -> tuple[int, ...]:
+        """The state of the empty history."""
+        return ()
+
+    def advance(self, state: tuple[int, ...], stroke: int) -> tuple[int, ...]:
+        """The state after ``stroke``; raises ``VocabularyError`` for a foreign id."""
+        if not 1 <= stroke <= self.prior.num_playable:
+            raise VocabularyError(f"stroke id {stroke} is outside the prior's vocabulary")
+        state += (stroke,)
+        return state[1:] if len(state) > self._suffix else state
+
+    def dist(self, state: tuple[int, ...]) -> tuple[float, ...]:
+        """The next-stroke mixture after ``state``, as a tuple of floats."""
+        return self._entry(state)[0]
+
     def prob(self, history: Sequence[int]) -> np.ndarray:
-        recent = tuple(history[-self._suffix :]) if self._suffix else ()
-        if recent and (min(recent) < 1 or max(recent) > self.prior.num_playable):
-            raise VocabularyError(f"history {recent} holds a stroke id outside the prior's vocabulary")
-        u = recent[-self.w_tau :] if self.w_tau else ()
-        ctx = self.prior.context_of(recent)
-        counts = tuple(c.get(u, 0) for c in self._window_counts) if u else None
+        """The next-stroke mixture after ``history``, as a read-only array."""
+        state = tuple(history[-self._suffix :]) if self._suffix else ()
+        if state and (min(state) < 1 or max(state) > self.prior.num_playable):
+            raise VocabularyError(f"history {state} holds a stroke id outside the prior's vocabulary")
+        return self._entry(state)[1]
+
+    def _entry(self, state: tuple[int, ...]) -> tuple[tuple[float, ...], np.ndarray]:
+        u = state[len(state) - self.w_tau :] if len(state) > self.w_tau else state
+        ctx = self.prior.context_of(state)
+        counts = tuple([c.get(u, 0) for c in self._window_counts]) if u else None
         cached = self._cache.get((counts, ctx))
         if cached is not None:
             return cached
@@ -238,5 +272,6 @@ class TalaIndependentPrior:
         mix = np.zeros(self.prior.num_playable)
         for weight, tala in zip(post, self.table.talas):
             mix += weight * self.prior.distribution(tala, ctx)
-        self._cache[counts, ctx] = mix
-        return mix
+        mix.flags.writeable = False
+        cached = self._cache[counts, ctx] = (tuple(mix.tolist()), mix)
+        return cached

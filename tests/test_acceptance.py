@@ -141,14 +141,17 @@ def test_criterion_2_degeneracy_identities(small_lattice_ensemble, model):
             for mode, component in (("fixed:0", "static"), ("fixed:1", "dynamic")):
                 cfg = replace(EXHAUSTIVE, lambda_mode=mode, collect_traces=True)
                 _, exp, diag = rescore(lat, model, cfg)
+                suffix = max(min(cfg.w_tau, model.tala_table.w_tau), model.prior.n - 1)
                 assert diag.traces
                 for tr in diag.traces:
-                    history, dirichlet = exp.snapshots[tr.state_id]
+                    history = exp.history(tr.state_id)
+                    prior_state, dirichlet = exp.snapshots[tr.state_id]
+                    assert prior_state == history[1:][-suffix:]
                     if component == "static":
                         ref = np.array(ti_prior_dist(model, history[1:]))
                     else:
-                        ref = predict(dirichlet, history[-1])
-                    assert np.max(np.abs(tr.p_comb - ref)) < 1e-12
+                        ref = np.array(predict(dirichlet, history[-1]))
+                    assert np.max(np.abs(np.asarray(tr.p_comb) - ref)) < 1e-12
 
 
 def test_criterion_3_numerical_invariants(model, vocab):

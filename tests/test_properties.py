@@ -1,10 +1,11 @@
-"""Property tests on lattice shapes the fixed ensembles miss.
+"""Property tests on lattice shapes and prior tables the fixed ensembles miss.
 
 The generated lattices are small DAGs with several final nodes (some of which
 have outgoing arcs), parallel arcs, skip arcs, detours through extra nodes
 whose ids do not follow the topological order, and arc scores drawn from a
-handful of values so that exact ties are common.  Examples are derandomized,
-so every run checks the same lattices.
+handful of values so that exact ties are common.  The generated static priors
+step their state along random histories, on trained and hand-edited tables.
+Examples are derandomized, so every run checks the same inputs.
 """
 
 from __future__ import annotations
@@ -12,14 +13,17 @@ from __future__ import annotations
 import math
 from dataclasses import replace
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from talarescore.core import default_vocabulary
+from talarescore.core import StrokeSequence, StrokeVocabulary, default_vocabulary
+from talarescore.errors import VocabularyError
 from talarescore.eval import ser
 from talarescore.lattice import Arc, Lattice, dumps_lattice, loads_lattice, viterbi_acoustic
 from talarescore.rescorer import RescoreConfig, rescore
+from talarescore.static_prior import TalaIndependentPrior, train_prior, train_tala_table
 
 from .oracles import best_path_by_replay, levenshtein_distance
 
@@ -101,3 +105,79 @@ def test_ser_total_equals_independent_edit_distance(ref, hyp):
     assert stats.total_errors == levenshtein_distance(ref, hyp)
     assert stats.n_ref == len(ref)
     assert len(hyp) == len(ref) - stats.deletions + stats.insertions
+
+
+ABC = StrokeVocabulary.of(["A", "B", "C"])
+STROKES = st.integers(1, ABC.num_playable)
+TALAS = ("t1", "t2")
+
+
+@st.composite
+def stepped_priors(draw, case):
+    """A prior, possibly on a hand-edited table, and a history to step along.
+
+    ``case`` fixes the shape: ``"unigram"`` has n=1, ``"short_window"`` a
+    tala window shorter than the n-gram context, ``"not_closed"`` a window
+    table that holds windows without their sub-windows.
+    """
+    n = 1 if case == "unigram" else draw(st.integers(3 if case == "short_window" else 2, 4))
+    w_tau = draw(st.integers(1, n - 2)) if case == "short_window" else draw(st.integers(1, 5))
+    laplace_k = draw(st.sampled_from((1.0, 0.3)))
+    corpus = [
+        StrokeSequence(tuple(draw(st.lists(STROKES, min_size=1, max_size=12))), tala_label=tala)
+        for tala in TALAS
+    ]
+    prior = train_prior(corpus, ABC, n=n, laplace_k=laplace_k)
+    table = train_tala_table(corpus, w_tau=w_tau, laplace_k=laplace_k)
+    if case == "not_closed":
+        for tala in TALAS:
+            for window in [w for w in table.counts[tala] if len(w) < w_tau and draw(st.booleans())]:
+                del table.counts[tala][window]
+        for _ in range(draw(st.integers(1, 4))):
+            window = tuple(draw(st.lists(STROKES, min_size=2, max_size=w_tau))) if w_tau > 1 else (1,)
+            table.counts[draw(st.sampled_from(TALAS))][window] = draw(st.integers(1, 5))
+    narrow = draw(st.one_of(st.none(), st.integers(1, w_tau)))
+    history = tuple(draw(st.lists(STROKES, max_size=20)))
+    return prior, table, narrow, history
+
+
+def reference_mixture(ti, history) -> tuple[float, ...]:
+    """The mixture from the tables, without the state or the memo."""
+    window = history[len(history) - ti.w_tau :] if len(history) > ti.w_tau else history
+    ctx = ti.prior.context_of(history)
+    mix = np.zeros(ti.prior.num_playable)
+    for weight, tala in zip(ti.table.posterior(window), ti.table.talas):
+        mix += weight * ti.prior.distribution(tala, ctx)
+    return tuple(mix.tolist())
+
+
+@pytest.mark.parametrize("case", ["unigram", "short_window", "not_closed", "trained"])
+@PROPERTY_SETTINGS
+@given(data=st.data())
+def test_stepped_prior_state_equals_prob_of_the_history(case, data):
+    prior, table, narrow, history = data.draw(stepped_priors(case))
+    stepped = TalaIndependentPrior(prior, table, w_tau=narrow)
+    fresh = TalaIndependentPrior(prior, table, w_tau=narrow)  # its own memo
+    suffix = max(stepped.w_tau, prior.n - 1)
+    state = stepped.start()
+    for i in range(len(history) + 1):
+        seen = history[:i]
+        if i:
+            state = stepped.advance(state, history[i - 1])
+        assert state == seen[max(0, len(seen) - suffix) :]
+        assert stepped.dist(state) == tuple(fresh.prob(seen).tolist()) == reference_mixture(stepped, seen)
+
+
+@PROPERTY_SETTINGS
+@given(
+    history=st.lists(STROKES, max_size=8),
+    foreign=st.sampled_from((0, -1, ABC.num_playable + 1, 99)),
+)
+def test_advance_rejects_a_foreign_stroke(history, foreign):
+    corpus = [StrokeSequence((1, 2, 3, 1), tala_label="t1")]
+    ti = TalaIndependentPrior(train_prior(corpus, ABC, n=3), train_tala_table(corpus, w_tau=2))
+    state = ti.start()
+    for stroke in history:
+        state = ti.advance(state, stroke)
+    with pytest.raises(VocabularyError):
+        ti.advance(state, foreign)

@@ -158,14 +158,17 @@ def test_fixed_lambda_traces_match_component_models(vocab, small_model):
             k_beam=10**9, delta_beam=math.inf, lambda_mode=mode, collect_traces=True
         )
         _, exp, diag = rescore(lat, small_model, cfg)
+        suffix = max(min(cfg.w_tau, small_model.tala_table.w_tau), small_model.prior.n - 1)
         assert diag.traces
         for tr in diag.traces:
-            history, dirichlet = exp.snapshots[tr.state_id]
+            history = exp.history(tr.state_id)
+            prior_state, dirichlet = exp.snapshots[tr.state_id]
+            assert prior_state == history[1:][-suffix:]
             if pick == "static":
                 ref = np.array(ti_prior_dist(small_model, history[1:]))
             else:
-                ref = predict(dirichlet, history[-1])
-            assert np.max(np.abs(tr.p_comb - ref)) < 1e-12
+                ref = np.array(predict(dirichlet, history[-1]))
+            assert np.max(np.abs(np.asarray(tr.p_comb) - ref)) < 1e-12
 
 
 def test_beam_monotonicity_on_seeded_ensemble(vocab, small_model):
@@ -382,13 +385,15 @@ def test_history_and_dirichlet_are_built_at_pop(monkeypatch, standard_lattice, k
         histories[st.id] = histories[st.parent] + (st.stroke,)
         assert exp.history(st.id) == histories[st.id]
 
-    # Each snapshot is bit-identical to the initial state updated along its
-    # history one transition at a time.
+    # Each snapshot holds the last max(w_tau, n-1) strokes of its history as
+    # the prior state, and a Dirichlet state bit-identical to the initial
+    # state updated along its history one transition at a time.
+    suffix = max(min(cfg.w_tau, model.tala_table.w_tau), model.prior.n - 1)
     eager = {0: model.initial_dirichlet(cfg.rho)}
     for sid in sorted(exp.snapshots):
         st = exp.states[sid]
         if sid:
-            eager[sid] = real_update(eager[st.parent], histories[st.parent][-1], st.stroke)
-        history, dirichlet = exp.snapshots[sid]
-        assert history == histories[sid]
+            eager[sid] = real_update(eager[st.parent], exp.history(st.parent)[-1], st.stroke)
+        prior_state, dirichlet = exp.snapshots[sid]
+        assert prior_state == exp.history(sid)[1:][-suffix:]
         assert np.array_equal(dirichlet.alpha, eager[sid].alpha)

@@ -275,3 +275,20 @@ def test_empty_history_keeps_the_normalized_prior(first):
         results[name] = ti.prob(history)
         assert np.array_equal(results[name], expected)
     assert not np.array_equal(results["empty"], results["unseen"])
+
+
+def test_memo_arrays_are_read_only():
+    corpus = [StrokeSequence((A, B, A, B, B), tala_label="t1"), StrokeSequence((B, A, A), tala_label="t2")]
+    ti = TalaIndependentPrior(train_prior(corpus, AB, n=2), train_tala_table(corpus, w_tau=3))
+    first = ti.prob((A, B, A))
+    kept = first.copy()
+    with pytest.raises(ValueError):
+        first *= 0
+    with pytest.raises(ValueError):
+        first[0] = 1.0
+    assert np.array_equal(ti.prob((A, B, A)), kept)
+    state = ti.start()
+    for stroke in (A, B, A):
+        state = ti.advance(state, stroke)
+    assert isinstance(ti.dist(state), tuple)
+    assert ti.dist(state) == tuple(kept.tolist())
