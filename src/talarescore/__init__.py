@@ -18,7 +18,6 @@ from .dynamic_model import DirichletState, init_alpha, predict, update
 from .errors import (
     LatticeFormatError,
     ModelFormatError,
-    PathOverflowError,
     RescoreError,
     TalarescoreError,
     VocabularyError,
@@ -30,7 +29,6 @@ from .lattice import (
     Arc,
     Lattice,
     LatticeGenConfig,
-    enumerate_paths,
     generate_lattice,
     load_lattice,
     save_lattice,

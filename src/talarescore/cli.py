@@ -104,13 +104,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _add_rescore_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--rho", type=float, default=0.03)
-    p.add_argument("--beta", type=float, default=0.5)
-    p.add_argument("--w-tau", type=int, default=16)
-    p.add_argument("--k-beam", type=int, default=150)
-    p.add_argument("--delta-beam", type=float, default=10.0)
-    p.add_argument("--lambda", dest="lambda_mode", default="adaptive", help="adaptive or fixed:<v>")
-    p.add_argument("--eps-jsd", type=float, default=1e-8)
+    defaults = rescorer.RescoreConfig()
+    p.add_argument("--rho", type=float, default=defaults.rho)
+    p.add_argument("--beta", type=float, default=defaults.beta)
+    p.add_argument("--k-beam", type=int, default=defaults.k_beam)
+    p.add_argument("--delta-beam", type=float, default=defaults.delta_beam)
+    p.add_argument("--lambda", dest="lambda_mode", default=defaults.lambda_mode, help="adaptive or fixed:<v>")
+    p.add_argument("--eps-jsd", type=float, default=defaults.eps_jsd)
 
 
 def _apply_config_file(argv: list[str]) -> tuple[list[str], Path | None]:
@@ -221,7 +221,6 @@ def cmd_rescore(args: argparse.Namespace) -> int:
     cfg = rescorer.RescoreConfig(
         rho=args.rho,
         beta=args.beta,
-        w_tau=args.w_tau,
         k_beam=args.k_beam,
         delta_beam=args.delta_beam,
         lambda_mode=args.lambda_mode,

@@ -17,10 +17,6 @@ class LatticeFormatError(TalarescoreError):
     """Malformed lattice file or structurally invalid lattice."""
 
 
-class PathOverflowError(TalarescoreError):
-    """Path enumeration exceeded the caller's limit."""
-
-
 class ModelFormatError(TalarescoreError):
     """Malformed model file."""
 

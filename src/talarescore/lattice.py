@@ -1,4 +1,4 @@
-"""Acoustic decoding lattices: structure, text format, enumeration, generation.
+"""Acoustic decoding lattices: structure, text format, Viterbi, generation.
 
 A lattice is a DAG of stroke-labeled arcs carrying acoustic log-scores in the
 natural-log domain.  Every path from the start node to a final node is a
@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import heapq
 import math
-import sys
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -18,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .core import StrokeSequence, StrokeVocabulary, default_vocabulary, load_vocabulary
-from .errors import LatticeFormatError, PathOverflowError, VocabularyError
+from .errors import LatticeFormatError, VocabularyError
 
 FORMAT_HEADER = "lattice v1"
 
@@ -132,38 +131,6 @@ class Lattice:
                 if indeg[d] == 0:
                     heapq.heappush(heap, d)
         return tuple(order)
-
-
-def enumerate_paths(lat: Lattice, max_paths: int) -> list[tuple[StrokeSequence, float]]:
-    """All start-to-final paths with their acoustic scores.
-
-    Paths are emitted in lexicographic arc-id order; each score is the
-    left-to-right sum of the path's arc scores.  Raises
-    :class:`PathOverflowError` once more than ``max_paths`` paths exist.
-    """
-    if max_paths < 1:
-        raise ValueError("max_paths must be >= 1")
-    results: list[tuple[StrokeSequence, float]] = []
-    labels: list[int] = []
-
-    def visit(node: int, score: float) -> None:
-        if node in lat.finals and labels:
-            if len(results) >= max_paths:
-                raise PathOverflowError(f"more than {max_paths} paths in lattice")
-            results.append((StrokeSequence(tuple(labels)), score))
-        for aid in lat.outgoing[node]:
-            arc = lat.arcs[aid]
-            labels.append(arc.label)
-            visit(arc.dst, score + arc.w_ac)
-            labels.pop()
-
-    old_limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(max(old_limit, lat.n_nodes + 100))
-    try:
-        visit(lat.start, 0.0)
-    finally:
-        sys.setrecursionlimit(old_limit)
-    return results
 
 
 def viterbi_acoustic(lat: Lattice) -> StrokeSequence:
@@ -339,10 +306,16 @@ def loads_lattice(
         # conversion raise ValueError, reported below with the line.
         try:
             if kind == "vocab":
-                (vocab_ref,) = args
+                (ref,) = args
+                if vocab_ref:
+                    raise ValueError("repeated vocab line")
+                vocab_ref = ref
             elif kind == "start":
                 (raw,) = args
-                start = int(raw)
+                value = int(raw)
+                if start is not None:
+                    raise ValueError("repeated start line")
+                start = value
             elif kind == "final":
                 finals.update(int(p) for p in args)
             elif kind == "arc":

@@ -50,16 +50,13 @@ class RhythmModel:
     tala_table: TalaPosteriorTable
     alpha0: np.ndarray
     eps_dir: float
-    _static_cache: dict[int, TalaIndependentPrior] = field(default_factory=dict, repr=False)
+    _static: TalaIndependentPrior | None = field(default=None, repr=False)
 
-    def static_prior(self, w_tau: int | None = None) -> TalaIndependentPrior:
-        """The memoizing next-stroke prior, shared per effective window."""
-        eff = min(w_tau, self.tala_table.w_tau) if w_tau is not None else self.tala_table.w_tau
-        cached = self._static_cache.get(eff)
-        if cached is None:
-            cached = TalaIndependentPrior(self.prior, self.tala_table, w_tau=eff)
-            self._static_cache[eff] = cached
-        return cached
+    def static_prior(self) -> TalaIndependentPrior:
+        """The memoizing next-stroke prior, built once and shared by every decode."""
+        if self._static is None:
+            self._static = TalaIndependentPrior(self.prior, self.tala_table)
+        return self._static
 
     def initial_dirichlet(self, rho: float) -> DirichletState:
         return DirichletState(alpha=self.alpha0.copy(), rho=rho)

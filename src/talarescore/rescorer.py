@@ -18,8 +18,10 @@ A pushed state is a backpointer record (node, parent, arc, stroke, scores).
 Its static-prior state and Dirichlet snapshot are built from its parent's
 only when it is popped with outgoing arcs: the prior state advances by the
 state's stroke and the snapshot observes the transition into it.  The prior
-state holds only the strokes the prior reads (the built-in prior keeps the
-last ``max(w_tau, n - 1)``), so a pop copies no path history.  Most pushed
+is stepped through the :class:`~talarescore.static_prior.NextStrokePrior`
+protocol, whose state holds only the strokes the prior reads (the built-in
+prior keeps the last ``max(w_tau, n - 1)``, with the model's trained tala
+window ``w_tau``), so a pop copies no path history.  Most pushed
 states are cut by the capacity rule and never popped, so they cost only the
 record; histories (the winner's, the dump's, a trace's depth) are rebuilt
 from the backpointers.
@@ -32,8 +34,6 @@ import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
-
-import numpy as np
 
 from .core import SENTINEL_ID, StrokeSequence, StrokeVocabulary
 from .dynamic_model import DirichletState, predict, update
@@ -49,12 +49,11 @@ class RescoreConfig:
     """Decode-time hyperparameters.
 
     ``delta_beam`` is a natural-log score band and ``k_beam`` the queue
-    capacity.  ``w_tau`` is the built-in static prior's tala window.
+    capacity.  The static prior's tala window is the model's, set at training.
     """
 
     rho: float = 0.03
     beta: float = 0.5
-    w_tau: int = 16
     k_beam: int = 150
     delta_beam: float = 10.0
     lambda_mode: str = "adaptive"
@@ -72,8 +71,6 @@ class RescoreConfig:
             raise ValueError("beta must be non-negative")
         if not self.eps_jsd > 0:
             raise ValueError("eps_jsd must be positive")
-        if self.w_tau < 1:
-            raise ValueError("w_tau must be >= 1")
         parse_lambda_mode(self.lambda_mode)
 
 
@@ -107,8 +104,7 @@ class ExpandedLattice:
     state popped with outgoing arcs (the root included) to its static-prior
     state and Dirichlet snapshot; states never expanded have none.  For the
     built-in prior the prior state is the last ``max(w_tau, n - 1)`` strokes
-    of the state's playable history; for a prior with only ``prob`` it is
-    the whole playable history.
+    of the state's playable history, ``w_tau`` being the model's tala window.
     """
 
     vocab: StrokeVocabulary
@@ -181,15 +177,13 @@ def rescore(
 
     Every lattice arc symbol must exist in the model vocabulary; the returned
     sequence uses model stroke ids.  ``static_prior`` swaps in a replacement
-    next-stroke model (histories are passed as playable model ids; see
+    next-stroke model, stepped by playable model ids (see
     :class:`~talarescore.static_prior.NextStrokePrior`); by default the
     model's own marginalized n-gram prior is used.
     """
     cfg = cfg or RescoreConfig()
     label_map = _map_labels(lat, model.vocab)
-    static = static_prior if static_prior is not None else model.static_prior(w_tau=cfg.w_tau)
-    if not all(hasattr(static, name) for name in ("start", "advance", "dist")):
-        static = _HistoryPrior(static)
+    static = static_prior if static_prior is not None else model.static_prior()
     advance, dist = static.advance, static.dist
     fixed_lam = parse_lambda_mode(cfg.lambda_mode)
     beta = cfg.beta
@@ -291,23 +285,6 @@ def rescore(
         )
     best = viterbi_expanded(exp)
     return best, exp, diag
-
-
-class _HistoryPrior:
-    """Steps a prior that has only ``prob(history)``: the state is the
-    playable history, and ``dist`` hands it to ``prob``."""
-
-    def __init__(self, prior: NextStrokePrior) -> None:
-        self.prob = prior.prob
-
-    def start(self) -> tuple[int, ...]:
-        return ()
-
-    def advance(self, state: tuple[int, ...], stroke: int) -> tuple[int, ...]:
-        return state + (stroke,)
-
-    def dist(self, state: tuple[int, ...]) -> list[float]:
-        return np.asarray(self.prob(state)).tolist()
 
 
 def viterbi_expanded(exp: ExpandedLattice) -> StrokeSequence:

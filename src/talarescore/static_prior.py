@@ -19,17 +19,22 @@ from .errors import VocabularyError
 
 
 class NextStrokePrior(Protocol):
-    """Anything that yields a next-stroke distribution given the history.
+    """A next-stroke model stepped along a path, as ``rescore`` drives it.
 
-    The returned array (or list) has one strictly positive entry per playable
-    stroke (index ``stroke_id - 1``) and sums to 1.  This is the seam where a learned
-    sequence model could replace the count-based prior.  ``rescore`` passes
-    each decoding state's full playable history; a prior that also has
-    :class:`TalaIndependentPrior`'s ``start``/``advance``/``dist`` is stepped
-    through those instead, with a state that holds only what it reads.
+    ``start()`` is the state of the empty history, ``advance(state, stroke)``
+    the state after one more playable stroke id, and ``dist(state)`` the
+    next-stroke distribution: one strictly positive entry per playable stroke
+    (index ``stroke_id - 1``) summing to 1.  A state may be any value; it
+    should hold only what ``dist`` reads, and ``advance`` must leave it
+    unchanged, since sibling paths advance from the same state.  This is the seam where a learned
+    sequence model could replace the count-based prior.
     """
 
-    def prob(self, history: Sequence[int]) -> np.ndarray: ...
+    def start(self) -> object: ...
+
+    def advance(self, state: object, stroke: int) -> object: ...
+
+    def dist(self, state: object) -> Sequence[float]: ...
 
 
 class NGramPrior:
@@ -209,14 +214,14 @@ class TalaIndependentPrior:
     """Memoizing tala-independent :class:`NextStrokePrior`.
 
     Marginalizes the per-tala n-gram over the online tala posterior computed
-    from the most recent ``w_tau`` strokes of a playable-stroke history.
-    ``w_tau`` may narrow (never widen) the table's trained window.
+    from the most recent ``w_tau`` strokes of a playable-stroke history,
+    where ``w_tau`` is the table's trained window.
 
-    The prior is stateful: its state is the tuple of the last
-    ``max(w_tau, n - 1)`` strokes, all the mixture reads.  ``start()`` is the
-    empty history's state, ``advance(state, stroke)`` checks the stroke id
-    and appends it, and ``dist(state)`` returns the mixture as a tuple of
-    floats.  ``prob(history)`` is ``dist`` of the history's state, as a
+    Its state is the tuple of the last ``max(w_tau, n - 1)`` strokes, all
+    the mixture reads.  ``start()`` is the empty history's state,
+    ``advance(state, stroke)`` checks the stroke id and appends it, and
+    ``dist(state)`` returns the mixture as a tuple of floats.  Outside
+    decoding, ``prob(history)`` is ``dist`` of the history's state, as a
     read-only array.
 
     The memo key is ``(counts, ctx)``: the window's training count per tala
@@ -227,16 +232,15 @@ class TalaIndependentPrior:
     can change what later calls return.
     """
 
-    def __init__(self, prior: NGramPrior, table: TalaPosteriorTable, w_tau: int | None = None):
+    def __init__(self, prior: NGramPrior, table: TalaPosteriorTable):
         if set(prior.talas) != set(table.talas):
             raise ValueError("prior and posterior table trained on different tala sets")
         self.prior = prior
         self.table = table
-        self.w_tau = min(w_tau, table.w_tau) if w_tau is not None else table.w_tau
         self._cache: dict[
             tuple[tuple[int, ...] | None, tuple[int, ...]], tuple[tuple[float, ...], np.ndarray]
         ] = {}
-        self._suffix = max(self.w_tau, prior.n - 1)
+        self._suffix = max(table.w_tau, prior.n - 1)
         self._window_counts = [table.counts.get(t, {}) for t in table.talas]
 
     def start(self) -> tuple[int, ...]:
@@ -262,7 +266,8 @@ class TalaIndependentPrior:
         return self._entry(state)[1]
 
     def _entry(self, state: tuple[int, ...]) -> tuple[tuple[float, ...], np.ndarray]:
-        u = state[len(state) - self.w_tau :] if len(state) > self.w_tau else state
+        w_tau = self.table.w_tau
+        u = state[len(state) - w_tau :] if len(state) > w_tau else state
         ctx = self.prior.context_of(state)
         counts = tuple([c.get(u, 0) for c in self._window_counts]) if u else None
         cached = self._cache.get((counts, ctx))

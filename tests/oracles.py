@@ -30,8 +30,7 @@ def levenshtein_distance(a, b) -> int:
 def all_paths(lat):
     """Every start-to-final path as (arc_id_tuple, label_tuple, score).
 
-    Straightforward worklist enumeration over explicit prefixes, distinct
-    from the DFS in the library.
+    Straightforward worklist enumeration over explicit prefixes.
     """
     prefixes = [(lat.start, (), (), 0.0)]
     done = []
@@ -46,6 +45,27 @@ def all_paths(lat):
                 )
     done.sort(key=lambda t: t[0])
     return done
+
+
+def path_count(lat) -> int:
+    """Number of start-to-final paths, without listing them: the number of
+    ways to reach each node, pushed forward along the arcs in Kahn order."""
+    indeg = [0] * lat.n_nodes
+    succ = [[] for _ in range(lat.n_nodes)]
+    for arc in lat.arcs:
+        indeg[arc.dst] += 1
+        succ[arc.src].append(arc.dst)
+    ways = [0] * lat.n_nodes
+    ways[lat.start] = 1
+    ready = [lat.start]
+    while ready:
+        node = ready.pop()
+        for dst in succ[node]:
+            ways[dst] += ways[node]
+            indeg[dst] -= 1
+            if indeg[dst] == 0:
+                ready.append(dst)
+    return sum(ways[f] for f in lat.finals)
 
 
 def ngram_prob(counts, num_playable, laplace_k, tala, context, nxt) -> float:

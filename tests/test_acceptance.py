@@ -8,6 +8,7 @@ synthetic suite at its decode defaults.
 
 from __future__ import annotations
 
+import hashlib
 import math
 import random
 import time
@@ -19,7 +20,6 @@ import pytest
 
 from talarescore.core import StrokeSequence, default_vocabulary
 from talarescore.dynamic_model import DirichletState, predict, update
-from talarescore.errors import PathOverflowError
 from talarescore.eval import (
     BASELINE_LABEL,
     build_training_corpus,
@@ -32,16 +32,18 @@ from talarescore.lattice import (
     Arc,
     Lattice,
     LatticeGenConfig,
-    enumerate_paths,
+    dumps_lattice,
     generate_lattice,
     viterbi_acoustic,
 )
 from talarescore.model import train_model
 from talarescore.rescorer import RescoreConfig, rescore
 
-from .oracles import best_path_by_replay, levenshtein_distance, ti_prior_dist
+from .oracles import best_path_by_replay, levenshtein_distance, path_count, ti_prior_dist
 
 EXHAUSTIVE = RescoreConfig(k_beam=10**9, delta_beam=math.inf)
+# sha256 of the small ensemble's lattices, dumped and joined in order.
+ENSEMBLE_SHA256 = "2c7863b05df7dd2655e5ed54e4dab7dc13b871e1b3a7ccf5200adc135e2af5d9"
 
 
 @contextmanager
@@ -75,7 +77,8 @@ def model(suite, vocab):
 
 @pytest.fixture(scope="module")
 def small_lattice_ensemble(vocab):
-    """100 seeded random lattices, each with at most 200 paths."""
+    """100 seeded random lattices, each with at most 200 paths, pinned by
+    the sha256 of their dumps so that a change to the filter shows."""
     rng = random.Random(20240815)
     lats = []
     attempt = 0
@@ -101,11 +104,9 @@ def small_lattice_ensemble(vocab):
                 rng_seed=attempt, branching=2, noise_sigma=1.0, p_del=0.3, p_ins=0.3
             )
             lat = generate_lattice(truth, cfg, vocab)
-        try:
-            enumerate_paths(lat, 200)
-        except PathOverflowError:
-            continue
-        lats.append(lat)
+        if path_count(lat) <= 200:
+            lats.append(lat)
+    assert hashlib.sha256("".join(dumps_lattice(l) for l in lats).encode()).hexdigest() == ENSEMBLE_SHA256
     return lats
 
 
@@ -141,7 +142,7 @@ def test_criterion_2_degeneracy_identities(small_lattice_ensemble, model):
             for mode, component in (("fixed:0", "static"), ("fixed:1", "dynamic")):
                 cfg = replace(EXHAUSTIVE, lambda_mode=mode, collect_traces=True)
                 _, exp, diag = rescore(lat, model, cfg)
-                suffix = max(min(cfg.w_tau, model.tala_table.w_tau), model.prior.n - 1)
+                suffix = max(model.tala_table.w_tau, model.prior.n - 1)
                 assert diag.traces
                 for tr in diag.traces:
                     history = exp.history(tr.state_id)

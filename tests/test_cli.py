@@ -353,7 +353,6 @@ def test_decode_defaults_pin_standard_hyperparameters():
     )
     assert args.rho == 0.03
     assert args.beta == 0.5
-    assert args.w_tau == 16
     assert args.k_beam == 150
     assert args.delta_beam == 10.0
     assert args.lambda_mode == "adaptive"

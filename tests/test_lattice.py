@@ -3,13 +3,12 @@ from __future__ import annotations
 import pytest
 
 from talarescore.core import StrokeSequence, generate_sequence
-from talarescore.errors import LatticeFormatError, PathOverflowError
+from talarescore.errors import LatticeFormatError
 from talarescore.lattice import (
     Arc,
     Lattice,
     LatticeGenConfig,
     dumps_lattice,
-    enumerate_paths,
     generate_lattice,
     load_lattice,
     loads_lattice,
@@ -17,7 +16,7 @@ from talarescore.lattice import (
     viterbi_acoustic,
 )
 
-from .oracles import all_paths
+from .oracles import all_paths, path_count
 
 
 def chain_lattice(vocab, labeled_scores):
@@ -46,50 +45,6 @@ def grid_lattice(vocab, rows):
         start=0,
         finals=frozenset({len(rows)}),
     )
-
-
-def test_single_chain_enumeration(vocab):
-    lat = chain_lattice(vocab, [("Dha", -1.0), ("Tin", -2.0)])
-    paths = enumerate_paths(lat, max_paths=10)
-    assert len(paths) == 1
-    seq, score = paths[0]
-    assert seq.to_symbols(vocab) == ("Dha", "Tin")
-    assert score == -3.0
-
-
-def test_diamond_has_two_paths(vocab):
-    arcs = (
-        Arc(0, 1, vocab.id_of("Dha"), -1.0),
-        Arc(0, 1, vocab.id_of("Na"), -2.0),
-        Arc(1, 2, vocab.id_of("Tin"), -0.5),
-    )
-    lat = Lattice(vocab=vocab, n_nodes=3, arcs=arcs, start=0, finals=frozenset({2}))
-    assert len(enumerate_paths(lat, 10)) == 2
-
-
-def test_three_stage_grid_matches_dfs_oracle(vocab):
-    lat = grid_lattice(
-        vocab,
-        [
-            [("Dha", -1.0), ("Na", -1.5)],
-            [("Tin", -0.1), ("Ta", -2.0)],
-            [("Dhin", -0.7), ("Dha", -0.2)],
-        ],
-    )
-    paths = enumerate_paths(lat, 100)
-    assert len(paths) == 8
-    expected = all_paths(lat)
-    assert len(expected) == 8
-    for (seq, score), (_, labels, oracle_score) in zip(paths, expected):
-        assert seq.strokes == labels
-        assert score == pytest.approx(oracle_score, abs=1e-12)
-
-
-def test_enumeration_overflow(vocab):
-    lat = grid_lattice(vocab, [[("Dha", 0.0), ("Na", 0.0)]] * 4)
-    with pytest.raises(PathOverflowError):
-        enumerate_paths(lat, max_paths=15)
-    assert len(enumerate_paths(lat, max_paths=16)) == 16
 
 
 def test_viterbi_single_path(vocab):
@@ -126,19 +81,19 @@ def test_viterbi_equals_enumeration_argmax_on_random_grids(vocab):
             picks = rng.sample(symbols, 3)
             rows.append([(s, rng.uniform(-3, 0)) for s in picks])
         lat = grid_lattice(vocab, rows)
-        paths = enumerate_paths(lat, 1000)
-        best = max(paths, key=lambda p: p[1])
-        assert viterbi_acoustic(lat).strokes == best[0].strokes
+        _, labels, _ = max(all_paths(lat), key=lambda p: p[2])
+        assert viterbi_acoustic(lat).strokes == labels
 
 
 def test_generate_zero_noise_single_path(vocab, tintal):
     truth = generate_sequence(tintal, 1, None, 0, vocab)
     cfg = LatticeGenConfig(rng_seed=1, branching=1, noise_sigma=0.0)
     lat = generate_lattice(truth, cfg, vocab)
-    paths = enumerate_paths(lat, 10)
+    paths = all_paths(lat)
     assert len(paths) == 1
-    assert paths[0][0].strokes == truth.strokes
-    assert paths[0][1] == 0.0
+    _, labels, score = paths[0]
+    assert labels == truth.strokes
+    assert score == 0.0
 
 
 def test_generated_lattice_always_contains_truth(vocab):
@@ -148,8 +103,9 @@ def test_generated_lattice_always_contains_truth(vocab):
             rng_seed=seed, branching=3, noise_sigma=1.0, p_del=0.2, p_ins=0.2
         )
         lat = generate_lattice(truth, cfg, vocab)
-        label_paths = {p.strokes for p, _ in enumerate_paths(lat, 200_000)}
-        assert truth.strokes in label_paths
+        paths = all_paths(lat)
+        assert path_count(lat) == len(paths)
+        assert truth.strokes in {labels for _, labels, _ in paths}
 
 
 def test_generated_lattice_is_deterministic_and_byte_stable(vocab, tintal, tmp_path):
@@ -253,6 +209,14 @@ def test_malformed_files_rejected():
             loads_lattice(text)
 
 
+@pytest.mark.parametrize("first, repeat", [("vocab 3", "vocab 2"), ("start 1", "start 0")])
+def test_repeated_vocab_or_start_line_rejected(first, repeat):
+    # Without the check the later line silently wins and the text loads.
+    text = f"lattice v1\n{first}\nvocab 2\nstart 0\nfinal 2\narc 0 1 Dha -1.0\narc 1 2 Tin -1.0\n"
+    with pytest.raises(LatticeFormatError, match=f"bad .*{repeat!r}: repeated"):
+        loads_lattice(text)
+
+
 @pytest.mark.parametrize("score", ["nan", "inf", "-inf"])
 def test_non_finite_arc_scores_rejected(vocab, score):
     text = f"lattice v1\nvocab 5\nstart 0\nfinal 2\narc 0 1 Dha -1.0\narc 1 2 Na {score}\n"
@@ -273,14 +237,3 @@ def test_sparse_node_ids_rejected_at_parse(vocab, body, sparse_id):
     # A gap in the ids is named before any per-node structure is sized by it.
     with pytest.raises(LatticeFormatError, match=f"node id {sparse_id} is not dense"):
         loads_lattice("lattice v1\nvocab 5\n" + body, vocab=vocab)
-
-
-def test_path_score_is_left_to_right_sum(vocab):
-    # Associativity trap: the spec fixes the addition order along the path.
-    scores = [0.1, 0.2, 0.3, -0.7, 1e-9]
-    lat = chain_lattice(vocab, [("Dha", w) for w in scores])
-    (_, total), = enumerate_paths(lat, 2)
-    acc = 0.0
-    for w in scores:
-        acc += w
-    assert total == acc

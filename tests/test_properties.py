@@ -136,14 +136,14 @@ def stepped_priors(draw, case):
         for _ in range(draw(st.integers(1, 4))):
             window = tuple(draw(st.lists(STROKES, min_size=2, max_size=w_tau))) if w_tau > 1 else (1,)
             table.counts[draw(st.sampled_from(TALAS))][window] = draw(st.integers(1, 5))
-    narrow = draw(st.one_of(st.none(), st.integers(1, w_tau)))
     history = tuple(draw(st.lists(STROKES, max_size=20)))
-    return prior, table, narrow, history
+    return prior, table, history
 
 
 def reference_mixture(ti, history) -> tuple[float, ...]:
     """The mixture from the tables, without the state or the memo."""
-    window = history[len(history) - ti.w_tau :] if len(history) > ti.w_tau else history
+    w_tau = ti.table.w_tau
+    window = history[len(history) - w_tau :] if len(history) > w_tau else history
     ctx = ti.prior.context_of(history)
     mix = np.zeros(ti.prior.num_playable)
     for weight, tala in zip(ti.table.posterior(window), ti.table.talas):
@@ -155,10 +155,10 @@ def reference_mixture(ti, history) -> tuple[float, ...]:
 @PROPERTY_SETTINGS
 @given(data=st.data())
 def test_stepped_prior_state_equals_prob_of_the_history(case, data):
-    prior, table, narrow, history = data.draw(stepped_priors(case))
-    stepped = TalaIndependentPrior(prior, table, w_tau=narrow)
-    fresh = TalaIndependentPrior(prior, table, w_tau=narrow)  # its own memo
-    suffix = max(stepped.w_tau, prior.n - 1)
+    prior, table, history = data.draw(stepped_priors(case))
+    stepped = TalaIndependentPrior(prior, table)
+    fresh = TalaIndependentPrior(prior, table)  # its own memo
+    suffix = max(table.w_tau, prior.n - 1)
     state = stepped.start()
     for i in range(len(history) + 1):
         seen = history[:i]
@@ -181,3 +181,20 @@ def test_advance_rejects_a_foreign_stroke(history, foreign):
         state = ti.advance(state, stroke)
     with pytest.raises(VocabularyError):
         ti.advance(state, foreign)
+
+
+@PROPERTY_SETTINGS
+@given(
+    corpus=st.lists(
+        st.tuples(st.sampled_from(TALAS), st.lists(STROKES, min_size=1, max_size=12)), min_size=1, max_size=4
+    ),
+    wide=st.integers(1, 8),
+)
+def test_window_tables_nest(corpus, wide):
+    # A table trained at window w is the wider table's windows of length <= w,
+    # so the window a model was trained with fixes every narrower one.
+    seqs = [StrokeSequence(tuple(strokes), tala_label=tala) for tala, strokes in corpus]
+    full = train_tala_table(seqs, w_tau=wide).counts
+    for w in range(1, wide + 1):
+        nested = {tala: {u: c for u, c in windows.items() if len(u) <= w} for tala, windows in full.items()}
+        assert train_tala_table(seqs, w_tau=w).counts == nested

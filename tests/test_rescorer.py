@@ -25,6 +25,16 @@ from .oracles import best_path_by_replay, ti_prior_dist
 EXHAUSTIVE = RescoreConfig(k_beam=10**9, delta_beam=math.inf)
 
 
+class PathlessPrior:
+    """Base of the fake static priors: one state, whatever the path."""
+
+    def start(self):
+        return None
+
+    def advance(self, state, stroke):
+        return None
+
+
 def random_grid_lattice(vocab, rng, stages=4, width=2):
     arcs = []
     for stage in range(stages):
@@ -158,7 +168,7 @@ def test_fixed_lambda_traces_match_component_models(vocab, small_model):
             k_beam=10**9, delta_beam=math.inf, lambda_mode=mode, collect_traces=True
         )
         _, exp, diag = rescore(lat, small_model, cfg)
-        suffix = max(min(cfg.w_tau, small_model.tala_table.w_tau), small_model.prior.n - 1)
+        suffix = max(small_model.tala_table.w_tau, small_model.prior.n - 1)
         assert diag.traces
         for tr in diag.traces:
             history = exp.history(tr.state_id)
@@ -241,12 +251,10 @@ def test_label_remapping_by_symbol(small_model):
 
 
 def test_custom_next_stroke_prior_is_a_drop_in(vocab, small_model):
-    import numpy as np
-
-    class UniformPrior:
-        def prob(self, history):
+    class UniformPrior(PathlessPrior):
+        def dist(self, state):
             n = vocab.num_playable
-            return np.full(n, 1.0 / n)
+            return [1.0 / n] * n
 
     rng = random.Random(61)
     lat = random_grid_lattice(vocab, rng, stages=4, width=2)
@@ -300,8 +308,8 @@ AT_DHIN_ARC = r"state 1 \(node 1\), arc 1: .* of Dhin"
     ids=["zero", "nan", "nan-mixed", "nan-adaptive"],
 )
 def test_degenerate_prior_probability_is_a_rescore_error(vocab, small_model, mode, bad, match):
-    class DegeneratePrior:
-        def prob(self, history):
+    class DegeneratePrior(PathlessPrior):
+        def dist(self, state):
             p = np.full(vocab.num_playable, 1.0 / vocab.num_playable)
             p[1] = bad  # stroke id 2
             return p
@@ -316,12 +324,12 @@ def test_degenerate_prior_probability_is_a_rescore_error(vocab, small_model, mod
 @pytest.mark.parametrize("mode", ["adaptive", "fixed:0.5"])
 @pytest.mark.parametrize("cells", [5, 4], ids=["full", "short"])
 def test_plain_list_prior_decodes_and_a_short_one_is_a_rescore_error(vocab, small_model, mode, cells):
-    class ListPrior:
-        def prob(self, history):
+    class ListPrior(PathlessPrior):
+        def dist(self, state):
             return [1.0 / cells] * cells
 
-    class ArrayPrior:
-        def prob(self, history):
+    class ArrayPrior(PathlessPrior):
+        def dist(self, state):
             return np.full(cells, 1.0 / cells)
 
     lat = random_grid_lattice(vocab, random.Random(61), stages=4, width=2)
@@ -388,7 +396,7 @@ def test_history_and_dirichlet_are_built_at_pop(monkeypatch, standard_lattice, k
     # Each snapshot holds the last max(w_tau, n-1) strokes of its history as
     # the prior state, and a Dirichlet state bit-identical to the initial
     # state updated along its history one transition at a time.
-    suffix = max(min(cfg.w_tau, model.tala_table.w_tau), model.prior.n - 1)
+    suffix = max(model.tala_table.w_tau, model.prior.n - 1)
     eager = {0: model.initial_dirichlet(cfg.rho)}
     for sid in sorted(exp.snapshots):
         st = exp.states[sid]

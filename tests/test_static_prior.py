@@ -217,22 +217,6 @@ def test_cached_interface_matches_module_function():
         assert np.allclose(cached.prob(history), ti_prior_dist(model, history), rtol=0, atol=1e-15)
 
 
-def test_cached_interface_window_narrowing():
-    corpus = [
-        StrokeSequence((A, B, A, B, A, B), tala_label="t1"),
-        StrokeSequence((B, A, B, A, B, A), tala_label="t2"),
-    ]
-    prior = train_prior(corpus, AB, n=2)
-    table = train_tala_table(corpus, w_tau=4)
-    narrow = TalaIndependentPrior(prior, table, w_tau=2)
-    history = (A, B, A, B)
-    post = table.posterior(history[-2:])
-    expected = np.zeros(2)
-    for w, tala in zip(post, table.talas):
-        expected += w * prior.distribution(tala, prior.context_of(history))
-    assert np.allclose(narrow.prob(history), expected, atol=1e-15)
-
-
 def test_memo_is_bounded_by_training_not_by_traffic():
     # Windows unseen in training all have the prior as their tala posterior,
     # so they share one memo entry per n-gram context.
