@@ -40,6 +40,7 @@ from .rescorer import (
     ExpandedState,
     RescoreConfig,
     RescoreDiagnostics,
+    path_score,
     rescore,
     viterbi_expanded,
 )

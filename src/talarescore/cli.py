@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+import tempfile
 from dataclasses import replace
 from pathlib import Path
 
@@ -227,8 +228,18 @@ def cmd_rescore(args: argparse.Namespace) -> int:
         eps_jsd=args.eps_jsd,
         collect_traces=args.diagnostics is not None,
     )
-    if args.dump_expanded_dir:
-        args.dump_expanded_dir.mkdir(parents=True, exist_ok=True)
+    if args.dump_expanded_dir is None:
+        return _rescore_files(args, model, cfg, None)
+    args.dump_expanded_dir.mkdir(parents=True, exist_ok=True)
+    # The dumps are staged beside their destination and moved into place only
+    # when every lattice decodes, like the other outputs.
+    with tempfile.TemporaryDirectory(prefix=".staging-", dir=args.dump_expanded_dir) as staging:
+        return _rescore_files(args, model, cfg, Path(staging))
+
+
+def _rescore_files(
+    args: argparse.Namespace, model: model_mod.RhythmModel, cfg: rescorer.RescoreConfig, staging: Path | None
+) -> int:
     outputs: list[core.StrokeSequence] = []
     failures: list[tuple[Path, Exception]] = []
     diag_lines: list[str] = []
@@ -240,21 +251,24 @@ def cmd_rescore(args: argparse.Namespace) -> int:
             else:
                 hyp, expanded, diag = rescorer.rescore(lat, model, cfg)
                 outputs.append(hyp)
-                if args.dump_expanded_dir:
-                    rescorer.save_expanded(expanded, args.dump_expanded_dir / f"{i:04d}.exp")
+                if staging is not None:
+                    rescorer.save_expanded(expanded, staging / f"{i:04d}.exp")
                 if args.diagnostics is not None:
                     diag_lines += _diagnostic_lines(path, diag)
         except (TalarescoreError, ValueError, OSError) as exc:
             failures.append((path, exc))
     if failures:
         # Hypothesis line i must belong to lattice i, so a partial run writes
-        # neither output file.
+        # no output file and no dump.
         for path, exc in failures:
             print(f"error: {path}: {exc}", file=sys.stderr)
         return 1
     core.save_sequences(outputs, args.out, model.vocab)
     if args.diagnostics is not None:
         args.diagnostics.write_text("".join(f"{l}\n" for l in diag_lines), encoding="utf-8")
+    if staging is not None:
+        for dump in sorted(staging.iterdir()):
+            dump.replace(args.dump_expanded_dir / dump.name)
     print(f"rescored {len(outputs)} lattice(s) into {args.out}")
     return 0
 

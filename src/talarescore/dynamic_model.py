@@ -5,6 +5,8 @@ playable next strokes.  Observing a transition decays every cell by ``1 - rho``
 and adds ``rho`` to the observed cell, an exponentially weighted moving
 average whose matrix total converges to 1 at rate ``1 - rho``.  States are
 value-semantic: updates return new states and never mutate their input.
+The decode keeps its snapshots as bare pseudo-count arrays and steps them with
+the unchecked cores of :func:`update` and :func:`predict`.
 """
 
 from __future__ import annotations
@@ -83,21 +85,32 @@ def update(state: DirichletState, prev: int, nxt: int) -> DirichletState:
         raise ValueError(f"prev id {prev} out of range")
     if not 1 <= nxt <= n:
         raise ValueError(f"next id {nxt} is not a playable stroke")
-    alpha = state.alpha * (1.0 - state.rho)
-    alpha[prev, nxt - 1] += state.rho
-    return DirichletState._trusted(alpha, state.rho)
+    return DirichletState._trusted(_observe(state.alpha, state.rho, prev, nxt), state.rho)
+
+
+def _observe(alpha: np.ndarray, rho: float, prev: int, nxt: int) -> np.ndarray:
+    # update() on a bare pseudo-count array, unchecked: the decode's step
+    # calls it with ids the lattice and the vocabulary mapping vouch for.
+    alpha = alpha * (1.0 - rho)
+    alpha[prev, nxt - 1] += rho
+    return alpha
 
 
 def predict(state: DirichletState, prev: int) -> list[float]:
     """Next-stroke distribution: the normalized ``prev`` row, as a list.
 
-    It runs once per expanded decoding state, so it works on Python floats;
-    the row total is summed left to right, as numpy sums fewer than 8 cells
-    (see :mod:`talarescore.fusion`).
+    Its unchecked core ``_predict`` runs once per expanded decoding state,
+    so it works on Python floats; the row total is summed left to right, as
+    numpy sums fewer than 8 cells (see :mod:`talarescore.fusion`).
     """
     if not 0 <= prev <= state.num_playable:
         raise ValueError(f"prev id {prev} out of range")
-    row = state.alpha[prev].tolist()
+    return _predict(state.alpha, prev)
+
+
+def _predict(alpha: np.ndarray, prev: int) -> list[float]:
+    # predict() on a bare pseudo-count array, unchecked, for the decode's step.
+    row = alpha[prev].tolist()
     total = 0.0
     for x in row:
         total += x

@@ -6,9 +6,11 @@ arc scores) and the Jensen-Shannon divergence between the two rhythmic
 distributions, normalized by its log 2 upper bound; it is therefore confined
 to [0, 1] and yields a convex combination.  Every function here is pure.
 
-:func:`jsd` and :func:`combine` run once per expanded decoding state on
+The divergence and the combination run once per expanded decoding state on
 distributions of a handful of cells, so they work on Python floats: per-call
-numpy overhead, not arithmetic, would set their cost.  Their results must
+numpy overhead, not arithmetic, would set their cost.  The decode's step
+calls their unchecked cores ``_jsd`` and ``_combine``, which :func:`jsd` and
+:func:`combine` run after checking their arguments.  Their results must
 stay bit-identical to the same formulas on numpy arrays (the tests keep those
 as references), since the pinned outputs rest on them.  The element-wise
 operations are correctly rounded either way.  The logarithms stay
@@ -57,11 +59,16 @@ def jsd(p: Sequence[float], q: Sequence[float], eps: float) -> float:
     is computed, so zero cells cannot produce infinities.  The computation
     treats p and q identically, making the result exactly symmetric.
     """
-    n = len(p)
-    if n != len(q):
-        raise ValueError(f"support mismatch: {n} vs {len(q)}")
+    if len(p) != len(q):
+        raise ValueError(_support_mismatch(p, q))
     if eps <= 0:
         raise ValueError("eps must be positive")
+    return _jsd(p, q, eps)
+
+
+def _jsd(p: Sequence[float], q: Sequence[float], eps: float) -> float:
+    # jsd() without its checks, for the decode's step.
+    n = len(p)
     scale = 1.0 + n * eps
     ps = [(x + eps) / scale for x in p]
     qs = [(x + eps) / scale for x in q]
@@ -110,8 +117,21 @@ def lambda_k(confidence: float, divergence: float) -> float:
 def combine(p_static: Sequence[float], p_dyn: Sequence[float], lam: float) -> list[float]:
     """Convex combination ``(1 - lam) * p_static + lam * p_dyn``, as a list."""
     if len(p_static) != len(p_dyn):
-        raise ValueError(f"support mismatch: {len(p_static)} vs {len(p_dyn)}")
+        raise ValueError(_support_mismatch(p_static, p_dyn))
     if not 0.0 <= lam <= 1.0:
-        raise ValueError(f"lambda must lie in [0, 1], got {lam}")
+        raise ValueError(_lambda_out_of_range(lam))
+    return _combine(p_static, p_dyn, lam)
+
+
+def _combine(p_static: Sequence[float], p_dyn: Sequence[float], lam: float) -> list[float]:
+    # combine() without its checks, for the decode's step.
     keep = 1.0 - lam
     return [keep * s + lam * d for s, d in zip(p_static, p_dyn)]
+
+
+def _support_mismatch(p: Sequence[float], q: Sequence[float]) -> str:
+    return f"support mismatch: {len(p)} vs {len(q)}"
+
+
+def _lambda_out_of_range(lam: float) -> str:
+    return f"lambda must lie in [0, 1], got {lam}"

@@ -14,31 +14,49 @@ Because the dynamic model evolves along each path, the expanded lattice is a
 tree rooted at the start state.  Pruning only stops further expansion: states
 already added to the expanded lattice keep competing in the final selection.
 
-A pushed state is a backpointer record (node, parent, arc, stroke, scores).
-Its static-prior state and Dirichlet snapshot are built from its parent's
-only when it is popped with outgoing arcs: the prior state advances by the
-state's stroke and the snapshot observes the transition into it.  The prior
-is stepped through the :class:`~talarescore.static_prior.NextStrokePrior`
+A pushed state is one row of parallel columns (node, parent, arc, stroke,
+weight, accumulated score); the :class:`ExpandedState` record is built only
+when a caller reads it.  Its static-prior state and Dirichlet snapshot are
+built from its parent's only when it is popped with outgoing arcs, and are
+kept as the prior state and the bare pseudo-count array.  The prior is
+stepped through the :class:`~talarescore.static_prior.NextStrokePrior`
 protocol, whose state holds only the strokes the prior reads (the built-in
 prior keeps the last ``max(w_tau, n - 1)``, with the model's trained tala
-window ``w_tau``), so a pop copies no path history.  Most pushed
-states are cut by the capacity rule and never popped, so they cost only the
-record; histories (the winner's, the dump's, a trace's depth) are rebuilt
-from the backpointers.
+window ``w_tau``), so a pop copies no path history.  Most pushed states are
+cut by the capacity rule and never popped, so they cost only their row;
+histories (the winner's, the dump's, a trace's depth) are rebuilt from the
+parent column.
+
+Everything a popped state costs beyond the queue is one step,
+``_Scorer.step``: Dirichlet observe, predict, static ``dist``, divergence,
+interpolation weight, combination and the outgoing arcs' weights, read from
+a per-node arc table built once per decode.  :func:`rescore` runs it for
+every popped state and :func:`path_score` for every arc of a given path, so
+both give the same bits.
 """
 
 from __future__ import annotations
 
 import bisect
 import math
+from collections.abc import Iterator, Mapping, Sequence
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Sequence
+
+import numpy as np
 
 from .core import SENTINEL_ID, StrokeSequence, StrokeVocabulary
-from .dynamic_model import DirichletState, predict, update
+from .dynamic_model import DirichletState, _observe, _predict
 from .errors import RescoreError, VocabularyMismatchError
-from .fusion import acoustic_confidence, combine, jsd, lambda_k, parse_lambda_mode
+from .fusion import (
+    _combine,
+    _jsd,
+    _lambda_out_of_range,
+    _support_mismatch,
+    acoustic_confidence,
+    lambda_k,
+    parse_lambda_mode,
+)
 from .lattice import Lattice
 from .model import RhythmModel
 from .static_prior import NextStrokePrior
@@ -61,14 +79,14 @@ class RescoreConfig:
     collect_traces: bool = False
 
     def __post_init__(self) -> None:
-        if self.k_beam < 1:
-            raise ValueError("k_beam must be >= 1")
+        if not isinstance(self.k_beam, int) or self.k_beam < 1:
+            raise ValueError("k_beam must be an integer >= 1")
         if not self.delta_beam >= 0:  # NaN fails too
             raise ValueError("delta_beam must be non-negative")
         if not 0.0 < self.rho < 1.0:
             raise ValueError("rho must lie in (0, 1)")
-        if not self.beta >= 0:
-            raise ValueError("beta must be non-negative")
+        if not 0 <= self.beta < math.inf:  # NaN fails too
+            raise ValueError("beta must be non-negative and finite")
         if not self.eps_jsd > 0:
             raise ValueError("eps_jsd must be positive")
         parse_lambda_mode(self.lambda_mode)
@@ -94,23 +112,97 @@ class ExpandedState:
     acc_score: float
 
 
+class _StateColumns(Sequence[ExpandedState]):
+    """The expanded states as parallel columns indexed by state id.
+
+    Each column is a list named after the :class:`ExpandedState` field it
+    holds; ``parent`` and ``arc_id`` are None at the root.  ``states[i]``
+    builds the record of state ``i`` and ``append`` takes a record apart, so
+    the columns read and grow as a list of records would.
+    """
+
+    __slots__ = ("node", "parent", "arc_id", "stroke", "weight", "acc_score")
+
+    def __init__(self) -> None:
+        self.node: list[int] = []
+        self.parent: list[int | None] = []
+        self.arc_id: list[int | None] = []
+        self.stroke: list[int] = []
+        self.weight: list[float] = []
+        self.acc_score: list[float] = []
+
+    def __len__(self) -> int:
+        return len(self.node)
+
+    def __getitem__(self, index: int | slice) -> ExpandedState | list[ExpandedState]:
+        if isinstance(index, slice):
+            return [self[i] for i in range(*index.indices(len(self.node)))]
+        i = range(len(self.node))[index]  # negative ids count from the end
+        return ExpandedState(
+            i, self.node[i], self.parent[i], self.arc_id[i], self.stroke[i], self.weight[i], self.acc_score[i]
+        )
+
+    def __iter__(self) -> Iterator[ExpandedState]:
+        return map(self.__getitem__, range(len(self.node)))
+
+    def append(self, state: ExpandedState) -> None:
+        if state.id != len(self.node):
+            raise ValueError(f"state id {state.id} is not the next id {len(self.node)}")
+        self.node.append(state.node)
+        self.parent.append(state.parent)
+        self.arc_id.append(state.arc_id)
+        self.stroke.append(state.stroke)
+        self.weight.append(state.weight)
+        self.acc_score.append(state.acc_score)
+
+
+class _Snapshots(Mapping[int, tuple[object, DirichletState]]):
+    """Snapshots of the popped states, keyed by state id.
+
+    ``prior[sid]`` is the static-prior state and ``alpha[sid]`` the bare
+    Dirichlet pseudo-count array; every snapshot of a decode shares its
+    forgetting rate ``rho``.  ``snapshots[sid]`` builds the pair
+    ``(prior state, DirichletState)``.
+    """
+
+    __slots__ = ("rho", "prior", "alpha")
+
+    def __init__(self, rho: float = RescoreConfig.rho) -> None:
+        self.rho = rho
+        self.prior: dict[int, object] = {}
+        self.alpha: dict[int, np.ndarray] = {}
+
+    def __getitem__(self, sid: int) -> tuple[object, DirichletState]:
+        return self.prior[sid], DirichletState(self.alpha[sid], self.rho)
+
+    def __iter__(self) -> Iterator[int]:
+        return iter(self.alpha)
+
+    def __len__(self) -> int:
+        return len(self.alpha)
+
+
 @dataclass(eq=False)
 class ExpandedLattice:
     """Tree of expanded states; terminals sit on final acoustic nodes.
 
     Each non-root state is the head of exactly one expanded arc, the one from
     its ``parent``; the tree's arcs are therefore ``states[1:]``.  A parent's
-    id is always below its children's.  ``snapshots`` maps the id of each
-    state popped with outgoing arcs (the root included) to its static-prior
-    state and Dirichlet snapshot; states never expanded have none.  For the
-    built-in prior the prior state is the last ``max(w_tau, n - 1)`` strokes
-    of the state's playable history, ``w_tau`` being the model's tala window.
+    id is always below its children's.  ``states`` reads as a list of
+    :class:`ExpandedState` records but stores one list per field
+    (``states.node``, ``states.parent``, ..., ``states.acc_score``).
+    ``snapshots`` maps the id of each state popped with outgoing arcs (the
+    root included) to its static-prior state and Dirichlet snapshot, stored
+    as the prior state and the bare pseudo-count array (``snapshots.prior``,
+    ``snapshots.alpha``); states never expanded have none.  For the built-in
+    prior the prior state is the last ``max(w_tau, n - 1)`` strokes of the
+    state's playable history, ``w_tau`` being the model's tala window.
     """
 
     vocab: StrokeVocabulary
-    states: list[ExpandedState] = field(default_factory=list)
+    states: _StateColumns = field(default_factory=_StateColumns)
     terminals: list[int] = field(default_factory=list)
-    snapshots: dict[int, tuple[object, DirichletState]] = field(default_factory=dict)
+    snapshots: _Snapshots = field(default_factory=_Snapshots)
 
     @property
     def start_state(self) -> int:
@@ -118,22 +210,23 @@ class ExpandedLattice:
 
     def history(self, state_id: int) -> tuple[int, ...]:
         """Stroke ids from the root to ``state_id``, led by the start sentinel."""
+        parent, stroke = self.states.parent, self.states.stroke
         strokes: list[int] = []
-        st = self.states[state_id]
-        while st.parent is not None:
-            strokes.append(st.stroke)
-            st = self.states[st.parent]
-        strokes.append(st.stroke)
+        sid: int | None = state_id
+        while sid is not None:
+            strokes.append(stroke[sid])
+            sid = parent[sid]
         strokes.reverse()
         return tuple(strokes)
 
     def arc_chain(self, state_id: int) -> tuple[int, ...]:
         """Original lattice arc ids from the root to ``state_id``."""
+        parent, arc_id = self.states.parent, self.states.arc_id
         chain: list[int] = []
-        st = self.states[state_id]
-        while st.arc_id is not None:
-            chain.append(st.arc_id)
-            st = self.states[st.parent]
+        sid = state_id
+        while arc_id[sid] is not None:
+            chain.append(arc_id[sid])
+            sid = parent[sid]
         chain.reverse()
         return tuple(chain)
 
@@ -166,6 +259,99 @@ class RescoreDiagnostics:
     traces: list[StepTrace] = field(default_factory=list)
 
 
+class _Scorer:
+    """One decode's scoring constants, its per-node arc table, and the step.
+
+    ``arcs[node]`` lists the node's outgoing arcs, in arc-id order, as
+    ``(arc id, dst, model stroke, w_ac, dst is final)``; ``confidence[node]``
+    is the acoustic confidence of their scores, NaN where no step reads it
+    (a fixed weight without traces, or a node without outgoing arcs).
+    """
+
+    __slots__ = (
+        "vocab", "rho", "beta", "eps", "fixed_lam", "needs_div",
+        "advance", "dist", "start", "alpha0", "arcs", "confidence",
+    )
+
+    def __init__(self, lat: Lattice, model: RhythmModel, cfg: RescoreConfig, static: NextStrokePrior) -> None:
+        label_map = _map_labels(lat, model.vocab)
+        self.vocab = model.vocab
+        self.rho, self.beta, self.eps = cfg.rho, cfg.beta, cfg.eps_jsd
+        self.fixed_lam = parse_lambda_mode(cfg.lambda_mode)
+        self.needs_div = self.fixed_lam is None or cfg.collect_traces
+        self.advance, self.dist = static.advance, static.dist
+        self.start = static.start()
+        self.alpha0 = model.initial_dirichlet(cfg.rho).alpha
+        arcs, finals = lat.arcs, lat.finals
+        self.arcs = [
+            tuple((a, arcs[a].dst, label_map[arcs[a].label], arcs[a].w_ac, arcs[a].dst in finals) for a in out)
+            for out in lat.outgoing
+        ]
+        self.confidence = [
+            acoustic_confidence([arcs[a].w_ac for a in out]) if out and self.needs_div else math.nan
+            for out in lat.outgoing
+        ]
+
+    def step(
+        self, sid: int, node: int, alpha: np.ndarray, prior_state: object, prev: int | None, stroke: int
+    ) -> tuple[np.ndarray, object, list[float], tuple]:
+        """Score the state ``sid`` on ``node``, reached by ``stroke``.
+
+        ``alpha`` and ``prior_state`` are the parent's snapshot and ``prev``
+        the parent's stroke; at the root ``prev`` is None, the snapshot is the
+        start's and ``stroke`` the sentinel.  Returns the state's snapshot,
+        the weight of each of ``arcs[node]`` and the trace values
+        ``(confidence, divergence, lam, p_static, p_dyn, p_comb)``; the
+        divergence and confidence are NaN where a fixed weight skips them.
+        """
+        if prev is not None:
+            alpha = _observe(alpha, self.rho, prev, stroke)
+            prior_state = self.advance(prior_state, stroke)
+        p_dyn = _predict(alpha, stroke)
+        p_static = self.dist(prior_state)
+        lam = self.fixed_lam
+        if len(p_static) != len(p_dyn):
+            # A custom static prior of the wrong length; the divergence, when
+            # needed, meets it first.
+            pair = (p_dyn, p_static) if self.needs_div else (p_static, p_dyn)
+            raise self._fusion_error(sid, node, p_static, _support_mismatch(*pair))
+        if self.needs_div:
+            conf = self.confidence[node]
+            div = _jsd(p_dyn, p_static, self.eps)
+            if lam is None:
+                lam = lambda_k(conf, div)
+                if not 0.0 <= lam <= 1.0:
+                    # A NaN in a custom static prior makes the weight NaN.
+                    raise self._fusion_error(sid, node, p_static, _lambda_out_of_range(lam))
+        else:
+            conf = div = math.nan
+        probs = _combine(p_static, p_dyn, lam)
+        beta = self.beta
+        weights = []
+        for arc_id, _, q, w_ac, _ in self.arcs[node]:
+            p = probs[q - 1]
+            if not 0.0 < p < math.inf:  # NaN fails too
+                raise RescoreError(
+                    f"state {sid} (node {node}), arc {arc_id}: combined probability "
+                    f"{p!r} of {self.vocab.symbol_of(q)} is not a finite positive number"
+                )
+            weight = w_ac + beta * math.log(p)
+            if not -math.inf < weight < math.inf:
+                raise RescoreError(
+                    f"state {sid} (node {node}), arc {arc_id}: rescored weight {weight!r} "
+                    f"of {self.vocab.symbol_of(q)} is not finite (beta={beta!r})"
+                )
+            weights.append(weight)
+        return alpha, prior_state, weights, (conf, div, lam, p_static, p_dyn, probs)
+
+    @staticmethod
+    def _fusion_error(sid: int, node: int, p_static: Sequence[float], reason: str) -> RescoreError:
+        return RescoreError(
+            f"state {sid} (node {node}): static prior {p_static!r} does not "
+            f"combine with the dynamic prediction: {reason}"
+        )
+
+
 def rescore(
     lat: Lattice,
     model: RhythmModel,
@@ -182,109 +368,108 @@ def rescore(
     model's own marginalized n-gram prior is used.
     """
     cfg = cfg or RescoreConfig()
-    label_map = _map_labels(lat, model.vocab)
     static = static_prior if static_prior is not None else model.static_prior()
-    advance, dist = static.advance, static.dist
-    fixed_lam = parse_lambda_mode(cfg.lambda_mode)
-    beta = cfg.beta
+    scorer = _Scorer(lat, model, cfg, static)
+    step, table = scorer.step, scorer.arcs
     collect = cfg.collect_traces
+    delta_beam, k_beam = cfg.delta_beam, cfg.k_beam
 
-    exp = ExpandedLattice(vocab=model.vocab)
+    exp = ExpandedLattice(vocab=model.vocab, snapshots=_Snapshots(cfg.rho))
     diag = RescoreDiagnostics()
-    states, terminals, snapshots = exp.states, exp.terminals, exp.snapshots
-    states.append(ExpandedState(0, lat.start, None, None, SENTINEL_ID, 0.0, 0.0))
-    snapshots[0] = (static.start(), model.initial_dirichlet(cfg.rho))
+    cols, terminals = exp.states, exp.terminals
+    nodes, parents, strokes, accs = cols.node, cols.parent, cols.stroke, cols.acc_score
+    add_node, add_parent, add_arc = nodes.append, parents.append, cols.arc_id.append
+    add_stroke, add_weight, add_acc = strokes.append, cols.weight.append, accs.append
+    prior_snaps, alpha_snaps = exp.snapshots.prior, exp.snapshots.alpha
+    cols.append(ExpandedState(0, lat.start, None, None, SENTINEL_ID, 0.0, 0.0))
+    prior_snaps[0], alpha_snaps[0] = scorer.start, scorer.alpha0
 
-    node_confidence: dict[int, float] = {}
+    pops = pruned_band = pruned_capacity = max_queue = 0
     # Ascending on (-acc_score, state id): the best state is first, exact
     # ties pop FIFO since ids are given in push order, and both pruning rules
     # cut a suffix.
     queue: list[tuple[float, int]] = [(-0.0, 0)]
+    insort, bisect_right, inf = bisect.insort, bisect.bisect_right, math.inf
 
     while queue:
-        _, sid = queue.pop(0)
-        diag.pops += 1
-        state = states[sid]
-        out_arcs = lat.outgoing[state.node]
-        if not out_arcs:
+        sid = queue.pop(0)[1]
+        pops += 1
+        node = nodes[sid]
+        out = table[node]
+        if not out:
             continue
-
-        prev = state.stroke
-        if state.parent is None:
-            prior_state, dirichlet = snapshots[sid]
-        else:
-            prior_state, dirichlet = snapshots[state.parent]
-            dirichlet = update(dirichlet, states[state.parent].stroke, prev)
-            prior_state = advance(prior_state, prev)
-            snapshots[sid] = (prior_state, dirichlet)
-        p_dyn = predict(dirichlet, prev)
-        p_static = dist(prior_state)
-        try:
-            if fixed_lam is None or collect:
-                conf = node_confidence.get(state.node)
-                if conf is None:
-                    conf = acoustic_confidence([lat.arcs[a].w_ac for a in out_arcs])
-                    node_confidence[state.node] = conf
-                div = jsd(p_dyn, p_static, cfg.eps_jsd)
-            else:
-                conf = float("nan")
-                div = float("nan")
-            lam = fixed_lam if fixed_lam is not None else lambda_k(conf, div)
-            probs = combine(p_static, p_dyn, lam)
-        except ValueError as err:
-            # A custom static prior of the wrong length, or with a NaN that
-            # makes the adaptive weight NaN.
-            raise RescoreError(
-                f"state {sid} (node {state.node}): static prior {p_static!r} does not "
-                f"combine with the dynamic prediction: {err}"
-            ) from None
+        parent = parents[sid]
+        src, prev = (sid, None) if parent is None else (parent, strokes[parent])
+        alpha, prior_state, weights, fused = step(sid, node, alpha_snaps[src], prior_snaps[src], prev, strokes[sid])
+        alpha_snaps[sid], prior_snaps[sid] = alpha, prior_state
         if collect:
-            diag.traces.append(
-                StepTrace(
-                    state_id=sid,
-                    node=state.node,
-                    depth=len(exp.history(sid)) - 1,
-                    confidence=conf,
-                    divergence=div,
-                    lam=lam,
-                    p_static=p_static,
-                    p_dyn=p_dyn,
-                    p_comb=probs,
-                )
-            )
+            diag.traces.append(StepTrace(sid, node, len(exp.history(sid)) - 1, *fused))
 
-        for arc_id in out_arcs:
-            arc = lat.arcs[arc_id]
-            q = label_map[arc.label]
-            p = probs[q - 1]
-            if not 0.0 < p < math.inf:  # NaN fails too
-                raise RescoreError(
-                    f"state {sid} (node {state.node}), arc {arc_id}: combined probability "
-                    f"{p!r} of {model.vocab.symbol_of(q)} is not a finite positive number"
-                )
-            weight = arc.w_ac + beta * math.log(p)
-            child_id = len(states)
-            acc = state.acc_score + weight
-            states.append(ExpandedState(child_id, arc.dst, sid, arc_id, q, weight, acc))
-            if arc.dst in lat.finals:
-                terminals.append(child_id)
-            bisect.insort(queue, (-acc, child_id))
+        acc = accs[sid]
+        for (arc_id, dst, q, _, final), weight in zip(out, weights):
+            child = len(nodes)
+            child_acc = acc + weight
+            add_node(dst)
+            add_parent(sid)
+            add_arc(arc_id)
+            add_stroke(q)
+            add_weight(weight)
+            add_acc(child_acc)
+            if final:
+                terminals.append(child)
+            insort(queue, (-child_acc, child))
 
         queued = len(queue)
-        diag.max_queue_size = max(diag.max_queue_size, queued)
-        del queue[bisect.bisect_right(queue, (queue[0][0] + cfg.delta_beam, math.inf)) :]
+        if queued > max_queue:
+            max_queue = queued
+        del queue[bisect_right(queue, (queue[0][0] + delta_beam, inf)) :]
         in_band = len(queue)
-        del queue[cfg.k_beam :]
-        diag.pruned_band += queued - in_band
-        diag.pruned_capacity += in_band - len(queue)
+        del queue[k_beam:]
+        pruned_band += queued - in_band
+        pruned_capacity += in_band - len(queue)
 
-    diag.pushes = len(states) - 1
-    if not exp.terminals:
+    diag.pops, diag.pushes = pops, len(nodes) - 1
+    diag.pruned_band, diag.pruned_capacity, diag.max_queue_size = pruned_band, pruned_capacity, max_queue
+    if not terminals:
         raise RescoreError(
             "no terminal state survived pruning; widen k_beam or delta_beam"
         )
+    # Finite weights can still sum past the float range, and tied infinite
+    # scores would leave the choice to the arc-id tie-break.
+    overflowed = next((t for t in terminals if not -inf < accs[t] < inf), None)
+    if overflowed is not None:
+        raise RescoreError(
+            f"terminal state {overflowed}: accumulated score {accs[overflowed]!r} is not finite "
+            f"(beta={cfg.beta!r})"
+        )
     best = viterbi_expanded(exp)
     return best, exp, diag
+
+
+def path_score(lat: Lattice, model: RhythmModel, cfg: RescoreConfig, arc_ids: Sequence[int]) -> float:
+    """Rescored score of the path ``arc_ids`` from the start node: the sum of
+    its rescored arc weights.
+
+    The path is replayed through the same per-state step :func:`rescore`
+    runs, so the score equals bit for bit the ``acc_score`` a decode gives
+    the state at the path's end; the path need not end on a final node.
+    The step's errors name the arc's position on the path as the state.
+    Raises ``ValueError`` when an arc does not leave the node the path has
+    reached.
+    """
+    scorer = _Scorer(lat, model, cfg, model.static_prior())
+    node, alpha, prior_state = lat.start, scorer.alpha0, scorer.start
+    prev, stroke = None, SENTINEL_ID
+    acc = 0.0
+    for depth, arc_id in enumerate(arc_ids):
+        out = scorer.arcs[node]
+        pos = next((i for i, arc in enumerate(out) if arc[0] == arc_id), None)
+        if pos is None:
+            raise ValueError(f"arc {arc_id} does not leave node {node}")
+        alpha, prior_state, weights, _ = scorer.step(depth, node, alpha, prior_state, prev, stroke)
+        acc += weights[pos]
+        prev, stroke, node = stroke, out[pos][2], out[pos][1]
+    return acc
 
 
 def viterbi_expanded(exp: ExpandedLattice) -> StrokeSequence:
@@ -295,13 +480,13 @@ def viterbi_expanded(exp: ExpandedLattice) -> StrokeSequence:
     """
     if not exp.terminals:
         raise RescoreError("expanded lattice has no terminal state")
+    acc = exp.states.acc_score
     best_id: int | None = None
     best_chain: tuple[int, ...] | None = None
     for sid in exp.terminals:
-        st = exp.states[sid]
-        if best_id is None or st.acc_score > exp.states[best_id].acc_score:
+        if best_id is None or acc[sid] > acc[best_id]:
             best_id, best_chain = sid, None
-        elif st.acc_score == exp.states[best_id].acc_score:
+        elif acc[sid] == acc[best_id]:
             if best_chain is None:
                 best_chain = exp.arc_chain(best_id)
             chain = exp.arc_chain(sid)
@@ -337,11 +522,13 @@ def dumps_expanded(exp: ExpandedLattice) -> str:
     lines = ["lattice v1", f"vocab {exp.vocab.num_playable}", f"start {exp.start_state}"]
     if exp.terminals:
         lines.append("final " + " ".join(str(t) for t in exp.terminals))
+    cols = exp.states
     histories: list[tuple[str, ...]] = [()]
-    for st in exp.states[1:]:
-        symbol = exp.vocab.symbol_of(st.stroke)
-        lines.append(f"arc {st.parent} {st.id} {symbol} {float(st.weight)!r}")
-        histories.append(histories[st.parent] + (symbol,))
+    for sid in range(1, len(cols)):
+        parent = cols.parent[sid]
+        symbol = exp.vocab.symbol_of(cols.stroke[sid])
+        lines.append(f"arc {parent} {sid} {symbol} {float(cols.weight[sid])!r}")
+        histories.append(histories[parent] + (symbol,))
     for sid, syms in enumerate(histories):
         lines.append(f"# history {sid} {' '.join(syms)}".rstrip())
     return "".join(f"{l}\n" for l in lines)

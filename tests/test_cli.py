@@ -187,13 +187,20 @@ def test_rescore_reports_failed_lattices(tmp_path, capsys):
     bare_start = tmp_path / "bare_start.lat"
     bare_start.write_text("lattice v1\nvocab 5\nstart\nfinal 1\narc 0 1 Dha -1.0\n", encoding="utf-8")
     diag = tmp_path / "diag.txt"
+    dump_dir = tmp_path / "dump"
     code = run(
         ["rescore", first, str(bare_start), last, "--model", str(model_path),
-         "--out", str(out), "--diagnostics", str(diag)]
+         "--out", str(out), "--diagnostics", str(diag), "--dump-expanded-dir", str(dump_dir)]
     )
     assert code == 1
     assert "bare_start.lat" in capsys.readouterr().err
     assert not out.exists() and not diag.exists()
+    assert not list(dump_dir.rglob("*.exp"))
+
+    # Without the failing lattice, every dump lands under its input's index.
+    assert run(["rescore", first, last, "--model", str(model_path), "--out", str(out),
+                "--dump-expanded-dir", str(dump_dir)]) == 0
+    assert sorted(p.relative_to(dump_dir).as_posix() for p in dump_dir.rglob("*")) == ["0000.exp", "0001.exp"]
 
 
 def test_expanded_dump_is_pinned_on_a_standard_suite_lattice(tmp_path):

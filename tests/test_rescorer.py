@@ -1,13 +1,17 @@
 from __future__ import annotations
 
+import hashlib
 import math
 import random
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given
 
 from talarescore import rescorer
-from talarescore.core import builtin_tala, default_vocabulary, generate_sequence
+from talarescore.core import builtin_tala, can_host_tihai, default_vocabulary, generate_sequence
+from talarescore.dynamic_model import update
 from talarescore.errors import RescoreError, VocabularyMismatchError
 from talarescore.eval import build_training_corpus, split_seed, standard_suite
 from talarescore.lattice import Arc, Lattice, LatticeGenConfig, generate_lattice, viterbi_acoustic
@@ -16,13 +20,16 @@ from talarescore.rescorer import (
     ExpandedLattice,
     RescoreConfig,
     dumps_expanded,
+    path_score,
     rescore,
     viterbi_expanded,
 )
 
-from .oracles import best_path_by_replay, ti_prior_dist
+from .oracles import all_paths, best_path_by_replay, replay_path_score, ti_prior_dist
+from .test_properties import PROPERTY_SETTINGS, small_dags
 
 EXHAUSTIVE = RescoreConfig(k_beam=10**9, delta_beam=math.inf)
+WIDE_PIN_SHA256 = "0c6912062dd98b89c9f915a9076508987e2ef4517272bd1252f8755e7c209268"
 
 
 class PathlessPrior:
@@ -55,15 +62,20 @@ def random_grid_lattice(vocab, rng, stages=4, width=2):
     [
         {"beta": -0.1},
         {"beta": math.nan},
+        {"beta": math.inf},
         {"delta_beam": math.nan},
         {"eps_jsd": 0.0},
         {"eps_jsd": math.nan},
         {"lambda_mode": "sometimes"},
         {"k_beam": 0},
+        {"k_beam": 2.5},
         {"rho": 0.0},
         {"rho": 1.0},
     ],
-    ids=["beta<0", "beta=nan", "delta_beam=nan", "eps_jsd=0", "eps_jsd=nan", "lambda_mode", "k_beam=0", "rho=0", "rho=1"],
+    ids=[
+        "beta<0", "beta=nan", "beta=inf", "delta_beam=nan", "eps_jsd=0", "eps_jsd=nan", "lambda_mode",
+        "k_beam=0", "k_beam=2.5", "rho=0", "rho=1",
+    ],
 )
 def test_rescore_config_validation(bad):
     RescoreConfig()
@@ -274,6 +286,29 @@ def test_expanded_dump_contains_histories(vocab, small_model):
     assert "# history 1 Dha" in text
 
 
+def test_state_columns_read_as_a_list_of_records(vocab, small_model):
+    lat = random_grid_lattice(vocab, random.Random(8), stages=3, width=2)
+    _, exp, _ = rescore(lat, small_model, EXHAUSTIVE)
+    records = list(exp.states)
+    assert len(records) == len(exp.states) > 1
+    assert [st.id for st in records] == list(range(len(records)))
+    assert exp.states[-1].id == len(records) - 1
+    assert [st.id for st in exp.states[1:3]] == [1, 2]
+    for st in records:
+        assert (st.node, st.parent, st.arc_id, st.stroke, st.weight, st.acc_score) == (
+            exp.states.node[st.id], exp.states.parent[st.id], exp.states.arc_id[st.id],
+            exp.states.stroke[st.id], exp.states.weight[st.id], exp.states.acc_score[st.id],
+        )
+    with pytest.raises(IndexError):
+        exp.states[len(records)]
+    with pytest.raises(ValueError, match="not the next id"):
+        exp.states.append(records[1])
+    # Each snapshot's Dirichlet state is built over the stored array.
+    for sid in exp.snapshots:
+        prior_state, dirichlet = exp.snapshots[sid]
+        assert prior_state is exp.snapshots.prior[sid] and dirichlet.alpha is exp.snapshots.alpha[sid]
+
+
 def test_viterbi_expanded_picks_best_terminal_directly(vocab, small_model):
     from talarescore.rescorer import ExpandedState
 
@@ -321,6 +356,23 @@ def test_degenerate_prior_probability_is_a_rescore_error(vocab, small_model, mod
         rescore(lat, small_model, cfg, static_prior=DegeneratePrior())
 
 
+@pytest.mark.parametrize(
+    "beta, match",
+    [
+        (1e308, r"state 0 \(node 0\), arc \d+: rescored weight -inf .* not finite"),
+        (1e307, r"terminal state \d+: accumulated score -inf is not finite"),
+    ],
+    ids=["weight", "sum"],
+)
+def test_overflowing_score_is_a_rescore_error(vocab, small_model, beta, match):
+    # beta is finite, but beta * log(p), or the sum of such weights along a
+    # path, overflows to -inf; a decode of infinite scores would pick its
+    # path by the arc-id tie-break alone.
+    lat = random_grid_lattice(vocab, random.Random(61), stages=20, width=2)
+    with pytest.raises(RescoreError, match=match):
+        rescore(lat, small_model, RescoreConfig(beta=beta))
+
+
 @pytest.mark.parametrize("mode", ["adaptive", "fixed:0.5"])
 @pytest.mark.parametrize("cells", [5, 4], ids=["full", "short"])
 def test_plain_list_prior_decodes_and_a_short_one_is_a_rescore_error(vocab, small_model, mode, cells):
@@ -345,35 +397,116 @@ def test_plain_list_prior_decodes_and_a_short_one_is_a_rescore_error(vocab, smal
     assert [st.acc_score for st in exp.states] == [st.acc_score for st in ref_exp.states]
 
 
+def suite_lattices(per_tala):
+    """The standard suite's model and its first ``per_tala`` test lattices of
+    each tala, generated as ``bench`` generates them (streams 1 and 2 of the
+    suite seed draw the truths and the lattice noise)."""
+    suite = standard_suite()
+    vocab = default_vocabulary()
+    lats = []
+    for t_idx, name in enumerate(suite.talas):
+        tala = builtin_tala(name, vocab)
+        dev = suite.deviation
+        if not can_host_tihai(tala, dev.tihai):
+            dev = replace(dev, p_tihai=0.0)
+        for i in range(per_tala):
+            idx = t_idx * 10_000 + i
+            truth = generate_sequence(tala, suite.cycles, dev, split_seed(suite.seed, 1, idx), vocab)
+            lat_cfg = LatticeGenConfig(
+                rng_seed=split_seed(suite.seed, 2, idx),
+                branching=suite.branching,
+                noise_sigma=suite.noise_sigma,
+                margin=suite.margin,
+            )
+            lats.append(generate_lattice(truth, lat_cfg, vocab))
+    return train_model(build_training_corpus(suite, vocab), vocab), lats
+
+
 @pytest.fixture(scope="module")
 def standard_lattice():
     """The standard suite's first tintal test lattice and the suite's model."""
-    suite = standard_suite()
-    vocab = default_vocabulary()
-    truth = generate_sequence(
-        builtin_tala("tintal", vocab), suite.cycles, suite.deviation, split_seed(suite.seed, 1, 0), vocab
-    )
-    lat_cfg = LatticeGenConfig(
-        rng_seed=split_seed(suite.seed, 2, 0),
-        branching=suite.branching,
-        noise_sigma=suite.noise_sigma,
-        margin=suite.margin,
-    )
-    model = train_model(build_training_corpus(suite, vocab), vocab)
-    return generate_lattice(truth, lat_cfg, vocab), model
+    model, lats = suite_lattices(1)
+    return lats[0], model
+
+
+# A beam narrow enough that both pruning rules cut on every decode.
+WIDE_PIN_BEAM = {"k_beam": 80, "delta_beam": 3.0}
+WIDE_PIN_MODES = ("adaptive", "fixed:0", "fixed:0.5")
+
+
+@pytest.fixture(scope="module")
+def wide_pin_decodes():
+    """Two standard-suite lattices per tala, decoded in each pinned mode."""
+    model, lats = suite_lattices(2)
+    decodes = []
+    for lat in lats:
+        for mode in WIDE_PIN_MODES:
+            cfg = RescoreConfig(lambda_mode=mode, **WIDE_PIN_BEAM)
+            decodes.append((lat, model, cfg, rescore(lat, model, cfg)))
+    return decodes
+
+
+def test_decodes_are_pinned_where_both_pruning_rules_cut(wide_pin_decodes):
+    """Hypotheses, expanded-lattice dumps and beam counters of 24 decodes,
+    hashed together, so that no change to how the decode stores or scores
+    its states can move a hypothesis, a dumped weight or a counter."""
+    digest = hashlib.sha256()
+    for _, _, cfg, (hyp, exp, diag) in wide_pin_decodes:
+        assert diag.pruned_band > 0 and diag.pruned_capacity > 0
+        counters = (diag.pops, diag.pushes, diag.pruned_band, diag.pruned_capacity, diag.max_queue_size)
+        digest.update(f"{cfg.lambda_mode} hyp {' '.join(map(str, hyp.strokes))}\n".encode())
+        digest.update(dumps_expanded(exp).encode())
+        digest.update(f"counters {' '.join(map(str, counters))}\n".encode())
+    assert digest.hexdigest() == WIDE_PIN_SHA256
+
+
+def test_path_score_of_the_winner_is_its_acc_score(wide_pin_decodes):
+    for lat, model, cfg, (hyp, exp, _) in wide_pin_decodes:
+        acc = exp.states.acc_score
+        best = max(acc[t] for t in exp.terminals)
+        winners = [t for t in exp.terminals if acc[t] == best]
+        assert hyp.strokes in {exp.history(t)[1:] for t in winners}
+        for t in winners:
+            assert path_score(lat, model, cfg, exp.arc_chain(t)) == acc[t]
+
+
+def test_path_score_rejects_a_broken_chain(vocab, small_model):
+    arcs = (Arc(0, 1, 1, -1.0), Arc(1, 2, 3, -0.5), Arc(0, 2, 2, -2.0))
+    lat = Lattice(vocab=vocab, n_nodes=3, arcs=arcs, start=0, finals=frozenset({2}))
+    assert path_score(lat, small_model, EXHAUSTIVE, ()) == 0.0
+    with pytest.raises(ValueError, match="arc 1 does not leave node 0"):
+        path_score(lat, small_model, EXHAUSTIVE, (1,))
+    with pytest.raises(ValueError, match="arc 2 does not leave node 1"):
+        path_score(lat, small_model, EXHAUSTIVE, (0, 2))
+
+
+@pytest.mark.parametrize("mode", ["adaptive", "fixed:0", "fixed:0.5"])
+@PROPERTY_SETTINGS
+@given(lat=small_dags())
+def test_path_score_matches_replay_oracle_on_small_dags(small_model, mode, lat):
+    cfg = replace(EXHAUSTIVE, lambda_mode=mode)
+    for arc_ids, _, _ in all_paths(lat):
+        oracle = replay_path_score(lat, small_model, cfg, arc_ids)
+        assert path_score(lat, small_model, cfg, arc_ids) == pytest.approx(oracle, abs=1e-9)
+    # Replaying a terminal's chain gives the decode's own bits.
+    _, exp, _ = rescore(lat, small_model, cfg)
+    for t in exp.terminals:
+        assert path_score(lat, small_model, cfg, exp.arc_chain(t)) == exp.states.acc_score[t]
 
 
 @pytest.mark.parametrize("k_beam", [150, 12])
 def test_history_and_dirichlet_are_built_at_pop(monkeypatch, standard_lattice, k_beam):
     lat, model = standard_lattice
-    real_update = rescorer.update
+    # The decode's step observes transitions through the private helper
+    # behind the public update().
+    real_observe = rescorer._observe
     calls = []
 
-    def counting_update(state, prev, nxt):
+    def counting_observe(alpha, rho, prev, nxt):
         calls.append((prev, nxt))
-        return real_update(state, prev, nxt)
+        return real_observe(alpha, rho, prev, nxt)
 
-    monkeypatch.setattr(rescorer, "update", counting_update)
+    monkeypatch.setattr(rescorer, "_observe", counting_observe)
     cfg = RescoreConfig(k_beam=k_beam, collect_traces=True)
     _, exp, diag = rescore(lat, model, cfg)
     monkeypatch.undo()
@@ -401,7 +534,7 @@ def test_history_and_dirichlet_are_built_at_pop(monkeypatch, standard_lattice, k
     for sid in sorted(exp.snapshots):
         st = exp.states[sid]
         if sid:
-            eager[sid] = real_update(eager[st.parent], exp.history(st.parent)[-1], st.stroke)
+            eager[sid] = update(eager[st.parent], exp.history(st.parent)[-1], st.stroke)
         prior_state, dirichlet = exp.snapshots[sid]
         assert prior_state == exp.history(sid)[1:][-suffix:]
         assert np.array_equal(dirichlet.alpha, eager[sid].alpha)
