@@ -9,17 +9,23 @@ to [0, 1] and yields a convex combination.  Every function here is pure.
 The divergence and the combination run once per expanded decoding state on
 distributions of a handful of cells, so they work on Python floats: per-call
 numpy overhead, not arithmetic, would set their cost.  The decode's step
-calls their unchecked cores ``_jsd`` and ``_combine``, which :func:`jsd` and
-:func:`combine` run after checking their arguments.  Their results must
-stay bit-identical to the same formulas on numpy arrays (the tests keep those
-as references), since the pinned outputs rest on them.  The element-wise
-operations are correctly rounded either way.  The logarithms stay
-``np.log``, whose result differs from ``math.log`` in the last bit on some
-inputs, and are taken in one batched call, since ``np.log`` gives each element
-the same bits whatever the array's length or the element's position.  The
-sums are explicit left-to-right loops from ``0.0``: that is what numpy's sum
-does below 8 cells (from 8 on it sums pairwise), whereas the builtin ``sum``
-is compensated from Python 3.12 on.
+calls their unchecked cores, which :func:`jsd` and :func:`combine` run after
+checking their arguments.  Their results must stay bit-identical to the same
+formulas on numpy arrays (the tests keep those as references), since the
+pinned outputs rest on them.  The element-wise operations are correctly
+rounded either way.  The logarithms stay ``np.log``, whose result differs
+from ``math.log`` in the last bit on some inputs.
+
+The divergence has two parts.  ``_jsd_half`` smooths the static
+distribution q and takes its logarithms; ``_jsd`` smooths p, forms the
+midpoint and logs p's and the midpoint's cells in one batched call.  The
+decode computes a static distribution's half once and reuses it for every
+state whose prior gives that distribution, so a state logs 2n cells, not 3n.
+The split keeps the bits because ``np.log`` gives each element the same bits
+whatever the array's length or the element's position.  The sums are
+explicit left-to-right loops from ``0.0``: that is what numpy's sum does
+below 8 cells (from 8 on it sums pairwise), whereas the builtin ``sum`` is
+compensated from Python 3.12 on.
 """
 
 from __future__ import annotations
@@ -58,28 +64,38 @@ def jsd(p: Sequence[float], q: Sequence[float], eps: float) -> float:
     Both inputs are smoothed by ``eps`` and renormalized before the divergence
     is computed, so zero cells cannot produce infinities.  The computation
     treats p and q identically, making the result exactly symmetric.
+    ``eps`` must be positive and finite, and ``1 + n * eps`` must not
+    overflow.
     """
     if len(p) != len(q):
         raise ValueError(_support_mismatch(p, q))
-    if eps <= 0:
-        raise ValueError("eps must be positive")
-    return _jsd(p, q, eps)
+    if not 0 < eps < math.inf:  # NaN fails too
+        raise ValueError("eps must be positive and finite")
+    scale = 1.0 + len(q) * eps
+    if scale == math.inf:
+        raise ValueError(f"eps={eps!r} overflows the smoothing of {len(q)} cells")
+    return _jsd(p, _jsd_half(q, eps, scale), eps, scale)
 
 
-def _jsd(p: Sequence[float], q: Sequence[float], eps: float) -> float:
-    # jsd() without its checks, for the decode's step.
-    n = len(p)
-    scale = 1.0 + n * eps
-    ps = [(x + eps) / scale for x in p]
+def _jsd_half(q: Sequence[float], eps: float, scale: float) -> tuple[list[float], list[float]]:
+    # The static half of the divergence: q smoothed, and its logarithms.
     qs = [(x + eps) / scale for x in q]
+    return qs, np.log(qs).tolist()
+
+
+def _jsd(p: Sequence[float], half: tuple[list[float], list[float]], eps: float, scale: float) -> float:
+    # jsd() without its checks, given q's half, for the decode's step.
+    qs, log_qs = half
+    n = len(qs)
+    ps = [(x + eps) / scale for x in p]
     m = [0.5 * (a + b) for a, b in zip(ps, qs)]
-    logs = np.log(ps + qs + m).tolist()
+    logs = np.log(ps + m).tolist()
     kl_pm = 0.0
     kl_qm = 0.0
     for i in range(n):
-        log_m = logs[2 * n + i]
+        log_m = logs[n + i]
         kl_pm += ps[i] * (logs[i] - log_m)
-        kl_qm += qs[i] * (logs[n + i] - log_m)
+        kl_qm += qs[i] * (log_qs[i] - log_m)
     return max(0.5 * kl_pm + 0.5 * kl_qm, 0.0)
 
 

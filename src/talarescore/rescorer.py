@@ -51,6 +51,7 @@ from .errors import RescoreError, VocabularyMismatchError
 from .fusion import (
     _combine,
     _jsd,
+    _jsd_half,
     _lambda_out_of_range,
     _support_mismatch,
     acoustic_confidence,
@@ -79,7 +80,7 @@ class RescoreConfig:
     collect_traces: bool = False
 
     def __post_init__(self) -> None:
-        if not isinstance(self.k_beam, int) or self.k_beam < 1:
+        if not isinstance(self.k_beam, int) or isinstance(self.k_beam, bool) or self.k_beam < 1:
             raise ValueError("k_beam must be an integer >= 1")
         if not self.delta_beam >= 0:  # NaN fails too
             raise ValueError("delta_beam must be non-negative")
@@ -87,8 +88,8 @@ class RescoreConfig:
             raise ValueError("rho must lie in (0, 1)")
         if not 0 <= self.beta < math.inf:  # NaN fails too
             raise ValueError("beta must be non-negative and finite")
-        if not self.eps_jsd > 0:
-            raise ValueError("eps_jsd must be positive")
+        if not 0 < self.eps_jsd < math.inf:  # NaN fails too
+            raise ValueError("eps_jsd must be positive and finite")
         parse_lambda_mode(self.lambda_mode)
 
 
@@ -266,10 +267,13 @@ class _Scorer:
     ``(arc id, dst, model stroke, w_ac, dst is final)``; ``confidence[node]``
     is the acoustic confidence of their scores, NaN where no step reads it
     (a fixed weight without traces, or a node without outgoing arcs).
+    ``halves`` maps each static distribution the decode has met, by value,
+    to the static half of its divergence; for the built-in prior it is
+    bounded by the prior's memo.
     """
 
     __slots__ = (
-        "vocab", "rho", "beta", "eps", "fixed_lam", "needs_div",
+        "vocab", "rho", "beta", "eps", "scale", "halves", "fixed_lam", "needs_div",
         "advance", "dist", "start", "alpha0", "arcs", "confidence",
     )
 
@@ -279,6 +283,11 @@ class _Scorer:
         self.rho, self.beta, self.eps = cfg.rho, cfg.beta, cfg.eps_jsd
         self.fixed_lam = parse_lambda_mode(cfg.lambda_mode)
         self.needs_div = self.fixed_lam is None or cfg.collect_traces
+        n = model.vocab.num_playable
+        self.scale = 1.0 + n * cfg.eps_jsd
+        if self.needs_div and self.scale == math.inf:
+            raise RescoreError(f"eps_jsd={cfg.eps_jsd!r} overflows the divergence's smoothing of {n} cells")
+        self.halves: dict[tuple, tuple[list[float], list[float]]] = {}
         self.advance, self.dist = static.advance, static.dist
         self.start = static.start()
         self.alpha0 = model.initial_dirichlet(cfg.rho).alpha
@@ -317,7 +326,11 @@ class _Scorer:
             raise self._fusion_error(sid, node, p_static, _support_mismatch(*pair))
         if self.needs_div:
             conf = self.confidence[node]
-            div = _jsd(p_dyn, p_static, self.eps)
+            key = p_static if type(p_static) is tuple else tuple(p_static)
+            half = self.halves.get(key)
+            if half is None:
+                half = self.halves[key] = _jsd_half(p_static, self.eps, self.scale)
+            div = _jsd(p_dyn, half, self.eps, self.scale)
             if lam is None:
                 lam = lambda_k(conf, div)
                 if not 0.0 <= lam <= 1.0:

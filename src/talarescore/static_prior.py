@@ -226,7 +226,9 @@ class TalaIndependentPrior:
 
     The memo key is ``(counts, ctx)``: the window's training count per tala
     (``None`` for an empty window, whose posterior is the normalized prior)
-    and the n-gram context.  Windows never seen in training share one key per
+    and the n-gram context.  The counts come from one probe of a table built
+    with the prior, from each training window to its counts in
+    ``table.talas`` order.  Windows never seen in training share one key per
     context, so the memo is bounded by the training data.  It holds each
     mixture twice, as a tuple and as an array marked read-only, so no caller
     can change what later calls return.
@@ -241,7 +243,14 @@ class TalaIndependentPrior:
             tuple[tuple[int, ...] | None, tuple[int, ...]], tuple[tuple[float, ...], np.ndarray]
         ] = {}
         self._suffix = max(table.w_tau, prior.n - 1)
-        self._window_counts = [table.counts.get(t, {}) for t in table.talas]
+        # Windows seen in no tala share one zero tuple.
+        talas = table.talas
+        merged: dict[tuple[int, ...], list[int]] = {}
+        for i, tala in enumerate(talas):
+            for u, c in table.counts.get(tala, {}).items():
+                merged.setdefault(u, [0] * len(talas))[i] = c
+        self._window_counts = {u: tuple(c) for u, c in merged.items()}
+        self._unseen = (0,) * len(talas)
 
     def start(self) -> tuple[int, ...]:
         """The state of the empty history."""
@@ -269,7 +278,7 @@ class TalaIndependentPrior:
         w_tau = self.table.w_tau
         u = state[len(state) - w_tau :] if len(state) > w_tau else state
         ctx = self.prior.context_of(state)
-        counts = tuple([c.get(u, 0) for c in self._window_counts]) if u else None
+        counts = self._window_counts.get(u, self._unseen) if u else None
         cached = self._cache.get((counts, ctx))
         if cached is not None:
             return cached

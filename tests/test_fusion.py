@@ -9,6 +9,8 @@ import pytest
 from talarescore.dynamic_model import DirichletState, predict
 from talarescore.fusion import (
     LOG2,
+    _jsd,
+    _jsd_half,
     acoustic_confidence,
     combine,
     jsd,
@@ -48,6 +50,12 @@ def test_jsd_analytic_value():
     assert jsd(p, q, 1e-8) == pytest.approx(expected, abs=1e-3)
 
 
+def two_part_jsd(p, q, eps):
+    """The divergence as the decode takes it: q's half, then the rest."""
+    scale = 1.0 + len(q) * eps
+    return _jsd(p, _jsd_half(q, eps, scale), eps, scale)
+
+
 def test_jsd_exact_symmetry_and_bounds_randomized():
     rng = random.Random(11)
     for _ in range(500):
@@ -56,7 +64,7 @@ def test_jsd_exact_symmetry_and_bounds_randomized():
         q = rand_dist(rng, n)
         d_pq = jsd(p, q, 1e-8)
         d_qp = jsd(q, p, 1e-8)
-        assert d_pq == d_qp
+        assert d_pq == d_qp == two_part_jsd(p, q, 1e-8) == two_part_jsd(q, p, 1e-8)
         assert 0.0 <= d_pq <= LOG2 + 1e-12
 
 
@@ -71,8 +79,9 @@ def test_jsd_matches_independent_oracle():
 def test_jsd_rejects_mismatch_and_bad_eps():
     with pytest.raises(ValueError, match="support"):
         jsd(np.array([1.0]), np.array([0.5, 0.5]), 1e-8)
-    with pytest.raises(ValueError, match="eps"):
-        jsd(np.array([1.0, 0.0]), np.array([0.5, 0.5]), 0.0)
+    for eps in (0.0, math.nan, math.inf, 1e308):
+        with pytest.raises(ValueError, match="eps"):
+            jsd(np.array([1.0, 0.0]), np.array([0.5, 0.5]), eps)
 
 
 def test_confidence_single_arc_is_one():
@@ -237,6 +246,7 @@ def test_predict_is_bit_identical_to_numpy_formula():
 
 def test_jsd_is_bit_identical_to_numpy_formula():
     rng = random.Random(7)
+    other = random.Random(8)
     eps = RescoreConfig().eps_jsd
     for n in trial_lengths(rng, 10_000):
         p = rough_dist(rng, n)
@@ -244,6 +254,24 @@ def test_jsd_is_bit_identical_to_numpy_formula():
         got = jsd(p, q, eps)
         assert type(got) is float
         assert got == numpy_jsd(p, q, eps)
+        # One static half serves every p it meets.
+        scale = 1.0 + n * eps
+        half = _jsd_half(q, eps, scale)
+        for p2 in (p, q, rough_dist(other, n)):
+            assert _jsd(p2, half, eps, scale) == numpy_jsd(p2, q, eps)
+
+
+def test_np_log_of_a_cell_does_not_depend_on_its_batch():
+    # The divergence logs the static half apart from the rest, so its bits
+    # rest on np.log giving each cell the same result in any batch.
+    rng = random.Random(48)
+    with np.errstate(divide="ignore"):
+        for length in range(1, 49):
+            for _ in range(20):
+                cells = rough_cells(rng, length)
+                batched = np.log(cells).tolist()
+                for offset, cell in enumerate(cells):
+                    assert np.log([cell]).tolist()[0] == batched[offset]
 
 
 def test_combine_is_bit_identical_to_numpy_formula():

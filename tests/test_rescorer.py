@@ -3,6 +3,7 @@ from __future__ import annotations
 import hashlib
 import math
 import random
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -14,6 +15,7 @@ from talarescore.core import builtin_tala, can_host_tihai, default_vocabulary, g
 from talarescore.dynamic_model import update
 from talarescore.errors import RescoreError, VocabularyMismatchError
 from talarescore.eval import build_training_corpus, split_seed, standard_suite
+from talarescore.fusion import combine, jsd, lambda_k
 from talarescore.lattice import Arc, Lattice, LatticeGenConfig, generate_lattice, viterbi_acoustic
 from talarescore.model import train_model
 from talarescore.rescorer import (
@@ -30,6 +32,9 @@ from .test_properties import PROPERTY_SETTINGS, small_dags
 
 EXHAUSTIVE = RescoreConfig(k_beam=10**9, delta_beam=math.inf)
 WIDE_PIN_SHA256 = "0c6912062dd98b89c9f915a9076508987e2ef4517272bd1252f8755e7c209268"
+# The static-prior memo those decodes leave: its length and the sha256 of its
+# keys, sorted by repr.
+WIDE_PIN_MEMO = (283, "da57ac087908d21401454e43193cf3125fbc240b69ca6fee822d78b47578d2fd")
 
 
 class PathlessPrior:
@@ -66,15 +71,17 @@ def random_grid_lattice(vocab, rng, stages=4, width=2):
         {"delta_beam": math.nan},
         {"eps_jsd": 0.0},
         {"eps_jsd": math.nan},
+        {"eps_jsd": math.inf},
         {"lambda_mode": "sometimes"},
         {"k_beam": 0},
         {"k_beam": 2.5},
+        {"k_beam": True},
         {"rho": 0.0},
         {"rho": 1.0},
     ],
     ids=[
-        "beta<0", "beta=nan", "beta=inf", "delta_beam=nan", "eps_jsd=0", "eps_jsd=nan", "lambda_mode",
-        "k_beam=0", "k_beam=2.5", "rho=0", "rho=1",
+        "beta<0", "beta=nan", "beta=inf", "delta_beam=nan", "eps_jsd=0", "eps_jsd=nan", "eps_jsd=inf",
+        "lambda_mode", "k_beam=0", "k_beam=2.5", "k_beam=True", "rho=0", "rho=1",
     ],
 )
 def test_rescore_config_validation(bad):
@@ -373,6 +380,25 @@ def test_overflowing_score_is_a_rescore_error(vocab, small_model, beta, match):
         rescore(lat, small_model, RescoreConfig(beta=beta))
 
 
+@pytest.mark.parametrize(
+    "mode, traced", [("adaptive", False), ("fixed:0.5", True), ("fixed:0.5", False)],
+    ids=["adaptive", "fixed-traced", "fixed"],
+)
+def test_eps_jsd_that_overflows_the_smoothing_is_a_rescore_error(vocab, small_model, mode, traced):
+    # 1 + 5 * 1e308 overflows, which would make every divergence NaN; a
+    # fixed weight without traces never computes one, so it still decodes.
+    lat = random_grid_lattice(vocab, random.Random(61), stages=4, width=2)
+    cfg = RescoreConfig(lambda_mode=mode, eps_jsd=1e308, collect_traces=traced)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        if mode == "adaptive" or traced:
+            with pytest.raises(RescoreError, match=r"eps_jsd=1e\+308 overflows"):
+                rescore(lat, small_model, cfg)
+        else:
+            hyp, _, _ = rescore(lat, small_model, cfg)
+            assert hyp.strokes == rescore(lat, small_model, replace(cfg, eps_jsd=1e-8))[0].strokes
+
+
 @pytest.mark.parametrize("mode", ["adaptive", "fixed:0.5"])
 @pytest.mark.parametrize("cells", [5, 4], ids=["full", "short"])
 def test_plain_list_prior_decodes_and_a_short_one_is_a_rescore_error(vocab, small_model, mode, cells):
@@ -458,6 +484,73 @@ def test_decodes_are_pinned_where_both_pruning_rules_cut(wide_pin_decodes):
         digest.update(dumps_expanded(exp).encode())
         digest.update(f"counters {' '.join(map(str, counters))}\n".encode())
     assert digest.hexdigest() == WIDE_PIN_SHA256
+
+
+def test_prior_memo_is_pinned_after_the_wide_pin_decodes(wide_pin_decodes):
+    # Every decode shares the model's prior, so its memo holds one entry per
+    # (window counts, context) key those decodes met.
+    memo = wide_pin_decodes[0][1].static_prior()._cache
+    keys = repr(sorted(memo, key=repr)).encode()
+    assert (len(memo), hashlib.sha256(keys).hexdigest()) == WIDE_PIN_MEMO
+
+
+def test_merged_window_counts_equal_the_per_tala_lookups(standard_lattice):
+    _, model = standard_lattice
+    table, ti = model.tala_table, model.static_prior()
+    windows = set().union(*table.counts.values())
+    rng = random.Random(13)
+    unseen = {
+        tuple(rng.randint(1, model.vocab.num_playable) for _ in range(rng.randint(1, table.w_tau)))
+        for _ in range(2000)
+    } - windows
+    assert len(windows) > 1000 and len(unseen) > 1000
+    for u in windows | unseen:
+        expected = tuple(table.counts.get(t, {}).get(u, 0) for t in table.talas)
+        assert ti._window_counts.get(u, ti._unseen) == expected
+
+
+@pytest.mark.parametrize("mode", ["adaptive", "fixed:0.5"])
+def test_traced_steps_equal_the_public_functions(standard_lattice, mode):
+    lat, model = standard_lattice
+    cfg = RescoreConfig(lambda_mode=mode, collect_traces=True)
+    _, _, diag = rescore(lat, model, cfg)
+    assert len(diag.traces) > 1000
+    for tr in diag.traces:
+        assert tr.divergence == jsd(tr.p_dyn, tr.p_static, cfg.eps_jsd)
+        if mode == "adaptive":
+            assert tr.lam == lambda_k(tr.confidence, tr.divergence)
+        assert list(tr.p_comb) == combine(tr.p_static, tr.p_dyn, tr.lam)
+
+
+@pytest.mark.parametrize("kind", ["fresh", "reused"])
+def test_list_prior_varying_with_the_state_decodes_like_the_tuple_prior(standard_lattice, kind):
+    # The divergence's static half is looked up by the distribution's value,
+    # never by the object: a fresh list per call, or one list rewritten in
+    # place, must give the bits of the built-in prior's tuples.
+    lat, model = standard_lattice
+    inner = model.static_prior()
+
+    class ListPrior:
+        buffer = [0.0] * model.vocab.num_playable
+
+        def start(self):
+            return inner.start()
+
+        def advance(self, state, stroke):
+            return inner.advance(state, stroke)
+
+        def dist(self, state):
+            if kind == "fresh":
+                return list(inner.dist(state))
+            self.buffer[:] = inner.dist(state)
+            return self.buffer
+
+    cfg = RescoreConfig(k_beam=60)
+    hyp, exp, diag = rescore(lat, model, cfg, static_prior=ListPrior())
+    ref, ref_exp, ref_diag = rescore(lat, model, cfg)
+    assert hyp.strokes == ref.strokes
+    assert exp.states.acc_score == ref_exp.states.acc_score
+    assert (diag.pops, diag.pushes) == (ref_diag.pops, ref_diag.pushes)
 
 
 def test_path_score_of_the_winner_is_its_acc_score(wide_pin_decodes):
