@@ -37,7 +37,6 @@ from .lattice import (
 from .model import RhythmModel, load_model, save_model, train_model
 from .rescorer import (
     ExpandedLattice,
-    ExpandedState,
     RescoreConfig,
     RescoreDiagnostics,
     path_score,

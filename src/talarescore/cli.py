@@ -148,8 +148,10 @@ def read_config_file(path: Path) -> dict[str, str]:
             continue
         if "=" not in line:
             raise ValueError(f"bad config line (want key=value): {line!r}")
-        key, value = line.split("=", 1)
-        values[key.strip()] = value.strip()
+        key, value = (part.strip() for part in line.split("=", 1))
+        if key in values:
+            raise ValueError(f"repeated config key {key!r}")
+        values[key] = value
     return values
 
 

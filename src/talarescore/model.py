@@ -144,7 +144,8 @@ def loads_model(text: str) -> RhythmModel:
     priors: dict[str, float] = {}
     ngram_counts: dict[str, dict[tuple[int, ...], dict[int, int]]] = {}
     tau_counts: dict[str, dict[tuple[int, ...], int]] = {}
-    alpha_entries: list[tuple[int, int, float]] = []
+    alphas: dict[tuple[int, int], float] = {}
+    tala_uses: dict[str, str] = {}  # tala -> the first count line naming it
     for line in lines[1:]:
         kind, *args = line.split()
         # Tuple unpacking checks each directive's arity; it and every numeric
@@ -159,6 +160,8 @@ def loads_model(text: str) -> RhythmModel:
                     raise ValueError(f"{kind} must be positive and finite")
                 header[kind] = value
             elif kind == "vocab":
+                if vocab is not None:
+                    raise ValueError("repeated vocab line")
                 # Count keys, which follow the vocab line, are checked
                 # against n and w_tau as they are read.
                 missing = set(_HEADER_FIELDS) - set(header)
@@ -172,6 +175,8 @@ def loads_model(text: str) -> RhythmModel:
                 prior = float(raw)
                 if not (prior > 0 and math.isfinite(prior)):
                     raise ValueError("tala prior must be positive and finite")
+                if tala in priors:
+                    raise ValueError(f"repeated tala {tala!r}")
                 priors[tala] = prior
             elif kind == "count":
                 tala, *ctx_syms, nxt_sym, raw = args
@@ -182,20 +187,31 @@ def loads_model(text: str) -> RhythmModel:
                 count = int(raw)
                 if count < 0:
                     raise ValueError("count must be non-negative")
-                ngram_counts.setdefault(tala, {}).setdefault(ctx, {})[nxt] = count
+                row = ngram_counts.setdefault(tala, {}).setdefault(ctx, {})
+                if nxt in row:
+                    raise ValueError("repeated count key")
+                row[nxt] = count
+                tala_uses.setdefault(tala, line)
             elif kind == "taucount":
                 tala, *win_syms, raw = args
                 window = tuple(vocab.id_of(s) for s in win_syms)
                 count = int(raw)
                 if count < 0 or not 0 < len(window) <= header["w_tau"]:
                     raise ValueError("want a window of 1..w_tau strokes and a non-negative count")
-                tau_counts.setdefault(tala, {})[window] = count
+                windows = tau_counts.setdefault(tala, {})
+                if window in windows:
+                    raise ValueError("repeated taucount key")
+                windows[window] = count
+                tala_uses.setdefault(tala, line)
             elif kind == "alpha":
                 prev_sym, next_sym, raw = args
                 value = float(raw)
                 if not (value > 0 and math.isfinite(value)):
                     raise ValueError("alpha must be positive and finite")
-                alpha_entries.append((vocab.id_of(prev_sym), _playable_id(vocab, next_sym), value))
+                key = (vocab.id_of(prev_sym), _playable_id(vocab, next_sym))
+                if key in alphas:
+                    raise ValueError("repeated alpha key")
+                alphas[key] = value
             else:
                 raise ModelFormatError(f"unknown directive: {kind!r}")
         except ValueError as exc:
@@ -207,6 +223,9 @@ def loads_model(text: str) -> RhythmModel:
         raise ModelFormatError("missing vocab line")
     if not priors:
         raise ModelFormatError("no tala lines")
+    for tala, line in tala_uses.items():
+        if tala not in priors:
+            raise ModelFormatError(f"bad {line.split()[0]} line {line!r}: no tala line for {tala!r}")
     eps_dir = header["eps_dir"]
     for tala in priors:
         ngram_counts.setdefault(tala, {})
@@ -215,7 +234,7 @@ def loads_model(text: str) -> RhythmModel:
     table = TalaPosteriorTable(header["w_tau"], header["laplace_k"], tau_counts, priors)
     alpha0 = np.full((vocab.num_symbols, vocab.num_playable), eps_dir, dtype=float)
     alpha0[SENTINEL_ID, :] = 1.0
-    for prev, nxt, value in alpha_entries:
+    for (prev, nxt), value in alphas.items():
         alpha0[prev, nxt - 1] = value
     return RhythmModel(vocab=vocab, prior=prior, tala_table=table, alpha0=alpha0, eps_dir=eps_dir)
 

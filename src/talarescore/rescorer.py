@@ -15,10 +15,10 @@ tree rooted at the start state.  Pruning only stops further expansion: states
 already added to the expanded lattice keep competing in the final selection.
 
 A pushed state is one row of parallel columns (node, parent, arc, stroke,
-weight, accumulated score); the :class:`ExpandedState` record is built only
-when a caller reads it.  Its static-prior state and Dirichlet snapshot are
-built from its parent's only when it is popped with outgoing arcs, and are
-kept as the prior state and the bare pseudo-count array.  The prior is
+weight, accumulated score).  Its static-prior state and Dirichlet snapshot
+are built from its parent's only when it is popped with outgoing arcs, and
+are kept in two dicts by state id, as the prior state and the bare
+pseudo-count array.  The prior is
 stepped through the :class:`~talarescore.static_prior.NextStrokePrior`
 protocol, whose state holds only the strokes the prior reads (the built-in
 prior keeps the last ``max(w_tau, n - 1)``, with the model's trained tala
@@ -39,14 +39,14 @@ from __future__ import annotations
 
 import bisect
 import math
-from collections.abc import Iterator, Mapping, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from .core import SENTINEL_ID, StrokeSequence, StrokeVocabulary
-from .dynamic_model import DirichletState, _observe, _predict
+from .dynamic_model import _observe, _predict
 from .errors import RescoreError, VocabularyMismatchError
 from .fusion import (
     _combine,
@@ -93,33 +93,14 @@ class RescoreConfig:
         parse_lambda_mode(self.lambda_mode)
 
 
-@dataclass(slots=True, eq=False)
-class ExpandedState:
-    """One decoding state, as pushed: a backpointer record.
-
-    ``stroke`` is the model stroke id of the arc from ``parent`` (the start
-    sentinel at the root), ``weight`` that arc's rescored weight (0.0 at the
-    root) and ``acc_score`` the sum of those weights along the backpointer
-    chain.  The state's history is the chain's strokes; see
-    ``ExpandedLattice.history``.
-    """
-
-    id: int
-    node: int
-    parent: int | None
-    arc_id: int | None
-    stroke: int
-    weight: float
-    acc_score: float
-
-
-class _StateColumns(Sequence[ExpandedState]):
+class _StateColumns:
     """The expanded states as parallel columns indexed by state id.
 
-    Each column is a list named after the :class:`ExpandedState` field it
-    holds; ``parent`` and ``arc_id`` are None at the root.  ``states[i]``
-    builds the record of state ``i`` and ``append`` takes a record apart, so
-    the columns read and grow as a list of records would.
+    ``node`` is the state's lattice node, ``parent`` the id of the state it
+    was pushed from, ``arc_id`` the lattice arc between them (both None at
+    the root), ``stroke`` that arc's model stroke id (the start sentinel at
+    the root), ``weight`` its rescored weight (0.0 at the root) and
+    ``acc_score`` the sum of those weights along the backpointer chain.
     """
 
     __slots__ = ("node", "parent", "arc_id", "stroke", "weight", "acc_score")
@@ -135,79 +116,27 @@ class _StateColumns(Sequence[ExpandedState]):
     def __len__(self) -> int:
         return len(self.node)
 
-    def __getitem__(self, index: int | slice) -> ExpandedState | list[ExpandedState]:
-        if isinstance(index, slice):
-            return [self[i] for i in range(*index.indices(len(self.node)))]
-        i = range(len(self.node))[index]  # negative ids count from the end
-        return ExpandedState(
-            i, self.node[i], self.parent[i], self.arc_id[i], self.stroke[i], self.weight[i], self.acc_score[i]
-        )
-
-    def __iter__(self) -> Iterator[ExpandedState]:
-        return map(self.__getitem__, range(len(self.node)))
-
-    def append(self, state: ExpandedState) -> None:
-        if state.id != len(self.node):
-            raise ValueError(f"state id {state.id} is not the next id {len(self.node)}")
-        self.node.append(state.node)
-        self.parent.append(state.parent)
-        self.arc_id.append(state.arc_id)
-        self.stroke.append(state.stroke)
-        self.weight.append(state.weight)
-        self.acc_score.append(state.acc_score)
-
-
-class _Snapshots(Mapping[int, tuple[object, DirichletState]]):
-    """Snapshots of the popped states, keyed by state id.
-
-    ``prior[sid]`` is the static-prior state and ``alpha[sid]`` the bare
-    Dirichlet pseudo-count array; every snapshot of a decode shares its
-    forgetting rate ``rho``.  ``snapshots[sid]`` builds the pair
-    ``(prior state, DirichletState)``.
-    """
-
-    __slots__ = ("rho", "prior", "alpha")
-
-    def __init__(self, rho: float = RescoreConfig.rho) -> None:
-        self.rho = rho
-        self.prior: dict[int, object] = {}
-        self.alpha: dict[int, np.ndarray] = {}
-
-    def __getitem__(self, sid: int) -> tuple[object, DirichletState]:
-        return self.prior[sid], DirichletState(self.alpha[sid], self.rho)
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.alpha)
-
-    def __len__(self) -> int:
-        return len(self.alpha)
-
 
 @dataclass(eq=False)
 class ExpandedLattice:
     """Tree of expanded states; terminals sit on final acoustic nodes.
 
-    Each non-root state is the head of exactly one expanded arc, the one from
-    its ``parent``; the tree's arcs are therefore ``states[1:]``.  A parent's
-    id is always below its children's.  ``states`` reads as a list of
-    :class:`ExpandedState` records but stores one list per field
-    (``states.node``, ``states.parent``, ..., ``states.acc_score``).
-    ``snapshots`` maps the id of each state popped with outgoing arcs (the
-    root included) to its static-prior state and Dirichlet snapshot, stored
-    as the prior state and the bare pseudo-count array (``snapshots.prior``,
-    ``snapshots.alpha``); states never expanded have none.  For the built-in
-    prior the prior state is the last ``max(w_tau, n - 1)`` strokes of the
-    state's playable history, ``w_tau`` being the model's tala window.
+    The root is state 0.  Each non-root state is the head of exactly one
+    expanded arc, the one from its parent; a parent's id is always below its
+    children's.  ``states`` holds one list per field (``states.node``,
+    ``states.parent``, ..., ``states.acc_score``).  ``prior_states`` and
+    ``alphas`` map the id of each state popped with outgoing arcs (the root
+    included) to its static-prior state and its bare Dirichlet pseudo-count
+    array; states never expanded have neither.  For the built-in prior the
+    prior state is the last ``max(w_tau, n - 1)`` strokes of the state's
+    playable history, ``w_tau`` being the model's tala window.
     """
 
     vocab: StrokeVocabulary
     states: _StateColumns = field(default_factory=_StateColumns)
     terminals: list[int] = field(default_factory=list)
-    snapshots: _Snapshots = field(default_factory=_Snapshots)
-
-    @property
-    def start_state(self) -> int:
-        return 0
+    prior_states: dict[int, object] = field(default_factory=dict)
+    alphas: dict[int, np.ndarray] = field(default_factory=dict)
 
     def history(self, state_id: int) -> tuple[int, ...]:
         """Stroke ids from the root to ``state_id``, led by the start sentinel."""
@@ -387,14 +316,19 @@ def rescore(
     collect = cfg.collect_traces
     delta_beam, k_beam = cfg.delta_beam, cfg.k_beam
 
-    exp = ExpandedLattice(vocab=model.vocab, snapshots=_Snapshots(cfg.rho))
+    exp = ExpandedLattice(vocab=model.vocab)
     diag = RescoreDiagnostics()
     cols, terminals = exp.states, exp.terminals
     nodes, parents, strokes, accs = cols.node, cols.parent, cols.stroke, cols.acc_score
     add_node, add_parent, add_arc = nodes.append, parents.append, cols.arc_id.append
     add_stroke, add_weight, add_acc = strokes.append, cols.weight.append, accs.append
-    prior_snaps, alpha_snaps = exp.snapshots.prior, exp.snapshots.alpha
-    cols.append(ExpandedState(0, lat.start, None, None, SENTINEL_ID, 0.0, 0.0))
+    prior_snaps, alpha_snaps = exp.prior_states, exp.alphas
+    add_node(lat.start)
+    add_parent(None)
+    add_arc(None)
+    add_stroke(SENTINEL_ID)
+    add_weight(0.0)
+    add_acc(0.0)
     prior_snaps[0], alpha_snaps[0] = scorer.start, scorer.alpha0
 
     pops = pruned_band = pruned_capacity = max_queue = 0
@@ -532,7 +466,7 @@ def dumps_expanded(exp: ExpandedLattice) -> str:
 
     Node ids are expanded-state ids.  Not loadable as a model input.
     """
-    lines = ["lattice v1", f"vocab {exp.vocab.num_playable}", f"start {exp.start_state}"]
+    lines = ["lattice v1", f"vocab {exp.vocab.num_playable}", "start 0"]
     if exp.terminals:
         lines.append("final " + " ".join(str(t) for t in exp.terminals))
     cols = exp.states

@@ -143,16 +143,22 @@ def test_criterion_2_degeneracy_identities(small_lattice_ensemble, model):
                 cfg = replace(EXHAUSTIVE, lambda_mode=mode, collect_traces=True)
                 _, exp, diag = rescore(lat, model, cfg)
                 suffix = max(model.tala_table.w_tau, model.prior.n - 1)
+                # The Dirichlet state of each history, updated eagerly one
+                # transition at a time; a parent pops before its children.
+                eager = {(0,): model.initial_dirichlet(cfg.rho)}
                 assert diag.traces
                 for tr in diag.traces:
                     history = exp.history(tr.state_id)
-                    prior_state, dirichlet = exp.snapshots[tr.state_id]
-                    assert prior_state == history[1:][-suffix:]
+                    if len(history) > 1:
+                        eager[history] = update(eager[history[:-1]], history[-2], history[-1])
+                    assert exp.prior_states[tr.state_id] == history[1:][-suffix:]
                     if component == "static":
-                        ref = np.array(ti_prior_dist(model, history[1:]))
+                        refs = [np.array(ti_prior_dist(model, history[1:]))]
                     else:
-                        ref = np.array(predict(dirichlet, history[-1]))
-                    assert np.max(np.abs(np.asarray(tr.p_comb) - ref)) < 1e-12
+                        stored = DirichletState(exp.alphas[tr.state_id], cfg.rho)
+                        refs = [np.array(predict(state, history[-1])) for state in (stored, eager[history])]
+                    for ref in refs:
+                        assert np.max(np.abs(np.asarray(tr.p_comb) - ref)) < 1e-12
 
 
 def test_criterion_3_numerical_invariants(model, vocab):
@@ -248,9 +254,9 @@ def test_criterion_5_state_expansion_keeps_merged_histories(model, vocab):
         )
         lat = Lattice(vocab=vocab, n_nodes=5, arcs=arcs, start=0, finals=frozenset({4}))
         _, exp, _ = rescore(lat, model, EXHAUSTIVE)
-        merged = [s for s in exp.states if s.node == 3]
+        merged = [sid for sid, node in enumerate(exp.states.node) if node == 3]
         assert len(merged) == 3
-        assert {exp.history(s.id)[1:] for s in merged} == {(dha, dha), (dha, na), (tin, tin)}
+        assert {exp.history(sid)[1:] for sid in merged} == {(dha, dha), (dha, na), (tin, tin)}
 
 
 def test_criterion_6_trend_reproduction(benchmark_report):

@@ -324,8 +324,12 @@ def test_config_file_given_with_equals_sign_is_applied(tmp_path):
         assert exc.value.code == 2
 
 
-@pytest.mark.parametrize("content", [None, "tala=tintal\ncycles\n"], ids=["missing", "no-equals"])
-def test_unreadable_config_file_is_a_usage_error(tmp_path, capsys, content):
+@pytest.mark.parametrize(
+    ("content", "named"),
+    [(None, "gen.cfg"), ("tala=tintal\ncycles\n", "'cycles'"), ("cycles=2\ncycles = 3\n", "'cycles'")],
+    ids=["missing", "no-equals", "repeated-key"],
+)
+def test_unreadable_config_file_is_a_usage_error(tmp_path, capsys, content, named):
     cfg = tmp_path / "gen.cfg"
     if content is not None:
         cfg.write_text(content, encoding="utf-8")
@@ -334,7 +338,14 @@ def test_unreadable_config_file_is_a_usage_error(tmp_path, capsys, content):
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert "error: --config: " in err and "Traceback" not in err
-    assert ("gen.cfg" if content is None else "'cycles'") in err
+    assert named in err
+
+
+def test_bench_suite_file_with_a_repeated_key_fails(tmp_path, capsys):
+    suite = tmp_path / "suite.cfg"
+    suite.write_text("rho=0.1\nrho=0.5\n", encoding="utf-8")
+    assert run(["bench", "--suite", str(suite), "--out-dir", str(tmp_path / "out")]) == 1
+    assert "repeated config key 'rho'" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

@@ -99,6 +99,8 @@ VALID_MODEL = "tiprior v1\nn 2\nlaplace_k 1.0\nw_tau 4\neps_dir 1.0\nvocab Dha N
         "count t Na 7", "count t Dha Na Na 7", "taucount t Dha Na Dha Na Dha 1",
         # a header value redefined after count keys were checked against it
         "n 3",
+        # a second vocab or tala line, and counts for a tala with no tala line
+        "vocab Dha Na", "tala t 1.0", "count u Dha Na 1", "taucount u Dha 1",
     ],
 )
 def test_malformed_model_lines_name_the_line(bad):
@@ -106,6 +108,14 @@ def test_malformed_model_lines_name_the_line(bad):
     with pytest.raises(ModelFormatError) as exc:
         loads_model(VALID_MODEL + bad + "\n")
     assert repr(bad) in str(exc.value)
+
+
+@pytest.mark.parametrize("line", ["count t Dha Na 1", "taucount t Dha Na 1", "alpha Dha Na 2.0"])
+def test_repeated_model_keys_name_the_line(line):
+    loads_model(VALID_MODEL + line + "\n")
+    with pytest.raises(ModelFormatError) as exc:
+        loads_model(VALID_MODEL + line + "\n" + line + "\n")
+    assert f"{line!r}: repeated" in str(exc.value)
 
 
 def test_count_keys_are_checked_against_the_header():

@@ -72,7 +72,7 @@ def test_exhaustive_rescore_equals_replay_oracle(small_model, mode, lat):
     hyp, exp, _ = rescore(lat, small_model, cfg)
     oracle_labels, oracle_score = best_path_by_replay(lat, small_model, cfg)
     assert hyp.strokes == oracle_labels
-    assert max(exp.states[t].acc_score for t in exp.terminals) == pytest.approx(oracle_score, abs=1e-9)
+    assert max(exp.states.acc_score[t] for t in exp.terminals) == pytest.approx(oracle_score, abs=1e-9)
 
 
 @PROPERTY_SETTINGS

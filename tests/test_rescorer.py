@@ -12,7 +12,7 @@ from hypothesis import given
 
 from talarescore import rescorer
 from talarescore.core import builtin_tala, can_host_tihai, default_vocabulary, generate_sequence
-from talarescore.dynamic_model import update
+from talarescore.dynamic_model import DirichletState, update
 from talarescore.errors import RescoreError, VocabularyMismatchError
 from talarescore.eval import build_training_corpus, split_seed, standard_suite
 from talarescore.fusion import combine, jsd, lambda_k
@@ -129,7 +129,7 @@ def test_exhaustive_rescore_matches_replay_oracle(vocab, small_model):
             hyp, exp, _ = rescore(lat, small_model, cfg)
             oracle_labels, oracle_score = best_path_by_replay(lat, small_model, cfg)
             assert hyp.strokes == oracle_labels
-            best_acc = max(exp.states[t].acc_score for t in exp.terminals)
+            best_acc = max(exp.states.acc_score[t] for t in exp.terminals)
             assert best_acc == pytest.approx(oracle_score, abs=1e-9)
 
 
@@ -145,8 +145,8 @@ def test_appendix_style_diamond_keeps_three_histories(vocab, small_model):
     )
     lat = Lattice(vocab=vocab, n_nodes=5, arcs=arcs, start=0, finals=frozenset({4}))
     _, exp, _ = rescore(lat, small_model, EXHAUSTIVE)
-    merged = [s for s in exp.states if s.node == 3]
-    histories = {exp.history(s.id)[1:] for s in merged}
+    merged = [sid for sid, node in enumerate(exp.states.node) if node == 3]
+    histories = {exp.history(sid)[1:] for sid in merged}
     assert len(merged) == 3
     assert histories == {(dha, dha), (dha, na), (tin, tin)}
 
@@ -155,26 +155,28 @@ def test_expanded_lattice_is_a_tree(vocab, small_model):
     rng = random.Random(8)
     lat = random_grid_lattice(vocab, rng, stages=5, width=3)
     _, exp, _ = rescore(lat, small_model, EXHAUSTIVE)
-    for st in exp.states:
-        if st.id == 0:
-            assert st.parent is None
-            assert exp.history(st.id) == (0,)
+    cols = exp.states
+    for sid in range(len(cols)):
+        parent = cols.parent[sid]
+        if sid == 0:
+            assert parent is None
+            assert exp.history(sid) == (0,)
         else:
-            assert st.parent is not None
-            assert exp.history(st.id) == exp.history(st.parent) + (st.stroke,)
+            assert parent is not None
+            assert exp.history(sid) == exp.history(parent) + (cols.stroke[sid],)
             # depth equals history length minus the sentinel
-            assert len(exp.arc_chain(st.id)) == len(exp.history(st.id)) - 1
+            assert len(exp.arc_chain(sid)) == len(exp.history(sid)) - 1
     # Terminal scores equal the sum of arc weights along their chains.
     for t in exp.terminals:
         acc = 0.0
-        st = exp.states[t]
+        sid = t
         chain = []
-        while st.parent is not None:
-            chain.append(st.weight)
-            st = exp.states[st.parent]
+        while cols.parent[sid] is not None:
+            chain.append(cols.weight[sid])
+            sid = cols.parent[sid]
         for weight in reversed(chain):
             acc += weight
-        assert acc == pytest.approx(exp.states[t].acc_score, abs=1e-12)
+        assert acc == pytest.approx(cols.acc_score[t], abs=1e-12)
 
 
 def test_fixed_lambda_traces_match_component_models(vocab, small_model):
@@ -191,12 +193,11 @@ def test_fixed_lambda_traces_match_component_models(vocab, small_model):
         assert diag.traces
         for tr in diag.traces:
             history = exp.history(tr.state_id)
-            prior_state, dirichlet = exp.snapshots[tr.state_id]
-            assert prior_state == history[1:][-suffix:]
+            assert exp.prior_states[tr.state_id] == history[1:][-suffix:]
             if pick == "static":
                 ref = np.array(ti_prior_dist(small_model, history[1:]))
             else:
-                ref = np.array(predict(dirichlet, history[-1]))
+                ref = np.array(predict(DirichletState(exp.alphas[tr.state_id], cfg.rho), history[-1]))
             assert np.max(np.abs(np.asarray(tr.p_comb) - ref)) < 1e-12
 
 
@@ -212,7 +213,7 @@ def test_beam_monotonicity_on_seeded_ensemble(vocab, small_model):
         best_scores = []
         for cfg in settings:
             _, exp, _ = rescore(lat, small_model, cfg)
-            best_scores.append(max(exp.states[t].acc_score for t in exp.terminals))
+            best_scores.append(max(exp.states.acc_score[t] for t in exp.terminals))
         assert best_scores[0] <= best_scores[1] + 1e-12
         assert best_scores[1] <= best_scores[2] + 1e-12
 
@@ -293,44 +294,18 @@ def test_expanded_dump_contains_histories(vocab, small_model):
     assert "# history 1 Dha" in text
 
 
-def test_state_columns_read_as_a_list_of_records(vocab, small_model):
-    lat = random_grid_lattice(vocab, random.Random(8), stages=3, width=2)
-    _, exp, _ = rescore(lat, small_model, EXHAUSTIVE)
-    records = list(exp.states)
-    assert len(records) == len(exp.states) > 1
-    assert [st.id for st in records] == list(range(len(records)))
-    assert exp.states[-1].id == len(records) - 1
-    assert [st.id for st in exp.states[1:3]] == [1, 2]
-    for st in records:
-        assert (st.node, st.parent, st.arc_id, st.stroke, st.weight, st.acc_score) == (
-            exp.states.node[st.id], exp.states.parent[st.id], exp.states.arc_id[st.id],
-            exp.states.stroke[st.id], exp.states.weight[st.id], exp.states.acc_score[st.id],
-        )
-    with pytest.raises(IndexError):
-        exp.states[len(records)]
-    with pytest.raises(ValueError, match="not the next id"):
-        exp.states.append(records[1])
-    # Each snapshot's Dirichlet state is built over the stored array.
-    for sid in exp.snapshots:
-        prior_state, dirichlet = exp.snapshots[sid]
-        assert prior_state is exp.snapshots.prior[sid] and dirichlet.alpha is exp.snapshots.alpha[sid]
-
-
 def test_viterbi_expanded_picks_best_terminal_directly(vocab, small_model):
-    from talarescore.rescorer import ExpandedState
-
     exp = ExpandedLattice(vocab=vocab)
-    exp.states.append(
-        ExpandedState(id=0, node=0, parent=None, arc_id=None, stroke=0, weight=0.0, acc_score=0.0)
-    )
-    for sid, (label, score, arc_id) in enumerate([(1, -1.0, 0), (2, -2.0, 1)], start=1):
-        exp.states.append(
-            ExpandedState(
-                id=sid, node=1, parent=0, arc_id=arc_id, stroke=label,
-                weight=score, acc_score=score,
-            )
-        )
-        exp.terminals.append(sid)
+    cols = exp.states
+    rows = [(0, None, None, 0, 0.0, 0.0), (1, 0, 0, 1, -1.0, -1.0), (1, 0, 1, 2, -2.0, -2.0)]
+    for node, parent, arc_id, stroke, weight, acc_score in rows:
+        cols.node.append(node)
+        cols.parent.append(parent)
+        cols.arc_id.append(arc_id)
+        cols.stroke.append(stroke)
+        cols.weight.append(weight)
+        cols.acc_score.append(acc_score)
+    exp.terminals.extend([1, 2])
     assert viterbi_expanded(exp).strokes == (1,)
 
 
@@ -420,7 +395,7 @@ def test_plain_list_prior_decodes_and_a_short_one_is_a_rescore_error(vocab, smal
     hyp, exp, _ = rescore(lat, small_model, cfg, static_prior=ListPrior())
     ref, ref_exp, _ = rescore(lat, small_model, cfg, static_prior=ArrayPrior())
     assert hyp.strokes == ref.strokes
-    assert [st.acc_score for st in exp.states] == [st.acc_score for st in ref_exp.states]
+    assert exp.states.acc_score == ref_exp.states.acc_score
 
 
 def suite_lattices(per_tala):
@@ -610,24 +585,37 @@ def test_history_and_dirichlet_are_built_at_pop(monkeypatch, standard_lattice, k
     assert len(calls) == len(expanded) - 1
     assert diag.pruned_capacity > 0
     # States cut by capacity, or never popped, hold no snapshot.
-    assert set(exp.snapshots) == set(expanded)
+    assert set(exp.prior_states) == set(exp.alphas) == set(expanded)
 
     # Every history, cut states included, extends its parent's by its stroke.
+    cols = exp.states
     histories = {0: (0,)}
     assert exp.history(0) == (0,)
-    for st in exp.states[1:]:
-        histories[st.id] = histories[st.parent] + (st.stroke,)
-        assert exp.history(st.id) == histories[st.id]
+    for sid in range(1, len(cols)):
+        histories[sid] = histories[cols.parent[sid]] + (cols.stroke[sid],)
+        assert exp.history(sid) == histories[sid]
 
     # Each snapshot holds the last max(w_tau, n-1) strokes of its history as
     # the prior state, and a Dirichlet state bit-identical to the initial
     # state updated along its history one transition at a time.
     suffix = max(model.tala_table.w_tau, model.prior.n - 1)
     eager = {0: model.initial_dirichlet(cfg.rho)}
-    for sid in sorted(exp.snapshots):
-        st = exp.states[sid]
+    for sid in sorted(exp.alphas):
         if sid:
-            eager[sid] = update(eager[st.parent], exp.history(st.parent)[-1], st.stroke)
-        prior_state, dirichlet = exp.snapshots[sid]
-        assert prior_state == exp.history(sid)[1:][-suffix:]
-        assert np.array_equal(dirichlet.alpha, eager[sid].alpha)
+            parent = cols.parent[sid]
+            eager[sid] = update(eager[parent], exp.history(parent)[-1], cols.stroke[sid])
+        assert exp.prior_states[sid] == exp.history(sid)[1:][-suffix:]
+        assert np.array_equal(exp.alphas[sid], eager[sid].alpha)
+
+
+def test_expanded_lattice_holds_one_row_per_pushed_state(standard_lattice):
+    """Counters read ``len(exp.states)`` as the number of states: one row per
+    push plus the root, in every column, and a snapshot for exactly the
+    states popped with outgoing arcs."""
+    lat, model = standard_lattice
+    _, exp, diag = rescore(lat, model, RescoreConfig(collect_traces=True))
+    cols = exp.states
+    assert len(cols) == diag.pushes + 1
+    for column in (cols.node, cols.parent, cols.arc_id, cols.stroke, cols.weight, cols.acc_score):
+        assert len(column) == len(cols)
+    assert set(exp.prior_states) == set(exp.alphas) == {tr.state_id for tr in diag.traces}
