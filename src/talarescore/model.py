@@ -15,7 +15,8 @@ Persists to a versioned line-oriented text file that round-trips exactly:
     alpha <prev> <next> <value>
 
 ``alpha`` lines carry only entries that differ from their defaults (``eps_dir``
-on playable rows, 1 on the sentinel row).
+on playable rows, 1 on the sentinel row).  Counts and ``laplace_k`` are at
+most 2**53 and tala priors lie in (0, 1].
 """
 
 from __future__ import annotations
@@ -158,6 +159,8 @@ def loads_model(text: str) -> RhythmModel:
                 value = _HEADER_FIELDS[kind](raw)
                 if not (value > 0 and math.isfinite(value)):
                     raise ValueError(f"{kind} must be positive and finite")
+                if kind == "laplace_k" and value > _MAX_COUNT:
+                    raise ValueError("laplace_k must not exceed 2**53")
                 header[kind] = value
             elif kind == "vocab":
                 if vocab is not None:
@@ -173,8 +176,8 @@ def loads_model(text: str) -> RhythmModel:
             elif kind == "tala":
                 tala, raw = args
                 prior = float(raw)
-                if not (prior > 0 and math.isfinite(prior)):
-                    raise ValueError("tala prior must be positive and finite")
+                if not 0 < prior <= 1:
+                    raise ValueError("tala prior must lie in (0, 1]")
                 if tala in priors:
                     raise ValueError(f"repeated tala {tala!r}")
                 priors[tala] = prior
@@ -185,8 +188,8 @@ def loads_model(text: str) -> RhythmModel:
                 ctx = tuple(vocab.id_of(s) for s in ctx_syms)
                 nxt = _playable_id(vocab, nxt_sym)
                 count = int(raw)
-                if count < 0:
-                    raise ValueError("count must be non-negative")
+                if not 0 <= count <= _MAX_COUNT:
+                    raise ValueError("count must lie in 0..2**53")
                 row = ngram_counts.setdefault(tala, {}).setdefault(ctx, {})
                 if nxt in row:
                     raise ValueError("repeated count key")
@@ -196,8 +199,8 @@ def loads_model(text: str) -> RhythmModel:
                 tala, *win_syms, raw = args
                 window = tuple(vocab.id_of(s) for s in win_syms)
                 count = int(raw)
-                if count < 0 or not 0 < len(window) <= header["w_tau"]:
-                    raise ValueError("want a window of 1..w_tau strokes and a non-negative count")
+                if not (0 <= count <= _MAX_COUNT and 0 < len(window) <= header["w_tau"]):
+                    raise ValueError("want a window of 1..w_tau strokes and a count in 0..2**53")
                 windows = tau_counts.setdefault(tala, {})
                 if window in windows:
                     raise ValueError("repeated taucount key")
@@ -240,6 +243,9 @@ def loads_model(text: str) -> RhythmModel:
 
 
 _HEADER_FIELDS = {"n": int, "laplace_k": float, "w_tau": int, "eps_dir": float}
+# The largest count or laplace_k: with tala priors in (0, 1], every n-gram row
+# total and tala posterior weight stays finite.
+_MAX_COUNT = 2**53
 
 
 def _playable_id(vocab: StrokeVocabulary, symbol: str) -> int:

@@ -3,9 +3,10 @@
 The static prior is a mixture: an online posterior over the latent tala,
 estimated from a recent-history window, weights per-tala Laplace-smoothed
 n-gram distributions over the next stroke.  Trained tables are immutable and
-may be shared across threads; :class:`TalaIndependentPrior` memoizes the
-mixture on the values it depends on, so its memo is bounded by the training
-data, not by decode traffic.
+may be shared across threads.  :class:`TalaIndependentPrior` is stepped along
+a path and answers one query, ``dist``; it memoizes the mixture on the values
+it depends on, so its memo is bounded by the training data, not by decode
+traffic.
 """
 
 from __future__ import annotations
@@ -220,18 +221,16 @@ class TalaIndependentPrior:
     Its state is the tuple of the last ``max(w_tau, n - 1)`` strokes, all
     the mixture reads.  ``start()`` is the empty history's state,
     ``advance(state, stroke)`` checks the stroke id and appends it, and
-    ``dist(state)`` returns the mixture as a tuple of floats.  Outside
-    decoding, ``prob(history)`` is ``dist`` of the history's state, as a
-    read-only array.
+    ``dist(state)`` returns the mixture as a tuple of floats; it is the one
+    query.
 
     The memo key is ``(counts, ctx)``: the window's training count per tala
     (``None`` for an empty window, whose posterior is the normalized prior)
     and the n-gram context.  The counts come from one probe of a table built
     with the prior, from each training window to its counts in
     ``table.talas`` order.  Windows never seen in training share one key per
-    context, so the memo is bounded by the training data.  It holds each
-    mixture twice, as a tuple and as an array marked read-only, so no caller
-    can change what later calls return.
+    context, so the memo is bounded by the training data.  Each value is the
+    mixture's tuple, which no caller can change.
     """
 
     def __init__(self, prior: NGramPrior, table: TalaPosteriorTable):
@@ -239,9 +238,7 @@ class TalaIndependentPrior:
             raise ValueError("prior and posterior table trained on different tala sets")
         self.prior = prior
         self.table = table
-        self._cache: dict[
-            tuple[tuple[int, ...] | None, tuple[int, ...]], tuple[tuple[float, ...], np.ndarray]
-        ] = {}
+        self._cache: dict[tuple[tuple[int, ...] | None, tuple[int, ...]], tuple[float, ...]] = {}
         self._suffix = max(table.w_tau, prior.n - 1)
         # Windows seen in no tala share one zero tuple.
         talas = table.talas
@@ -265,27 +262,14 @@ class TalaIndependentPrior:
 
     def dist(self, state: tuple[int, ...]) -> tuple[float, ...]:
         """The next-stroke mixture after ``state``, as a tuple of floats."""
-        return self._entry(state)[0]
-
-    def prob(self, history: Sequence[int]) -> np.ndarray:
-        """The next-stroke mixture after ``history``, as a read-only array."""
-        state = tuple(history[-self._suffix :]) if self._suffix else ()
-        if state and (min(state) < 1 or max(state) > self.prior.num_playable):
-            raise VocabularyError(f"history {state} holds a stroke id outside the prior's vocabulary")
-        return self._entry(state)[1]
-
-    def _entry(self, state: tuple[int, ...]) -> tuple[tuple[float, ...], np.ndarray]:
         w_tau = self.table.w_tau
         u = state[len(state) - w_tau :] if len(state) > w_tau else state
         ctx = self.prior.context_of(state)
         counts = self._window_counts.get(u, self._unseen) if u else None
         cached = self._cache.get((counts, ctx))
-        if cached is not None:
-            return cached
-        post = self.table.posterior(u)
-        mix = np.zeros(self.prior.num_playable)
-        for weight, tala in zip(post, self.table.talas):
-            mix += weight * self.prior.distribution(tala, ctx)
-        mix.flags.writeable = False
-        cached = self._cache[counts, ctx] = (tuple(mix.tolist()), mix)
+        if cached is None:
+            mix = np.zeros(self.prior.num_playable)
+            for weight, tala in zip(self.table.posterior(u), self.table.talas):
+                mix += weight * self.prior.distribution(tala, ctx)
+            cached = self._cache[counts, ctx] = tuple(mix.tolist())
         return cached

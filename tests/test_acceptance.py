@@ -40,6 +40,7 @@ from talarescore.model import train_model
 from talarescore.rescorer import RescoreConfig, rescore
 
 from .oracles import best_path_by_replay, levenshtein_distance, path_count, ti_prior_dist
+from .test_static_prior import dist_after
 
 EXHAUSTIVE = RescoreConfig(k_beam=10**9, delta_beam=math.inf)
 # sha256 of the small ensemble's lattices, dumped and joined in order.
@@ -172,7 +173,7 @@ def test_criterion_3_numerical_invariants(model, vocab):
         state = model.initial_dirichlet(rho=0.03)
         for i in range(trials):
             history = tuple(rng.randrange(1, n + 1) for _ in range(rng.randrange(0, 24)))
-            p_static = static.prob(history)
+            p_static = np.asarray(dist_after(static, history))
             prev = history[-1] if history else 0
             p_dyn = np.asarray(predict(state, prev))
             lam = lambda_k(rng.random(), rng.uniform(0.0, LOG2))

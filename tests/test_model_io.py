@@ -7,6 +7,8 @@ from talarescore.core import StrokeSequence
 from talarescore.errors import ModelFormatError
 from talarescore.model import dumps_model, load_model, loads_model, save_model, train_model
 
+from .test_static_prior import dist_after
+
 
 def test_round_trip_structural_equality(small_corpus, vocab, tmp_path):
     model = train_model(small_corpus, vocab)
@@ -52,7 +54,7 @@ def test_single_tala_model_prior_equals_its_ngram(vocab):
     corpus = [StrokeSequence((1, 2, 1, 2, 3), tala_label="solo")]
     model = train_model(corpus, vocab, n=2)
     history = (1, 2)
-    mix = model.static_prior().prob(history)
+    mix = dist_after(model.static_prior(), history)
     ngram = model.prior.distribution("solo", model.prior.context_of(history))
     assert np.array_equal(mix, ngram)
 
@@ -95,6 +97,8 @@ VALID_MODEL = "tiprior v1\nn 2\nlaplace_k 1.0\nw_tau 4\neps_dir 1.0\nvocab Dha N
         "count t Dha Na -5", "count t Dha Na 2.5", "count t Dha <s> 1", "taucount t Na -1",
         "alpha Dha Na nan", "alpha Dha Na inf", "alpha Dha Na 0.0", "alpha Dha Na -1.0",
         "alpha Dha <s> 2.0", "tala t -1.0", "tala t 0", "tala t nan", "eps_dir 0", "laplace_k inf",
+        # counts and tala priors whose row totals or posterior weights could overflow
+        "count t Dha Na 9007199254740993", "taucount t Na 9007199254740993", "tala u 1.5",
         # keys the n-gram and window tables of an n=2, w_tau=4 model never read
         "count t Na 7", "count t Dha Na Na 7", "taucount t Dha Na Dha Na Dha 1",
         # a header value redefined after count keys were checked against it
@@ -108,6 +112,26 @@ def test_malformed_model_lines_name_the_line(bad):
     with pytest.raises(ModelFormatError) as exc:
         loads_model(VALID_MODEL + bad + "\n")
     assert repr(bad) in str(exc.value)
+
+
+@pytest.mark.parametrize("bad", ["laplace_k 1e308", "laplace_k 9007199254740994.0", "laplace_k inf", "eps_dir 0"])
+def test_out_of_range_header_values_name_the_line(bad):
+    # Appended, a header line would be a repeat; here it replaces the valid one.
+    kind = bad.split()[0]
+    lines = [bad if line.startswith(kind + " ") else line for line in VALID_MODEL.splitlines()]
+    with pytest.raises(ModelFormatError) as exc:
+        loads_model("\n".join(lines) + "\n")
+    assert f"{bad!r}: {kind} must" in str(exc.value)
+
+
+def test_counts_and_laplace_k_load_up_to_the_bound():
+    top = 2**53
+    text = VALID_MODEL.replace("laplace_k 1.0", f"laplace_k {float(top)!r}")
+    model = loads_model(text + f"count t Dha Na {top}\ntaucount t Na {top}\n")
+    assert model.prior.counts["t"][(1,)][2] == model.tala_table.counts["t"][(2,)] == top
+    prior = model.static_prior()
+    for history in ((), (1,), (2, 1), (2, 2)):
+        assert all(0.0 < p < 1.0 for p in dist_after(prior, history))
 
 
 @pytest.mark.parametrize("line", ["count t Dha Na 1", "taucount t Dha Na 1", "alpha Dha Na 2.0"])

@@ -26,6 +26,7 @@ from talarescore.rescorer import RescoreConfig, rescore
 from talarescore.static_prior import TalaIndependentPrior, train_prior, train_tala_table
 
 from .oracles import best_path_by_replay, levenshtein_distance
+from .test_static_prior import dist_after
 
 PROPERTY_SETTINGS = settings(derandomize=True, deadline=None, max_examples=150)
 EXHAUSTIVE = RescoreConfig(k_beam=10**9, delta_beam=math.inf)
@@ -154,7 +155,7 @@ def reference_mixture(ti, history) -> tuple[float, ...]:
 @pytest.mark.parametrize("case", ["unigram", "short_window", "not_closed", "trained"])
 @PROPERTY_SETTINGS
 @given(data=st.data())
-def test_stepped_prior_state_equals_prob_of_the_history(case, data):
+def test_stepped_prior_state_equals_the_mixture_of_the_history(case, data):
     prior, table, history = data.draw(stepped_priors(case))
     stepped = TalaIndependentPrior(prior, table)
     fresh = TalaIndependentPrior(prior, table)  # its own memo
@@ -165,7 +166,7 @@ def test_stepped_prior_state_equals_prob_of_the_history(case, data):
         if i:
             state = stepped.advance(state, history[i - 1])
         assert state == seen[max(0, len(seen) - suffix) :]
-        assert stepped.dist(state) == tuple(fresh.prob(seen).tolist()) == reference_mixture(stepped, seen)
+        assert stepped.dist(state) == dist_after(fresh, seen) == reference_mixture(stepped, seen)
 
 
 @PROPERTY_SETTINGS

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import gc
 import hashlib
 import math
 import random
@@ -190,15 +191,22 @@ def test_fixed_lambda_traces_match_component_models(vocab, small_model):
         )
         _, exp, diag = rescore(lat, small_model, cfg)
         suffix = max(small_model.tala_table.w_tau, small_model.prior.n - 1)
+        # The Dirichlet state of each history, updated eagerly one transition
+        # at a time; a parent pops before its children.
+        eager = {(0,): small_model.initial_dirichlet(cfg.rho)}
         assert diag.traces
         for tr in diag.traces:
             history = exp.history(tr.state_id)
+            if len(history) > 1:
+                eager[history] = update(eager[history[:-1]], history[-2], history[-1])
             assert exp.prior_states[tr.state_id] == history[1:][-suffix:]
             if pick == "static":
-                ref = np.array(ti_prior_dist(small_model, history[1:]))
+                refs = [np.array(ti_prior_dist(small_model, history[1:]))]
             else:
-                ref = np.array(predict(DirichletState(exp.alphas[tr.state_id], cfg.rho), history[-1]))
-            assert np.max(np.abs(np.asarray(tr.p_comb) - ref)) < 1e-12
+                stored = DirichletState(exp.alphas[tr.state_id], cfg.rho)
+                refs = [np.array(predict(state, history[-1])) for state in (stored, eager[history])]
+            for ref in refs:
+                assert np.max(np.abs(np.asarray(tr.p_comb) - ref)) < 1e-12
 
 
 def test_beam_monotonicity_on_seeded_ensemble(vocab, small_model):
@@ -482,6 +490,40 @@ def test_merged_window_counts_equal_the_per_tala_lookups(standard_lattice):
     for u in windows | unseen:
         expected = tuple(table.counts.get(t, {}).get(u, 0) for t in table.talas)
         assert ti._window_counts.get(u, ti._unseen) == expected
+
+
+def test_repeated_decodes_hold_no_more_memory():
+    # A long-running process: decoding the same lattices again adds no memo
+    # entries, and no decode's scorer, with its per-decode divergence
+    # halves, outlives the decode.
+    model, lats = suite_lattices(2)
+    sizes = []
+    for _ in range(2):
+        for lat in lats:
+            rescore(lat, model, RescoreConfig())
+        gc.collect()
+        assert not any(type(obj) is rescorer._Scorer for obj in gc.get_objects())
+        sizes.append(len(model.static_prior()._cache))
+    assert sizes[1] <= sizes[0]
+
+
+def test_adaptive_winners_pass_windows_where_the_tala_posterior_moves_the_prior():
+    # Were the posterior the tala prior, every mixture would equal the one
+    # under the prior alone; each winner meets training-seen windows where
+    # it does not.
+    model, lats = suite_lattices(2)
+    ti, table = model.static_prior(), model.tala_table
+    prior_only = table.posterior(())
+    for lat in lats:
+        hyp, _, _ = rescore(lat, model, RescoreConfig())
+        state, moved = ti.start(), 0
+        for stroke in hyp.strokes:
+            state = ti.advance(state, stroke)
+            if any(state[-table.w_tau :] in table.counts[t] for t in table.talas):
+                ctx = model.prior.context_of(state)
+                alone = sum(w * model.prior.distribution(t, ctx) for w, t in zip(prior_only, table.talas))
+                moved += np.max(np.abs(np.asarray(ti.dist(state)) - alone)) > 1e-6
+        assert moved >= 1, hyp.strokes
 
 
 @pytest.mark.parametrize("mode", ["adaptive", "fixed:0.5"])
