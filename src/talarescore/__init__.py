@@ -44,7 +44,6 @@ from .rescorer import (
     viterbi_expanded,
 )
 from .static_prior import (
-    NextStrokePrior,
     NGramPrior,
     TalaIndependentPrior,
     TalaPosteriorTable,

@@ -135,7 +135,7 @@ def combine(p_static: Sequence[float], p_dyn: Sequence[float], lam: float) -> li
     if len(p_static) != len(p_dyn):
         raise ValueError(_support_mismatch(p_static, p_dyn))
     if not 0.0 <= lam <= 1.0:
-        raise ValueError(_lambda_out_of_range(lam))
+        raise ValueError(f"lambda must lie in [0, 1], got {lam}")
     return _combine(p_static, p_dyn, lam)
 
 
@@ -147,7 +147,3 @@ def _combine(p_static: Sequence[float], p_dyn: Sequence[float], lam: float) -> l
 
 def _support_mismatch(p: Sequence[float], q: Sequence[float]) -> str:
     return f"support mismatch: {len(p)} vs {len(q)}"
-
-
-def _lambda_out_of_range(lam: float) -> str:
-    return f"lambda must lie in [0, 1], got {lam}"

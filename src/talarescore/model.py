@@ -16,7 +16,8 @@ Persists to a versioned line-oriented text file that round-trips exactly:
 
 ``alpha`` lines carry only entries that differ from their defaults (``eps_dir``
 on playable rows, 1 on the sentinel row).  Counts and ``laplace_k`` are at
-most 2**53 and tala priors lie in (0, 1].
+most 2**53, tala priors lie in (0, 1], and ``laplace_k`` times at least one tala
+prior is positive.
 """
 
 from __future__ import annotations
@@ -234,7 +235,10 @@ def loads_model(text: str) -> RhythmModel:
         ngram_counts.setdefault(tala, {})
         tau_counts.setdefault(tala, {})
     prior = NGramPrior(header["n"], header["laplace_k"], vocab.num_playable, ngram_counts)
-    table = TalaPosteriorTable(header["w_tau"], header["laplace_k"], tau_counts, priors)
+    try:
+        table = TalaPosteriorTable(header["w_tau"], header["laplace_k"], tau_counts, priors)
+    except ValueError as exc:
+        raise ModelFormatError(str(exc)) from None
     alpha0 = np.full((vocab.num_symbols, vocab.num_playable), eps_dir, dtype=float)
     alpha0[SENTINEL_ID, :] = 1.0
     for (prev, nxt), value in alphas.items():

@@ -18,11 +18,10 @@ A pushed state is one row of parallel columns (node, parent, arc, stroke,
 weight, accumulated score).  Its static-prior state and Dirichlet snapshot
 are built from its parent's only when it is popped with outgoing arcs, and
 are kept in two dicts by state id, as the prior state and the bare
-pseudo-count array.  The prior is
-stepped through the :class:`~talarescore.static_prior.NextStrokePrior`
-protocol, whose state holds only the strokes the prior reads (the built-in
-prior keeps the last ``max(w_tau, n - 1)``, with the model's trained tala
-window ``w_tau``), so a pop copies no path history.  Most pushed states are
+pseudo-count array.  The static prior is the model's
+:class:`~talarescore.static_prior.TalaIndependentPrior`; its state is the
+tuple of the last ``max(w_tau, n - 1)`` strokes, ``w_tau`` being the model's
+trained tala window, so a pop copies no path history.  Most pushed states are
 cut by the capacity rule and never popped, so they cost only their row;
 histories (the winner's, the dump's, a trace's depth) are rebuilt from the
 parent column.
@@ -52,15 +51,12 @@ from .fusion import (
     _combine,
     _jsd,
     _jsd_half,
-    _lambda_out_of_range,
-    _support_mismatch,
     acoustic_confidence,
     lambda_k,
     parse_lambda_mode,
 )
 from .lattice import Lattice
 from .model import RhythmModel
-from .static_prior import NextStrokePrior
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -126,16 +122,15 @@ class ExpandedLattice:
     children's.  ``states`` holds one list per field (``states.node``,
     ``states.parent``, ..., ``states.acc_score``).  ``prior_states`` and
     ``alphas`` map the id of each state popped with outgoing arcs (the root
-    included) to its static-prior state and its bare Dirichlet pseudo-count
-    array; states never expanded have neither.  For the built-in prior the
-    prior state is the last ``max(w_tau, n - 1)`` strokes of the state's
-    playable history, ``w_tau`` being the model's tala window.
+    included) to its static-prior state, the last ``max(w_tau, n - 1)``
+    strokes of its playable history, and its bare Dirichlet pseudo-count
+    array; states never expanded have neither.
     """
 
     vocab: StrokeVocabulary
     states: _StateColumns = field(default_factory=_StateColumns)
     terminals: list[int] = field(default_factory=list)
-    prior_states: dict[int, object] = field(default_factory=dict)
+    prior_states: dict[int, tuple[int, ...]] = field(default_factory=dict)
     alphas: dict[int, np.ndarray] = field(default_factory=dict)
 
     def history(self, state_id: int) -> tuple[int, ...]:
@@ -174,9 +169,9 @@ class StepTrace:
     confidence: float
     divergence: float
     lam: float
-    p_static: Sequence[float]
-    p_dyn: Sequence[float]
-    p_comb: Sequence[float]
+    p_static: tuple[float, ...]
+    p_dyn: list[float]
+    p_comb: list[float]
 
 
 @dataclass(eq=False)
@@ -196,9 +191,9 @@ class _Scorer:
     ``(arc id, dst, model stroke, w_ac, dst is final)``; ``confidence[node]``
     is the acoustic confidence of their scores, NaN where no step reads it
     (a fixed weight without traces, or a node without outgoing arcs).
-    ``halves`` maps each static distribution the decode has met, by value,
-    to the static half of its divergence; for the built-in prior it is
-    bounded by the prior's memo.
+    ``halves`` maps each static distribution the decode has met, a tuple
+    from the prior's memo, to the static half of its divergence, so it is
+    bounded by that memo.
     """
 
     __slots__ = (
@@ -206,7 +201,7 @@ class _Scorer:
         "advance", "dist", "start", "alpha0", "arcs", "confidence",
     )
 
-    def __init__(self, lat: Lattice, model: RhythmModel, cfg: RescoreConfig, static: NextStrokePrior) -> None:
+    def __init__(self, lat: Lattice, model: RhythmModel, cfg: RescoreConfig) -> None:
         label_map = _map_labels(lat, model.vocab)
         self.vocab = model.vocab
         self.rho, self.beta, self.eps = cfg.rho, cfg.beta, cfg.eps_jsd
@@ -216,7 +211,8 @@ class _Scorer:
         self.scale = 1.0 + n * cfg.eps_jsd
         if self.needs_div and self.scale == math.inf:
             raise RescoreError(f"eps_jsd={cfg.eps_jsd!r} overflows the divergence's smoothing of {n} cells")
-        self.halves: dict[tuple, tuple[list[float], list[float]]] = {}
+        self.halves: dict[tuple[float, ...], tuple[list[float], list[float]]] = {}
+        static = model.static_prior()
         self.advance, self.dist = static.advance, static.dist
         self.start = static.start()
         self.alpha0 = model.initial_dirichlet(cfg.rho).alpha
@@ -231,8 +227,8 @@ class _Scorer:
         ]
 
     def step(
-        self, sid: int, node: int, alpha: np.ndarray, prior_state: object, prev: int | None, stroke: int
-    ) -> tuple[np.ndarray, object, list[float], tuple]:
+        self, sid: int, node: int, alpha: np.ndarray, prior_state: tuple[int, ...], prev: int | None, stroke: int
+    ) -> tuple[np.ndarray, tuple[int, ...], list[float], tuple]:
         """Score the state ``sid`` on ``node``, reached by ``stroke``.
 
         ``alpha`` and ``prior_state`` are the parent's snapshot and ``prev``
@@ -245,26 +241,24 @@ class _Scorer:
         if prev is not None:
             alpha = _observe(alpha, self.rho, prev, stroke)
             prior_state = self.advance(prior_state, stroke)
-        p_dyn = _predict(alpha, stroke)
+        try:
+            p_dyn = _predict(alpha, stroke)
+        except ZeroDivisionError:
+            # Forgetting decays a row that is never observed towards zero.
+            raise RescoreError(
+                f"state {sid} (node {node}): the Dirichlet row after {self.vocab.symbol_of(stroke)} "
+                f"underflowed to zero (rho={self.rho!r})"
+            ) from None
         p_static = self.dist(prior_state)
         lam = self.fixed_lam
-        if len(p_static) != len(p_dyn):
-            # A custom static prior of the wrong length; the divergence, when
-            # needed, meets it first.
-            pair = (p_dyn, p_static) if self.needs_div else (p_static, p_dyn)
-            raise self._fusion_error(sid, node, p_static, _support_mismatch(*pair))
         if self.needs_div:
             conf = self.confidence[node]
-            key = p_static if type(p_static) is tuple else tuple(p_static)
-            half = self.halves.get(key)
+            half = self.halves.get(p_static)
             if half is None:
-                half = self.halves[key] = _jsd_half(p_static, self.eps, self.scale)
+                half = self.halves[p_static] = _jsd_half(p_static, self.eps, self.scale)
             div = _jsd(p_dyn, half, self.eps, self.scale)
             if lam is None:
                 lam = lambda_k(conf, div)
-                if not 0.0 <= lam <= 1.0:
-                    # A NaN in a custom static prior makes the weight NaN.
-                    raise self._fusion_error(sid, node, p_static, _lambda_out_of_range(lam))
         else:
             conf = div = math.nan
         probs = _combine(p_static, p_dyn, lam)
@@ -286,32 +280,20 @@ class _Scorer:
             weights.append(weight)
         return alpha, prior_state, weights, (conf, div, lam, p_static, p_dyn, probs)
 
-    @staticmethod
-    def _fusion_error(sid: int, node: int, p_static: Sequence[float], reason: str) -> RescoreError:
-        return RescoreError(
-            f"state {sid} (node {node}): static prior {p_static!r} does not "
-            f"combine with the dynamic prediction: {reason}"
-        )
-
 
 def rescore(
     lat: Lattice,
     model: RhythmModel,
     cfg: RescoreConfig | None = None,
-    static_prior: "NextStrokePrior | None" = None,
 ) -> tuple[StrokeSequence, ExpandedLattice, RescoreDiagnostics]:
     """Rhythmically rescore a lattice; returns the best path, the expanded
     lattice, and diagnostics.
 
     Every lattice arc symbol must exist in the model vocabulary; the returned
-    sequence uses model stroke ids.  ``static_prior`` swaps in a replacement
-    next-stroke model, stepped by playable model ids (see
-    :class:`~talarescore.static_prior.NextStrokePrior`); by default the
-    model's own marginalized n-gram prior is used.
+    sequence uses model stroke ids.
     """
     cfg = cfg or RescoreConfig()
-    static = static_prior if static_prior is not None else model.static_prior()
-    scorer = _Scorer(lat, model, cfg, static)
+    scorer = _Scorer(lat, model, cfg)
     step, table = scorer.step, scorer.arcs
     collect = cfg.collect_traces
     delta_beam, k_beam = cfg.delta_beam, cfg.k_beam
@@ -404,7 +386,7 @@ def path_score(lat: Lattice, model: RhythmModel, cfg: RescoreConfig, arc_ids: Se
     Raises ``ValueError`` when an arc does not leave the node the path has
     reached.
     """
-    scorer = _Scorer(lat, model, cfg, model.static_prior())
+    scorer = _Scorer(lat, model, cfg)
     node, alpha, prior_state = lat.start, scorer.alpha0, scorer.start
     prev, stroke = None, SENTINEL_ID
     acc = 0.0

@@ -3,39 +3,20 @@
 The static prior is a mixture: an online posterior over the latent tala,
 estimated from a recent-history window, weights per-tala Laplace-smoothed
 n-gram distributions over the next stroke.  Trained tables are immutable and
-may be shared across threads.  :class:`TalaIndependentPrior` is stepped along
-a path and answers one query, ``dist``; it memoizes the mixture on the values
-it depends on, so its memo is bounded by the training data, not by decode
-traffic.
+may be shared across threads.  :class:`TalaIndependentPrior` is the one
+next-stroke prior the rescorer reads: it is stepped along a path and answers
+one query, ``dist``; it memoizes the mixture on the values it depends on, so
+its memo is bounded by the training data, not by decode traffic.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Protocol, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from .core import SENTINEL_ID, StrokeSequence, StrokeVocabulary
 from .errors import VocabularyError
-
-
-class NextStrokePrior(Protocol):
-    """A next-stroke model stepped along a path, as ``rescore`` drives it.
-
-    ``start()`` is the state of the empty history, ``advance(state, stroke)``
-    the state after one more playable stroke id, and ``dist(state)`` the
-    next-stroke distribution: one strictly positive entry per playable stroke
-    (index ``stroke_id - 1``) summing to 1.  A state may be any value; it
-    should hold only what ``dist`` reads, and ``advance`` must leave it
-    unchanged, since sibling paths advance from the same state.  This is the seam where a learned
-    sequence model could replace the count-based prior.
-    """
-
-    def start(self) -> object: ...
-
-    def advance(self, state: object, stroke: int) -> object: ...
-
-    def dist(self, state: object) -> Sequence[float]: ...
 
 
 class NGramPrior:
@@ -147,6 +128,12 @@ class TalaPosteriorTable:
             raise ValueError("empty tala set")
         if set(counts) - set(priors):
             raise ValueError("counts reference talas missing from priors")
+        if not any(laplace_k * p > 0 for p in priors.values()):
+            # Every weight of a window seen in no tala would be 0.
+            raise ValueError(
+                f"laplace_k={laplace_k!r} times every tala prior underflows to 0, "
+                "leaving the tala posterior of an unseen window undefined"
+            )
         self.w_tau = w_tau
         self.laplace_k = laplace_k
         self.counts = counts
@@ -212,7 +199,7 @@ def train_tala_table(
 
 
 class TalaIndependentPrior:
-    """Memoizing tala-independent :class:`NextStrokePrior`.
+    """Memoizing tala-independent next-stroke prior, as the rescorer steps it.
 
     Marginalizes the per-tala n-gram over the online tala posterior computed
     from the most recent ``w_tau`` strokes of a playable-stroke history,
@@ -221,8 +208,8 @@ class TalaIndependentPrior:
     Its state is the tuple of the last ``max(w_tau, n - 1)`` strokes, all
     the mixture reads.  ``start()`` is the empty history's state,
     ``advance(state, stroke)`` checks the stroke id and appends it, and
-    ``dist(state)`` returns the mixture as a tuple of floats; it is the one
-    query.
+    ``dist(state)`` returns the mixture as a tuple of floats, one entry per
+    playable stroke (index ``stroke_id - 1``); it is the one query.
 
     The memo key is ``(counts, ctx)``: the window's training count per tala
     (``None`` for an empty window, whose posterior is the normalized prior)

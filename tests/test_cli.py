@@ -203,6 +203,39 @@ def test_rescore_reports_failed_lattices(tmp_path, capsys):
     assert sorted(p.relative_to(dump_dir).as_posix() for p in dump_dir.rglob("*")) == ["0000.exp", "0001.exp"]
 
 
+def test_rescore_reports_a_dirichlet_row_underflow(tmp_path, capsys):
+    corpus = gen_corpus(tmp_path, count=4)
+    model_path = tmp_path / "model.tiprior"
+    assert run(["train", "--corpus", str(corpus), "--out", str(model_path)]) == 0
+    # Under --rho 0.9 the Ta row, not observed in 400 steps, decays to zeros.
+    labels = ["Dha"] * 400 + ["Ta", "Dha"]
+    lat = tmp_path / "long.lat"
+    lat.write_text(
+        f"lattice v1\nvocab 5\nstart 0\nfinal {len(labels)}\n"
+        + "".join(f"arc {i} {i + 1} {s} -0.5\n" for i, s in enumerate(labels)),
+        encoding="utf-8",
+    )
+    out = tmp_path / "hyp.txt"
+    code = run(["rescore", str(lat), "--model", str(model_path), "--out", str(out), "--rho", "0.9"])
+    assert code == 1
+    assert f"error: {lat}: state 401 (node 401): the Dirichlet row after Ta underflowed" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_train_rejects_a_laplace_k_that_underflows_every_tala_weight(tmp_path, capsys):
+    # Three talas whose stroke shares all lie below 1/2, so 5e-324 times
+    # each share rounds to 0.
+    parts = [gen_corpus(tmp_path, name=f"{t}.txt", tala=t, count=1) for t in ("tintal", "jhaptal", "ektal")]
+    corpus = tmp_path / "corpus.txt"
+    corpus.write_text("".join(p.read_text(encoding="utf-8") for p in parts), encoding="utf-8")
+    model_path = tmp_path / "model.tiprior"
+    code = run(["train", "--corpus", str(corpus), "--out", str(model_path), "--laplace-k", "5e-324"])
+    assert code == 1
+    assert "error: laplace_k=5e-324 times every tala prior underflows to 0" in capsys.readouterr().err
+    assert not model_path.exists()
+    assert run(["train", "--corpus", str(corpus), "--out", str(model_path), "--laplace-k", "1e-300"]) == 0
+
+
 def test_expanded_dump_is_pinned_on_a_standard_suite_lattice(tmp_path):
     """``--dump-expanded-dir`` bytes and beam counters for the standard suite's
     first tintal test lattice, pinned under adaptive and fixed interpolation

@@ -134,6 +134,17 @@ def test_counts_and_laplace_k_load_up_to_the_bound():
         assert all(0.0 < p < 1.0 for p in dist_after(prior, history))
 
 
+@pytest.mark.parametrize("laplace_k, prior", [("1e-300", "1e-300"), ("5e-324", "0.5")])
+def test_tala_weights_that_all_underflow_are_rejected(laplace_k, prior):
+    # (0 + laplace_k) * P(tala) would be 0 for every tala, so the posterior
+    # of a window seen in no tala would be 0 / 0.
+    text = VALID_MODEL.replace("laplace_k 1.0", f"laplace_k {laplace_k}").replace("tala t 1.0", f"tala t {prior}")
+    with pytest.raises(ModelFormatError, match=f"laplace_k={laplace_k} times every tala prior underflows to 0"):
+        loads_model(text)
+    # One tala whose weight stays positive is enough.
+    loads_model(text + "tala u 1.0\n")
+
+
 @pytest.mark.parametrize("line", ["count t Dha Na 1", "taucount t Dha Na 1", "alpha Dha Na 2.0"])
 def test_repeated_model_keys_name_the_line(line):
     loads_model(VALID_MODEL + line + "\n")

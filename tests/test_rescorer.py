@@ -18,7 +18,7 @@ from talarescore.errors import RescoreError, VocabularyMismatchError
 from talarescore.eval import build_training_corpus, split_seed, standard_suite
 from talarescore.fusion import combine, jsd, lambda_k
 from talarescore.lattice import Arc, Lattice, LatticeGenConfig, generate_lattice, viterbi_acoustic
-from talarescore.model import train_model
+from talarescore.model import loads_model, train_model
 from talarescore.rescorer import (
     ExpandedLattice,
     RescoreConfig,
@@ -36,16 +36,6 @@ WIDE_PIN_SHA256 = "0c6912062dd98b89c9f915a9076508987e2ef4517272bd1252f8755e7c209
 # The static-prior memo those decodes leave: its length and the sha256 of its
 # keys, sorted by repr.
 WIDE_PIN_MEMO = (283, "da57ac087908d21401454e43193cf3125fbc240b69ca6fee822d78b47578d2fd")
-
-
-class PathlessPrior:
-    """Base of the fake static priors: one state, whatever the path."""
-
-    def start(self):
-        return None
-
-    def advance(self, state, stroke):
-        return None
 
 
 def random_grid_lattice(vocab, rng, stages=4, width=2):
@@ -278,21 +268,6 @@ def test_label_remapping_by_symbol(small_model):
     assert hyp.to_symbols(small_model.vocab) == ("Dha", "Tin")
 
 
-def test_custom_next_stroke_prior_is_a_drop_in(vocab, small_model):
-    class UniformPrior(PathlessPrior):
-        def dist(self, state):
-            n = vocab.num_playable
-            return [1.0 / n] * n
-
-    rng = random.Random(61)
-    lat = random_grid_lattice(vocab, rng, stages=4, width=2)
-    cfg = RescoreConfig(k_beam=10**9, delta_beam=math.inf, lambda_mode="fixed:0", beta=2.0)
-    uniform_hyp, _, _ = rescore(lat, small_model, cfg, static_prior=UniformPrior())
-    # With a uniform static-only prior the rhythmic term is constant per arc
-    # count, so the decision reduces to the acoustic one.
-    assert uniform_hyp.strokes == viterbi_acoustic(lat).strokes
-
-
 def test_expanded_dump_contains_histories(vocab, small_model):
     arcs = (Arc(0, 1, 1, -1.0),)
     lat = Lattice(vocab=vocab, n_nodes=2, arcs=arcs, start=0, finals=frozenset({1}))
@@ -317,33 +292,39 @@ def test_viterbi_expanded_picks_best_terminal_directly(vocab, small_model):
     assert viterbi_expanded(exp).strokes == (1,)
 
 
-AT_DHIN_ARC = r"state 1 \(node 1\), arc 1: .* of Dhin"
+def test_zero_combined_probability_from_a_model_file_is_a_rescore_error(vocab):
+    # laplace_k is so small beside the count that Ta's n-gram probability
+    # after the empty context underflows to 0; the file still loads, since
+    # laplace_k times the tala prior is positive.
+    model = loads_model(
+        "tiprior v1\nn 3\nlaplace_k 1e-310\nw_tau 4\neps_dir 1.0\nvocab Dha Dhin Na Tin Ta\n"
+        "tala t 1.0\ncount t <s> <s> Dha 9007199254740992\n"
+    )
+    arcs = (Arc(0, 1, vocab.id_of("Dha"), -0.5), Arc(0, 1, vocab.id_of("Ta"), -0.5))
+    lat = Lattice(vocab=vocab, n_nodes=2, arcs=arcs, start=0, finals=frozenset({1}))
+    with pytest.raises(
+        RescoreError,
+        match=r"^state 0 \(node 0\), arc 1: combined probability 0\.0 of Ta is not a finite positive number$",
+    ):
+        rescore(lat, model, RescoreConfig(lambda_mode="fixed:0"))
 
 
-@pytest.mark.parametrize(
-    "mode, bad, match",
-    [
-        ("fixed:0", 0.0, AT_DHIN_ARC),
-        ("fixed:0", math.nan, AT_DHIN_ARC),
-        ("fixed:0.5", math.nan, AT_DHIN_ARC),
-        # The NaN makes the divergence, so the adaptive weight of every
-        # state, NaN: the root state already fails.
-        ("adaptive", math.nan, r"state 0 \(node 0\): .* lambda must lie in \[0, 1\], got nan"),
-    ],
-    ids=["zero", "nan", "nan-mixed", "nan-adaptive"],
-)
-def test_degenerate_prior_probability_is_a_rescore_error(vocab, small_model, mode, bad, match):
-    class DegeneratePrior(PathlessPrior):
-        def dist(self, state):
-            p = np.full(vocab.num_playable, 1.0 / vocab.num_playable)
-            p[1] = bad  # stroke id 2
-            return p
+def underflowing_row_lattice(vocab, repeats=400):
+    """``Dha`` ``repeats`` times, then ``Ta``, then ``Dha``: under a high
+    forgetting rate the Ta row, never observed, decays to all zeros."""
+    labels = ["Dha"] * repeats + ["Ta", "Dha"]
+    arcs = tuple(Arc(i, i + 1, vocab.id_of(s), -0.5) for i, s in enumerate(labels))
+    return Lattice(vocab=vocab, n_nodes=len(arcs) + 1, arcs=arcs, start=0, finals=frozenset({len(arcs)}))
 
-    arcs = (Arc(0, 1, 1, -0.5), Arc(1, 2, 2, -0.5))
-    lat = Lattice(vocab=vocab, n_nodes=3, arcs=arcs, start=0, finals=frozenset({2}))
-    cfg = RescoreConfig(lambda_mode=mode)
+
+def test_dirichlet_row_underflow_is_a_rescore_error(vocab, small_model):
+    lat = underflowing_row_lattice(vocab)
+    cfg = RescoreConfig(rho=0.9)
+    match = r"^state 401 \(node 401\): the Dirichlet row after Ta underflowed to zero \(rho=0\.9\)$"
     with pytest.raises(RescoreError, match=match):
-        rescore(lat, small_model, cfg, static_prior=DegeneratePrior())
+        rescore(lat, small_model, cfg)
+    with pytest.raises(RescoreError, match=match):
+        path_score(lat, small_model, cfg, range(len(lat.arcs)))
 
 
 @pytest.mark.parametrize(
@@ -380,30 +361,6 @@ def test_eps_jsd_that_overflows_the_smoothing_is_a_rescore_error(vocab, small_mo
         else:
             hyp, _, _ = rescore(lat, small_model, cfg)
             assert hyp.strokes == rescore(lat, small_model, replace(cfg, eps_jsd=1e-8))[0].strokes
-
-
-@pytest.mark.parametrize("mode", ["adaptive", "fixed:0.5"])
-@pytest.mark.parametrize("cells", [5, 4], ids=["full", "short"])
-def test_plain_list_prior_decodes_and_a_short_one_is_a_rescore_error(vocab, small_model, mode, cells):
-    class ListPrior(PathlessPrior):
-        def dist(self, state):
-            return [1.0 / cells] * cells
-
-    class ArrayPrior(PathlessPrior):
-        def dist(self, state):
-            return np.full(cells, 1.0 / cells)
-
-    lat = random_grid_lattice(vocab, random.Random(61), stages=4, width=2)
-    cfg = RescoreConfig(lambda_mode=mode)
-    if cells < vocab.num_playable:
-        # Not truncated to the shorter support.
-        with pytest.raises(RescoreError, match=r"state 0 \(node 0\): .*support mismatch"):
-            rescore(lat, small_model, cfg, static_prior=ListPrior())
-        return
-    hyp, exp, _ = rescore(lat, small_model, cfg, static_prior=ListPrior())
-    ref, ref_exp, _ = rescore(lat, small_model, cfg, static_prior=ArrayPrior())
-    assert hyp.strokes == ref.strokes
-    assert exp.states.acc_score == ref_exp.states.acc_score
 
 
 def suite_lattices(per_tala):
@@ -537,37 +494,6 @@ def test_traced_steps_equal_the_public_functions(standard_lattice, mode):
         if mode == "adaptive":
             assert tr.lam == lambda_k(tr.confidence, tr.divergence)
         assert list(tr.p_comb) == combine(tr.p_static, tr.p_dyn, tr.lam)
-
-
-@pytest.mark.parametrize("kind", ["fresh", "reused"])
-def test_list_prior_varying_with_the_state_decodes_like_the_tuple_prior(standard_lattice, kind):
-    # The divergence's static half is looked up by the distribution's value,
-    # never by the object: a fresh list per call, or one list rewritten in
-    # place, must give the bits of the built-in prior's tuples.
-    lat, model = standard_lattice
-    inner = model.static_prior()
-
-    class ListPrior:
-        buffer = [0.0] * model.vocab.num_playable
-
-        def start(self):
-            return inner.start()
-
-        def advance(self, state, stroke):
-            return inner.advance(state, stroke)
-
-        def dist(self, state):
-            if kind == "fresh":
-                return list(inner.dist(state))
-            self.buffer[:] = inner.dist(state)
-            return self.buffer
-
-    cfg = RescoreConfig(k_beam=60)
-    hyp, exp, diag = rescore(lat, model, cfg, static_prior=ListPrior())
-    ref, ref_exp, ref_diag = rescore(lat, model, cfg)
-    assert hyp.strokes == ref.strokes
-    assert exp.states.acc_score == ref_exp.states.acc_score
-    assert (diag.pops, diag.pushes) == (ref_diag.pops, ref_diag.pushes)
 
 
 def test_path_score_of_the_winner_is_its_acc_score(wide_pin_decodes):
