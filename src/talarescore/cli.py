@@ -109,7 +109,6 @@ def _add_rescore_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--rho", type=float, default=defaults.rho)
     p.add_argument("--beta", type=float, default=defaults.beta)
     p.add_argument("--k-beam", type=int, default=defaults.k_beam)
-    p.add_argument("--delta-beam", type=float, default=defaults.delta_beam)
     p.add_argument("--lambda", dest="lambda_mode", default=defaults.lambda_mode, help="adaptive or fixed:<v>")
     p.add_argument("--eps-jsd", type=float, default=defaults.eps_jsd)
 
@@ -225,7 +224,6 @@ def cmd_rescore(args: argparse.Namespace) -> int:
         rho=args.rho,
         beta=args.beta,
         k_beam=args.k_beam,
-        delta_beam=args.delta_beam,
         lambda_mode=args.lambda_mode,
         eps_jsd=args.eps_jsd,
         collect_traces=args.diagnostics is not None,
@@ -279,8 +277,7 @@ def _diagnostic_lines(path: Path, diag: rescorer.RescoreDiagnostics) -> list[str
     lines = [
         f"# lattice {path}",
         f"summary pops={diag.pops} pushes={diag.pushes} "
-        f"pruned_band={diag.pruned_band} pruned_capacity={diag.pruned_capacity} "
-        f"max_queue={diag.max_queue_size}",
+        f"pruned_capacity={diag.pruned_capacity} max_queue={diag.max_queue_size}",
     ]
     for tr in diag.traces:
         comb = " ".join(f"{p:.6f}" for p in tr.p_comb)
@@ -314,7 +311,6 @@ def suite_from_config(values: dict[str, str], seed_override: int | None = None) 
         "rho": float,
         "beta": float,
         "k_beam": int,
-        "delta_beam": float,
         "eps_jsd": float,
     }
     deviation_kwargs: dict[str, float] = {}
@@ -329,7 +325,7 @@ def suite_from_config(values: dict[str, str], seed_override: int | None = None) 
         elif key in rescore_fields:
             rescore_kwargs[key] = rescore_fields[key](value)
         else:
-            raise ValueError(f"unknown suite config key: {key!r}")
+            raise ValueError(f"unknown suite config key {key!r}")
     if deviation_kwargs:
         kwargs["deviation"] = replace(suite.deviation, **deviation_kwargs)
     if rescore_kwargs:

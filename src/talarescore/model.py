@@ -83,7 +83,10 @@ def train_model(
     w_tau: int = 16,
     eps_dir: float = 1.0,
 ) -> RhythmModel:
-    """Train all tables from a tala-labeled corpus."""
+    """Train all tables from a tala-labeled corpus; ``laplace_k`` and
+    ``eps_dir`` must lie in the model file's header bounds, so it loads back."""
+    _check_header_field("laplace_k", laplace_k)
+    _check_header_field("eps_dir", eps_dir)
     if not corpus:
         raise ValueError("empty training corpus")
     prior = train_prior(corpus, vocab, n=n, laplace_k=laplace_k)
@@ -158,10 +161,7 @@ def loads_model(text: str) -> RhythmModel:
                     raise ValueError(f"repeated {kind} line")
                 (raw,) = args
                 value = _HEADER_FIELDS[kind](raw)
-                if not (value > 0 and math.isfinite(value)):
-                    raise ValueError(f"{kind} must be positive and finite")
-                if kind == "laplace_k" and value > _MAX_COUNT:
-                    raise ValueError("laplace_k must not exceed 2**53")
+                _check_header_field(kind, value)
                 header[kind] = value
             elif kind == "vocab":
                 if vocab is not None:
@@ -250,6 +250,14 @@ _HEADER_FIELDS = {"n": int, "laplace_k": float, "w_tau": int, "eps_dir": float}
 # The largest count or laplace_k: with tala priors in (0, 1], every n-gram row
 # total and tala posterior weight stays finite.
 _MAX_COUNT = 2**53
+
+
+def _check_header_field(kind: str, value: float) -> None:
+    """Raise ``ValueError`` unless ``value`` lies in the ``kind`` header's bounds."""
+    if not (value > 0 and math.isfinite(value)):
+        raise ValueError(f"{kind} must be positive and finite")
+    if kind == "laplace_k" and value > _MAX_COUNT:
+        raise ValueError("laplace_k must not exceed 2**53")
 
 
 def _playable_id(vocab: StrokeVocabulary, symbol: str) -> int:

@@ -6,8 +6,8 @@ therefore expands each (lattice node, stroke history, Dirichlet snapshot)
 triple into its own state: a best-first traversal pops the top-scoring state,
 forms the combined rhythmic distribution for its history, rescores every
 outgoing arc with the acoustic score plus the scaled log rhythmic probability,
-and pushes the successor states.  The queue is pruned to a score band and a
-capacity after every expansion batch; the answer is the history of the best
+and pushes the successor states.  After every expansion batch the queue is
+cut to its ``k_beam`` best states; the answer is the history of the best
 terminal state in the expanded lattice.
 
 Because the dynamic model evolves along each path, the expanded lattice is a
@@ -63,14 +63,13 @@ from .model import RhythmModel
 class RescoreConfig:
     """Decode-time hyperparameters.
 
-    ``delta_beam`` is a natural-log score band and ``k_beam`` the queue
-    capacity.  The static prior's tala window is the model's, set at training.
+    After each expansion the queue keeps its ``k_beam`` best states.  The
+    static prior's tala window is the model's, set at training.
     """
 
     rho: float = 0.03
     beta: float = 0.5
     k_beam: int = 150
-    delta_beam: float = 10.0
     lambda_mode: str = "adaptive"
     eps_jsd: float = 1e-8
     collect_traces: bool = False
@@ -78,8 +77,6 @@ class RescoreConfig:
     def __post_init__(self) -> None:
         if not isinstance(self.k_beam, int) or isinstance(self.k_beam, bool) or self.k_beam < 1:
             raise ValueError("k_beam must be an integer >= 1")
-        if not self.delta_beam >= 0:  # NaN fails too
-            raise ValueError("delta_beam must be non-negative")
         if not 0.0 < self.rho < 1.0:
             raise ValueError("rho must lie in (0, 1)")
         if not 0 <= self.beta < math.inf:  # NaN fails too
@@ -178,7 +175,6 @@ class StepTrace:
 class RescoreDiagnostics:
     pops: int = 0
     pushes: int = 0
-    pruned_band: int = 0
     pruned_capacity: int = 0
     max_queue_size: int = 0
     traces: list[StepTrace] = field(default_factory=list)
@@ -296,7 +292,7 @@ def rescore(
     scorer = _Scorer(lat, model, cfg)
     step, table = scorer.step, scorer.arcs
     collect = cfg.collect_traces
-    delta_beam, k_beam = cfg.delta_beam, cfg.k_beam
+    k_beam = cfg.k_beam
 
     exp = ExpandedLattice(vocab=model.vocab)
     diag = RescoreDiagnostics()
@@ -313,12 +309,11 @@ def rescore(
     add_acc(0.0)
     prior_snaps[0], alpha_snaps[0] = scorer.start, scorer.alpha0
 
-    pops = pruned_band = pruned_capacity = max_queue = 0
-    # Ascending on (-acc_score, state id): the best state is first, exact
-    # ties pop FIFO since ids are given in push order, and both pruning rules
-    # cut a suffix.
+    pops = pruned_capacity = max_queue = 0
+    # Ascending on (-acc_score, state id): the best state is first, exact ties
+    # pop FIFO since ids are given in push order, and pruning cuts the tail.
     queue: list[tuple[float, int]] = [(-0.0, 0)]
-    insort, bisect_right, inf = bisect.insort, bisect.bisect_right, math.inf
+    insort = bisect.insort
 
     while queue:
         sid = queue.pop(0)[1]
@@ -351,21 +346,16 @@ def rescore(
         queued = len(queue)
         if queued > max_queue:
             max_queue = queued
-        del queue[bisect_right(queue, (queue[0][0] + delta_beam, inf)) :]
-        in_band = len(queue)
         del queue[k_beam:]
-        pruned_band += queued - in_band
-        pruned_capacity += in_band - len(queue)
+        pruned_capacity += queued - len(queue)
 
     diag.pops, diag.pushes = pops, len(nodes) - 1
-    diag.pruned_band, diag.pruned_capacity, diag.max_queue_size = pruned_band, pruned_capacity, max_queue
+    diag.pruned_capacity, diag.max_queue_size = pruned_capacity, max_queue
     if not terminals:
-        raise RescoreError(
-            "no terminal state survived pruning; widen k_beam or delta_beam"
-        )
+        raise RescoreError("no terminal state survived pruning; widen k_beam")
     # Finite weights can still sum past the float range, and tied infinite
     # scores would leave the choice to the arc-id tie-break.
-    overflowed = next((t for t in terminals if not -inf < accs[t] < inf), None)
+    overflowed = next((t for t in terminals if not -math.inf < accs[t] < math.inf), None)
     if overflowed is not None:
         raise RescoreError(
             f"terminal state {overflowed}: accumulated score {accs[overflowed]!r} is not finite "

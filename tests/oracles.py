@@ -3,13 +3,18 @@
 Everything here is deliberately written from scratch against the defining
 formulas, using plain Python dicts and math, and reads only raw count tables;
 none of it shares code with the implementation paths it verifies.
+``EXHAUSTIVE`` is the one package object here: the decode setting whose beam
+never cuts, against which the oracles are compared.
 """
 
 from __future__ import annotations
 
 import math
 
+from talarescore.rescorer import RescoreConfig
+
 SENTINEL_ID = 0
+EXHAUSTIVE = RescoreConfig(k_beam=10**9)
 
 
 def levenshtein_distance(a, b) -> int:

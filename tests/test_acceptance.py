@@ -9,7 +9,6 @@ synthetic suite at its decode defaults.
 from __future__ import annotations
 
 import hashlib
-import math
 import random
 import time
 from contextlib import contextmanager
@@ -37,12 +36,11 @@ from talarescore.lattice import (
     viterbi_acoustic,
 )
 from talarescore.model import train_model
-from talarescore.rescorer import RescoreConfig, rescore
+from talarescore.rescorer import rescore
 
-from .oracles import best_path_by_replay, levenshtein_distance, path_count, ti_prior_dist
+from .oracles import EXHAUSTIVE, best_path_by_replay, levenshtein_distance, path_count, ti_prior_dist
 from .test_static_prior import dist_after
 
-EXHAUSTIVE = RescoreConfig(k_beam=10**9, delta_beam=math.inf)
 # sha256 of the small ensemble's lattices, dumped and joined in order.
 ENSEMBLE_SHA256 = "2c7863b05df7dd2655e5ed54e4dab7dc13b871e1b3a7ccf5200adc135e2af5d9"
 

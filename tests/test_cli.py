@@ -236,10 +236,30 @@ def test_train_rejects_a_laplace_k_that_underflows_every_tala_weight(tmp_path, c
     assert run(["train", "--corpus", str(corpus), "--out", str(model_path), "--laplace-k", "1e-300"]) == 0
 
 
+@pytest.mark.parametrize(
+    ("flag", "value", "message"),
+    [
+        ("--laplace-k", "1e300", "laplace_k must not exceed 2**53"),
+        ("--laplace-k", "inf", "laplace_k must be positive and finite"),
+        ("--laplace-k", "nan", "laplace_k must be positive and finite"),
+        ("--eps-dir", "inf", "eps_dir must be positive and finite"),
+        ("--eps-dir", "nan", "eps_dir must be positive and finite"),
+    ],
+    ids=["laplace_k=1e300", "laplace_k=inf", "laplace_k=nan", "eps_dir=inf", "eps_dir=nan"],
+)
+def test_train_rejects_settings_the_model_file_refuses(tmp_path, capsys, flag, value, message):
+    parts = [gen_corpus(tmp_path, name=f"{t}.txt", tala=t, count=1) for t in ("tintal", "jhaptal")]
+    corpus = tmp_path / "corpus.txt"
+    corpus.write_text("".join(p.read_text(encoding="utf-8") for p in parts), encoding="utf-8")
+    model_path = tmp_path / "model.tiprior"
+    assert run(["train", "--corpus", str(corpus), "--out", str(model_path), flag, value]) == 1
+    assert f"error: {message}\n" in capsys.readouterr().err
+    assert not model_path.exists()
+
+
 def test_expanded_dump_is_pinned_on_a_standard_suite_lattice(tmp_path):
     """``--dump-expanded-dir`` bytes and beam counters for the standard suite's
-    first tintal test lattice, pinned under adaptive and fixed interpolation
-    and under a score band narrow enough that both pruning rules cut."""
+    first tintal test lattice, pinned under adaptive and fixed interpolation."""
     suite = standard_suite()
     vocab = default_vocabulary()
     save_model(train_model(build_training_corpus(suite, vocab), vocab), tmp_path / "m.tiprior")
@@ -255,24 +275,20 @@ def test_expanded_dump_is_pinned_on_a_standard_suite_lattice(tmp_path):
     )
     save_lattice(generate_lattice(truth, lat_cfg, vocab), tmp_path / "a.lat")
     pinned = {
-        ("adaptive", "10.0"): (
+        "adaptive": (
             "165a397139f01bd58d338a0bd9bc230b96de637ca10579bdc68b3c5c5b2f8015",
-            "summary pops=6117 pushes=17601 pruned_band=0 pruned_capacity=11485 max_queue=152",
+            "summary pops=6117 pushes=17601 pruned_capacity=11485 max_queue=152",
         ),
-        ("fixed:0", "10.0"): (
+        "fixed:0": (
             "01d2918df177089739c2b1c2b2dc90e262c4c73a94636c9ba77df32f63621508",
-            "summary pops=6483 pushes=18822 pruned_band=0 pruned_capacity=12340 max_queue=152",
-        ),
-        ("adaptive", "2.0"): (
-            "4b7fa4edd72d440d4bf7713f612214aee9b77b130e5e31f2e8c9b26086582224",
-            "summary pops=5235 pushes=15156 pruned_band=8277 pruned_capacity=1645 max_queue=152",
+            "summary pops=6483 pushes=18822 pruned_capacity=12340 max_queue=152",
         ),
     }
-    for (mode, band), (digest, summary) in pinned.items():
-        dump_dir = tmp_path / f"{mode.replace(':', '_')}_{band}"
+    for mode, (digest, summary) in pinned.items():
+        dump_dir = tmp_path / mode.replace(":", "_")
         diag = dump_dir / "diag.txt"
         argv = ["rescore", str(tmp_path / "a.lat"), "--model", str(tmp_path / "m.tiprior"),
-                "--out", str(tmp_path / "h.txt"), "--lambda", mode, "--delta-beam", band,
+                "--out", str(tmp_path / "h.txt"), "--lambda", mode,
                 "--dump-expanded-dir", str(dump_dir), "--diagnostics", str(diag)]
         assert run(argv) == 0
         assert hashlib.sha256((dump_dir / "0000.exp").read_bytes()).hexdigest() == digest
@@ -381,6 +397,19 @@ def test_bench_suite_file_with_a_repeated_key_fails(tmp_path, capsys):
     assert "repeated config key 'rho'" in capsys.readouterr().err
 
 
+def test_bench_suite_file_with_the_removed_delta_beam_key_fails(tmp_path, capsys):
+    suite = tmp_path / "suite.cfg"
+    suite.write_text("delta_beam=10\n", encoding="utf-8")
+    assert run(["bench", "--suite", str(suite), "--out-dir", str(tmp_path / "out")]) == 1
+    assert "unknown suite config key 'delta_beam'" in capsys.readouterr().err
+
+
+def test_rescore_delta_beam_flag_is_a_usage_error(tmp_path):
+    with pytest.raises(SystemExit) as exc:
+        run(["rescore", "x.lat", "--model", "m", "--out", str(tmp_path / "o"), "--delta-beam", "5"])
+    assert exc.value.code == 2
+
+
 @pytest.mark.parametrize(
     "spelling",
     [["--conf", "{cfg}"], ["--config", "{cfg}", "--config", "{cfg}2"]],
@@ -405,7 +434,6 @@ def test_decode_defaults_pin_standard_hyperparameters():
     assert args.rho == 0.03
     assert args.beta == 0.5
     assert args.k_beam == 150
-    assert args.delta_beam == 10.0
     assert args.lambda_mode == "adaptive"
 
     train = build_parser().parse_args(["train", "--corpus", "c", "--out", "m"])

@@ -108,7 +108,7 @@ def tiny_suite(**overrides):
         deviation=DeviationConfig(),
         lambda_modes=("fixed:0", "adaptive"),
         seed=5,
-        rescore=RescoreConfig(k_beam=40, delta_beam=10.0),
+        rescore=RescoreConfig(k_beam=40),
     )
     base.update(overrides)
     return BenchmarkSuiteConfig(**base)

@@ -10,7 +10,6 @@ Examples are derandomized, so every run checks the same inputs.
 
 from __future__ import annotations
 
-import math
 from dataclasses import replace
 
 import numpy as np
@@ -22,14 +21,13 @@ from talarescore.core import StrokeSequence, StrokeVocabulary, default_vocabular
 from talarescore.errors import VocabularyError
 from talarescore.eval import ser
 from talarescore.lattice import Arc, Lattice, dumps_lattice, loads_lattice, viterbi_acoustic
-from talarescore.rescorer import RescoreConfig, rescore
+from talarescore.rescorer import rescore
 from talarescore.static_prior import TalaIndependentPrior, train_prior, train_tala_table
 
-from .oracles import best_path_by_replay, levenshtein_distance
+from .oracles import EXHAUSTIVE, best_path_by_replay, levenshtein_distance
 from .test_static_prior import dist_after
 
 PROPERTY_SETTINGS = settings(derandomize=True, deadline=None, max_examples=150)
-EXHAUSTIVE = RescoreConfig(k_beam=10**9, delta_beam=math.inf)
 TIED_SCORES = (0.0, -0.5, -1.0, -2.5)
 VOCAB = default_vocabulary()
 

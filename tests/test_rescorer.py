@@ -28,14 +28,13 @@ from talarescore.rescorer import (
     viterbi_expanded,
 )
 
-from .oracles import all_paths, best_path_by_replay, replay_path_score, ti_prior_dist
+from .oracles import EXHAUSTIVE, all_paths, best_path_by_replay, replay_path_score, ti_prior_dist
 from .test_properties import PROPERTY_SETTINGS, small_dags
 
-EXHAUSTIVE = RescoreConfig(k_beam=10**9, delta_beam=math.inf)
-WIDE_PIN_SHA256 = "0c6912062dd98b89c9f915a9076508987e2ef4517272bd1252f8755e7c209268"
+WIDE_PIN_SHA256 = "f0fbc5c96a9dd230a67c4c608c269f5d65db99573ed09ded16db0b627a9508bb"
 # The static-prior memo those decodes leave: its length and the sha256 of its
 # keys, sorted by repr.
-WIDE_PIN_MEMO = (283, "da57ac087908d21401454e43193cf3125fbc240b69ca6fee822d78b47578d2fd")
+WIDE_PIN_MEMO = (299, "2b120dde2972982e30557be34dd7c16de344673a31c24d2c04044aed95fe59cc")
 
 
 def random_grid_lattice(vocab, rng, stages=4, width=2):
@@ -59,7 +58,6 @@ def random_grid_lattice(vocab, rng, stages=4, width=2):
         {"beta": -0.1},
         {"beta": math.nan},
         {"beta": math.inf},
-        {"delta_beam": math.nan},
         {"eps_jsd": 0.0},
         {"eps_jsd": math.nan},
         {"eps_jsd": math.inf},
@@ -71,7 +69,7 @@ def random_grid_lattice(vocab, rng, stages=4, width=2):
         {"rho": 1.0},
     ],
     ids=[
-        "beta<0", "beta=nan", "beta=inf", "delta_beam=nan", "eps_jsd=0", "eps_jsd=nan", "eps_jsd=inf",
+        "beta<0", "beta=nan", "beta=inf", "eps_jsd=0", "eps_jsd=nan", "eps_jsd=inf",
         "lambda_mode", "k_beam=0", "k_beam=2.5", "k_beam=True", "rho=0", "rho=1",
     ],
 )
@@ -91,7 +89,7 @@ def test_single_path_lattice_returns_that_path(vocab, small_model):
 
 def test_beta_zero_equals_acoustic_viterbi(vocab, small_model):
     rng = random.Random(17)
-    cfg = RescoreConfig(beta=0.0, k_beam=10**9, delta_beam=math.inf)
+    cfg = replace(EXHAUSTIVE, beta=0.0)
     for _ in range(30):
         lat = random_grid_lattice(vocab, rng, stages=5, width=3)
         hyp, _, _ = rescore(lat, small_model, cfg)
@@ -106,7 +104,7 @@ def test_beta_zero_breaks_ties_like_acoustic_viterbi(vocab, small_model):
         Arc(1, 2, 3, -0.25),
     )
     lat = Lattice(vocab=vocab, n_nodes=3, arcs=arcs, start=0, finals=frozenset({2}))
-    cfg = RescoreConfig(beta=0.0, k_beam=10**9, delta_beam=math.inf)
+    cfg = replace(EXHAUSTIVE, beta=0.0)
     hyp, _, _ = rescore(lat, small_model, cfg)
     assert hyp.strokes == viterbi_acoustic(lat).strokes == (4, 3)
 
@@ -116,7 +114,7 @@ def test_exhaustive_rescore_matches_replay_oracle(vocab, small_model):
     for trial in range(20):
         lat = random_grid_lattice(vocab, rng, stages=4, width=2)
         for mode in ("adaptive", "fixed:0.5"):
-            cfg = RescoreConfig(k_beam=10**9, delta_beam=math.inf, lambda_mode=mode)
+            cfg = replace(EXHAUSTIVE, lambda_mode=mode)
             hyp, exp, _ = rescore(lat, small_model, cfg)
             oracle_labels, oracle_score = best_path_by_replay(lat, small_model, cfg)
             assert hyp.strokes == oracle_labels
@@ -176,9 +174,7 @@ def test_fixed_lambda_traces_match_component_models(vocab, small_model):
     from talarescore.dynamic_model import predict
 
     for mode, pick in (("fixed:0", "static"), ("fixed:1", "dynamic")):
-        cfg = RescoreConfig(
-            k_beam=10**9, delta_beam=math.inf, lambda_mode=mode, collect_traces=True
-        )
+        cfg = replace(EXHAUSTIVE, lambda_mode=mode, collect_traces=True)
         _, exp, diag = rescore(lat, small_model, cfg)
         suffix = max(small_model.tala_table.w_tau, small_model.prior.n - 1)
         # The Dirichlet state of each history, updated eagerly one transition
@@ -202,9 +198,9 @@ def test_fixed_lambda_traces_match_component_models(vocab, small_model):
 def test_beam_monotonicity_on_seeded_ensemble(vocab, small_model):
     rng = random.Random(99)
     settings = [
-        RescoreConfig(k_beam=8, delta_beam=2.0),
-        RescoreConfig(k_beam=50, delta_beam=6.0),
-        RescoreConfig(k_beam=10**9, delta_beam=math.inf),
+        RescoreConfig(k_beam=8),
+        RescoreConfig(k_beam=50),
+        EXHAUSTIVE,
     ]
     for _ in range(10):
         lat = random_grid_lattice(vocab, rng, stages=5, width=3)
@@ -233,7 +229,7 @@ def test_rescore_is_deterministic(vocab, small_model):
 def test_narrow_beam_still_returns_a_terminal(vocab, small_model):
     rng = random.Random(21)
     lat = random_grid_lattice(vocab, rng, stages=6, width=3)
-    hyp, exp, _ = rescore(lat, small_model, RescoreConfig(k_beam=1, delta_beam=0.0))
+    hyp, exp, _ = rescore(lat, small_model, RescoreConfig(k_beam=1))
     assert len(hyp) == 6
     assert exp.terminals
 
@@ -395,8 +391,8 @@ def standard_lattice():
     return lats[0], model
 
 
-# A beam narrow enough that both pruning rules cut on every decode.
-WIDE_PIN_BEAM = {"k_beam": 80, "delta_beam": 3.0}
+# A beam narrow enough that it cuts on every decode.
+WIDE_PIN_BEAM = {"k_beam": 80}
 WIDE_PIN_MODES = ("adaptive", "fixed:0", "fixed:0.5")
 
 
@@ -412,14 +408,14 @@ def wide_pin_decodes():
     return decodes
 
 
-def test_decodes_are_pinned_where_both_pruning_rules_cut(wide_pin_decodes):
+def test_decodes_are_pinned_where_the_beam_cuts(wide_pin_decodes):
     """Hypotheses, expanded-lattice dumps and beam counters of 24 decodes,
     hashed together, so that no change to how the decode stores or scores
     its states can move a hypothesis, a dumped weight or a counter."""
     digest = hashlib.sha256()
     for _, _, cfg, (hyp, exp, diag) in wide_pin_decodes:
-        assert diag.pruned_band > 0 and diag.pruned_capacity > 0
-        counters = (diag.pops, diag.pushes, diag.pruned_band, diag.pruned_capacity, diag.max_queue_size)
+        assert diag.pruned_capacity > 0
+        counters = (diag.pops, diag.pushes, diag.pruned_capacity, diag.max_queue_size)
         digest.update(f"{cfg.lambda_mode} hyp {' '.join(map(str, hyp.strokes))}\n".encode())
         digest.update(dumps_expanded(exp).encode())
         digest.update(f"counters {' '.join(map(str, counters))}\n".encode())
