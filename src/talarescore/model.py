@@ -15,9 +15,10 @@ Persists to a versioned line-oriented text file that round-trips exactly:
     alpha <prev> <next> <value>
 
 ``alpha`` lines carry only entries that differ from their defaults (``eps_dir``
-on playable rows, 1 on the sentinel row).  Counts and ``laplace_k`` are at
-most 2**53, tala priors lie in (0, 1], and ``laplace_k`` times at least one tala
-prior is positive.
+on playable rows, 1 on the sentinel row).  Counts, ``n``, ``w_tau`` and
+``laplace_k`` are at most 2**53, tala priors lie in (0, 1], ``laplace_k`` times
+at least one tala prior is positive, and every stroke symbol is on the ``vocab``
+line.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ import numpy as np
 
 from .core import SENTINEL_ID, StrokeSequence, StrokeVocabulary
 from .dynamic_model import DirichletState, init_alpha
-from .errors import ModelFormatError
+from .errors import ModelFormatError, VocabularyError
 from .static_prior import (
     NGramPrior,
     TalaIndependentPrior,
@@ -84,11 +85,15 @@ def train_model(
     eps_dir: float = 1.0,
 ) -> RhythmModel:
     """Train all tables from a tala-labeled corpus; ``laplace_k`` and
-    ``eps_dir`` must lie in the model file's header bounds, so it loads back."""
+    ``eps_dir`` must lie in the model file's header bounds, and every stroke id
+    in ``vocab``, so it loads back."""
     _check_header_field("laplace_k", laplace_k)
     _check_header_field("eps_dir", eps_dir)
     if not corpus:
         raise ValueError("empty training corpus")
+    top = max(max(seq.strokes) for seq in corpus)
+    if top > vocab.num_playable:
+        raise VocabularyError(f"stroke id out of range: {top} (the vocabulary has {vocab.num_playable} strokes)")
     prior = train_prior(corpus, vocab, n=n, laplace_k=laplace_k)
     table = train_tala_table(corpus, w_tau=w_tau, laplace_k=laplace_k)
     alpha0 = init_alpha(corpus, vocab, eps_dir=eps_dir)
@@ -96,40 +101,35 @@ def train_model(
 
 
 def dumps_model(model: RhythmModel) -> str:
-    vocab = model.vocab
+    symbols = model.vocab.symbols
     lines = [
         FORMAT_HEADER,
         f"n {model.prior.n}",
         f"laplace_k {model.prior.laplace_k!r}",
         f"w_tau {model.tala_table.w_tau}",
         f"eps_dir {model.eps_dir!r}",
-        "vocab " + " ".join(vocab.playable_symbols),
+        "vocab " + " ".join(model.vocab.playable_symbols),
     ]
     for tala in model.tala_table.talas:
         lines.append(f"tala {tala} {model.tala_table.priors[tala]!r}")
     for tala in sorted(model.prior.counts):
         table = model.prior.counts[tala]
         for ctx in sorted(table):
-            for nxt in sorted(table[ctx]):
-                ctx_syms = " ".join(vocab.symbol_of(c) for c in ctx)
-                parts = ["count", tala]
-                if ctx_syms:
-                    parts.append(ctx_syms)
-                parts += [vocab.symbol_of(nxt), str(table[ctx][nxt])]
-                lines.append(" ".join(parts))
+            row = table[ctx]
+            head = " ".join(["count", tala, *[symbols[c] for c in ctx]])
+            lines += [f"{head} {symbols[nxt]} {row[nxt]}" for nxt in sorted(row)]
     for tala in sorted(model.tala_table.counts):
         windows = model.tala_table.counts[tala]
-        for window in sorted(windows):
-            win_syms = " ".join(vocab.symbol_of(c) for c in window)
-            lines.append(f"taucount {tala} {win_syms} {windows[window]}")
+        lines += [
+            f"taucount {tala} {' '.join([symbols[c] for c in window])} {windows[window]}"
+            for window in sorted(windows)
+        ]
     defaults = np.full_like(model.alpha0, model.eps_dir)
     defaults[SENTINEL_ID, :] = 1.0
     rows, cols = np.nonzero(model.alpha0 != defaults)
     for r, c in zip(rows.tolist(), cols.tolist()):
-        lines.append(
-            f"alpha {vocab.symbol_of(r)} {vocab.symbol_of(c + 1)} {float(model.alpha0[r, c])!r}"
-        )
-    return "".join(f"{l}\n" for l in lines)
+        lines.append(f"alpha {symbols[r]} {symbols[c + 1]} {float(model.alpha0[r, c])!r}")
+    return "\n".join(lines) + "\n"
 
 
 def save_model(model: RhythmModel, path: str | Path) -> None:
@@ -141,11 +141,12 @@ def load_model(path: str | Path) -> RhythmModel:
 
 
 def loads_model(text: str) -> RhythmModel:
-    lines = [l.strip() for l in text.splitlines() if l.strip() and not l.startswith("#")]
+    lines = [s for l in text.splitlines() if (s := l.strip()) and not l.startswith("#")]
     if not lines or lines[0] != FORMAT_HEADER:
         raise ModelFormatError(f"expected header {FORMAT_HEADER!r}")
     header: dict[str, float] = {}
     vocab: StrokeVocabulary | None = None
+    ids: dict[str, int] = {}  # symbol -> stroke id, filled by the vocab line
     priors: dict[str, float] = {}
     ngram_counts: dict[str, dict[tuple[int, ...], dict[int, int]]] = {}
     tau_counts: dict[str, dict[tuple[int, ...], int]] = {}
@@ -154,9 +155,48 @@ def loads_model(text: str) -> RhythmModel:
     for line in lines[1:]:
         kind, *args = line.split()
         # Tuple unpacking checks each directive's arity; it and every numeric
-        # conversion raise ValueError, reported below with the line.
+        # conversion raise ValueError, and a symbol not in ``ids`` KeyError,
+        # both reported below with the line.
         try:
-            if kind in _HEADER_FIELDS:
+            if vocab is None and kind in ("count", "taucount", "alpha"):
+                raise ModelFormatError(f"{kind} line before vocab line")
+            if kind == "taucount":  # nearly every line of a trained model
+                tala, *win_syms, raw = args
+                window = tuple([ids[s] for s in win_syms])
+                count = int(raw)
+                if not (0 <= count <= _MAX_COUNT and 0 < len(window) <= header["w_tau"]):
+                    raise ValueError("want a window of 1..w_tau strokes and a count in 0..2**53")
+                windows = tau_counts.get(tala)
+                if windows is None:
+                    windows = tau_counts[tala] = {}
+                    tala_uses.setdefault(tala, line)
+                if window in windows:
+                    raise ValueError("repeated taucount key")
+                windows[window] = count
+            elif kind == "count":
+                tala, *ctx_syms, nxt_sym, raw = args
+                if len(ctx_syms) != header["n"] - 1:
+                    raise ValueError(f"want a context of n-1 = {header['n'] - 1} strokes")
+                ctx = tuple([ids[s] for s in ctx_syms])
+                nxt = _playable_id(ids, nxt_sym)
+                count = int(raw)
+                if not 0 <= count <= _MAX_COUNT:
+                    raise ValueError("count must lie in 0..2**53")
+                row = ngram_counts.setdefault(tala, {}).setdefault(ctx, {})
+                if nxt in row:
+                    raise ValueError("repeated count key")
+                row[nxt] = count
+                tala_uses.setdefault(tala, line)
+            elif kind == "alpha":
+                prev_sym, next_sym, raw = args
+                value = float(raw)
+                if not (value > 0 and math.isfinite(value)):
+                    raise ValueError("alpha must be positive and finite")
+                key = (ids[prev_sym], _playable_id(ids, next_sym))
+                if key in alphas:
+                    raise ValueError("repeated alpha key")
+                alphas[key] = value
+            elif kind in _HEADER_FIELDS:
                 if kind in header:
                     raise ValueError(f"repeated {kind} line")
                 (raw,) = args
@@ -172,8 +212,7 @@ def loads_model(text: str) -> RhythmModel:
                 if missing:
                     raise ModelFormatError(f"missing header fields {sorted(missing)} before the vocab line")
                 vocab = StrokeVocabulary.of(args)
-            elif kind in ("count", "taucount", "alpha") and vocab is None:
-                raise ModelFormatError(f"{kind} line before vocab line")
+                ids = {s: i for i, s in enumerate(vocab.symbols)}
             elif kind == "tala":
                 tala, raw = args
                 prior = float(raw)
@@ -182,44 +221,12 @@ def loads_model(text: str) -> RhythmModel:
                 if tala in priors:
                     raise ValueError(f"repeated tala {tala!r}")
                 priors[tala] = prior
-            elif kind == "count":
-                tala, *ctx_syms, nxt_sym, raw = args
-                if len(ctx_syms) != header["n"] - 1:
-                    raise ValueError(f"want a context of n-1 = {header['n'] - 1} strokes")
-                ctx = tuple(vocab.id_of(s) for s in ctx_syms)
-                nxt = _playable_id(vocab, nxt_sym)
-                count = int(raw)
-                if not 0 <= count <= _MAX_COUNT:
-                    raise ValueError("count must lie in 0..2**53")
-                row = ngram_counts.setdefault(tala, {}).setdefault(ctx, {})
-                if nxt in row:
-                    raise ValueError("repeated count key")
-                row[nxt] = count
-                tala_uses.setdefault(tala, line)
-            elif kind == "taucount":
-                tala, *win_syms, raw = args
-                window = tuple(vocab.id_of(s) for s in win_syms)
-                count = int(raw)
-                if not (0 <= count <= _MAX_COUNT and 0 < len(window) <= header["w_tau"]):
-                    raise ValueError("want a window of 1..w_tau strokes and a count in 0..2**53")
-                windows = tau_counts.setdefault(tala, {})
-                if window in windows:
-                    raise ValueError("repeated taucount key")
-                windows[window] = count
-                tala_uses.setdefault(tala, line)
-            elif kind == "alpha":
-                prev_sym, next_sym, raw = args
-                value = float(raw)
-                if not (value > 0 and math.isfinite(value)):
-                    raise ValueError("alpha must be positive and finite")
-                key = (vocab.id_of(prev_sym), _playable_id(vocab, next_sym))
-                if key in alphas:
-                    raise ValueError("repeated alpha key")
-                alphas[key] = value
             else:
                 raise ModelFormatError(f"unknown directive: {kind!r}")
         except ValueError as exc:
             raise ModelFormatError(f"bad {kind} line {line!r}: {exc}") from None
+        except KeyError as exc:
+            raise ModelFormatError(f"bad {kind} line {line!r}: unknown stroke symbol {exc.args[0]!r}") from None
     missing = set(_HEADER_FIELDS) - set(header)
     if missing:
         raise ModelFormatError(f"missing header fields: {sorted(missing)}")
@@ -247,21 +254,23 @@ def loads_model(text: str) -> RhythmModel:
 
 
 _HEADER_FIELDS = {"n": int, "laplace_k": float, "w_tau": int, "eps_dir": float}
-# The largest count or laplace_k: with tala priors in (0, 1], every n-gram row
-# total and tala posterior weight stays finite.
+# The largest count, laplace_k, n or w_tau: with tala priors in (0, 1], every
+# n-gram row total and tala posterior weight stays finite.  n and w_tau share
+# the bound so that no header value is too large for a float.
 _MAX_COUNT = 2**53
 
 
 def _check_header_field(kind: str, value: float) -> None:
     """Raise ``ValueError`` unless ``value`` lies in the ``kind`` header's bounds."""
-    if not (value > 0 and math.isfinite(value)):
+    # Unlike math.isfinite, a comparison takes an int too large for a float.
+    if not 0 < value < math.inf:
         raise ValueError(f"{kind} must be positive and finite")
-    if kind == "laplace_k" and value > _MAX_COUNT:
-        raise ValueError("laplace_k must not exceed 2**53")
+    if kind != "eps_dir" and value > _MAX_COUNT:
+        raise ValueError(f"{kind} must not exceed 2**53")
 
 
-def _playable_id(vocab: StrokeVocabulary, symbol: str) -> int:
-    stroke_id = vocab.id_of(symbol)
+def _playable_id(ids: dict[str, int], symbol: str) -> int:
+    stroke_id = ids[symbol]
     if stroke_id == SENTINEL_ID:
         raise ValueError(f"{symbol!r} is not a playable stroke")
     return stroke_id

@@ -257,6 +257,18 @@ def test_train_rejects_settings_the_model_file_refuses(tmp_path, capsys, flag, v
     assert not model_path.exists()
 
 
+def test_rescore_model_with_an_integer_header_too_large_for_a_float_fails(tmp_path, capsys):
+    model_path = tmp_path / "model.tiprior"
+    model_path.write_text("tiprior v1\nn 1" + "0" * 400 + "\n", encoding="utf-8")
+    lat = tmp_path / "a.lat"
+    lat.write_text("lattice v1\nvocab 5\nstart 0\nfinal 1\narc 0 1 Dha -1.0\n", encoding="utf-8")
+    code = run(["rescore", str(lat), "--model", str(model_path), "--out", str(tmp_path / "h.txt")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: bad n line 'n 10") and "n must not exceed 2**53" in err
+    assert "Traceback" not in err
+
+
 def test_expanded_dump_is_pinned_on_a_standard_suite_lattice(tmp_path):
     """``--dump-expanded-dir`` bytes and beam counters for the standard suite's
     first tintal test lattice, pinned under adaptive and fixed interpolation."""

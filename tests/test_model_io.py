@@ -1,10 +1,13 @@
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 import pytest
 
 from talarescore.core import StrokeSequence
-from talarescore.errors import ModelFormatError
+from talarescore.errors import ModelFormatError, VocabularyError
+from talarescore.eval import build_training_corpus, standard_suite
 from talarescore.model import dumps_model, load_model, loads_model, save_model, train_model
 
 from .test_static_prior import dist_after
@@ -23,6 +26,26 @@ def test_round_trip_byte_identity(small_corpus, vocab, tmp_path):
     first = dumps_model(model)
     again = dumps_model(loads_model(first))
     assert again == first
+
+
+@pytest.mark.parametrize(
+    "seed, lines, digest",
+    [
+        (2024, 7441, "74ef80dce377b501082c08ff3d69700ea6535b1420d272720ca1e6bc0ad86884"),
+        (7, 7578, "c227570fb91cd8c887dcef5cf3179f9de831a7e4b6f56ab53e782ca1f1020597"),
+    ],
+)
+def test_standard_suite_model_text_is_pinned(vocab, seed, lines, digest):
+    suite = standard_suite(seed)
+    model = train_model(
+        build_training_corpus(suite, vocab), vocab,
+        n=suite.n, laplace_k=suite.laplace_k, w_tau=suite.w_tau, eps_dir=suite.eps_dir,
+    )
+    text = dumps_model(model)
+    assert (len(text.splitlines()), hashlib.sha256(text.encode("utf-8")).hexdigest()) == (lines, digest)
+    loaded = loads_model(text)
+    assert loaded == model
+    assert dumps_model(loaded) == text
 
 
 def test_header_carries_training_settings(small_corpus, vocab):
@@ -105,6 +128,8 @@ VALID_MODEL = "tiprior v1\nn 2\nlaplace_k 1.0\nw_tau 4\neps_dir 1.0\nvocab Dha N
         "n 3",
         # a second vocab or tala line, and counts for a tala with no tala line
         "vocab Dha Na", "tala t 1.0", "count u Dha Na 1", "taucount u Dha 1",
+        # stroke symbols the vocab line does not hold
+        "count t Dha Bol 1", "taucount t Xyz 1", "alpha Bol Na 2.0",
     ],
 )
 def test_malformed_model_lines_name_the_line(bad):
@@ -114,7 +139,14 @@ def test_malformed_model_lines_name_the_line(bad):
     assert repr(bad) in str(exc.value)
 
 
-@pytest.mark.parametrize("bad", ["laplace_k 1e308", "laplace_k 9007199254740994.0", "laplace_k inf", "eps_dir 0"])
+@pytest.mark.parametrize(
+    "bad",
+    [
+        "laplace_k 1e308", "laplace_k 9007199254740994.0", "laplace_k inf", "eps_dir 0",
+        # integers too large for a float
+        pytest.param("n 1" + "0" * 400, id="n=10**400"), pytest.param("w_tau 1" + "0" * 400, id="w_tau=10**400"),
+    ],
+)
 def test_out_of_range_header_values_name_the_line(bad):
     # Appended, a header line would be a repeat; here it replaces the valid one.
     kind = bad.split()[0]
@@ -169,3 +201,9 @@ def test_count_keys_are_checked_against_the_header():
 def test_train_rejects_empty_corpus(vocab):
     with pytest.raises(ValueError, match="empty"):
         train_model([], vocab)
+
+
+def test_train_rejects_a_stroke_id_outside_the_vocabulary(vocab):
+    corpus = [StrokeSequence((1, 2, 3), tala_label="t"), StrokeSequence((1, 2, 9), tala_label="t")]
+    with pytest.raises(VocabularyError, match="stroke id out of range: 9"):
+        train_model(corpus, vocab)

@@ -5,6 +5,7 @@ have outgoing arcs), parallel arcs, skip arcs, detours through extra nodes
 whose ids do not follow the topological order, and arc scores drawn from a
 handful of values so that exact ties are common.  The generated static priors
 step their state along random histories, on trained and hand-edited tables.
+The generated models are trained on random corpora over random vocabularies.
 Examples are derandomized, so every run checks the same inputs.
 """
 
@@ -21,6 +22,7 @@ from talarescore.core import StrokeSequence, StrokeVocabulary, default_vocabular
 from talarescore.errors import VocabularyError
 from talarescore.eval import ser
 from talarescore.lattice import Arc, Lattice, dumps_lattice, loads_lattice, viterbi_acoustic
+from talarescore.model import dumps_model, loads_model, train_model
 from talarescore.rescorer import rescore
 from talarescore.static_prior import TalaIndependentPrior, train_prior, train_tala_table
 
@@ -197,3 +199,33 @@ def test_window_tables_nest(corpus, wide):
     for w in range(1, wide + 1):
         nested = {tala: {u: c for u, c in windows.items() if len(u) <= w} for tala, windows in full.items()}
         assert train_tala_table(seqs, w_tau=w).counts == nested
+
+
+@st.composite
+def trained_models(draw):
+    """A model trained on a random corpus over a vocabulary of multi-character
+    symbols, at a random order ``n`` and window ``w_tau``."""
+    symbols = draw(st.lists(st.text("aAdhkK", min_size=2, max_size=5), min_size=1, max_size=5, unique=True))
+    vocab = StrokeVocabulary.of(symbols)
+    strokes = st.lists(st.integers(1, vocab.num_playable), min_size=1, max_size=12)
+    corpus = [
+        StrokeSequence(tuple(seq), tala_label=tala)
+        for tala, seq in draw(st.lists(st.tuples(st.sampled_from(TALAS), strokes), min_size=1, max_size=4))
+    ]
+    return train_model(
+        corpus,
+        vocab,
+        n=draw(st.integers(1, 3)),
+        laplace_k=draw(st.sampled_from((1.0, 0.3))),
+        w_tau=draw(st.integers(1, 5)),
+        eps_dir=draw(st.sampled_from((1.0, 0.25))),
+    )
+
+
+@PROPERTY_SETTINGS
+@given(model=trained_models())
+def test_model_text_round_trip_is_exact(model):
+    text = dumps_model(model)
+    loaded = loads_model(text)
+    assert loaded == model
+    assert dumps_model(loaded) == text
