@@ -68,7 +68,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train", help="train a rhythm model from a labeled corpus")
     p.add_argument("--corpus", type=Path, required=True)
     p.add_argument("--out", type=Path, required=True)
-    p.add_argument("--n", type=int, default=3, help="n-gram order")
+    p.add_argument("--n", type=int, default=3, help="n-gram order, at most 32")
     p.add_argument("--laplace-k", type=float, default=1.0)
     p.add_argument("--w-tau", type=int, default=16)
     p.add_argument("--eps-dir", type=float, default=1.0)

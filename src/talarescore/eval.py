@@ -68,22 +68,25 @@ def ser(ref: Sequence[Hashable] | StrokeSequence, hyp: Sequence[Hashable] | Stro
     h = _items(hyp)
     if not r:
         raise ValueError("reference sequence must be non-empty")
-    rows = len(r) + 1
-    cols = len(h) + 1
-    dist = [[0] * cols for _ in range(rows)]
-    for i in range(1, rows):
-        dist[i][0] = i
-    for j in range(1, cols):
-        dist[0][j] = j
-    for i in range(1, rows):
-        ri = r[i - 1]
-        row = dist[i]
-        prev = dist[i - 1]
-        for j in range(1, cols):
-            sub = prev[j - 1] + (ri != h[j - 1])
-            ins = row[j - 1] + 1
-            dele = prev[j] + 1
-            row[j] = min(sub, ins, dele)
+    # Adjacent cells of the distance matrix differ by at most 1, so on a
+    # match the diagonal is the minimum; otherwise the cell is one more than
+    # the least of its three neighbours.
+    prev = list(range(len(h) + 1))
+    dist = [prev]
+    for i, ri in enumerate(r, 1):
+        row = [i]
+        left = i
+        for hj, diag, up in zip(h, prev, prev[1:]):
+            if ri != hj:
+                if left < diag:
+                    diag = left
+                if up < diag:
+                    diag = up
+                diag += 1
+            row.append(diag)
+            left = diag
+        dist.append(row)
+        prev = row
     s = d = ins_n = 0
     i, j = len(r), len(h)
     while i > 0 or j > 0:

@@ -29,6 +29,15 @@ class Arc:
     label: int
     w_ac: float
 
+    @classmethod
+    def _trusted(cls, src: int, dst: int, label: int, w_ac: float) -> "Arc":
+        # Internal constructor for loads_lattice: sets the instance dict in
+        # one call instead of the frozen __init__'s object.__setattr__ per
+        # field; the Lattice validator checks every field.
+        arc = object.__new__(cls)
+        object.__setattr__(arc, "__dict__", {"src": src, "dst": dst, "label": label, "w_ac": w_ac})
+        return arc
+
 
 @dataclass(frozen=True, eq=False)
 class Lattice:
@@ -55,47 +64,55 @@ class Lattice:
         n = self.n_nodes
         if n < 1:
             raise LatticeFormatError("lattice needs at least one node")
-        if not 0 <= self.start < n:
-            raise LatticeFormatError(f"start node {self.start} out of range")
+        start = self.start
+        if not 0 <= start < n:
+            raise LatticeFormatError(f"start node {start} out of range")
         if not self.finals:
             raise LatticeFormatError("lattice needs at least one final node")
-        if self.start in self.finals:
+        if start in self.finals:
             raise LatticeFormatError("start node may not be final (paths must carry strokes)")
         for f in self.finals:
             if not 0 <= f < n:
                 raise LatticeFormatError(f"final node {f} out of range")
-        indeg = [0] * n
+        # The bound is StrokeVocabulary.is_playable's, inlined.
+        n_symbols = self.vocab.num_symbols
+        isfinite = math.isfinite
+        dsts = []
         for i, arc in enumerate(self.arcs):
-            if not (0 <= arc.src < n and 0 <= arc.dst < n):
+            src, dst, label, w_ac = arc.src, arc.dst, arc.label, arc.w_ac
+            if not (0 <= src < n and 0 <= dst < n):
                 raise LatticeFormatError(f"arc {i} endpoint out of range")
-            if not self.vocab.is_playable(arc.label):
-                raise LatticeFormatError(f"arc {i} label {arc.label} is not a playable stroke")
-            if not math.isfinite(arc.w_ac):
-                raise LatticeFormatError(f"arc {i} score {arc.w_ac!r} is not finite")
-            indeg[arc.dst] += 1
-        if indeg[self.start] != 0:
+            if not 1 <= label < n_symbols:
+                raise LatticeFormatError(f"arc {i} label {label} is not a playable stroke")
+            if not isfinite(w_ac):
+                raise LatticeFormatError(f"arc {i} score {w_ac!r} is not finite")
+            dsts.append(dst)
+        if start in dsts:
             raise LatticeFormatError("start node has incoming arcs")
-        if len(self.topological_order) != n:
+        order = self.topological_order
+        if len(order) != n:
             raise LatticeFormatError("lattice contains a cycle")
-        fwd = self._reachable({self.start}, forward=True)
-        bwd = self._reachable(set(self.finals), forward=False)
+        # On a DAG one sweep in topological order settles what the start
+        # reaches, and one in reverse order what reaches a final node.
+        outgoing = self.outgoing
+        fwd = [False] * n
+        fwd[start] = True
+        for v in order:
+            if fwd[v]:
+                for aid in outgoing[v]:
+                    fwd[dsts[aid]] = True
+        bwd = [False] * n
+        for f in self.finals:
+            bwd[f] = True
+        for v in reversed(order):
+            if not bwd[v]:
+                for aid in outgoing[v]:
+                    if bwd[dsts[aid]]:
+                        bwd[v] = True
+                        break
         for v in range(n):
-            if v not in fwd or v not in bwd:
+            if not (fwd[v] and bwd[v]):
                 raise LatticeFormatError(f"node {v} lies on no start-to-final path")
-
-    def _reachable(self, seeds: set[int], forward: bool) -> set[int]:
-        adjacency = self.outgoing if forward else self.incoming
-        seen = set(seeds)
-        stack = list(seeds)
-        while stack:
-            v = stack.pop()
-            for aid in adjacency[v]:
-                arc = self.arcs[aid]
-                w = arc.dst if forward else arc.src
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        return seen
 
     @cached_property
     def outgoing(self) -> tuple[tuple[int, ...], ...]:
@@ -104,13 +121,6 @@ class Lattice:
         for i, arc in enumerate(self.arcs):
             out[arc.src].append(i)
         return tuple(tuple(ids) for ids in out)
-
-    @cached_property
-    def incoming(self) -> tuple[tuple[int, ...], ...]:
-        inc: list[list[int]] = [[] for _ in range(self.n_nodes)]
-        for i, arc in enumerate(self.arcs):
-            inc[arc.dst].append(i)
-        return tuple(tuple(ids) for ids in inc)
 
     @cached_property
     def topological_order(self) -> tuple[int, ...]:
@@ -292,51 +302,75 @@ def loads_lattice(
     vocab: StrokeVocabulary | None = None,
     base_dir: Path | None = None,
 ) -> Lattice:
-    lines = [l.strip() for l in text.splitlines()]
-    lines = [l for l in lines if l and not l.startswith("#")]
-    if not lines or lines[0] != FORMAT_HEADER:
+    lines = iter(text.splitlines())
+    for line in lines:
+        line = line.strip()
+        if line and not line.startswith("#"):
+            break
+    else:
+        line = ""
+    if line != FORMAT_HEADER:
         raise LatticeFormatError(f"expected header {FORMAT_HEADER!r}")
     vocab_ref = ""
     start: int | None = None
     finals: set[int] = set()
-    raw_arcs: list[tuple[int, int, str, float]] = []
-    for line in lines[1:]:
-        kind, *args = line.split()
+    srcs: list[int] = []
+    dsts: list[int] = []
+    symbols: list[str] = []
+    scores: list[float] = []
+    # One pass over the remaining lines; arc lines are nearly all of them.
+    for line in lines:
+        fields = line.split()
+        if not fields:
+            continue
+        kind = fields[0]
         # Tuple unpacking checks each directive's arity; it and every numeric
         # conversion raise ValueError, reported below with the line.
         try:
-            if kind == "vocab":
-                (ref,) = args
+            if kind == "arc":
+                src, dst, symbol, score = fields[1:]
+                srcs.append(int(src))
+                dsts.append(int(dst))
+                symbols.append(symbol)
+                scores.append(float(score))
+            elif kind.startswith("#"):
+                continue
+            elif kind == "vocab":
+                (ref,) = fields[1:]
                 if vocab_ref:
                     raise ValueError("repeated vocab line")
                 vocab_ref = ref
             elif kind == "start":
-                (raw,) = args
+                (raw,) = fields[1:]
                 value = int(raw)
                 if start is not None:
                     raise ValueError("repeated start line")
                 start = value
             elif kind == "final":
-                finals.update(int(p) for p in args)
-            elif kind == "arc":
-                src, dst, symbol, score = args
-                raw_arcs.append((int(src), int(dst), symbol, float(score)))
+                finals.update(int(p) for p in fields[1:])
             else:
                 raise LatticeFormatError(f"unknown directive: {kind!r}")
         except ValueError as exc:
-            raise LatticeFormatError(f"bad {kind} line {line!r}: {exc}") from None
+            raise LatticeFormatError(f"bad {kind} line {line.strip()!r}: {exc}") from None
     if start is None or not finals:
         raise LatticeFormatError("missing start or final directive")
 
     if vocab is None:
-        vocab = _resolve_vocab(vocab_ref, raw_arcs, base_dir)
-    try:
-        arcs = tuple(Arc(s, d, vocab.id_of(sym), w) for s, d, sym, w in raw_arcs)
-    except VocabularyError as exc:
-        raise LatticeFormatError(str(exc)) from exc
+        vocab = _resolve_vocab(vocab_ref, symbols, base_dir)
+    # The table maps the sentinel too, so the validator names its arc.
+    table = {symbol: i for i, symbol in enumerate(vocab.symbols)}
+    labels = list(map(table.get, symbols))
+    if None in labels:
+        # id_of raises the vocabulary's own error for the first unknown symbol.
+        try:
+            vocab.id_of(symbols[labels.index(None)])
+        except VocabularyError as exc:
+            raise LatticeFormatError(str(exc)) from exc
     # Per-node structures are sized by the largest id, so a sparse id would
     # cost memory and time before validation could reject its phantom nodes.
-    ids = {start, *finals, *(a.src for a in arcs), *(a.dst for a in arcs)}
+    ids = {start, *finals}
+    ids.update(srcs)
+    ids.update(dsts)
     n_nodes = 1 + max(ids)
     if n_nodes > len(ids):
         raise LatticeFormatError(
@@ -345,7 +379,7 @@ def loads_lattice(
     return Lattice(
         vocab=vocab,
         n_nodes=n_nodes,
-        arcs=arcs,
+        arcs=tuple(map(Arc._trusted, srcs, dsts, labels, scores)),
         start=start,
         finals=frozenset(finals),
         vocab_ref=vocab_ref or str(vocab.num_playable),
@@ -354,7 +388,7 @@ def loads_lattice(
 
 def _resolve_vocab(
     vocab_ref: str,
-    raw_arcs: list[tuple[int, int, str, float]],
+    symbols: list[str],
     base_dir: Path | None,
 ) -> StrokeVocabulary:
     if not vocab_ref:
@@ -362,7 +396,7 @@ def _resolve_vocab(
     if vocab_ref.isdigit():
         declared = int(vocab_ref)
         seen: list[str] = []
-        for _, _, sym, _ in raw_arcs:
+        for sym in symbols:
             if sym not in seen:
                 seen.append(sym)
         if len(seen) > declared:

@@ -15,10 +15,10 @@ Persists to a versioned line-oriented text file that round-trips exactly:
     alpha <prev> <next> <value>
 
 ``alpha`` lines carry only entries that differ from their defaults (``eps_dir``
-on playable rows, 1 on the sentinel row).  Counts, ``n``, ``w_tau`` and
-``laplace_k`` are at most 2**53, tala priors lie in (0, 1], ``laplace_k`` times
-at least one tala prior is positive, and every stroke symbol is on the ``vocab``
-line.
+on playable rows, 1 on the sentinel row).  ``n`` is at most 32.  Counts,
+``w_tau`` and ``laplace_k`` are at most 2**53, tala priors lie in (0, 1],
+``laplace_k`` times at least one tala prior is positive, and every stroke
+symbol is on the ``vocab`` line.
 """
 
 from __future__ import annotations
@@ -84,9 +84,10 @@ def train_model(
     w_tau: int = 16,
     eps_dir: float = 1.0,
 ) -> RhythmModel:
-    """Train all tables from a tala-labeled corpus; ``laplace_k`` and
+    """Train all tables from a tala-labeled corpus; ``n``, ``laplace_k`` and
     ``eps_dir`` must lie in the model file's header bounds, and every stroke id
     in ``vocab``, so it loads back."""
+    _check_header_field("n", n)
     _check_header_field("laplace_k", laplace_k)
     _check_header_field("eps_dir", eps_dir)
     if not corpus:
@@ -258,6 +259,10 @@ _HEADER_FIELDS = {"n": int, "laplace_k": float, "w_tau": int, "eps_dir": float}
 # n-gram row total and tala posterior weight stays finite.  n and w_tau share
 # the bound so that no header value is too large for a float.
 _MAX_COUNT = 2**53
+# The largest n-gram order.  Every decode state pads its context to n - 1
+# strokes, so decode time and memory grow with n even where no count line
+# reads that far back.
+_MAX_ORDER = 32
 
 
 def _check_header_field(kind: str, value: float) -> None:
@@ -267,6 +272,8 @@ def _check_header_field(kind: str, value: float) -> None:
         raise ValueError(f"{kind} must be positive and finite")
     if kind != "eps_dir" and value > _MAX_COUNT:
         raise ValueError(f"{kind} must not exceed 2**53")
+    if kind == "n" and value > _MAX_ORDER:
+        raise ValueError(f"n must not exceed {_MAX_ORDER}")
 
 
 def _playable_id(ids: dict[str, int], symbol: str) -> int:

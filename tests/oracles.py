@@ -32,6 +32,42 @@ def levenshtein_distance(a, b) -> int:
     return prev[-1]
 
 
+def edit_decomposition(ref, hyp) -> tuple[int, int, int]:
+    """(substitutions, deletions, insertions) of one minimal alignment.
+
+    ``cost[i, j]`` is the unit-cost edit distance between the first ``i``
+    items of ``ref`` and the first ``j`` of ``hyp``, every cell filled.  The
+    walk back from the full corner takes, among the moves that reach it at
+    optimal cost, a diagonal step (match or substitution) first, then an
+    insertion (a hyp item with no ref partner), then a deletion.
+    """
+    ref = list(ref)
+    hyp = list(hyp)
+    cost = {}
+    for i in range(len(ref) + 1):
+        for j in range(len(hyp) + 1):
+            if i == 0 or j == 0:
+                cost[i, j] = i + j
+                continue
+            diagonal = cost[i - 1, j - 1] + (0 if ref[i - 1] == hyp[j - 1] else 1)
+            cost[i, j] = min(diagonal, cost[i, j - 1] + 1, cost[i - 1, j] + 1)
+    counts = {"sub": 0, "del": 0, "ins": 0}
+    i, j = len(ref), len(hyp)
+    while (i, j) != (0, 0):
+        same = i > 0 and j > 0 and ref[i - 1] == hyp[j - 1]
+        if i > 0 and j > 0 and cost[i, j] == cost[i - 1, j - 1] + (0 if same else 1):
+            if not same:
+                counts["sub"] += 1
+            i, j = i - 1, j - 1
+        elif j > 0 and cost[i, j] == cost[i, j - 1] + 1:
+            counts["ins"] += 1
+            j -= 1
+        else:
+            counts["del"] += 1
+            i -= 1
+    return counts["sub"], counts["del"], counts["ins"]
+
+
 def all_paths(lat):
     """Every start-to-final path as (arc_id_tuple, label_tuple, score).
 

@@ -257,6 +257,45 @@ def test_train_rejects_settings_the_model_file_refuses(tmp_path, capsys, flag, v
     assert not model_path.exists()
 
 
+def test_train_rejects_an_n_gram_order_above_the_bound_before_training(tmp_path, capsys):
+    corpus = gen_corpus(tmp_path, count=1)
+    model_path = tmp_path / "model.tiprior"
+    assert run(["train", "--corpus", str(corpus), "--out", str(model_path), "--n", "30000"]) == 1
+    assert capsys.readouterr().err == "error: n must not exceed 32\n"
+    assert not model_path.exists()
+
+
+def test_rescore_model_with_an_n_gram_order_above_the_bound_fails(tmp_path, capsys):
+    corpus = gen_corpus(tmp_path, count=1)
+    model_path = tmp_path / "model.tiprior"
+    assert run(["train", "--corpus", str(corpus), "--out", str(model_path)]) == 0
+    text = model_path.read_text(encoding="utf-8")
+    model_path.write_text(text.replace("\nn 3\n", "\nn 30000\n"), encoding="utf-8")
+    lat = tmp_path / "a.lat"
+    lat.write_text("lattice v1\nvocab 5\nstart 0\nfinal 1\narc 0 1 Dha -1.0\n", encoding="utf-8")
+    hyp_path = tmp_path / "h.txt"
+    assert run(["rescore", str(lat), "--model", str(model_path), "--out", str(hyp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: bad n line 'n 30000': n must not exceed 32")
+    assert not hyp_path.exists()
+
+
+def test_ser_pins_the_substitution_deletion_insertion_split(tmp_path, capsys):
+    # Where alignments tie, substitutions are counted before insertions and
+    # insertions before deletions: "Na Dha" against "Dha Na" is S=2, not D=1 I=1.
+    ref = tmp_path / "ref.txt"
+    hyp = tmp_path / "hyp.txt"
+    ref.write_text("Dha Dhin Dhin Dha Dha Dhin Na Tin Ta\nNa Dha\nDha Dha Tin Ta Ta\n", encoding="utf-8")
+    hyp.write_text("Dhin Dhin Dha Dha Dhin Na Na Ta\nDha Na\nDha Tin Na Ta Ta Dhin\n", encoding="utf-8")
+    assert run(["ser", "--ref", str(ref), "--hyp", str(hyp)]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "seq 0: S=1 D=1 I=0 N=9 SER=0.2222",
+        "seq 1: S=2 D=0 I=0 N=2 SER=1.0000",
+        "seq 2: S=2 D=0 I=1 N=5 SER=0.6000",
+        "total: S=5 D=1 I=1 N=16 SER=0.4375",
+    ]
+
+
 def test_rescore_model_with_an_integer_header_too_large_for_a_float_fails(tmp_path, capsys):
     model_path = tmp_path / "model.tiprior"
     model_path.write_text("tiprior v1\nn 1" + "0" * 400 + "\n", encoding="utf-8")

@@ -237,3 +237,40 @@ def test_sparse_node_ids_rejected_at_parse(vocab, body, sparse_id):
     # A gap in the ids is named before any per-node structure is sized by it.
     with pytest.raises(LatticeFormatError, match=f"node id {sparse_id} is not dense"):
         loads_lattice("lattice v1\nvocab 5\n" + body, vocab=vocab)
+
+
+# Which fault is reported when a lattice has two: the checks run in a fixed
+# order, arcs in arc-id order and nodes in id order.
+
+
+def test_endpoint_fault_is_reported_before_a_later_non_finite_score(vocab):
+    arcs = (Arc(0, 1, 1, 0.0), Arc(1, 9, 1, 0.0), Arc(1, 2, 1, float("nan")))
+    with pytest.raises(LatticeFormatError, match=r"^arc 1 endpoint out of range$"):
+        Lattice(vocab=vocab, n_nodes=3, arcs=arcs, start=0, finals=frozenset({2}))
+
+
+def test_endpoint_fault_is_reported_before_a_bad_label_on_the_same_arc(vocab):
+    arcs = (Arc(0, 1, 1, 0.0), Arc(-1, 1, 0, 0.0))
+    with pytest.raises(LatticeFormatError, match=r"^arc 1 endpoint out of range$"):
+        Lattice(vocab=vocab, n_nodes=2, arcs=arcs, start=0, finals=frozenset({1}))
+
+
+def test_cycle_is_reported_before_a_node_on_no_path(vocab):
+    # 2 -> 3 -> 2 is a cycle; node 4 reaches no final node.
+    arcs = (Arc(0, 1, 1, 0.0), Arc(1, 2, 1, 0.0), Arc(2, 3, 1, 0.0), Arc(3, 2, 1, 0.0), Arc(0, 4, 1, 0.0))
+    with pytest.raises(LatticeFormatError, match=r"^lattice contains a cycle$"):
+        Lattice(vocab=vocab, n_nodes=5, arcs=arcs, start=0, finals=frozenset({2}))
+
+
+def test_of_two_dead_nodes_the_lower_id_is_reported(vocab):
+    # Node 3 reaches no final node (its arc comes first); node 2 is not
+    # reachable from the start.
+    arcs = (Arc(0, 3, 1, 0.0), Arc(0, 1, 1, 0.0), Arc(2, 1, 1, 0.0))
+    with pytest.raises(LatticeFormatError, match=r"^node 2 lies on no start-to-final path$"):
+        Lattice(vocab=vocab, n_nodes=4, arcs=arcs, start=0, finals=frozenset({1}))
+
+
+def test_unknown_symbol_is_reported_before_a_sparse_node_id(vocab):
+    text = "lattice v1\nvocab 5\nstart 0\nfinal 1\narc 0 1 Dha -1.0\narc 0 7 Bol -1.0\narc 7 1 Na -1.0\n"
+    with pytest.raises(LatticeFormatError, match=r"^unknown stroke symbol: 'Bol'$"):
+        loads_lattice(text, vocab=vocab)

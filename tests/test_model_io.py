@@ -156,6 +156,23 @@ def test_out_of_range_header_values_name_the_line(bad):
     assert f"{bad!r}: {kind} must" in str(exc.value)
 
 
+def test_n_gram_order_is_bounded():
+    # Each decode state pads its context to n - 1 strokes, so n alone sets
+    # the cost of a decode.
+    for n in (1, 32):
+        assert loads_model(VALID_MODEL.replace("n 2", f"n {n}")).prior.n == n
+    for bad in ("n 33", "n 30000"):
+        with pytest.raises(ModelFormatError) as exc:
+            loads_model(VALID_MODEL.replace("n 2", bad))
+        assert f"bad n line {bad!r}: n must not exceed 32" in str(exc.value)
+
+
+def test_train_rejects_an_n_gram_order_above_the_bound(small_corpus, vocab):
+    assert train_model(small_corpus, vocab, n=32).prior.n == 32
+    with pytest.raises(ValueError, match="^n must not exceed 32$"):
+        train_model(small_corpus, vocab, n=33)
+
+
 def test_counts_and_laplace_k_load_up_to_the_bound():
     top = 2**53
     text = VALID_MODEL.replace("laplace_k 1.0", f"laplace_k {float(top)!r}")

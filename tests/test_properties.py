@@ -26,7 +26,7 @@ from talarescore.model import dumps_model, loads_model, train_model
 from talarescore.rescorer import rescore
 from talarescore.static_prior import TalaIndependentPrior, train_prior, train_tala_table
 
-from .oracles import EXHAUSTIVE, best_path_by_replay, levenshtein_distance
+from .oracles import EXHAUSTIVE, best_path_by_replay, edit_decomposition, levenshtein_distance
 from .test_static_prior import dist_after
 
 PROPERTY_SETTINGS = settings(derandomize=True, deadline=None, max_examples=150)
@@ -106,6 +106,51 @@ def test_ser_total_equals_independent_edit_distance(ref, hyp):
     assert stats.total_errors == levenshtein_distance(ref, hyp)
     assert stats.n_ref == len(ref)
     assert len(hyp) == len(ref) - stats.deletions + stats.insertions
+
+
+@PROPERTY_SETTINGS
+@given(
+    ref=st.lists(st.sampled_from("abc"), min_size=1, max_size=12),
+    hyp=st.lists(st.sampled_from("abc"), max_size=12),
+)
+def test_ser_decomposition_equals_the_full_matrix_oracle(ref, hyp):
+    # The S/D/I split, not only the total: ties between alignments go to
+    # substitution, then insertion, then deletion.
+    stats = ser(ref, hyp)
+    assert (stats.substitutions, stats.deletions, stats.insertions) == edit_decomposition(ref, hyp)
+    assert stats.n_ref == len(ref)
+
+
+@st.composite
+def noisy_lattice_texts(draw):
+    """A ``dumps_lattice`` text with blank lines, ``#`` comments, CRLF endings
+    and leading or trailing whitespace inserted, and the lattice it encodes."""
+    lat = draw(small_dags())
+    padding = st.sampled_from(["", " ", "\t", "  \t "])
+    fillers = st.lists(
+        st.sampled_from(["", "   ", "\t", "#", "# arc 0 1 Dha 0.0", "  #start 3", "#final"]), max_size=2
+    )
+    endings = st.sampled_from(["\n", "\r\n"])
+    out = [line + draw(endings) for line in draw(fillers)]
+    for line in dumps_lattice(lat).splitlines():
+        out.append(draw(padding) + line + draw(padding) + draw(endings))
+        out.extend(filler + draw(endings) for filler in draw(fillers))
+    return lat, "".join(out)
+
+
+@PROPERTY_SETTINGS
+@given(case=noisy_lattice_texts())
+def test_lattice_text_with_noise_loads_to_the_same_lattice(case):
+    lat, text = case
+    for vocab in (lat.vocab, None):
+        again = loads_lattice(text, vocab=vocab)
+        assert (again.n_nodes, again.start, again.finals, again.vocab_ref) == (
+            lat.n_nodes, lat.start, lat.finals, lat.vocab_ref
+        )
+        assert again.topological_order == lat.topological_order
+        assert dumps_lattice(again) == dumps_lattice(lat)
+    # With the same vocabulary the arcs are equal field by field.
+    assert loads_lattice(text, vocab=lat.vocab).arcs == lat.arcs
 
 
 ABC = StrokeVocabulary.of(["A", "B", "C"])
