@@ -40,6 +40,7 @@ from .rescorer import (
     RescoreConfig,
     RescoreDiagnostics,
     path_score,
+    path_terms,
     rescore,
     viterbi_expanded,
 )

@@ -11,7 +11,7 @@ from __future__ import annotations
 import argparse
 import sys
 import tempfile
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 from . import core, eval as evaluation, lattice as lattice_mod, model as model_mod, rescorer
@@ -28,6 +28,8 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     if getattr(args, "config", None) != config:
         parser.error("give --config once, as --config PATH or --config=PATH")
+    if getattr(args, "baseline", False) and (args.diagnostics or args.dump_expanded_dir):
+        parser.error("--baseline does not rescore, so it has no --diagnostics or --dump-expanded-dir to write")
     try:
         return args.func(args)
     except (TalarescoreError, ValueError, OSError) as exc:
@@ -83,7 +85,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--baseline", action="store_true", help="acoustic-only Viterbi instead")
     _add_rescore_flags(p)
     p.add_argument("--dump-expanded-dir", type=Path, default=None)
-    p.add_argument("--diagnostics", type=Path, default=None, help="per-step trace file")
+    p.add_argument("--diagnostics", type=Path, default=None, help="beam counters and the winner's path, term by term")
     p.add_argument("--config", type=Path, default=None)
     p.set_defaults(func=cmd_rescore)
 
@@ -220,14 +222,8 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 def cmd_rescore(args: argparse.Namespace) -> int:
     model = model_mod.load_model(args.model)
-    cfg = rescorer.RescoreConfig(
-        rho=args.rho,
-        beta=args.beta,
-        k_beam=args.k_beam,
-        lambda_mode=args.lambda_mode,
-        eps_jsd=args.eps_jsd,
-        collect_traces=args.diagnostics is not None,
-    )
+    # Every decode setting is a flag of the same name.
+    cfg = rescorer.RescoreConfig(**{f.name: getattr(args, f.name) for f in fields(rescorer.RescoreConfig)})
     if args.dump_expanded_dir is None:
         return _rescore_files(args, model, cfg, None)
     args.dump_expanded_dir.mkdir(parents=True, exist_ok=True)
@@ -254,7 +250,8 @@ def _rescore_files(
                 if staging is not None:
                     rescorer.save_expanded(expanded, staging / f"{i:04d}.exp")
                 if args.diagnostics is not None:
-                    diag_lines += _diagnostic_lines(path, diag)
+                    terms = rescorer.path_terms(lat, model, cfg, expanded.arc_chain(diag.best_state))
+                    diag_lines += _diagnostic_lines(path, diag, terms, model.vocab)
         except (TalarescoreError, ValueError, OSError) as exc:
             failures.append((path, exc))
     if failures:
@@ -273,17 +270,20 @@ def _rescore_files(
     return 0
 
 
-def _diagnostic_lines(path: Path, diag: rescorer.RescoreDiagnostics) -> list[str]:
+def _diagnostic_lines(
+    path: Path, diag: rescorer.RescoreDiagnostics, terms: list[rescorer.StepTrace], vocab: core.StrokeVocabulary
+) -> list[str]:
     lines = [
         f"# lattice {path}",
         f"summary pops={diag.pops} pushes={diag.pushes} "
         f"pruned_capacity={diag.pruned_capacity} max_queue={diag.max_queue_size}",
     ]
-    for tr in diag.traces:
-        comb = " ".join(f"{p:.6f}" for p in tr.p_comb)
+    for t in terms:
+        p_static, p_dyn, p_comb = (",".join(f"{p:.6f}" for p in dist) for dist in (t.p_static, t.p_dyn, t.p_comb))
         lines.append(
-            f"step state={tr.state_id} node={tr.node} depth={tr.depth} "
-            f"C={tr.confidence:.6f} D={tr.divergence:.6f} lambda={tr.lam:.6f} p_comb={comb}"
+            f"arc depth={t.depth} node={t.node} id={t.arc_id} stroke={vocab.symbol_of(t.stroke)} w_ac={t.w_ac!r} "
+            f"C={t.confidence:.6f} D={t.divergence:.6f} lambda={t.lam:.6f} "
+            f"p_static={p_static} p_dyn={p_dyn} p_comb={p_comb} weight={t.weight!r}"
         )
     return lines
 

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import StrokeSequence, StrokeVocabulary, default_vocabulary, load_vocabulary
+from .core import SENTINEL, StrokeSequence, StrokeVocabulary, default_vocabulary, load_vocabulary
 from .errors import LatticeFormatError, VocabularyError
 
 FORMAT_HEADER = "lattice v1"
@@ -395,15 +395,15 @@ def _resolve_vocab(
         raise LatticeFormatError("no vocab directive and no vocabulary supplied")
     if vocab_ref.isdigit():
         declared = int(vocab_ref)
-        seen: list[str] = []
-        for sym in symbols:
-            if sym not in seen:
-                seen.append(sym)
+        # An arc naming the implicit sentinel is left to the validator, as
+        # with a vocabulary.  Arcs that name no playable stroke fail it under
+        # any vocabulary, so then the default one stands in.
+        seen = [sym for sym in dict.fromkeys(symbols) if sym != SENTINEL]
         if len(seen) > declared:
             raise LatticeFormatError(
                 f"vocab count {declared} smaller than {len(seen)} distinct arc symbols"
             )
-        return StrokeVocabulary.of(seen)
+        return StrokeVocabulary.of(seen) if seen else default_vocabulary()
     vocab_path = Path(vocab_ref)
     if base_dir is not None and not vocab_path.is_absolute():
         vocab_path = base_dir / vocab_path

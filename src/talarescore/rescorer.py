@@ -23,15 +23,14 @@ pseudo-count array.  The static prior is the model's
 tuple of the last ``max(w_tau, n - 1)`` strokes, ``w_tau`` being the model's
 trained tala window, so a pop copies no path history.  Most pushed states are
 cut by the capacity rule and never popped, so they cost only their row;
-histories (the winner's, the dump's, a trace's depth) are rebuilt from the
-parent column.
+histories (the winner's, the dump's) are rebuilt from the parent column.
 
 Everything a popped state costs beyond the queue is one step,
 ``_Scorer.step``: Dirichlet observe, predict, static ``dist``, divergence,
 interpolation weight, combination and the outgoing arcs' weights, read from
 a per-node arc table built once per decode.  :func:`rescore` runs it for
-every popped state and :func:`path_score` for every arc of a given path, so
-both give the same bits.
+every popped state and only searches; :func:`path_terms` runs it for every
+arc of a given path and reports each arc's terms, so both give the same bits.
 """
 
 from __future__ import annotations
@@ -72,7 +71,6 @@ class RescoreConfig:
     k_beam: int = 150
     lambda_mode: str = "adaptive"
     eps_jsd: float = 1e-8
-    collect_traces: bool = False
 
     def __post_init__(self) -> None:
         if not isinstance(self.k_beam, int) or isinstance(self.k_beam, bool) or self.k_beam < 1:
@@ -155,29 +153,36 @@ class ExpandedLattice:
 
 @dataclass(frozen=True)
 class StepTrace:
-    """Per-expansion instrumentation for one popped state.
+    """The terms of one arc of a replayed path: ``depth`` is its position on
+    the path, ``node`` the node it leaves and ``stroke`` its model stroke id.
 
-    The distributions are the sequences the decode computed, not copies.
+    The confidence and divergence are NaN under a fixed weight, which never
+    computes them; the distributions are the step's own sequences.
     """
 
-    state_id: int
-    node: int
     depth: int
+    node: int
+    arc_id: int
+    stroke: int
+    w_ac: float
     confidence: float
     divergence: float
     lam: float
     p_static: tuple[float, ...]
     p_dyn: list[float]
     p_comb: list[float]
+    weight: float
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True)
 class RescoreDiagnostics:
-    pops: int = 0
-    pushes: int = 0
-    pruned_capacity: int = 0
-    max_queue_size: int = 0
-    traces: list[StepTrace] = field(default_factory=list)
+    """One decode's beam counters and the terminal state it selected."""
+
+    pops: int
+    pushes: int
+    pruned_capacity: int
+    max_queue_size: int
+    best_state: int
 
 
 class _Scorer:
@@ -186,14 +191,14 @@ class _Scorer:
     ``arcs[node]`` lists the node's outgoing arcs, in arc-id order, as
     ``(arc id, dst, model stroke, w_ac, dst is final)``; ``confidence[node]``
     is the acoustic confidence of their scores, NaN where no step reads it
-    (a fixed weight without traces, or a node without outgoing arcs).
+    (under a fixed weight, or on a node without outgoing arcs).
     ``halves`` maps each static distribution the decode has met, a tuple
     from the prior's memo, to the static half of its divergence, so it is
     bounded by that memo.
     """
 
     __slots__ = (
-        "vocab", "rho", "beta", "eps", "scale", "halves", "fixed_lam", "needs_div",
+        "vocab", "rho", "beta", "eps", "scale", "halves", "fixed_lam",
         "advance", "dist", "start", "alpha0", "arcs", "confidence",
     )
 
@@ -202,10 +207,10 @@ class _Scorer:
         self.vocab = model.vocab
         self.rho, self.beta, self.eps = cfg.rho, cfg.beta, cfg.eps_jsd
         self.fixed_lam = parse_lambda_mode(cfg.lambda_mode)
-        self.needs_div = self.fixed_lam is None or cfg.collect_traces
+        adaptive = self.fixed_lam is None
         n = model.vocab.num_playable
         self.scale = 1.0 + n * cfg.eps_jsd
-        if self.needs_div and self.scale == math.inf:
+        if adaptive and self.scale == math.inf:
             raise RescoreError(f"eps_jsd={cfg.eps_jsd!r} overflows the divergence's smoothing of {n} cells")
         self.halves: dict[tuple[float, ...], tuple[list[float], list[float]]] = {}
         static = model.static_prior()
@@ -218,7 +223,7 @@ class _Scorer:
             for out in lat.outgoing
         ]
         self.confidence = [
-            acoustic_confidence([arcs[a].w_ac for a in out]) if out and self.needs_div else math.nan
+            acoustic_confidence([arcs[a].w_ac for a in out]) if out and adaptive else math.nan
             for out in lat.outgoing
         ]
 
@@ -230,9 +235,9 @@ class _Scorer:
         ``alpha`` and ``prior_state`` are the parent's snapshot and ``prev``
         the parent's stroke; at the root ``prev`` is None, the snapshot is the
         start's and ``stroke`` the sentinel.  Returns the state's snapshot,
-        the weight of each of ``arcs[node]`` and the trace values
+        the weight of each of ``arcs[node]`` and the terms
         ``(confidence, divergence, lam, p_static, p_dyn, p_comb)``; the
-        divergence and confidence are NaN where a fixed weight skips them.
+        confidence and divergence are NaN where a fixed weight skips them.
         """
         if prev is not None:
             alpha = _observe(alpha, self.rho, prev, stroke)
@@ -247,14 +252,13 @@ class _Scorer:
             ) from None
         p_static = self.dist(prior_state)
         lam = self.fixed_lam
-        if self.needs_div:
+        if lam is None:
             conf = self.confidence[node]
             half = self.halves.get(p_static)
             if half is None:
                 half = self.halves[p_static] = _jsd_half(p_static, self.eps, self.scale)
             div = _jsd(p_dyn, half, self.eps, self.scale)
-            if lam is None:
-                lam = lambda_k(conf, div)
+            lam = lambda_k(conf, div)
         else:
             conf = div = math.nan
         probs = _combine(p_static, p_dyn, lam)
@@ -283,7 +287,7 @@ def rescore(
     cfg: RescoreConfig | None = None,
 ) -> tuple[StrokeSequence, ExpandedLattice, RescoreDiagnostics]:
     """Rhythmically rescore a lattice; returns the best path, the expanded
-    lattice, and diagnostics.
+    lattice, and diagnostics, which name the winner's terminal state.
 
     Every lattice arc symbol must exist in the model vocabulary; the returned
     sequence uses model stroke ids.
@@ -291,11 +295,9 @@ def rescore(
     cfg = cfg or RescoreConfig()
     scorer = _Scorer(lat, model, cfg)
     step, table = scorer.step, scorer.arcs
-    collect = cfg.collect_traces
     k_beam = cfg.k_beam
 
     exp = ExpandedLattice(vocab=model.vocab)
-    diag = RescoreDiagnostics()
     cols, terminals = exp.states, exp.terminals
     nodes, parents, strokes, accs = cols.node, cols.parent, cols.stroke, cols.acc_score
     add_node, add_parent, add_arc = nodes.append, parents.append, cols.arc_id.append
@@ -324,10 +326,8 @@ def rescore(
             continue
         parent = parents[sid]
         src, prev = (sid, None) if parent is None else (parent, strokes[parent])
-        alpha, prior_state, weights, fused = step(sid, node, alpha_snaps[src], prior_snaps[src], prev, strokes[sid])
+        alpha, prior_state, weights, _ = step(sid, node, alpha_snaps[src], prior_snaps[src], prev, strokes[sid])
         alpha_snaps[sid], prior_snaps[sid] = alpha, prior_state
-        if collect:
-            diag.traces.append(StepTrace(sid, node, len(exp.history(sid)) - 1, *fused))
 
         acc = accs[sid]
         for (arc_id, dst, q, _, final), weight in zip(out, weights):
@@ -349,8 +349,6 @@ def rescore(
         del queue[k_beam:]
         pruned_capacity += queued - len(queue)
 
-    diag.pops, diag.pushes = pops, len(nodes) - 1
-    diag.pruned_capacity, diag.max_queue_size = pruned_capacity, max_queue
     if not terminals:
         raise RescoreError("no terminal state survived pruning; widen k_beam")
     # Finite weights can still sum past the float range, and tied infinite
@@ -362,37 +360,47 @@ def rescore(
             f"(beta={cfg.beta!r})"
         )
     best = viterbi_expanded(exp)
-    return best, exp, diag
+    diag = RescoreDiagnostics(pops, len(nodes) - 1, pruned_capacity, max_queue, best)
+    return StrokeSequence(exp.history(best)[1:]), exp, diag
 
 
-def path_score(lat: Lattice, model: RhythmModel, cfg: RescoreConfig, arc_ids: Sequence[int]) -> float:
-    """Rescored score of the path ``arc_ids`` from the start node: the sum of
-    its rescored arc weights.
+def path_terms(lat: Lattice, model: RhythmModel, cfg: RescoreConfig, arc_ids: Sequence[int]) -> list[StepTrace]:
+    """The terms of each arc of the path ``arc_ids`` from the start node.
 
     The path is replayed through the same per-state step :func:`rescore`
-    runs, so the score equals bit for bit the ``acc_score`` a decode gives
-    the state at the path's end; the path need not end on a final node.
-    The step's errors name the arc's position on the path as the state.
-    Raises ``ValueError`` when an arc does not leave the node the path has
-    reached.
+    runs, so each arc's terms and weight are the decode's own bits; the path
+    need not end on a final node.  The step's errors name the arc's position
+    on the path as the state.  Raises ``ValueError`` when an arc does not
+    leave the node the path has reached.
     """
     scorer = _Scorer(lat, model, cfg)
     node, alpha, prior_state = lat.start, scorer.alpha0, scorer.start
     prev, stroke = None, SENTINEL_ID
-    acc = 0.0
+    terms: list[StepTrace] = []
     for depth, arc_id in enumerate(arc_ids):
         out = scorer.arcs[node]
         pos = next((i for i, arc in enumerate(out) if arc[0] == arc_id), None)
         if pos is None:
             raise ValueError(f"arc {arc_id} does not leave node {node}")
-        alpha, prior_state, weights, _ = scorer.step(depth, node, alpha, prior_state, prev, stroke)
-        acc += weights[pos]
-        prev, stroke, node = stroke, out[pos][2], out[pos][1]
+        alpha, prior_state, weights, fused = scorer.step(depth, node, alpha, prior_state, prev, stroke)
+        _, dst, q, w_ac, _ = out[pos]
+        terms.append(StepTrace(depth, node, arc_id, q, w_ac, *fused, weights[pos]))
+        prev, stroke, node = stroke, q, dst
+    return terms
+
+
+def path_score(lat: Lattice, model: RhythmModel, cfg: RescoreConfig, arc_ids: Sequence[int]) -> float:
+    """Rescored score of a path: its :func:`path_terms` weights added left
+    to right, which equals bit for bit the ``acc_score`` a decode gives the
+    state at the path's end."""
+    acc = 0.0
+    for term in path_terms(lat, model, cfg, arc_ids):
+        acc += term.weight
     return acc
 
 
-def viterbi_expanded(exp: ExpandedLattice) -> StrokeSequence:
-    """History of the best-scoring terminal state.
+def viterbi_expanded(exp: ExpandedLattice) -> int:
+    """Id of the best-scoring terminal state.
 
     Ties break on the lexicographically smallest chain of original lattice
     arc ids, matching the acoustic Viterbi tie-break.
@@ -411,26 +419,15 @@ def viterbi_expanded(exp: ExpandedLattice) -> StrokeSequence:
             chain = exp.arc_chain(sid)
             if chain < best_chain:
                 best_id, best_chain = sid, chain
-    return StrokeSequence(exp.history(best_id)[1:])
+    return best_id
 
 
 def _map_labels(lat: Lattice, vocab: StrokeVocabulary) -> dict[int, int]:
     """Lattice stroke ids -> model stroke ids, by symbol."""
-    if lat.vocab.symbols == vocab.symbols:
-        return {sid: sid for sid in lat.vocab.playable_ids}
-    mapping: dict[int, int] = {}
-    missing: list[str] = []
-    for sid in lat.vocab.playable_ids:
-        symbol = lat.vocab.symbol_of(sid)
-        if symbol in vocab:
-            mapping[sid] = vocab.id_of(symbol)
-        else:
-            missing.append(symbol)
+    missing = sorted(symbol for symbol in lat.vocab.playable_symbols if symbol not in vocab)
     if missing:
-        raise VocabularyMismatchError(
-            f"lattice strokes missing from model vocabulary: {', '.join(sorted(missing))}"
-        )
-    return mapping
+        raise VocabularyMismatchError(f"lattice strokes missing from model vocabulary: {', '.join(missing)}")
+    return {sid: vocab.id_of(symbol) for sid, symbol in enumerate(lat.vocab.symbols) if sid}
 
 
 def dumps_expanded(exp: ExpandedLattice) -> str:

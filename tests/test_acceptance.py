@@ -39,6 +39,7 @@ from talarescore.model import train_model
 from talarescore.rescorer import rescore
 
 from .oracles import EXHAUSTIVE, best_path_by_replay, levenshtein_distance, path_count, ti_prior_dist
+from .test_rescorer import replayed_steps
 from .test_static_prior import dist_after
 
 # sha256 of the small ensemble's lattices, dumped and joined in order.
@@ -139,22 +140,24 @@ def test_criterion_2_degeneracy_identities(small_lattice_ensemble, model):
             assert hyp.strokes == viterbi_acoustic(lat).strokes
         for lat in small_lattice_ensemble[:8]:
             for mode, component in (("fixed:0", "static"), ("fixed:1", "dynamic")):
-                cfg = replace(EXHAUSTIVE, lambda_mode=mode, collect_traces=True)
-                _, exp, diag = rescore(lat, model, cfg)
+                cfg = replace(EXHAUSTIVE, lambda_mode=mode)
+                _, exp, _ = rescore(lat, model, cfg)
+                steps = replayed_steps(lat, model, cfg, exp)
                 suffix = max(model.tala_table.w_tau, model.prior.n - 1)
                 # The Dirichlet state of each history, updated eagerly one
-                # transition at a time; a parent pops before its children.
+                # transition at a time; a parent's id is below its children's.
                 eager = {(0,): model.initial_dirichlet(cfg.rho)}
-                assert diag.traces
-                for tr in diag.traces:
-                    history = exp.history(tr.state_id)
+                assert steps
+                for sid in sorted(steps):
+                    tr = steps[sid]
+                    history = exp.history(sid)
                     if len(history) > 1:
                         eager[history] = update(eager[history[:-1]], history[-2], history[-1])
-                    assert exp.prior_states[tr.state_id] == history[1:][-suffix:]
+                    assert exp.prior_states[sid] == history[1:][-suffix:]
                     if component == "static":
                         refs = [np.array(ti_prior_dist(model, history[1:]))]
                     else:
-                        stored = DirichletState(exp.alphas[tr.state_id], cfg.rho)
+                        stored = DirichletState(exp.alphas[sid], cfg.rho)
                         refs = [np.array(predict(state, history[-1])) for state in (stored, eager[history])]
                     for ref in refs:
                         assert np.max(np.abs(np.asarray(tr.p_comb) - ref)) < 1e-12

@@ -7,8 +7,9 @@ import pytest
 from talarescore.cli import main
 from talarescore.core import builtin_tala, default_vocabulary, generate_sequence, load_sequences
 from talarescore.eval import build_training_corpus, split_seed, standard_suite
-from talarescore.lattice import LatticeGenConfig, generate_lattice, save_lattice
-from talarescore.model import save_model, train_model
+from talarescore.lattice import LatticeGenConfig, generate_lattice, load_lattice, save_lattice
+from talarescore.model import load_model, save_model, train_model
+from talarescore.rescorer import RescoreConfig, rescore
 
 
 def run(argv):
@@ -165,6 +166,56 @@ def test_rescore_diagnostics_file(tmp_path):
     text = diag.read_text()
     assert "summary pops=" in text
     assert "lambda=" in text and "p_comb=" in text
+
+
+@pytest.mark.parametrize("mode", ["adaptive", "fixed:0.5"])
+def test_rescore_diagnostics_write_the_winners_path_term_by_term(tmp_path, mode):
+    corpus = gen_corpus(tmp_path, count=4)
+    model_path = tmp_path / "model.tiprior"
+    assert run(["train", "--corpus", str(corpus), "--out", str(model_path)]) == 0
+    # Three positions of two competitors each, plus a skip arc; the winner
+    # takes the second arc out of each node it passes.
+    lat_path = tmp_path / "small.lat"
+    lat_path.write_text(
+        "lattice v1\nvocab 5\nstart 0\nfinal 3\n"
+        "arc 0 1 Na -0.6\narc 0 1 Dha -0.4\narc 1 2 Tin -0.9\narc 1 2 Dhin -0.2\n"
+        "arc 2 3 Ta -0.5\narc 2 3 Dhin -0.3\narc 1 3 Na -1.7\n",
+        encoding="utf-8",
+    )
+    out, diag = tmp_path / "hyp.txt", tmp_path / "diag.txt"
+    argv = ["rescore", str(lat_path), "--model", str(model_path), "--out", str(out),
+            "--lambda", mode, "--diagnostics", str(diag)]
+    assert run(argv) == 0
+
+    model = load_model(model_path)
+    lat = load_lattice(lat_path, vocab=model.vocab)
+    hyp, exp, result = rescore(lat, model, RescoreConfig(lambda_mode=mode))
+    lines = diag.read_text().splitlines()
+    assert lines[0] == f"# lattice {lat_path}"
+    assert lines[1].startswith("summary pops=")
+    arcs = [dict(field.split("=", 1) for field in line.split()[1:]) for line in lines[2:]]
+    assert all(line.startswith("arc ") for line in lines[2:])
+    assert [a["stroke"] for a in arcs] == list(hyp.to_symbols(model.vocab))
+    assert [int(a["id"]) for a in arcs] == list(exp.arc_chain(result.best_state)) == [1, 3, 5]
+    acc = 0.0
+    for a in arcs:
+        acc += float(a["weight"])
+    assert acc == exp.states.acc_score[result.best_state]
+    assert all((a["C"] == "nan") == (mode != "adaptive") for a in arcs)
+
+
+@pytest.mark.parametrize("flag", ["--diagnostics", "--dump-expanded-dir"])
+def test_rescore_baseline_with_a_rescoring_output_is_a_usage_error(tmp_path, capsys, flag):
+    lat = tmp_path / "a.lat"
+    lat.write_text("lattice v1\nvocab 5\nstart 0\nfinal 1\narc 0 1 Dha -1.0\n", encoding="utf-8")
+    target = tmp_path / "diag"
+    with pytest.raises(SystemExit) as exc:
+        # The model is never read: the usage is refused before any decode.
+        run(["rescore", str(lat), "--model", str(tmp_path / "missing.tiprior"),
+             "--out", str(tmp_path / "h.txt"), "--baseline", flag, str(target)])
+    assert exc.value.code == 2
+    assert "--baseline" in capsys.readouterr().err
+    assert not target.exists() and not (tmp_path / "h.txt").exists()
 
 
 def test_rescore_reports_failed_lattices(tmp_path, capsys):

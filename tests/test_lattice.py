@@ -274,3 +274,31 @@ def test_unknown_symbol_is_reported_before_a_sparse_node_id(vocab):
     text = "lattice v1\nvocab 5\nstart 0\nfinal 1\narc 0 1 Dha -1.0\narc 0 7 Bol -1.0\narc 7 1 Na -1.0\n"
     with pytest.raises(LatticeFormatError, match=r"^unknown stroke symbol: 'Bol'$"):
         loads_lattice(text, vocab=vocab)
+
+
+@pytest.mark.parametrize(
+    "arcs, fault",
+    [
+        ("arc 0 1 <s> -1.0\n", r"^arc 0 label 0 is not a playable stroke$"),
+        ("arc 0 1 Dha -1.0\narc 0 1 <s> -1.0\n", r"^arc 1 label 0 is not a playable stroke$"),
+        ("arc 0 1 <s> -1.0\narc 1 0 <s> -1.0\n", r"^arc 0 label 0 is not a playable stroke$"),
+        ("", r"^node 0 lies on no start-to-final path$"),
+    ],
+    ids=["sentinel-only", "sentinel-after-a-stroke", "sentinel-cycle", "no-arcs"],
+)
+def test_sentinel_arc_fails_alike_with_and_without_a_vocabulary(vocab, arcs, fault):
+    # The sentinel is no inline vocabulary symbol, so the validator names
+    # the arc in both cases.
+    text = "lattice v1\nvocab 5\nstart 0\nfinal 1\n" + arcs
+    for given in (vocab, None):
+        with pytest.raises(LatticeFormatError, match=fault):
+            loads_lattice(text, vocab=given)
+
+
+def test_inline_vocab_count_is_checked_in_linear_time():
+    # 50,000 distinct symbols under "vocab 5"; a quadratic de-duplication
+    # would take minutes here.
+    n = 50_000
+    text = f"lattice v1\nvocab 5\nstart 0\nfinal {n}\n" + "".join(f"arc {i} {i + 1} s{i} -1.0\n" for i in range(n))
+    with pytest.raises(LatticeFormatError, match=r"^vocab count 5 smaller than 50000 distinct arc symbols$"):
+        loads_lattice(text)

@@ -24,6 +24,7 @@ from talarescore.rescorer import (
     RescoreConfig,
     dumps_expanded,
     path_score,
+    path_terms,
     rescore,
     viterbi_expanded,
 )
@@ -35,6 +36,37 @@ WIDE_PIN_SHA256 = "f0fbc5c96a9dd230a67c4c608c269f5d65db99573ed09ded16db0b627a950
 # The static-prior memo those decodes leave: its length and the sha256 of its
 # keys, sorted by repr.
 WIDE_PIN_MEMO = (299, "2b120dde2972982e30557be34dd7c16de344673a31c24d2c04044aed95fe59cc")
+
+
+def replayed_steps(lat, model, cfg, exp):
+    """The replayed terms at every state the decode popped with outgoing
+    arcs, keyed by state id.
+
+    Each expanded state none of whose children was expanded ends one chain,
+    extended by the arc to its first child; :func:`path_terms` replays each
+    such chain once, and its record at depth ``d`` is the step of the chain's
+    ``d``-th state.  Every replayed arc must leave that state's node and
+    carry the weight the decode gave the child, bit for bit.
+    """
+    cols = exp.states
+    first_child = {}
+    for sid in range(len(cols) - 1, 0, -1):
+        first_child[cols.parent[sid]] = sid
+    inner = {cols.parent[sid] for sid in exp.alphas if sid}
+    steps = {}
+    for leaf in exp.alphas.keys() - inner:
+        ids = [first_child[leaf]]
+        while ids[-1]:
+            ids.append(cols.parent[ids[-1]])
+        ids.reverse()
+        terms = path_terms(lat, model, cfg, exp.arc_chain(ids[-1]))
+        assert len(terms) == len(ids) - 1
+        for sid, child, term in zip(ids, ids[1:], terms):
+            assert (term.node, term.arc_id, term.stroke) == (cols.node[sid], cols.arc_id[child], cols.stroke[child])
+            assert term.weight == cols.weight[child]
+            steps[sid] = term
+    assert steps.keys() == exp.alphas.keys()
+    return steps
 
 
 def random_grid_lattice(vocab, rng, stages=4, width=2):
@@ -174,22 +206,24 @@ def test_fixed_lambda_traces_match_component_models(vocab, small_model):
     from talarescore.dynamic_model import predict
 
     for mode, pick in (("fixed:0", "static"), ("fixed:1", "dynamic")):
-        cfg = replace(EXHAUSTIVE, lambda_mode=mode, collect_traces=True)
-        _, exp, diag = rescore(lat, small_model, cfg)
+        cfg = replace(EXHAUSTIVE, lambda_mode=mode)
+        _, exp, _ = rescore(lat, small_model, cfg)
+        steps = replayed_steps(lat, small_model, cfg, exp)
         suffix = max(small_model.tala_table.w_tau, small_model.prior.n - 1)
         # The Dirichlet state of each history, updated eagerly one transition
-        # at a time; a parent pops before its children.
+        # at a time; a parent's id is below its children's.
         eager = {(0,): small_model.initial_dirichlet(cfg.rho)}
-        assert diag.traces
-        for tr in diag.traces:
-            history = exp.history(tr.state_id)
+        assert steps
+        for sid in sorted(steps):
+            tr = steps[sid]
+            history = exp.history(sid)
             if len(history) > 1:
                 eager[history] = update(eager[history[:-1]], history[-2], history[-1])
-            assert exp.prior_states[tr.state_id] == history[1:][-suffix:]
+            assert exp.prior_states[sid] == history[1:][-suffix:]
             if pick == "static":
                 refs = [np.array(ti_prior_dist(small_model, history[1:]))]
             else:
-                stored = DirichletState(exp.alphas[tr.state_id], cfg.rho)
+                stored = DirichletState(exp.alphas[sid], cfg.rho)
                 refs = [np.array(predict(state, history[-1])) for state in (stored, eager[history])]
             for ref in refs:
                 assert np.max(np.abs(np.asarray(tr.p_comb) - ref)) < 1e-12
@@ -215,14 +249,16 @@ def test_beam_monotonicity_on_seeded_ensemble(vocab, small_model):
 def test_rescore_is_deterministic(vocab, small_model):
     rng = random.Random(12)
     lat = random_grid_lattice(vocab, rng, stages=5, width=3)
-    cfg = RescoreConfig(collect_traces=True)
+    cfg = RescoreConfig()
     h1, e1, d1 = rescore(lat, small_model, cfg)
     h2, e2, d2 = rescore(lat, small_model, cfg)
     assert h1 == h2
     assert dumps_expanded(e1) == dumps_expanded(e2)
-    assert d1.pops == d2.pops and d1.pushes == d2.pushes
-    assert len(d1.traces) == len(d2.traces)
-    for a, b in zip(d1.traces, d2.traces):
+    assert d1 == d2
+    s1, s2 = replayed_steps(lat, small_model, cfg, e1), replayed_steps(lat, small_model, cfg, e2)
+    assert s1.keys() == s2.keys()
+    for sid, a in s1.items():
+        b = s2[sid]
         assert a.lam == b.lam and np.array_equal(a.p_comb, b.p_comb)
 
 
@@ -285,7 +321,7 @@ def test_viterbi_expanded_picks_best_terminal_directly(vocab, small_model):
         cols.weight.append(weight)
         cols.acc_score.append(acc_score)
     exp.terminals.extend([1, 2])
-    assert viterbi_expanded(exp).strokes == (1,)
+    assert viterbi_expanded(exp) == 1
 
 
 def test_zero_combined_probability_from_a_model_file_is_a_rescore_error(vocab):
@@ -340,18 +376,15 @@ def test_overflowing_score_is_a_rescore_error(vocab, small_model, beta, match):
         rescore(lat, small_model, RescoreConfig(beta=beta))
 
 
-@pytest.mark.parametrize(
-    "mode, traced", [("adaptive", False), ("fixed:0.5", True), ("fixed:0.5", False)],
-    ids=["adaptive", "fixed-traced", "fixed"],
-)
-def test_eps_jsd_that_overflows_the_smoothing_is_a_rescore_error(vocab, small_model, mode, traced):
+@pytest.mark.parametrize("mode", ["adaptive", "fixed:0.5"], ids=["adaptive", "fixed"])
+def test_eps_jsd_that_overflows_the_smoothing_is_a_rescore_error(vocab, small_model, mode):
     # 1 + 5 * 1e308 overflows, which would make every divergence NaN; a
-    # fixed weight without traces never computes one, so it still decodes.
+    # fixed weight never computes one, so it still decodes.
     lat = random_grid_lattice(vocab, random.Random(61), stages=4, width=2)
-    cfg = RescoreConfig(lambda_mode=mode, eps_jsd=1e308, collect_traces=traced)
+    cfg = RescoreConfig(lambda_mode=mode, eps_jsd=1e308)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        if mode == "adaptive" or traced:
+        if mode == "adaptive":
             with pytest.raises(RescoreError, match=r"eps_jsd=1e\+308 overflows"):
                 rescore(lat, small_model, cfg)
         else:
@@ -482,13 +515,17 @@ def test_adaptive_winners_pass_windows_where_the_tala_posterior_moves_the_prior(
 @pytest.mark.parametrize("mode", ["adaptive", "fixed:0.5"])
 def test_traced_steps_equal_the_public_functions(standard_lattice, mode):
     lat, model = standard_lattice
-    cfg = RescoreConfig(lambda_mode=mode, collect_traces=True)
-    _, _, diag = rescore(lat, model, cfg)
-    assert len(diag.traces) > 1000
-    for tr in diag.traces:
-        assert tr.divergence == jsd(tr.p_dyn, tr.p_static, cfg.eps_jsd)
+    cfg = RescoreConfig(lambda_mode=mode)
+    _, exp, _ = rescore(lat, model, cfg)
+    steps = replayed_steps(lat, model, cfg, exp)
+    assert len(steps) > 1000
+    for tr in steps.values():
         if mode == "adaptive":
+            assert tr.divergence == jsd(tr.p_dyn, tr.p_static, cfg.eps_jsd)
             assert tr.lam == lambda_k(tr.confidence, tr.divergence)
+        else:
+            # A fixed weight computes neither term.
+            assert math.isnan(tr.confidence) and math.isnan(tr.divergence)
         assert list(tr.p_comb) == combine(tr.p_static, tr.p_dyn, tr.lam)
 
 
@@ -520,10 +557,14 @@ def test_path_score_matches_replay_oracle_on_small_dags(small_model, mode, lat):
     for arc_ids, _, _ in all_paths(lat):
         oracle = replay_path_score(lat, small_model, cfg, arc_ids)
         assert path_score(lat, small_model, cfg, arc_ids) == pytest.approx(oracle, abs=1e-9)
-    # Replaying a terminal's chain gives the decode's own bits.
+    # Replaying a terminal's chain gives the decode's own bits, and so does
+    # each pushed state's own arc.
     _, exp, _ = rescore(lat, small_model, cfg)
     for t in exp.terminals:
         assert path_score(lat, small_model, cfg, exp.arc_chain(t)) == exp.states.acc_score[t]
+    for sid in range(1, len(exp.states)):
+        chain = exp.arc_chain(sid)
+        assert path_terms(lat, small_model, cfg, chain)[-1].weight == exp.states.weight[sid]
 
 
 @pytest.mark.parametrize("k_beam", [150, 12])
@@ -539,20 +580,21 @@ def test_history_and_dirichlet_are_built_at_pop(monkeypatch, standard_lattice, k
         return real_observe(alpha, rho, prev, nxt)
 
     monkeypatch.setattr(rescorer, "_observe", counting_observe)
-    cfg = RescoreConfig(k_beam=k_beam, collect_traces=True)
+    cfg = RescoreConfig(k_beam=k_beam)
     _, exp, diag = rescore(lat, model, cfg)
     monkeypatch.undo()
 
-    # One trace per state popped with outgoing arcs; only those were updated.
-    expanded = [tr.state_id for tr in diag.traces]
-    assert expanded[0] == 0 and len(set(expanded)) == len(expanded)
+    # One snapshot per state popped with outgoing arcs; only those were updated.
+    expanded = sorted(exp.alphas)
+    assert expanded[0] == 0
     assert len(calls) == len(expanded) - 1
     assert diag.pruned_capacity > 0
-    # States cut by capacity, or never popped, hold no snapshot.
-    assert set(exp.prior_states) == set(exp.alphas) == set(expanded)
+    # States cut by capacity, or never popped, hold no snapshot: the states
+    # with one are exactly those with children.
+    cols = exp.states
+    assert set(exp.prior_states) == set(expanded) == set(cols.parent[1:])
 
     # Every history, cut states included, extends its parent's by its stroke.
-    cols = exp.states
     histories = {0: (0,)}
     assert exp.history(0) == (0,)
     for sid in range(1, len(cols)):
@@ -577,9 +619,10 @@ def test_expanded_lattice_holds_one_row_per_pushed_state(standard_lattice):
     push plus the root, in every column, and a snapshot for exactly the
     states popped with outgoing arcs."""
     lat, model = standard_lattice
-    _, exp, diag = rescore(lat, model, RescoreConfig(collect_traces=True))
+    _, exp, diag = rescore(lat, model, RescoreConfig())
     cols = exp.states
     assert len(cols) == diag.pushes + 1
     for column in (cols.node, cols.parent, cols.arc_id, cols.stroke, cols.weight, cols.acc_score):
         assert len(column) == len(cols)
-    assert set(exp.prior_states) == set(exp.alphas) == {tr.state_id for tr in diag.traces}
+    # A state popped with outgoing arcs pushes one child per arc.
+    assert set(exp.prior_states) == set(exp.alphas) == set(cols.parent[1:])
