@@ -14,7 +14,7 @@ from .core import (
     default_vocabulary,
     generate_sequence,
 )
-from .dynamic_model import DirichletState, init_alpha, predict, update
+from .dynamic_model import init_alpha
 from .errors import (
     LatticeFormatError,
     ModelFormatError,
@@ -24,7 +24,7 @@ from .errors import (
     VocabularyMismatchError,
 )
 from .eval import BenchmarkReport, BenchmarkSuiteConfig, EditStats, run_benchmark, ser, standard_suite
-from .fusion import acoustic_confidence, combine, jsd, lambda_k
+from .fusion import acoustic_confidence, lambda_k
 from .lattice import (
     Arc,
     Lattice,

@@ -15,7 +15,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 from .errors import VocabularyError
 
@@ -182,17 +182,13 @@ class TihaiSpec:
 class DeviationConfig:
     """Controls local deviations layered over cyclic theka repetition.
 
-    ``substitutions`` maps a stroke symbol to weighted replacement candidates;
-    when absent, replacements are uniform over the other playable strokes.
-    ``tihai_cycles`` forces tihai placement on exactly those 1-based cycles,
-    overriding ``p_tihai``.
+    A substituted stroke is replaced uniformly by one of the other playable
+    strokes.  ``tihai`` overrides the tala's default tihai.
     """
 
     p_tihai: float = 0.0
     p_sub: float = 0.0
-    substitutions: Mapping[str, tuple[tuple[str, float], ...]] | None = None
     tihai: TihaiSpec | None = None
-    tihai_cycles: tuple[int, ...] | None = None
 
     def __post_init__(self) -> None:
         for name, p in (("p_tihai", self.p_tihai), ("p_sub", self.p_sub)):
@@ -277,11 +273,10 @@ def generate_sequence(
 ) -> StrokeSequence:
     """Generate ``cycles * matras`` strokes of theka with optional deviations.
 
-    Each cycle independently receives a tihai with probability ``p_tihai``
-    (or exactly on the cycles listed in ``tihai_cycles``): the cycle tail is
-    replaced by the tihai expansion so the resolving repetition falls on the
-    next sam.  Remaining beats are substituted independently with ``p_sub``.
-    Deterministic given ``rng_seed``.
+    Each cycle independently receives a tihai with probability ``p_tihai``:
+    the cycle tail is replaced by the tihai expansion so the resolving
+    repetition falls on the next sam.  Remaining beats are substituted
+    independently with ``p_sub``.  Deterministic given ``rng_seed``.
     """
     vocab = vocab or default_vocabulary()
     if cycles < 1:
@@ -292,7 +287,7 @@ def generate_sequence(
             raise VocabularyError(f"theka stroke id {sid} not in vocabulary")
 
     tihai: TihaiSpec | None = None
-    if dev.p_tihai > 0 or dev.tihai_cycles:
+    if dev.p_tihai > 0:
         tihai = dev.tihai or default_tihai(tala, vocab)
         span = tihai.in_cycle_span
         if not 1 <= span <= tala.matras:
@@ -303,38 +298,21 @@ def generate_sequence(
 
     rng = random.Random(rng_seed)
     out: list[int] = []
-    for cycle in range(1, cycles + 1):
+    for _ in range(cycles):
         beats = list(tala.theka.strokes)
-        place = False
-        if tihai is not None:
-            if dev.tihai_cycles is not None:
-                place = cycle in dev.tihai_cycles
-            else:
-                place = rng.random() < dev.p_tihai
+        place = tihai is not None and rng.random() < dev.p_tihai
         tail_start = tala.matras - tihai.in_cycle_span if place else tala.matras
         if dev.p_sub > 0:
             for i in range(tail_start):
                 if rng.random() < dev.p_sub:
-                    beats[i] = _substitute(rng, beats[i], dev.substitutions, vocab)
+                    beats[i] = _substitute(rng, beats[i], vocab)
         if place:
             beats[tail_start:] = tihai.expansion()
         out.extend(beats)
     return StrokeSequence(tuple(out), tala_label=tala.name)
 
 
-def _substitute(
-    rng: random.Random,
-    sid: int,
-    table: Mapping[str, tuple[tuple[str, float], ...]] | None,
-    vocab: StrokeVocabulary,
-) -> int:
-    if table is not None:
-        entry = table.get(vocab.symbol_of(sid))
-        if not entry:
-            return sid
-        names = [n for n, _ in entry]
-        weights = [w for _, w in entry]
-        return vocab.id_of(rng.choices(names, weights=weights, k=1)[0])
+def _substitute(rng: random.Random, sid: int, vocab: StrokeVocabulary) -> int:
     others = [p for p in vocab.playable_ids if p != sid]
     if not others:
         return sid
@@ -385,23 +363,34 @@ def load_tala_specs(path: str | Path, vocab: StrokeVocabulary) -> list[TalaSpec]
             raise ValueError(f"tala {name!r} has no theka line")
         specs.append(TalaSpec(name, matras, boundaries, theka))
 
+    seen: set[str] = set()  # the current tala's directives
     for raw in Path(path).read_text(encoding="utf-8").splitlines():
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         parts = line.split()
-        if parts[0] == "tala":
+        kind = parts[0]
+        if kind == "tala":
             flush()
             if len(parts) != 3:
                 raise ValueError(f"bad tala line: {line!r}")
+            if any(spec.name == parts[1] for spec in specs):
+                raise ValueError(f"repeated tala name: {line!r}")
             name, matras = parts[1], int(parts[2])
             boundaries, theka = (), None
-        elif parts[0] == "vibhag":
-            boundaries = tuple(int(b) for b in parts[1:])
-        elif parts[0] == "theka":
-            theka = StrokeSequence.from_symbols(vocab, parts[1:], tala_label=name)
+            seen.clear()
+        elif kind not in ("vibhag", "theka"):
+            raise ValueError(f"unknown directive in tala file: {kind!r}")
+        elif name is None:
+            raise ValueError(f"{kind} line before the first tala line: {line!r}")
+        elif kind in seen:
+            raise ValueError(f"repeated {kind} line in tala {name!r}: {line!r}")
         else:
-            raise ValueError(f"unknown directive in tala file: {parts[0]!r}")
+            seen.add(kind)
+            if kind == "vibhag":
+                boundaries = tuple(int(b) for b in parts[1:])
+            else:
+                theka = StrokeSequence.from_symbols(vocab, parts[1:], tala_label=name)
     flush()
     if not specs:
         raise ValueError(f"no tala specs found in {path}")

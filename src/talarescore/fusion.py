@@ -8,13 +8,13 @@ to [0, 1] and yields a convex combination.  Every function here is pure.
 
 The divergence and the combination run once per expanded decoding state on
 distributions of a handful of cells, so they work on Python floats: per-call
-numpy overhead, not arithmetic, would set their cost.  The decode's step
-calls their unchecked cores, which :func:`jsd` and :func:`combine` run after
-checking their arguments.  Their results must stay bit-identical to the same
-formulas on numpy arrays (the tests keep those as references), since the
-pinned outputs rest on them.  The element-wise operations are correctly
-rounded either way.  The logarithms stay ``np.log``, whose result differs
-from ``math.log`` in the last bit on some inputs.
+numpy overhead, not arithmetic, would set their cost.  They are the decode
+step's unchecked ``_jsd_half``/``_jsd`` and ``_combine``.  Their results
+must stay bit-identical to the same formulas on numpy arrays (the tests keep
+those as references), since the pinned outputs rest on them.  The
+element-wise operations are correctly rounded either way.  The logarithms
+stay ``np.log``, whose result differs from ``math.log`` in the last bit on
+some inputs.
 
 The divergence has two parts.  ``_jsd_half`` smooths the static
 distribution q and takes its logarithms; ``_jsd`` smooths p, forms the
@@ -58,33 +58,17 @@ def parse_lambda_mode(mode: str) -> float | None:
     return value
 
 
-def jsd(p: Sequence[float], q: Sequence[float], eps: float) -> float:
-    """Jensen-Shannon divergence in nats, within [0, log 2].
-
-    Both inputs are smoothed by ``eps`` and renormalized before the divergence
-    is computed, so zero cells cannot produce infinities.  The computation
-    treats p and q identically, making the result exactly symmetric.
-    ``eps`` must be positive and finite, and ``1 + n * eps`` must not
-    overflow.
-    """
-    if len(p) != len(q):
-        raise ValueError(_support_mismatch(p, q))
-    if not 0 < eps < math.inf:  # NaN fails too
-        raise ValueError("eps must be positive and finite")
-    scale = 1.0 + len(q) * eps
-    if scale == math.inf:
-        raise ValueError(f"eps={eps!r} overflows the smoothing of {len(q)} cells")
-    return _jsd(p, _jsd_half(q, eps, scale), eps, scale)
-
-
 def _jsd_half(q: Sequence[float], eps: float, scale: float) -> tuple[list[float], list[float]]:
-    # The static half of the divergence: q smoothed, and its logarithms.
+    # The static half of the divergence: q smoothed by eps and renormalized
+    # by scale = 1 + len(q) * eps, and its logarithms.
     qs = [(x + eps) / scale for x in q]
     return qs, np.log(qs).tolist()
 
 
 def _jsd(p: Sequence[float], half: tuple[list[float], list[float]], eps: float, scale: float) -> float:
-    # jsd() without its checks, given q's half, for the decode's step.
+    # The Jensen-Shannon divergence in nats, within [0, log 2], given q's
+    # half; p is smoothed as q was, so zero cells give no infinities and
+    # the result is exactly symmetric.  Unchecked, for the decode's step.
     qs, log_qs = half
     n = len(qs)
     ps = [(x + eps) / scale for x in p]
@@ -130,20 +114,9 @@ def lambda_k(confidence: float, divergence: float) -> float:
     return min(max(lam, 0.0), 1.0)
 
 
-def combine(p_static: Sequence[float], p_dyn: Sequence[float], lam: float) -> list[float]:
-    """Convex combination ``(1 - lam) * p_static + lam * p_dyn``, as a list."""
-    if len(p_static) != len(p_dyn):
-        raise ValueError(_support_mismatch(p_static, p_dyn))
-    if not 0.0 <= lam <= 1.0:
-        raise ValueError(f"lambda must lie in [0, 1], got {lam}")
-    return _combine(p_static, p_dyn, lam)
-
-
 def _combine(p_static: Sequence[float], p_dyn: Sequence[float], lam: float) -> list[float]:
-    # combine() without its checks, for the decode's step.
+    # The convex combination (1 - lam) * p_static + lam * p_dyn, as a list,
+    # unchecked, for the decode's step.
     keep = 1.0 - lam
     return [keep * s + lam * d for s, d in zip(p_static, p_dyn)]
 
-
-def _support_mismatch(p: Sequence[float], q: Sequence[float]) -> str:
-    return f"support mismatch: {len(p)} vs {len(q)}"

@@ -31,7 +31,7 @@ from typing import Sequence
 import numpy as np
 
 from .core import SENTINEL_ID, StrokeSequence, StrokeVocabulary
-from .dynamic_model import DirichletState, init_alpha
+from .dynamic_model import init_alpha
 from .errors import ModelFormatError, VocabularyError
 from .static_prior import (
     NGramPrior,
@@ -61,9 +61,6 @@ class RhythmModel:
             self._static = TalaIndependentPrior(self.prior, self.tala_table)
         return self._static
 
-    def initial_dirichlet(self, rho: float) -> DirichletState:
-        return DirichletState(alpha=self.alpha0.copy(), rho=rho)
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, RhythmModel):
             return NotImplemented
@@ -84,11 +81,12 @@ def train_model(
     w_tau: int = 16,
     eps_dir: float = 1.0,
 ) -> RhythmModel:
-    """Train all tables from a tala-labeled corpus; ``n``, ``laplace_k`` and
-    ``eps_dir`` must lie in the model file's header bounds, and every stroke id
-    in ``vocab``, so it loads back."""
+    """Train all tables from a tala-labeled corpus; ``n``, ``laplace_k``,
+    ``w_tau`` and ``eps_dir`` must lie in the model file's header bounds, and
+    every stroke id in ``vocab``, so it loads back."""
     _check_header_field("n", n)
     _check_header_field("laplace_k", laplace_k)
+    _check_header_field("w_tau", w_tau)
     _check_header_field("eps_dir", eps_dir)
     if not corpus:
         raise ValueError("empty training corpus")

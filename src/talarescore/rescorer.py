@@ -216,7 +216,7 @@ class _Scorer:
         static = model.static_prior()
         self.advance, self.dist = static.advance, static.dist
         self.start = static.start()
-        self.alpha0 = model.initial_dirichlet(cfg.rho).alpha
+        self.alpha0 = model.alpha0.copy()
         arcs, finals = lat.arcs, lat.finals
         self.arcs = [
             tuple((a, arcs[a].dst, label_map[arcs[a].label], arcs[a].w_ac, arcs[a].dst in finals) for a in out)

@@ -169,6 +169,24 @@ def confidence(scores) -> float:
     return 1.0 - entropy / math.log(max(n, 2))
 
 
+def dirichlet_observe(alpha, rho, prev, nxt):
+    """Pseudo-count rows (lists) after the transition prev -> nxt: every cell
+    decays by ``1 - rho``, then the observed cell gains ``rho``."""
+    keep = 1.0 - rho
+    out = [[x * keep for x in row] for row in alpha]
+    out[prev][nxt - 1] += rho
+    return out
+
+
+def dirichlet_predict(alpha, prev) -> list[float]:
+    """The ``prev`` row of pseudo-counts over its explicit left-to-right sum."""
+    row = alpha[prev]
+    total = 0.0
+    for x in row:
+        total += x
+    return [x / total for x in row]
+
+
 def replay_path_score(lat, model, cfg, arc_ids) -> float:
     """Total rescored score of one lattice path, replaying the probability
     chain stroke by stroke: dynamic prediction, tala posterior, mixture
@@ -179,7 +197,7 @@ def replay_path_score(lat, model, cfg, arc_ids) -> float:
     from talarescore.fusion import parse_lambda_mode
 
     fixed = parse_lambda_mode(cfg.lambda_mode)
-    alpha = [row[:] for row in model.alpha0.tolist()]
+    alpha = model.alpha0.tolist()
     history: list[int] = []
     total = 0.0
     prev = SENTINEL_ID
@@ -188,9 +206,7 @@ def replay_path_score(lat, model, cfg, arc_ids) -> float:
     for aid in arc_ids:
         arc = lat.arcs[aid]
         q = arc.label
-        row = alpha[prev]
-        row_sum = sum(row)
-        p_dyn = [x / row_sum for x in row]
+        p_dyn = dirichlet_predict(alpha, prev)
         p_ti = ti_prior_dist(model, history)
         if fixed is None:
             d = jsd_nats(p_dyn, p_ti, cfg.eps_jsd)
@@ -204,9 +220,7 @@ def replay_path_score(lat, model, cfg, arc_ids) -> float:
             lam = fixed
         p_comb = [(1 - lam) * a_ + lam * b_ for a_, b_ in zip(p_ti, p_dyn)]
         total += arc.w_ac + cfg.beta * math.log(p_comb[q - 1])
-        one_minus = 1.0 - cfg.rho
-        alpha = [[x * one_minus for x in r] for r in alpha]
-        alpha[prev][q - 1] += cfg.rho
+        alpha = dirichlet_observe(alpha, cfg.rho, prev, q)
         history.append(q)
         prev = q
     return total

@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 from talarescore.core import StrokeSequence, default_vocabulary
-from talarescore.dynamic_model import DirichletState, predict, update
+from talarescore.dynamic_model import _observe, _predict
 from talarescore.eval import (
     BASELINE_LABEL,
     build_training_corpus,
@@ -26,7 +26,7 @@ from talarescore.eval import (
     ser,
     standard_suite,
 )
-from talarescore.fusion import LOG2, acoustic_confidence, combine, jsd, lambda_k
+from talarescore.fusion import LOG2, _combine, acoustic_confidence, lambda_k
 from talarescore.lattice import (
     Arc,
     Lattice,
@@ -38,7 +38,16 @@ from talarescore.lattice import (
 from talarescore.model import train_model
 from talarescore.rescorer import rescore
 
-from .oracles import EXHAUSTIVE, best_path_by_replay, levenshtein_distance, path_count, ti_prior_dist
+from .oracles import (
+    EXHAUSTIVE,
+    best_path_by_replay,
+    dirichlet_observe,
+    dirichlet_predict,
+    levenshtein_distance,
+    path_count,
+    ti_prior_dist,
+)
+from .test_fusion import two_part_jsd
 from .test_rescorer import replayed_steps
 from .test_static_prior import dist_after
 
@@ -144,21 +153,21 @@ def test_criterion_2_degeneracy_identities(small_lattice_ensemble, model):
                 _, exp, _ = rescore(lat, model, cfg)
                 steps = replayed_steps(lat, model, cfg, exp)
                 suffix = max(model.tala_table.w_tau, model.prior.n - 1)
-                # The Dirichlet state of each history, updated eagerly one
+                # The pseudo-counts of each history, updated eagerly one
                 # transition at a time; a parent's id is below its children's.
-                eager = {(0,): model.initial_dirichlet(cfg.rho)}
+                eager = {(0,): model.alpha0.tolist()}
                 assert steps
                 for sid in sorted(steps):
                     tr = steps[sid]
                     history = exp.history(sid)
                     if len(history) > 1:
-                        eager[history] = update(eager[history[:-1]], history[-2], history[-1])
+                        eager[history] = dirichlet_observe(eager[history[:-1]], cfg.rho, history[-2], history[-1])
                     assert exp.prior_states[sid] == history[1:][-suffix:]
                     if component == "static":
                         refs = [np.array(ti_prior_dist(model, history[1:]))]
                     else:
-                        stored = DirichletState(exp.alphas[sid], cfg.rho)
-                        refs = [np.array(predict(state, history[-1])) for state in (stored, eager[history])]
+                        stored = exp.alphas[sid].tolist()
+                        refs = [np.array(dirichlet_predict(alpha, history[-1])) for alpha in (stored, eager[history])]
                     for ref in refs:
                         assert np.max(np.abs(np.asarray(tr.p_comb) - ref)) < 1e-12
 
@@ -171,20 +180,20 @@ def test_criterion_3_numerical_invariants(model, vocab):
 
         # Emitted distributions: mixture prior, dynamic prediction, combination.
         static = model.static_prior()
-        state = model.initial_dirichlet(rho=0.03)
+        alpha = model.alpha0
         for i in range(trials):
             history = tuple(rng.randrange(1, n + 1) for _ in range(rng.randrange(0, 24)))
             p_static = np.asarray(dist_after(static, history))
             prev = history[-1] if history else 0
-            p_dyn = np.asarray(predict(state, prev))
+            p_dyn = np.asarray(_predict(alpha, prev))
             lam = lambda_k(rng.random(), rng.uniform(0.0, LOG2))
-            p_comb = np.asarray(combine(p_static, p_dyn, lam))
+            p_comb = np.asarray(_combine(p_static, p_dyn, lam))
             for dist in (p_static, p_dyn, p_comb):
                 assert abs(float(dist.sum()) - 1.0) < 1e-9
                 assert (dist > 0.0).all()
             assert 0.0 <= lam <= 1.0
             if i % 10 == 0:
-                state = update(state, prev, rng.randrange(1, n + 1))
+                alpha = _observe(alpha, 0.03, prev, rng.randrange(1, n + 1))
 
         # JSD bounds and exact symmetry.
         for _ in range(trials):
@@ -193,8 +202,8 @@ def test_criterion_3_numerical_invariants(model, vocab):
             q = np.array([rng.random() + 1e-9 for _ in range(k)])
             p /= p.sum()
             q /= q.sum()
-            d_pq = jsd(p, q, 1e-8)
-            assert d_pq == jsd(q, p, 1e-8)
+            d_pq = two_part_jsd(p, q, 1e-8)
+            assert d_pq == two_part_jsd(q, p, 1e-8)
             assert 0.0 <= d_pq <= LOG2 + 1e-12
 
         # Acoustic confidence bounds and pinned endpoints.
@@ -214,28 +223,27 @@ def test_criterion_4_dirichlet_dynamics(model):
     with criterion(4, "fixed point, geometric matrix-total convergence, monotone adaptation"):
         # Fixed point: a cell at exactly 1 stays exactly 1 under its own updates.
         n = model.vocab.num_playable
-        ones = DirichletState(alpha=np.ones((n + 1, n)), rho=0.03)
-        st = ones
+        alpha = np.ones((n + 1, n))
         for _ in range(100):
-            st = update(st, 1, 2)
-            assert st.alpha[1, 1] == 1.0
+            alpha = _observe(alpha, 0.03, 1, 2)
+            assert alpha[1, 1] == 1.0
 
         # Matrix total converges to 1 at rate (1 - rho).
-        st = model.initial_dirichlet(rho=0.03)
-        t0 = float(st.alpha.sum())
+        alpha = model.alpha0
+        t0 = float(alpha.sum())
         for k in range(1, 2001):
-            st = update(st, 1, 2)
+            alpha = _observe(alpha, 0.03, 1, 2)
             expected = 1.0 + (0.97**k) * (t0 - 1.0)
-            assert float(st.alpha.sum()) == pytest.approx(expected, rel=1e-9, abs=1e-12)
-        assert abs(float(st.alpha.sum()) - 1.0) <= 1e-9
+            assert float(alpha.sum()) == pytest.approx(expected, rel=1e-9, abs=1e-12)
+        assert abs(float(alpha.sum()) - 1.0) <= 1e-9
 
         # Repeated identical transitions drive the predicted probability
         # toward 1, monotonically (strictly until float saturation near 1).
-        st = model.initial_dirichlet(rho=0.03)
-        last = float(predict(st, 1)[1])
+        alpha = model.alpha0
+        last = float(_predict(alpha, 1)[1])
         for _ in range(2000):
-            st = update(st, 1, 2)
-            cur = float(predict(st, 1)[1])
+            alpha = _observe(alpha, 0.03, 1, 2)
+            cur = float(_predict(alpha, 1)[1])
             assert cur >= last
             if last < 1.0 - 1e-12:
                 assert cur > last

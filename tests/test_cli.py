@@ -295,8 +295,9 @@ def test_train_rejects_a_laplace_k_that_underflows_every_tala_weight(tmp_path, c
         ("--laplace-k", "nan", "laplace_k must be positive and finite"),
         ("--eps-dir", "inf", "eps_dir must be positive and finite"),
         ("--eps-dir", "nan", "eps_dir must be positive and finite"),
+        ("--w-tau", "9007199254740993", "w_tau must not exceed 2**53"),
     ],
-    ids=["laplace_k=1e300", "laplace_k=inf", "laplace_k=nan", "eps_dir=inf", "eps_dir=nan"],
+    ids=["laplace_k=1e300", "laplace_k=inf", "laplace_k=nan", "eps_dir=inf", "eps_dir=nan", "w_tau=2**53+1"],
 )
 def test_train_rejects_settings_the_model_file_refuses(tmp_path, capsys, flag, value, message):
     parts = [gen_corpus(tmp_path, name=f"{t}.txt", tala=t, count=1) for t in ("tintal", "jhaptal")]

@@ -1,7 +1,10 @@
 from __future__ import annotations
 
+import types
+
 import pytest
 
+import talarescore
 from talarescore.core import (
     SENTINEL,
     SENTINEL_ID,
@@ -106,30 +109,16 @@ def test_generation_length_law_and_determinism(vocab):
 
 
 def test_forced_tihai_on_cycle_three_matches_worked_example(vocab, tintal):
-    dev = DeviationConfig(tihai_cycles=(3,))
+    dev = DeviationConfig(p_tihai=1.0)
     seq = generate_sequence(tintal, 3, dev, 0, vocab)
     assert len(seq) == 48
     symbols = seq.to_symbols(vocab)
-    # Cycles 1-2 plus the first vibhag of cycle 3 keep the theka.
-    assert list(symbols[:32]) == TINTAL_THEKA * 2
-    assert list(symbols[32:36]) == ["Dha", "Dhin", "Dhin", "Dha"]
-    # Beats 37-48: phrase, connector, phrase, connector.
-    expected_tail = (
-        "Dha Tin Tin Na Na Na Dha Tin Tin Na Na Na"
+    # Every cycle, the third included, keeps the theka's first vibhag, then
+    # beats 5-16 play phrase, connector, phrase, connector.
+    expected_cycle = (
+        "Dha Dhin Dhin Dha Dha Tin Tin Na Na Na Dha Tin Tin Na Na Na"
     ).split()
-    assert list(symbols[36:]) == expected_tail
-
-
-def test_singleton_substitution_table_replaces_every_stroke(vocab, tintal):
-    table = {
-        "Dha": (("Ta", 1.0),),
-        "Dhin": (("Ta", 1.0),),
-        "Na": (("Ta", 1.0),),
-        "Tin": (("Ta", 1.0),),
-    }
-    dev = DeviationConfig(p_sub=1.0, substitutions=table)
-    seq = generate_sequence(tintal, 1, dev, 3, vocab)
-    assert set(seq.to_symbols(vocab)) == {"Ta"}
+    assert list(symbols) == expected_cycle * 3
 
 
 def test_tihai_rejected_when_cycle_too_short(vocab):
@@ -173,6 +162,52 @@ def test_tala_file_round_trip(tmp_path, vocab):
     path = tmp_path / "talas.txt"
     save_tala_specs(talas, path, vocab)
     assert load_tala_specs(path, vocab) == talas
+
+
+TALA_LINES = "tala t 4\nvibhag 1 3\ntheka Dha Na Tin Na\n"
+
+
+@pytest.mark.parametrize("line", ["vibhag 1 3", "theka Dha Na Tin Na"])
+def test_tala_file_line_before_the_first_tala_fails(tmp_path, vocab, line):
+    path = tmp_path / "talas.txt"
+    path.write_text(f"{line}\n" + TALA_LINES, encoding="utf-8")
+    with pytest.raises(ValueError, match=f"before the first tala line: {line!r}"):
+        load_tala_specs(path, vocab)
+
+
+@pytest.mark.parametrize("line", ["vibhag 1", "theka Na Na Na Na"])
+def test_tala_file_repeated_line_within_a_tala_fails(tmp_path, vocab, line):
+    path = tmp_path / "talas.txt"
+    path.write_text(TALA_LINES + f"{line}\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=f"repeated {line.split()[0]} line in tala 't': {line!r}"):
+        load_tala_specs(path, vocab)
+
+
+def test_tala_file_repeated_tala_name_fails(tmp_path, vocab):
+    path = tmp_path / "talas.txt"
+    path.write_text(TALA_LINES + TALA_LINES.replace("Tin", "Dhin"), encoding="utf-8")
+    with pytest.raises(ValueError, match="repeated tala name: 'tala t 4'"):
+        load_tala_specs(path, vocab)
+
+
+def test_package_public_names_are_pinned():
+    public = sorted(
+        name
+        for name, value in vars(talarescore).items()
+        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+    )
+    assert public == [
+        "Arc", "BenchmarkReport", "BenchmarkSuiteConfig", "DeviationConfig", "EditStats",
+        "ExpandedLattice", "Lattice", "LatticeFormatError", "LatticeGenConfig", "ModelFormatError",
+        "NGramPrior", "RescoreConfig", "RescoreDiagnostics", "RescoreError", "RhythmModel",
+        "SENTINEL", "SENTINEL_ID", "StrokeSequence", "StrokeVocabulary", "TalaIndependentPrior",
+        "TalaPosteriorTable", "TalaSpec", "TalarescoreError", "TihaiSpec", "VocabularyError",
+        "VocabularyMismatchError", "acoustic_confidence", "builtin_tala", "builtin_talas",
+        "default_tihai", "default_vocabulary", "generate_lattice", "generate_sequence", "init_alpha",
+        "lambda_k", "load_lattice", "load_model", "path_score", "path_terms", "rescore", "run_benchmark",
+        "save_lattice", "save_model", "ser", "standard_suite", "train_model", "train_prior",
+        "train_tala_table", "viterbi_acoustic", "viterbi_expanded",
+    ]
 
 
 def test_unknown_symbol_in_sequence_file(tmp_path, vocab):

@@ -4,14 +4,14 @@ import numpy as np
 import pytest
 
 from talarescore.core import SENTINEL_ID, StrokeSequence, StrokeVocabulary
-from talarescore.dynamic_model import DirichletState, init_alpha, predict, update
+from talarescore.dynamic_model import _observe, _predict, init_alpha
 
 AB = StrokeVocabulary.of(["A", "B"])
 A, B = 1, 2
 
 
-def state(alpha_rows, rho=0.03):
-    return DirichletState(alpha=np.array(alpha_rows, dtype=float), rho=rho)
+def state(alpha_rows):
+    return np.array(alpha_rows, dtype=float)
 
 
 def test_init_alpha_hand_counts():
@@ -40,42 +40,42 @@ def test_init_alpha_sentinel_row_uniform_regardless_of_corpus():
 
 def test_update_fixed_point_on_observed_cell():
     st = state([[1.0, 1.0], [1.0, 1.0], [1.0, 1.0]])
-    nxt = update(st, A, B)
-    assert nxt.alpha[A, B - 1] == 1.0  # (1-rho)*1 + rho, exactly
+    nxt = _observe(st, 0.03, A, B)
+    assert nxt[A, B - 1] == 1.0  # (1-rho)*1 + rho, exactly
 
 
 def test_update_decays_unobserved_cells():
-    st = state([[1.0, 1.0], [1.0, 1.0], [1.0, 1.0]], rho=0.03)
-    nxt = update(st, A, B)
-    assert nxt.alpha[B, A - 1] == 1.0 * (1.0 - 0.03)
-    assert nxt.alpha[A, A - 1] == 1.0 * (1.0 - 0.03)
+    st = state([[1.0, 1.0], [1.0, 1.0], [1.0, 1.0]])
+    nxt = _observe(st, 0.03, A, B)
+    assert nxt[B, A - 1] == 1.0 * (1.0 - 0.03)
+    assert nxt[A, A - 1] == 1.0 * (1.0 - 0.03)
 
 
 def test_update_is_pure():
     st = state([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])
-    before = st.alpha.copy()
-    update(st, A, A)
-    assert np.array_equal(st.alpha, before)
+    before = st.copy()
+    _observe(st, 0.03, A, A)
+    assert np.array_equal(st, before)
 
 
 def test_matrix_total_recurrence():
-    st = state([[2.0, 0.5], [1.5, 3.0], [0.25, 0.75]], rho=0.1)
-    total = st.alpha.sum()
+    st = state([[2.0, 0.5], [1.5, 3.0], [0.25, 0.75]])
+    total = st.sum()
     for _ in range(50):
-        st = update(st, A, B)
+        st = _observe(st, 0.1, A, B)
         total = (1.0 - 0.1) * total + 0.1
-        assert st.alpha.sum() == pytest.approx(total, rel=1e-12)
-    assert abs(st.alpha.sum() - 1.0) < (0.9**50) * 10
+        assert st.sum() == pytest.approx(total, rel=1e-12)
+    assert abs(st.sum() - 1.0) < (0.9**50) * 10
 
 
 def test_predict_uniform_row():
     st = state([[1.0, 1.0], [2.0, 2.0], [1.0, 1.0]])
-    assert np.allclose(predict(st, A), [0.5, 0.5])
+    assert np.allclose(_predict(st, A), [0.5, 0.5])
 
 
 def test_predict_hand_normalization():
     st = state([[1.0, 1.0], [3.0, 1.0], [1.0, 1.0]])
-    p = predict(st, A)
+    p = _predict(st, A)
     assert p[A - 1] == pytest.approx(0.75, abs=1e-15)
     assert p[B - 1] == pytest.approx(0.25, abs=1e-15)
 
@@ -84,18 +84,17 @@ def test_update_strictly_raises_observed_probability():
     rng = np.random.default_rng(2)
     for _ in range(50):
         alpha = rng.uniform(0.1, 5.0, size=(3, 2))
-        st = DirichletState(alpha=alpha, rho=0.07)
-        before = predict(st, A)[B - 1]
-        after = predict(update(st, A, B), A)[B - 1]
+        before = _predict(alpha, A)[B - 1]
+        after = _predict(_observe(alpha, 0.07, A, B), A)[B - 1]
         assert after > before
 
 
 def test_repeated_updates_drive_probability_to_one_monotonically():
-    st = state([[1.0, 1.0], [5.0, 1.0], [1.0, 1.0]], rho=0.05)
-    last = predict(st, A)[B - 1]
+    st = state([[1.0, 1.0], [5.0, 1.0], [1.0, 1.0]])
+    last = _predict(st, A)[B - 1]
     for _ in range(300):
-        st = update(st, A, B)
-        cur = predict(st, A)[B - 1]
+        st = _observe(st, 0.05, A, B)
+        cur = _predict(st, A)[B - 1]
         assert cur > last
         last = cur
     assert last > 0.99
@@ -103,26 +102,10 @@ def test_repeated_updates_drive_probability_to_one_monotonically():
 
 def test_positivity_preserved_under_many_updates():
     rng = np.random.default_rng(5)
-    st = state([[0.2, 0.8], [1.4, 0.6], [2.0, 0.1]], rho=0.3)
+    st = state([[0.2, 0.8], [1.4, 0.6], [2.0, 0.1]])
     for _ in range(500):
         prev = int(rng.integers(0, 3))
         nxt = int(rng.integers(1, 3))
-        st = update(st, prev, nxt)
-        assert (st.alpha > 0).all()
+        st = _observe(st, 0.3, prev, nxt)
+        assert (st > 0).all()
 
-
-def test_state_validation():
-    with pytest.raises(ValueError, match="rho"):
-        state([[1.0, 1.0], [1.0, 1.0], [1.0, 1.0]], rho=1.0)
-    with pytest.raises(ValueError, match="positive"):
-        state([[0.0, 1.0], [1.0, 1.0], [1.0, 1.0]])
-    with pytest.raises(ValueError, match="num_playable"):
-        DirichletState(alpha=np.ones((2, 2)), rho=0.1)
-
-
-def test_update_rejects_bad_ids():
-    st = state([[1.0, 1.0], [1.0, 1.0], [1.0, 1.0]])
-    with pytest.raises(ValueError):
-        update(st, A, SENTINEL_ID)
-    with pytest.raises(ValueError):
-        update(st, 9, A)

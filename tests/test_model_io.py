@@ -87,12 +87,6 @@ def test_static_prior_cache_is_shared(small_model):
     assert small_model.static_prior() is small_model.static_prior()
 
 
-def test_initial_dirichlet_copies_alpha(small_model):
-    st = small_model.initial_dirichlet(rho=0.03)
-    st.alpha[1, 0] += 99.0
-    assert small_model.alpha0[1, 0] != st.alpha[1, 0]
-
-
 def test_malformed_model_files():
     with pytest.raises(ModelFormatError, match="header"):
         loads_model("nope\n")

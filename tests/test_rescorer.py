@@ -13,10 +13,9 @@ from hypothesis import given
 
 from talarescore import rescorer
 from talarescore.core import builtin_tala, can_host_tihai, default_vocabulary, generate_sequence
-from talarescore.dynamic_model import DirichletState, update
 from talarescore.errors import RescoreError, VocabularyMismatchError
 from talarescore.eval import build_training_corpus, split_seed, standard_suite
-from talarescore.fusion import combine, jsd, lambda_k
+from talarescore.fusion import _combine, lambda_k
 from talarescore.lattice import Arc, Lattice, LatticeGenConfig, generate_lattice, viterbi_acoustic
 from talarescore.model import loads_model, train_model
 from talarescore.rescorer import (
@@ -29,7 +28,16 @@ from talarescore.rescorer import (
     viterbi_expanded,
 )
 
-from .oracles import EXHAUSTIVE, all_paths, best_path_by_replay, replay_path_score, ti_prior_dist
+from .oracles import (
+    EXHAUSTIVE,
+    all_paths,
+    best_path_by_replay,
+    dirichlet_observe,
+    dirichlet_predict,
+    replay_path_score,
+    ti_prior_dist,
+)
+from .test_fusion import two_part_jsd
 from .test_properties import PROPERTY_SETTINGS, small_dags
 
 WIDE_PIN_SHA256 = "f0fbc5c96a9dd230a67c4c608c269f5d65db99573ed09ded16db0b627a9508bb"
@@ -203,28 +211,26 @@ def test_expanded_lattice_is_a_tree(vocab, small_model):
 def test_fixed_lambda_traces_match_component_models(vocab, small_model):
     rng = random.Random(5)
     lat = random_grid_lattice(vocab, rng, stages=4, width=2)
-    from talarescore.dynamic_model import predict
-
     for mode, pick in (("fixed:0", "static"), ("fixed:1", "dynamic")):
         cfg = replace(EXHAUSTIVE, lambda_mode=mode)
         _, exp, _ = rescore(lat, small_model, cfg)
         steps = replayed_steps(lat, small_model, cfg, exp)
         suffix = max(small_model.tala_table.w_tau, small_model.prior.n - 1)
-        # The Dirichlet state of each history, updated eagerly one transition
+        # The pseudo-counts of each history, updated eagerly one transition
         # at a time; a parent's id is below its children's.
-        eager = {(0,): small_model.initial_dirichlet(cfg.rho)}
+        eager = {(0,): small_model.alpha0.tolist()}
         assert steps
         for sid in sorted(steps):
             tr = steps[sid]
             history = exp.history(sid)
             if len(history) > 1:
-                eager[history] = update(eager[history[:-1]], history[-2], history[-1])
+                eager[history] = dirichlet_observe(eager[history[:-1]], cfg.rho, history[-2], history[-1])
             assert exp.prior_states[sid] == history[1:][-suffix:]
             if pick == "static":
                 refs = [np.array(ti_prior_dist(small_model, history[1:]))]
             else:
-                stored = DirichletState(exp.alphas[sid], cfg.rho)
-                refs = [np.array(predict(state, history[-1])) for state in (stored, eager[history])]
+                stored = exp.alphas[sid].tolist()
+                refs = [np.array(dirichlet_predict(alpha, history[-1])) for alpha in (stored, eager[history])]
             for ref in refs:
                 assert np.max(np.abs(np.asarray(tr.p_comb) - ref)) < 1e-12
 
@@ -513,7 +519,7 @@ def test_adaptive_winners_pass_windows_where_the_tala_posterior_moves_the_prior(
 
 
 @pytest.mark.parametrize("mode", ["adaptive", "fixed:0.5"])
-def test_traced_steps_equal_the_public_functions(standard_lattice, mode):
+def test_replayed_steps_equal_the_fusion_formulas(standard_lattice, mode):
     lat, model = standard_lattice
     cfg = RescoreConfig(lambda_mode=mode)
     _, exp, _ = rescore(lat, model, cfg)
@@ -521,12 +527,12 @@ def test_traced_steps_equal_the_public_functions(standard_lattice, mode):
     assert len(steps) > 1000
     for tr in steps.values():
         if mode == "adaptive":
-            assert tr.divergence == jsd(tr.p_dyn, tr.p_static, cfg.eps_jsd)
+            assert tr.divergence == two_part_jsd(tr.p_dyn, tr.p_static, cfg.eps_jsd)
             assert tr.lam == lambda_k(tr.confidence, tr.divergence)
         else:
             # A fixed weight computes neither term.
             assert math.isnan(tr.confidence) and math.isnan(tr.divergence)
-        assert list(tr.p_comb) == combine(tr.p_static, tr.p_dyn, tr.lam)
+        assert list(tr.p_comb) == _combine(tr.p_static, tr.p_dyn, tr.lam)
 
 
 def test_path_score_of_the_winner_is_its_acc_score(wide_pin_decodes):
@@ -570,8 +576,7 @@ def test_path_score_matches_replay_oracle_on_small_dags(small_model, mode, lat):
 @pytest.mark.parametrize("k_beam", [150, 12])
 def test_history_and_dirichlet_are_built_at_pop(monkeypatch, standard_lattice, k_beam):
     lat, model = standard_lattice
-    # The decode's step observes transitions through the private helper
-    # behind the public update().
+    # The decode's step observes transitions through dynamic_model._observe.
     real_observe = rescorer._observe
     calls = []
 
@@ -602,16 +607,16 @@ def test_history_and_dirichlet_are_built_at_pop(monkeypatch, standard_lattice, k
         assert exp.history(sid) == histories[sid]
 
     # Each snapshot holds the last max(w_tau, n-1) strokes of its history as
-    # the prior state, and a Dirichlet state bit-identical to the initial
-    # state updated along its history one transition at a time.
+    # the prior state, and pseudo-counts bit-identical to the model's initial
+    # ones updated along its history one transition at a time.
     suffix = max(model.tala_table.w_tau, model.prior.n - 1)
-    eager = {0: model.initial_dirichlet(cfg.rho)}
+    eager = {0: model.alpha0.tolist()}
     for sid in sorted(exp.alphas):
         if sid:
             parent = cols.parent[sid]
-            eager[sid] = update(eager[parent], exp.history(parent)[-1], cols.stroke[sid])
+            eager[sid] = dirichlet_observe(eager[parent], cfg.rho, exp.history(parent)[-1], cols.stroke[sid])
         assert exp.prior_states[sid] == exp.history(sid)[1:][-suffix:]
-        assert np.array_equal(exp.alphas[sid], eager[sid].alpha)
+        assert np.array_equal(exp.alphas[sid], eager[sid])
 
 
 def test_expanded_lattice_holds_one_row_per_pushed_state(standard_lattice):
@@ -626,3 +631,10 @@ def test_expanded_lattice_holds_one_row_per_pushed_state(standard_lattice):
         assert len(column) == len(cols)
     # A state popped with outgoing arcs pushes one child per arc.
     assert set(exp.prior_states) == set(exp.alphas) == set(cols.parent[1:])
+
+
+def test_root_snapshot_is_a_copy_of_the_model_alpha0(vocab, small_model):
+    lat = random_grid_lattice(vocab, random.Random(3))
+    _, exp, _ = rescore(lat, small_model, RescoreConfig())
+    assert np.array_equal(exp.alphas[0], small_model.alpha0)
+    assert exp.alphas[0] is not small_model.alpha0
