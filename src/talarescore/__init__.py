@@ -44,12 +44,6 @@ from .rescorer import (
     rescore,
     viterbi_expanded,
 )
-from .static_prior import (
-    NGramPrior,
-    TalaIndependentPrior,
-    TalaPosteriorTable,
-    train_prior,
-    train_tala_table,
-)
+from .static_prior import TalaIndependentPrior
 
 __version__ = "0.1.0"

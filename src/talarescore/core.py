@@ -376,7 +376,7 @@ def load_tala_specs(path: str | Path, vocab: StrokeVocabulary) -> list[TalaSpec]
                 raise ValueError(f"bad tala line: {line!r}")
             if any(spec.name == parts[1] for spec in specs):
                 raise ValueError(f"repeated tala name: {line!r}")
-            name, matras = parts[1], int(parts[2])
+            name, (matras,) = parts[1], _ints(line, parts[2:])
             boundaries, theka = (), None
             seen.clear()
         elif kind not in ("vibhag", "theka"):
@@ -388,13 +388,20 @@ def load_tala_specs(path: str | Path, vocab: StrokeVocabulary) -> list[TalaSpec]
         else:
             seen.add(kind)
             if kind == "vibhag":
-                boundaries = tuple(int(b) for b in parts[1:])
+                boundaries = _ints(line, parts[1:])
             else:
                 theka = StrokeSequence.from_symbols(vocab, parts[1:], tala_label=name)
     flush()
     if not specs:
         raise ValueError(f"no tala specs found in {path}")
     return specs
+
+
+def _ints(line: str, fields: list[str]) -> tuple[int, ...]:
+    try:
+        return tuple(int(f) for f in fields)
+    except ValueError:
+        raise ValueError(f"bad {line.split()[0]} line, want integers: {line!r}") from None
 
 
 def save_sequences(seqs: Sequence[StrokeSequence], path: str | Path, vocab: StrokeVocabulary) -> None:

@@ -1,4 +1,4 @@
-"""The trained rhythm model: static prior tables plus dynamic initialization.
+"""The trained rhythm model: the static prior plus the Dirichlet initialization.
 
 Persists to a versioned line-oriented text file that round-trips exactly:
 
@@ -24,7 +24,7 @@ symbol is on the ``vocab`` line.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
@@ -32,34 +32,30 @@ import numpy as np
 
 from .core import SENTINEL_ID, StrokeSequence, StrokeVocabulary
 from .dynamic_model import init_alpha
-from .errors import ModelFormatError, VocabularyError
-from .static_prior import (
-    NGramPrior,
-    TalaIndependentPrior,
-    TalaPosteriorTable,
-    train_prior,
-    train_tala_table,
-)
+from .errors import ModelFormatError, VocabularyError, VocabularyMismatchError
+from .static_prior import TalaIndependentPrior, train_static_prior
 
 FORMAT_HEADER = "tiprior v1"
 
 
 @dataclass(eq=False)
 class RhythmModel:
-    """Immutable bundle of trained tables; share freely across threads."""
+    """Immutable bundle of trained tables; share freely across threads.  Every
+    decode steps the one ``prior``, so its memo stays warm across decodes."""
 
     vocab: StrokeVocabulary
-    prior: NGramPrior
-    tala_table: TalaPosteriorTable
+    prior: TalaIndependentPrior
     alpha0: np.ndarray
     eps_dir: float
-    _static: TalaIndependentPrior | None = field(default=None, repr=False)
 
-    def static_prior(self) -> TalaIndependentPrior:
-        """The memoizing next-stroke prior, built once and shared by every decode."""
-        if self._static is None:
-            self._static = TalaIndependentPrior(self.prior, self.tala_table)
-        return self._static
+    def __post_init__(self) -> None:
+        if self.prior.num_playable != self.vocab.num_playable:
+            raise VocabularyMismatchError(
+                f"the prior covers {self.prior.num_playable} strokes, the vocabulary {self.vocab.num_playable}"
+            )
+        shape = (self.vocab.num_symbols, self.vocab.num_playable)
+        if self.alpha0.shape != shape:
+            raise VocabularyMismatchError(f"alpha0 has shape {self.alpha0.shape}, the vocabulary needs {shape}")
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, RhythmModel):
@@ -67,7 +63,6 @@ class RhythmModel:
         return (
             self.vocab == other.vocab
             and self.prior == other.prior
-            and self.tala_table == other.tala_table
             and np.array_equal(self.alpha0, other.alpha0)
             and self.eps_dir == other.eps_dir
         )
@@ -93,32 +88,31 @@ def train_model(
     top = max(max(seq.strokes) for seq in corpus)
     if top > vocab.num_playable:
         raise VocabularyError(f"stroke id out of range: {top} (the vocabulary has {vocab.num_playable} strokes)")
-    prior = train_prior(corpus, vocab, n=n, laplace_k=laplace_k)
-    table = train_tala_table(corpus, w_tau=w_tau, laplace_k=laplace_k)
+    prior = train_static_prior(corpus, vocab.num_playable, n=n, laplace_k=laplace_k, w_tau=w_tau)
     alpha0 = init_alpha(corpus, vocab, eps_dir=eps_dir)
-    return RhythmModel(vocab=vocab, prior=prior, tala_table=table, alpha0=alpha0, eps_dir=eps_dir)
+    return RhythmModel(vocab=vocab, prior=prior, alpha0=alpha0, eps_dir=eps_dir)
 
 
 def dumps_model(model: RhythmModel) -> str:
-    symbols = model.vocab.symbols
+    symbols, prior = model.vocab.symbols, model.prior
     lines = [
         FORMAT_HEADER,
-        f"n {model.prior.n}",
-        f"laplace_k {model.prior.laplace_k!r}",
-        f"w_tau {model.tala_table.w_tau}",
+        f"n {prior.n}",
+        f"laplace_k {prior.laplace_k!r}",
+        f"w_tau {prior.w_tau}",
         f"eps_dir {model.eps_dir!r}",
         "vocab " + " ".join(model.vocab.playable_symbols),
     ]
-    for tala in model.tala_table.talas:
-        lines.append(f"tala {tala} {model.tala_table.priors[tala]!r}")
-    for tala in sorted(model.prior.counts):
-        table = model.prior.counts[tala]
+    for tala in prior.talas:
+        lines.append(f"tala {tala} {prior.tala_priors[tala]!r}")
+    for tala in prior.talas:
+        table = prior.counts[tala]
         for ctx in sorted(table):
             row = table[ctx]
             head = " ".join(["count", tala, *[symbols[c] for c in ctx]])
             lines += [f"{head} {symbols[nxt]} {row[nxt]}" for nxt in sorted(row)]
-    for tala in sorted(model.tala_table.counts):
-        windows = model.tala_table.counts[tala]
+    for tala in prior.talas:
+        windows = prior.window_counts[tala]
         lines += [
             f"taucount {tala} {' '.join([symbols[c] for c in window])} {windows[window]}"
             for window in sorted(windows)
@@ -240,16 +234,18 @@ def loads_model(text: str) -> RhythmModel:
     for tala in priors:
         ngram_counts.setdefault(tala, {})
         tau_counts.setdefault(tala, {})
-    prior = NGramPrior(header["n"], header["laplace_k"], vocab.num_playable, ngram_counts)
     try:
-        table = TalaPosteriorTable(header["w_tau"], header["laplace_k"], tau_counts, priors)
+        prior = TalaIndependentPrior(
+            n=header["n"], laplace_k=header["laplace_k"], w_tau=header["w_tau"], num_playable=vocab.num_playable,
+            counts=ngram_counts, window_counts=tau_counts, tala_priors=priors,
+        )
     except ValueError as exc:
         raise ModelFormatError(str(exc)) from None
     alpha0 = np.full((vocab.num_symbols, vocab.num_playable), eps_dir, dtype=float)
     alpha0[SENTINEL_ID, :] = 1.0
     for (prev, nxt), value in alphas.items():
         alpha0[prev, nxt - 1] = value
-    return RhythmModel(vocab=vocab, prior=prior, tala_table=table, alpha0=alpha0, eps_dir=eps_dir)
+    return RhythmModel(vocab=vocab, prior=prior, alpha0=alpha0, eps_dir=eps_dir)
 
 
 _HEADER_FIELDS = {"n": int, "laplace_k": float, "w_tau": int, "eps_dir": float}
@@ -265,6 +261,8 @@ _MAX_ORDER = 32
 
 def _check_header_field(kind: str, value: float) -> None:
     """Raise ``ValueError`` unless ``value`` lies in the ``kind`` header's bounds."""
+    if _HEADER_FIELDS[kind] is int and (isinstance(value, bool) or not isinstance(value, int)):
+        raise ValueError(f"{kind} must be an integer")
     # Unlike math.isfinite, a comparison takes an int too large for a float.
     if not 0 < value < math.inf:
         raise ValueError(f"{kind} must be positive and finite")

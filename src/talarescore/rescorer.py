@@ -18,7 +18,7 @@ A pushed state is one row of parallel columns (node, parent, arc, stroke,
 weight, accumulated score).  Its static-prior state and Dirichlet snapshot
 are built from its parent's only when it is popped with outgoing arcs, and
 are kept in two dicts by state id, as the prior state and the bare
-pseudo-count array.  The static prior is the model's
+pseudo-count array.  The static prior is the model's ``prior``, a
 :class:`~talarescore.static_prior.TalaIndependentPrior`; its state is the
 tuple of the last ``max(w_tau, n - 1)`` strokes, ``w_tau`` being the model's
 trained tala window, so a pop copies no path history.  Most pushed states are
@@ -213,9 +213,8 @@ class _Scorer:
         if adaptive and self.scale == math.inf:
             raise RescoreError(f"eps_jsd={cfg.eps_jsd!r} overflows the divergence's smoothing of {n} cells")
         self.halves: dict[tuple[float, ...], tuple[list[float], list[float]]] = {}
-        static = model.static_prior()
-        self.advance, self.dist = static.advance, static.dist
-        self.start = static.start()
+        self.advance, self.dist = model.prior.advance, model.prior.dist
+        self.start = model.prior.start()
         self.alpha0 = model.alpha0.copy()
         arcs, finals = lat.arcs, lat.finals
         self.arcs = [

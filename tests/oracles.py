@@ -116,12 +116,12 @@ def ngram_prob(counts, num_playable, laplace_k, tala, context, nxt) -> float:
     return (table.get(nxt, 0) + laplace_k) / (total + laplace_k * num_playable)
 
 
-def tala_posterior(table, u) -> dict[str, float]:
+def tala_posterior(window_counts, tala_priors, laplace_k, u) -> dict[str, float]:
     """P(tala | window) from raw window counts; prior when u is empty/unseen."""
     weights = {}
-    for tala in table.priors:
-        c = table.counts.get(tala, {}).get(tuple(u), 0) if u else 0
-        weights[tala] = (c + table.laplace_k) * table.priors[tala] if u else table.priors[tala]
+    for tala in tala_priors:
+        c = window_counts.get(tala, {}).get(tuple(u), 0) if u else 0
+        weights[tala] = (c + laplace_k) * tala_priors[tala] if u else tala_priors[tala]
     z = sum(weights.values())
     return {t: w / z for t, w in weights.items()}
 
@@ -129,9 +129,8 @@ def tala_posterior(table, u) -> dict[str, float]:
 def ti_prior_dist(model, history) -> list[float]:
     """Mixture prior over playable strokes from raw model tables."""
     prior = model.prior
-    table = model.tala_table
-    u = tuple(history[-table.w_tau:])
-    post = tala_posterior(table, u)
+    u = tuple(history[-prior.w_tau:])
+    post = tala_posterior(prior.window_counts, prior.tala_priors, prior.laplace_k, u)
     need = prior.n - 1
     ctx = tuple(history[-need:]) if need else ()
     if len(ctx) < need:

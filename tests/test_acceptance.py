@@ -38,6 +38,7 @@ from talarescore.lattice import (
 from talarescore.model import train_model
 from talarescore.rescorer import rescore
 
+from .helpers import dist_after, replayed_steps, two_part_jsd
 from .oracles import (
     EXHAUSTIVE,
     best_path_by_replay,
@@ -47,9 +48,6 @@ from .oracles import (
     path_count,
     ti_prior_dist,
 )
-from .test_fusion import two_part_jsd
-from .test_rescorer import replayed_steps
-from .test_static_prior import dist_after
 
 # sha256 of the small ensemble's lattices, dumped and joined in order.
 ENSEMBLE_SHA256 = "2c7863b05df7dd2655e5ed54e4dab7dc13b871e1b3a7ccf5200adc135e2af5d9"
@@ -152,7 +150,7 @@ def test_criterion_2_degeneracy_identities(small_lattice_ensemble, model):
                 cfg = replace(EXHAUSTIVE, lambda_mode=mode)
                 _, exp, _ = rescore(lat, model, cfg)
                 steps = replayed_steps(lat, model, cfg, exp)
-                suffix = max(model.tala_table.w_tau, model.prior.n - 1)
+                suffix = max(model.prior.w_tau, model.prior.n - 1)
                 # The pseudo-counts of each history, updated eagerly one
                 # transition at a time; a parent's id is below its children's.
                 eager = {(0,): model.alpha0.tolist()}
@@ -179,7 +177,7 @@ def test_criterion_3_numerical_invariants(model, vocab):
         trials = 10_000
 
         # Emitted distributions: mixture prior, dynamic prediction, combination.
-        static = model.static_prior()
+        static = model.prior
         alpha = model.alpha0
         for i in range(trials):
             history = tuple(rng.randrange(1, n + 1) for _ in range(rng.randrange(0, 24)))

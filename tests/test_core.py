@@ -190,6 +190,16 @@ def test_tala_file_repeated_tala_name_fails(tmp_path, vocab):
         load_tala_specs(path, vocab)
 
 
+@pytest.mark.parametrize("bad", ["tala t x", "tala t 4.0", "vibhag 1 y"])
+def test_tala_file_bad_number_names_the_line(tmp_path, vocab, bad):
+    path = tmp_path / "talas.txt"
+    kind = bad.split()[0]
+    lines = [bad if line.startswith(kind + " ") else line for line in TALA_LINES.splitlines()]
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=f"^bad {kind} line, want integers: {bad!r}$"):
+        load_tala_specs(path, vocab)
+
+
 def test_package_public_names_are_pinned():
     public = sorted(
         name
@@ -199,14 +209,13 @@ def test_package_public_names_are_pinned():
     assert public == [
         "Arc", "BenchmarkReport", "BenchmarkSuiteConfig", "DeviationConfig", "EditStats",
         "ExpandedLattice", "Lattice", "LatticeFormatError", "LatticeGenConfig", "ModelFormatError",
-        "NGramPrior", "RescoreConfig", "RescoreDiagnostics", "RescoreError", "RhythmModel",
-        "SENTINEL", "SENTINEL_ID", "StrokeSequence", "StrokeVocabulary", "TalaIndependentPrior",
-        "TalaPosteriorTable", "TalaSpec", "TalarescoreError", "TihaiSpec", "VocabularyError",
-        "VocabularyMismatchError", "acoustic_confidence", "builtin_tala", "builtin_talas",
-        "default_tihai", "default_vocabulary", "generate_lattice", "generate_sequence", "init_alpha",
-        "lambda_k", "load_lattice", "load_model", "path_score", "path_terms", "rescore", "run_benchmark",
-        "save_lattice", "save_model", "ser", "standard_suite", "train_model", "train_prior",
-        "train_tala_table", "viterbi_acoustic", "viterbi_expanded",
+        "RescoreConfig", "RescoreDiagnostics", "RescoreError", "RhythmModel", "SENTINEL", "SENTINEL_ID",
+        "StrokeSequence", "StrokeVocabulary", "TalaIndependentPrior", "TalaSpec", "TalarescoreError",
+        "TihaiSpec", "VocabularyError", "VocabularyMismatchError", "acoustic_confidence",
+        "builtin_tala", "builtin_talas", "default_tihai", "default_vocabulary", "generate_lattice",
+        "generate_sequence", "init_alpha", "lambda_k", "load_lattice", "load_model", "path_score",
+        "path_terms", "rescore", "run_benchmark", "save_lattice", "save_model", "ser", "standard_suite",
+        "train_model", "viterbi_acoustic", "viterbi_expanded",
     ]
 
 

@@ -18,6 +18,7 @@ from talarescore.fusion import (
 )
 from talarescore.rescorer import RescoreConfig
 
+from .helpers import two_part_jsd
 from .oracles import confidence as oracle_confidence, jsd_nats
 
 
@@ -25,12 +26,6 @@ def rand_dist(rng, n):
     cells = [rng.random() + 1e-6 for _ in range(n)]
     z = sum(cells)
     return np.array([c / z for c in cells])
-
-
-def two_part_jsd(p, q, eps):
-    """The divergence as the decode takes it: q's half, then the rest."""
-    scale = 1.0 + len(q) * eps
-    return _jsd(p, _jsd_half(q, eps, scale), eps, scale)
 
 
 def test_jsd_identity_is_zero():

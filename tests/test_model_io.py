@@ -6,11 +6,14 @@ import numpy as np
 import pytest
 
 from talarescore.core import StrokeSequence
-from talarescore.errors import ModelFormatError, VocabularyError
+from talarescore.errors import ModelFormatError, VocabularyError, VocabularyMismatchError
 from talarescore.eval import build_training_corpus, standard_suite
-from talarescore.model import dumps_model, load_model, loads_model, save_model, train_model
+from talarescore.lattice import LatticeGenConfig, generate_lattice
+from talarescore.model import RhythmModel, dumps_model, load_model, loads_model, save_model, train_model
+from talarescore.rescorer import rescore
+from talarescore.static_prior import train_static_prior
 
-from .test_static_prior import dist_after
+from .helpers import dist_after
 
 
 def test_round_trip_structural_equality(small_corpus, vocab, tmp_path):
@@ -59,7 +62,7 @@ def test_header_carries_training_settings(small_corpus, vocab):
     assert "eps_dir 2.0" in head
     loaded = loads_model(text)
     assert loaded.prior.n == 2
-    assert loaded.tala_table.w_tau == 8
+    assert loaded.prior.w_tau == 8
     assert loaded.eps_dir == 2.0
 
 
@@ -77,14 +80,20 @@ def test_single_tala_model_prior_equals_its_ngram(vocab):
     corpus = [StrokeSequence((1, 2, 1, 2, 3), tala_label="solo")]
     model = train_model(corpus, vocab, n=2)
     history = (1, 2)
-    mix = dist_after(model.static_prior(), history)
+    mix = dist_after(model.prior, history)
     ngram = model.prior.distribution("solo", model.prior.context_of(history))
     assert np.array_equal(mix, ngram)
 
 
-def test_static_prior_cache_is_shared(small_model):
-    # One prior per model, so its memo stays warm across decodes.
-    assert small_model.static_prior() is small_model.static_prior()
+def test_static_prior_cache_is_shared(small_corpus, vocab):
+    # Every decode steps the model's one prior, so its memo stays warm across decodes.
+    model = train_model(small_corpus, vocab)
+    lat = generate_lattice(small_corpus[0], LatticeGenConfig(rng_seed=1), vocab)
+    rescore(lat, model)
+    warm = dict(model.prior._cache)
+    assert warm
+    rescore(lat, model)
+    assert model.prior._cache == warm
 
 
 def test_malformed_model_files():
@@ -167,12 +176,31 @@ def test_train_rejects_an_n_gram_order_above_the_bound(small_corpus, vocab):
         train_model(small_corpus, vocab, n=33)
 
 
+@pytest.mark.parametrize("kind, value", [("n", 2.5), ("n", True), ("n", 3.0), ("w_tau", 2.5), ("w_tau", False)])
+def test_train_rejects_a_non_integer_order_or_window(small_corpus, vocab, kind, value):
+    # The model file's n and w_tau lines hold integers, so a model trained
+    # with anything else could not load back.
+    with pytest.raises(ValueError, match=f"^{kind} must be an integer$"):
+        train_model(small_corpus, vocab, **{kind: value})
+
+
+def test_model_rejects_a_prior_over_another_vocabulary(small_model, vocab):
+    four = train_static_prior([StrokeSequence((1, 2, 3, 4), tala_label="t")], 4, n=2, laplace_k=1.0, w_tau=4)
+    with pytest.raises(VocabularyMismatchError, match="^the prior covers 4 strokes, the vocabulary 5$"):
+        RhythmModel(vocab=vocab, prior=four, alpha0=small_model.alpha0, eps_dir=1.0)
+
+
+def test_model_rejects_pseudo_counts_of_another_shape(small_model, vocab):
+    with pytest.raises(VocabularyMismatchError, match=r"^alpha0 has shape \(6, 4\), the vocabulary needs \(6, 5\)$"):
+        RhythmModel(vocab=vocab, prior=small_model.prior, alpha0=small_model.alpha0[:, :4], eps_dir=1.0)
+
+
 def test_counts_and_laplace_k_load_up_to_the_bound():
     top = 2**53
     text = VALID_MODEL.replace("laplace_k 1.0", f"laplace_k {float(top)!r}")
     model = loads_model(text + f"count t Dha Na {top}\ntaucount t Na {top}\n")
-    assert model.prior.counts["t"][(1,)][2] == model.tala_table.counts["t"][(2,)] == top
-    prior = model.static_prior()
+    assert model.prior.counts["t"][(1,)][2] == model.prior.window_counts["t"][(2,)] == top
+    prior = model.prior
     for history in ((), (1,), (2, 1), (2, 2)):
         assert all(0.0 < p < 1.0 for p in dist_after(prior, history))
 

@@ -15,54 +15,19 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
-from talarescore.core import StrokeSequence, StrokeVocabulary, default_vocabulary
+from talarescore.core import StrokeSequence, StrokeVocabulary
 from talarescore.errors import VocabularyError
 from talarescore.eval import ser
-from talarescore.lattice import Arc, Lattice, dumps_lattice, loads_lattice, viterbi_acoustic
+from talarescore.lattice import dumps_lattice, loads_lattice, viterbi_acoustic
 from talarescore.model import dumps_model, loads_model, train_model
 from talarescore.rescorer import rescore
-from talarescore.static_prior import TalaIndependentPrior, train_prior, train_tala_table
+from talarescore.static_prior import TalaIndependentPrior, train_static_prior
 
+from .helpers import PROPERTY_SETTINGS, dist_after, small_dags
 from .oracles import EXHAUSTIVE, best_path_by_replay, edit_decomposition, levenshtein_distance
-from .test_static_prior import dist_after
-
-PROPERTY_SETTINGS = settings(derandomize=True, deadline=None, max_examples=150)
-TIED_SCORES = (0.0, -0.5, -1.0, -2.5)
-VOCAB = default_vocabulary()
-
-
-@st.composite
-def small_dags(draw):
-    labels = st.integers(1, VOCAB.num_playable)
-    scores = st.sampled_from(TIED_SCORES)
-    spine = draw(st.integers(1, 4))  # nodes 0..spine joined by parallel arcs
-    arcs = [
-        Arc(i, i + 1, draw(labels), draw(scores))
-        for i in range(spine)
-        for _ in range(draw(st.integers(1, 2)))
-    ]
-    if spine >= 2:  # skip arcs jump over at least one spine node
-        for _ in range(draw(st.integers(0, 2))):
-            src = draw(st.integers(0, spine - 2))
-            arcs.append(Arc(src, draw(st.integers(src + 2, spine)), draw(labels), draw(scores)))
-    n_nodes = spine + 1
-    for _ in range(draw(st.integers(0, 2))):  # detours through nodes numbered after the spine
-        src = draw(st.integers(0, spine - 1))
-        dst = draw(st.integers(src + 1, spine))
-        arcs.append(Arc(src, n_nodes, draw(labels), draw(scores)))
-        arcs.append(Arc(n_nodes, dst, draw(labels), draw(scores)))
-        n_nodes += 1
-    finals = {spine, *draw(st.lists(st.integers(1, n_nodes - 1), max_size=2))}
-    return Lattice(
-        vocab=VOCAB,
-        n_nodes=n_nodes,
-        arcs=tuple(draw(st.permutations(arcs))),
-        start=0,
-        finals=frozenset(finals),
-    )
 
 
 @pytest.mark.parametrize("mode", ["adaptive", "fixed:0.5"])
@@ -160,7 +125,8 @@ TALAS = ("t1", "t2")
 
 @st.composite
 def stepped_priors(draw, case):
-    """A prior, possibly on a hand-edited table, and a history to step along.
+    """A prior's constructor arguments, possibly with a hand-edited window
+    table, and a history to step along.
 
     ``case`` fixes the shape: ``"unigram"`` has n=1, ``"short_window"`` a
     tala window shorter than the n-gram context, ``"not_closed"`` a window
@@ -173,27 +139,37 @@ def stepped_priors(draw, case):
         StrokeSequence(tuple(draw(st.lists(STROKES, min_size=1, max_size=12))), tala_label=tala)
         for tala in TALAS
     ]
-    prior = train_prior(corpus, ABC, n=n, laplace_k=laplace_k)
-    table = train_tala_table(corpus, w_tau=w_tau, laplace_k=laplace_k)
+    trained = train_static_prior(corpus, ABC.num_playable, n=n, laplace_k=laplace_k, w_tau=w_tau)
+    windows = trained.window_counts
     if case == "not_closed":
         for tala in TALAS:
-            for window in [w for w in table.counts[tala] if len(w) < w_tau and draw(st.booleans())]:
-                del table.counts[tala][window]
+            for window in [w for w in windows[tala] if len(w) < w_tau and draw(st.booleans())]:
+                del windows[tala][window]
         for _ in range(draw(st.integers(1, 4))):
             window = tuple(draw(st.lists(STROKES, min_size=2, max_size=w_tau))) if w_tau > 1 else (1,)
-            table.counts[draw(st.sampled_from(TALAS))][window] = draw(st.integers(1, 5))
+            windows[draw(st.sampled_from(TALAS))][window] = draw(st.integers(1, 5))
+    tables = dict(
+        n=n, laplace_k=laplace_k, w_tau=w_tau, num_playable=ABC.num_playable,
+        counts=trained.counts, window_counts=windows, tala_priors=trained.tala_priors,
+    )
     history = tuple(draw(st.lists(STROKES, max_size=20)))
-    return prior, table, history
+    return tables, history
 
 
 def reference_mixture(ti, history) -> tuple[float, ...]:
-    """The mixture from the tables, without the state or the memo."""
-    w_tau = ti.table.w_tau
+    """The mixture from the tables, without the state, the memo or the
+    merged window table: each tala's weight reads its own window dict."""
+    w_tau = ti.w_tau
     window = history[len(history) - w_tau :] if len(history) > w_tau else history
-    ctx = ti.prior.context_of(history)
-    mix = np.zeros(ti.prior.num_playable)
-    for weight, tala in zip(ti.table.posterior(window), ti.table.talas):
-        mix += weight * ti.prior.distribution(tala, ctx)
+    if window:
+        weights = [(ti.window_counts[t].get(window, 0) + ti.laplace_k) * ti.tala_priors[t] for t in ti.talas]
+    else:
+        weights = [ti.tala_priors[t] for t in ti.talas]
+    weights = np.array(weights)
+    ctx = ti.context_of(history)
+    mix = np.zeros(ti.num_playable)
+    for weight, tala in zip(weights / weights.sum(), ti.talas):
+        mix += weight * ti.distribution(tala, ctx)
     return tuple(mix.tolist())
 
 
@@ -201,10 +177,10 @@ def reference_mixture(ti, history) -> tuple[float, ...]:
 @PROPERTY_SETTINGS
 @given(data=st.data())
 def test_stepped_prior_state_equals_the_mixture_of_the_history(case, data):
-    prior, table, history = data.draw(stepped_priors(case))
-    stepped = TalaIndependentPrior(prior, table)
-    fresh = TalaIndependentPrior(prior, table)  # its own memo
-    suffix = max(table.w_tau, prior.n - 1)
+    tables, history = data.draw(stepped_priors(case))
+    stepped = TalaIndependentPrior(**tables)
+    fresh = TalaIndependentPrior(**tables)  # its own memo
+    suffix = max(tables["w_tau"], tables["n"] - 1)
     state = stepped.start()
     for i in range(len(history) + 1):
         seen = history[:i]
@@ -221,7 +197,7 @@ def test_stepped_prior_state_equals_the_mixture_of_the_history(case, data):
 )
 def test_advance_rejects_a_foreign_stroke(history, foreign):
     corpus = [StrokeSequence((1, 2, 3, 1), tala_label="t1")]
-    ti = TalaIndependentPrior(train_prior(corpus, ABC, n=3), train_tala_table(corpus, w_tau=2))
+    ti = train_static_prior(corpus, ABC.num_playable, n=3, laplace_k=1.0, w_tau=2)
     state = ti.start()
     for stroke in history:
         state = ti.advance(state, stroke)
@@ -240,10 +216,12 @@ def test_window_tables_nest(corpus, wide):
     # A table trained at window w is the wider table's windows of length <= w,
     # so the window a model was trained with fixes every narrower one.
     seqs = [StrokeSequence(tuple(strokes), tala_label=tala) for tala, strokes in corpus]
-    full = train_tala_table(seqs, w_tau=wide).counts
+    def windows(w_tau):
+        return train_static_prior(seqs, ABC.num_playable, n=1, laplace_k=1.0, w_tau=w_tau).window_counts
+
+    full = windows(wide)
     for w in range(1, wide + 1):
-        nested = {tala: {u: c for u, c in windows.items() if len(u) <= w} for tala, windows in full.items()}
-        assert train_tala_table(seqs, w_tau=w).counts == nested
+        assert windows(w) == {tala: {u: c for u, c in table.items() if len(u) <= w} for tala, table in full.items()}
 
 
 @st.composite

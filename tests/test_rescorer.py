@@ -28,6 +28,7 @@ from talarescore.rescorer import (
     viterbi_expanded,
 )
 
+from .helpers import PROPERTY_SETTINGS, replayed_steps, small_dags, two_part_jsd
 from .oracles import (
     EXHAUSTIVE,
     all_paths,
@@ -37,44 +38,11 @@ from .oracles import (
     replay_path_score,
     ti_prior_dist,
 )
-from .test_fusion import two_part_jsd
-from .test_properties import PROPERTY_SETTINGS, small_dags
 
 WIDE_PIN_SHA256 = "f0fbc5c96a9dd230a67c4c608c269f5d65db99573ed09ded16db0b627a9508bb"
 # The static-prior memo those decodes leave: its length and the sha256 of its
 # keys, sorted by repr.
 WIDE_PIN_MEMO = (299, "2b120dde2972982e30557be34dd7c16de344673a31c24d2c04044aed95fe59cc")
-
-
-def replayed_steps(lat, model, cfg, exp):
-    """The replayed terms at every state the decode popped with outgoing
-    arcs, keyed by state id.
-
-    Each expanded state none of whose children was expanded ends one chain,
-    extended by the arc to its first child; :func:`path_terms` replays each
-    such chain once, and its record at depth ``d`` is the step of the chain's
-    ``d``-th state.  Every replayed arc must leave that state's node and
-    carry the weight the decode gave the child, bit for bit.
-    """
-    cols = exp.states
-    first_child = {}
-    for sid in range(len(cols) - 1, 0, -1):
-        first_child[cols.parent[sid]] = sid
-    inner = {cols.parent[sid] for sid in exp.alphas if sid}
-    steps = {}
-    for leaf in exp.alphas.keys() - inner:
-        ids = [first_child[leaf]]
-        while ids[-1]:
-            ids.append(cols.parent[ids[-1]])
-        ids.reverse()
-        terms = path_terms(lat, model, cfg, exp.arc_chain(ids[-1]))
-        assert len(terms) == len(ids) - 1
-        for sid, child, term in zip(ids, ids[1:], terms):
-            assert (term.node, term.arc_id, term.stroke) == (cols.node[sid], cols.arc_id[child], cols.stroke[child])
-            assert term.weight == cols.weight[child]
-            steps[sid] = term
-    assert steps.keys() == exp.alphas.keys()
-    return steps
 
 
 def random_grid_lattice(vocab, rng, stages=4, width=2):
@@ -215,7 +183,7 @@ def test_fixed_lambda_traces_match_component_models(vocab, small_model):
         cfg = replace(EXHAUSTIVE, lambda_mode=mode)
         _, exp, _ = rescore(lat, small_model, cfg)
         steps = replayed_steps(lat, small_model, cfg, exp)
-        suffix = max(small_model.tala_table.w_tau, small_model.prior.n - 1)
+        suffix = max(small_model.prior.w_tau, small_model.prior.n - 1)
         # The pseudo-counts of each history, updated eagerly one transition
         # at a time; a parent's id is below its children's.
         eager = {(0,): small_model.alpha0.tolist()}
@@ -464,24 +432,25 @@ def test_decodes_are_pinned_where_the_beam_cuts(wide_pin_decodes):
 def test_prior_memo_is_pinned_after_the_wide_pin_decodes(wide_pin_decodes):
     # Every decode shares the model's prior, so its memo holds one entry per
     # (window counts, context) key those decodes met.
-    memo = wide_pin_decodes[0][1].static_prior()._cache
+    memo = wide_pin_decodes[0][1].prior._cache
     keys = repr(sorted(memo, key=repr)).encode()
     assert (len(memo), hashlib.sha256(keys).hexdigest()) == WIDE_PIN_MEMO
 
 
 def test_merged_window_counts_equal_the_per_tala_lookups(standard_lattice):
     _, model = standard_lattice
-    table, ti = model.tala_table, model.static_prior()
-    windows = set().union(*table.counts.values())
+    ti = model.prior
+    windows = set().union(*ti.window_counts.values())
     rng = random.Random(13)
     unseen = {
-        tuple(rng.randint(1, model.vocab.num_playable) for _ in range(rng.randint(1, table.w_tau)))
+        tuple(rng.randint(1, model.vocab.num_playable) for _ in range(rng.randint(1, ti.w_tau)))
         for _ in range(2000)
     } - windows
     assert len(windows) > 1000 and len(unseen) > 1000
+    probe = ti._window_probe()
     for u in windows | unseen:
-        expected = tuple(table.counts.get(t, {}).get(u, 0) for t in table.talas)
-        assert ti._window_counts.get(u, ti._unseen) == expected
+        expected = tuple(ti.window_counts[t].get(u, 0) for t in ti.talas)
+        assert probe.get(u, ti._unseen) == expected
 
 
 def test_repeated_decodes_hold_no_more_memory():
@@ -495,7 +464,7 @@ def test_repeated_decodes_hold_no_more_memory():
             rescore(lat, model, RescoreConfig())
         gc.collect()
         assert not any(type(obj) is rescorer._Scorer for obj in gc.get_objects())
-        sizes.append(len(model.static_prior()._cache))
+        sizes.append(len(model.prior._cache))
     assert sizes[1] <= sizes[0]
 
 
@@ -504,16 +473,16 @@ def test_adaptive_winners_pass_windows_where_the_tala_posterior_moves_the_prior(
     # under the prior alone; each winner meets training-seen windows where
     # it does not.
     model, lats = suite_lattices(2)
-    ti, table = model.static_prior(), model.tala_table
-    prior_only = table.posterior(())
+    ti = model.prior
+    prior_only = ti.posterior(())
     for lat in lats:
         hyp, _, _ = rescore(lat, model, RescoreConfig())
         state, moved = ti.start(), 0
         for stroke in hyp.strokes:
             state = ti.advance(state, stroke)
-            if any(state[-table.w_tau :] in table.counts[t] for t in table.talas):
-                ctx = model.prior.context_of(state)
-                alone = sum(w * model.prior.distribution(t, ctx) for w, t in zip(prior_only, table.talas))
+            if any(state[-ti.w_tau :] in ti.window_counts[t] for t in ti.talas):
+                ctx = ti.context_of(state)
+                alone = sum(w * ti.distribution(t, ctx) for w, t in zip(prior_only, ti.talas))
                 moved += np.max(np.abs(np.asarray(ti.dist(state)) - alone)) > 1e-6
         assert moved >= 1, hyp.strokes
 
@@ -609,7 +578,7 @@ def test_history_and_dirichlet_are_built_at_pop(monkeypatch, standard_lattice, k
     # Each snapshot holds the last max(w_tau, n-1) strokes of its history as
     # the prior state, and pseudo-counts bit-identical to the model's initial
     # ones updated along its history one transition at a time.
-    suffix = max(model.tala_table.w_tau, model.prior.n - 1)
+    suffix = max(model.prior.w_tau, model.prior.n - 1)
     eager = {0: model.alpha0.tolist()}
     for sid in sorted(exp.alphas):
         if sid:
