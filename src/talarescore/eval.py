@@ -60,48 +60,72 @@ class EditStats:
 def ser(ref: Sequence[Hashable] | StrokeSequence, hyp: Sequence[Hashable] | StrokeSequence) -> EditStats:
     """Minimal-edit S/D/I decomposition of hyp against ref.
 
-    When several moves achieve the optimal cost the backtrace prefers
-    substitution, then insertion, then deletion; only the total enters SER,
-    so any optimal decomposition would give the same rate.
+    The unit-cost distance matrix ``D[i][j]`` (the first ``i`` ref items
+    against the first ``j`` hyp items) is filled one hyp item at a time.  Each
+    column is held as two bit vectors over the reference: the rows where
+    ``D`` rises by one going down the column, and the rows where it falls by
+    one.  This is the bit-parallel edit distance of Myers (JACM 1999) in
+    Hyyrö's global-distance form, where row 0 is ``D[0][j] = j``.  The
+    backtrace reads exact cells from those vectors with ``int.bit_count()``.
+    When several moves achieve the optimal cost it prefers the diagonal
+    (match or substitution), then insertion, then deletion; only the total
+    enters SER, so any optimal decomposition would give the same rate.
+
+    Items are matched through a dict keyed by the reference items, so they
+    must be hashable, with ``==`` consistent with their hash; the dict also
+    takes an item as equal to itself, even a NaN.
     """
     r = _items(ref)
     h = _items(hyp)
     if not r:
         raise ValueError("reference sequence must be non-empty")
-    # Adjacent cells of the distance matrix differ by at most 1, so on a
-    # match the diagonal is the minimum; otherwise the cell is one more than
-    # the least of its three neighbours.
-    prev = list(range(len(h) + 1))
-    dist = [prev]
-    for i, ri in enumerate(r, 1):
-        row = [i]
-        left = i
-        for hj, diag, up in zip(h, prev, prev[1:]):
-            if ri != hj:
-                if left < diag:
-                    diag = left
-                if up < diag:
-                    diag = up
-                diag += 1
-            row.append(diag)
-            left = diag
-        dist.append(row)
-        prev = row
+    # Bit i-1 of a mask stands for row i, that is ref item i.
+    peq: dict[Hashable, int] = {}
+    for bit, item in enumerate(r):
+        peq[item] = peq.get(item, 0) | 1 << bit
+    mask = (1 << len(r)) - 1
+    # Per column j: the rows where D[i][j] - D[i-1][j] is +1 and where it is
+    # -1, and the rows whose ref item equals hyp item j.  Column 0 is D[i][0] = i.
+    pv, mv = mask, 0
+    pvs, mvs, eqs = [pv], [mv], [0]
+    for item in h:
+        eq = peq.get(item, 0)
+        xv = eq | mv
+        xh = (((eq & pv) + pv) ^ pv) | eq
+        # The +1 and -1 rows of D[i][j] - D[i][j-1], shifted down one row so
+        # they meet the vertical deltas below them; row 0's is +1.
+        ph = (mv | ~(xh | pv)) << 1 | 1
+        mh = (pv & xh) << 1
+        pv = (mh | ~(xv | ph)) & mask
+        mv = ph & xv
+        pvs.append(pv)
+        mvs.append(mv)
+        eqs.append(eq)
     s = d = ins_n = 0
     i, j = len(r), len(h)
-    while i > 0 or j > 0:
-        cur = dist[i][j]
-        if i > 0 and j > 0 and cur == dist[i - 1][j - 1] + (r[i - 1] != h[j - 1]):
-            s += r[i - 1] != h[j - 1]
+    cur = j + pv.bit_count() - mv.bit_count()
+    while i and j:
+        pv, mv = pvs[j - 1], mvs[j - 1]
+        rows = (1 << i) - 1
+        left = j - 1 + (pv & rows).bit_count() - (mv & rows).bit_count()
+        k = i - 1
+        diag = left - (pv >> k & 1) + (mv >> k & 1)
+        miss = 1 - (eqs[j] >> k & 1)
+        if cur == diag + miss:
+            s += miss
             i -= 1
             j -= 1
-        elif j > 0 and cur == dist[i][j - 1] + 1:
+            cur = diag
+        elif cur == left + 1:
             ins_n += 1
             j -= 1
+            cur = left
         else:
             d += 1
             i -= 1
-    return EditStats(substitutions=s, deletions=d, insertions=ins_n, n_ref=len(r))
+            cur -= 1
+    # On row 0 only insertions remain, on column 0 only deletions.
+    return EditStats(substitutions=s, deletions=d + i, insertions=ins_n + j, n_ref=len(r))
 
 
 def _items(seq: Sequence[Hashable] | StrokeSequence) -> tuple:

@@ -12,7 +12,9 @@ import heapq
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import repeat
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -22,21 +24,17 @@ from .errors import LatticeFormatError, VocabularyError
 FORMAT_HEADER = "lattice v1"
 
 
-@dataclass(frozen=True)
-class Arc:
+class Arc(NamedTuple):
+    """One stroke-labeled arc from ``src`` to ``dst`` with acoustic log-score ``w_ac``.
+
+    A named tuple: immutable, and it equals, hashes and unpacks like the
+    plain 4-tuple ``(src, dst, label, w_ac)``.
+    """
+
     src: int
     dst: int
     label: int
     w_ac: float
-
-    @classmethod
-    def _trusted(cls, src: int, dst: int, label: int, w_ac: float) -> "Arc":
-        # Internal constructor for loads_lattice: sets the instance dict in
-        # one call instead of the frozen __init__'s object.__setattr__ per
-        # field; the Lattice validator checks every field.
-        arc = object.__new__(cls)
-        object.__setattr__(arc, "__dict__", {"src": src, "dst": dst, "label": label, "w_ac": w_ac})
-        return arc
 
 
 @dataclass(frozen=True, eq=False)
@@ -78,8 +76,7 @@ class Lattice:
         n_symbols = self.vocab.num_symbols
         isfinite = math.isfinite
         dsts = []
-        for i, arc in enumerate(self.arcs):
-            src, dst, label, w_ac = arc.src, arc.dst, arc.label, arc.w_ac
+        for i, (src, dst, label, w_ac) in enumerate(self.arcs):
             if not (0 <= src < n and 0 <= dst < n):
                 raise LatticeFormatError(f"arc {i} endpoint out of range")
             if not 1 <= label < n_symbols:
@@ -125,8 +122,9 @@ class Lattice:
     @cached_property
     def topological_order(self) -> tuple[int, ...]:
         """Nodes in topological order; shorter than ``n_nodes`` on a cycle."""
+        arcs, outgoing = self.arcs, self.outgoing
         indeg = [0] * self.n_nodes
-        for arc in self.arcs:
+        for arc in arcs:
             indeg[arc.dst] += 1
         # Min-id-first Kahn keeps the order deterministic.
         heap = [v for v in range(self.n_nodes) if indeg[v] == 0]
@@ -135,8 +133,8 @@ class Lattice:
         while heap:
             v = heapq.heappop(heap)
             order.append(v)
-            for aid in self.outgoing[v]:
-                d = self.arcs[aid].dst
+            for aid in outgoing[v]:
+                d = arcs[aid].dst
                 indeg[d] -= 1
                 if indeg[d] == 0:
                     heapq.heappush(heap, d)
@@ -150,31 +148,42 @@ def viterbi_acoustic(lat: Lattice) -> StrokeSequence:
     the result deterministic and keeps it consistent with the rescorer's
     tie-break when the rhythmic term vanishes.
     """
-    best: dict[int, tuple[float, tuple[int, ...]]] = {lat.start: (0.0, ())}
+    arcs, start = lat.arcs, lat.start
+    # Each node keeps the score of its best chain and the chain's last arc;
+    # -1 marks the start and nodes not reached yet.
+    score = [0.0] * lat.n_nodes
+    back = [-1] * lat.n_nodes
+
+    def chain(v: int) -> list[int]:
+        ids = []
+        while (aid := back[v]) >= 0:
+            ids.append(aid)
+            v = arcs[aid].src
+        ids.reverse()
+        return ids
+
+    outgoing = lat.outgoing
     for v in lat.topological_order:
-        if v not in best:
+        if back[v] < 0 and v != start:
             continue
-        score_v, seq_v = best[v]
-        for aid in lat.outgoing[v]:
-            arc = lat.arcs[aid]
-            cand = (score_v + arc.w_ac, seq_v + (aid,))
-            cur = best.get(arc.dst)
-            if cur is None or _better(cand, cur):
-                best[arc.dst] = cand
-    winner: tuple[float, tuple[int, ...]] | None = None
+        score_v = score[v]
+        for aid in outgoing[v]:
+            arc = arcs[aid]
+            dst = arc.dst
+            cand = score_v + arc.w_ac
+            # Chains are rebuilt only to settle an exact tie.
+            if back[dst] < 0 or cand > score[dst] or (cand == score[dst] and chain(v) + [aid] < chain(dst)):
+                score[dst] = cand
+                back[dst] = aid
+    winner = -1
     for f in sorted(lat.finals):
-        cand = best.get(f)
-        if cand is not None and cand[1] and (winner is None or _better(cand, winner)):
-            winner = cand
-    if winner is None:
+        if back[f] < 0:
+            continue
+        if winner < 0 or score[f] > score[winner] or (score[f] == score[winner] and chain(f) < chain(winner)):
+            winner = f
+    if winner < 0:
         raise LatticeFormatError("no final node is reachable from the start")
-    return StrokeSequence(tuple(lat.arcs[aid].label for aid in winner[1]))
-
-
-def _better(cand: tuple[float, tuple[int, ...]], cur: tuple[float, tuple[int, ...]]) -> bool:
-    if cand[0] != cur[0]:
-        return cand[0] > cur[0]
-    return cand[1] < cur[1]
+    return StrokeSequence(tuple(arcs[aid].label for aid in chain(winner)))
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -379,7 +388,8 @@ def loads_lattice(
     return Lattice(
         vocab=vocab,
         n_nodes=n_nodes,
-        arcs=tuple(map(Arc._trusted, srcs, dsts, labels, scores)),
+        # Arc._make's own construction, without a Python-level call per arc.
+        arcs=tuple(map(tuple.__new__, repeat(Arc), zip(srcs, dsts, labels, scores))),
         start=start,
         finals=frozenset(finals),
         vocab_ref=vocab_ref or str(vocab.num_playable),

@@ -47,6 +47,25 @@ def grid_lattice(vocab, rows):
     )
 
 
+def test_arc_is_a_named_tuple(vocab):
+    arc = Arc(0, 1, 1, -1.0)
+    assert arc == Arc(src=0, dst=1, label=1, w_ac=-1.0) == (0, 1, 1, -1.0)
+    assert hash(arc) == hash((0, 1, 1, -1.0))
+    assert Arc._fields == ("src", "dst", "label", "w_ac")
+    assert repr(arc) == "Arc(src=0, dst=1, label=1, w_ac=-1.0)"
+    src, dst, label, w_ac = arc
+    assert (src, dst, label, w_ac) == (arc.src, arc.dst, arc.label, arc.w_ac)
+    with pytest.raises(AttributeError):
+        arc.src = 2
+    # Parsed arcs are Arcs too, equal to the ones dumped.  The symbols
+    # appear in vocabulary order, so the vocabulary rebuilt from the text
+    # numbers them alike.
+    lat = chain_lattice(vocab, [("Dha", -1.0), ("Dhin", -2.5), ("Dha", 0.25), ("Na", 0.0)])
+    again = loads_lattice(dumps_lattice(lat))
+    assert again.arcs == lat.arcs
+    assert all(type(a) is Arc for a in again.arcs)
+
+
 def test_viterbi_single_path(vocab):
     lat = chain_lattice(vocab, [("Dha", -1.0), ("Tin", -2.0)])
     assert viterbi_acoustic(lat).to_symbols(vocab) == ("Dha", "Tin")

@@ -27,7 +27,7 @@ from talarescore.rescorer import rescore
 from talarescore.static_prior import TalaIndependentPrior, train_static_prior
 
 from .helpers import PROPERTY_SETTINGS, dist_after, small_dags
-from .oracles import EXHAUSTIVE, best_path_by_replay, edit_decomposition, levenshtein_distance
+from .oracles import EXHAUSTIVE, all_paths, best_path_by_replay, edit_decomposition, levenshtein_distance
 
 
 @pytest.mark.parametrize("mode", ["adaptive", "fixed:0.5"])
@@ -46,6 +46,15 @@ def test_exhaustive_rescore_equals_replay_oracle(small_model, mode, lat):
 def test_beta_zero_equals_acoustic_viterbi(small_model, lat):
     hyp, _, _ = rescore(lat, small_model, replace(EXHAUSTIVE, beta=0.0))
     assert hyp.strokes == viterbi_acoustic(lat).strokes
+
+
+@PROPERTY_SETTINGS
+@given(lat=small_dags())
+def test_viterbi_equals_the_best_path_with_the_smallest_arc_ids(lat):
+    # Ties are common on these lattices: of the best-scoring paths, the one
+    # with the lexicographically smallest arc-id sequence wins.
+    _, labels, _ = min(all_paths(lat), key=lambda p: (-p[2], p[0]))
+    assert viterbi_acoustic(lat).strokes == labels
 
 
 @PROPERTY_SETTINGS
@@ -84,6 +93,39 @@ def test_ser_decomposition_equals_the_full_matrix_oracle(ref, hyp):
     stats = ser(ref, hyp)
     assert (stats.substitutions, stats.deletions, stats.insertions) == edit_decomposition(ref, hyp)
     assert stats.n_ref == len(ref)
+
+
+@st.composite
+def long_ser_pairs(draw):
+    """A reference of 60-150 items, so that a column of the distance matrix
+    spans more than 64 bits, and a hypothesis that also holds items the
+    reference never does: either drawn freely, or an edited copy of the
+    reference.  The items are all strings or all ints."""
+    alphabet, foreign = draw(st.sampled_from([("abc", "xy"), ((1, 2, 3), (8, 9))]))
+    ref = draw(st.lists(st.sampled_from(alphabet), min_size=60, max_size=150))
+    item = st.sampled_from(tuple(alphabet) + tuple(foreign))
+    if draw(st.booleans()):
+        return ref, draw(st.lists(item, max_size=160))
+    # Keep, substitute, delete, or keep and insert after, per reference item.
+    ops = draw(st.lists(st.sampled_from("kkkksdi"), min_size=len(ref), max_size=len(ref)))
+    news = draw(st.lists(item, min_size=len(ref), max_size=len(ref)))
+    hyp = []
+    for op, old, new in zip(ops, ref, news):
+        if op != "d":
+            hyp.append(new if op == "s" else old)
+        if op == "i":
+            hyp.append(new)
+    return ref, hyp
+
+
+@PROPERTY_SETTINGS
+@given(case=long_ser_pairs())
+def test_ser_decomposition_on_long_references_equals_the_full_matrix_oracle(case):
+    ref, hyp = case
+    for h in (hyp, []):
+        stats = ser(ref, h)
+        assert (stats.substitutions, stats.deletions, stats.insertions) == edit_decomposition(ref, h)
+        assert stats.n_ref == len(ref)
 
 
 @st.composite
