@@ -11,7 +11,7 @@ from __future__ import annotations
 import argparse
 import sys
 import tempfile
-from dataclasses import fields, replace
+from dataclasses import fields
 from pathlib import Path
 
 from . import core, eval as evaluation, lattice as lattice_mod, model as model_mod, rescorer
@@ -112,7 +112,6 @@ def _add_rescore_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--beta", type=float, default=defaults.beta)
     p.add_argument("--k-beam", type=int, default=defaults.k_beam)
     p.add_argument("--lambda", dest="lambda_mode", default=defaults.lambda_mode, help="adaptive or fixed:<v>")
-    p.add_argument("--eps-jsd", type=float, default=defaults.eps_jsd)
 
 
 def _apply_config_file(argv: list[str]) -> tuple[list[str], Path | None]:
@@ -288,57 +287,9 @@ def _diagnostic_lines(
     return lines
 
 
-def suite_from_config(values: dict[str, str], seed_override: int | None = None) -> evaluation.BenchmarkSuiteConfig:
-    suite = evaluation.standard_suite()
-    kwargs: dict[str, object] = {}
-    simple = {
-        "train_per_tala": int,
-        "test_per_tala": int,
-        "cycles": int,
-        "branching": int,
-        "n": int,
-        "w_tau": int,
-        "seed": int,
-        "noise_sigma": float,
-        "margin": float,
-        "p_del": float,
-        "p_ins": float,
-        "laplace_k": float,
-        "eps_dir": float,
-        "train_fraction": float,
-    }
-    rescore_fields = {
-        "rho": float,
-        "beta": float,
-        "k_beam": int,
-        "eps_jsd": float,
-    }
-    deviation_kwargs: dict[str, float] = {}
-    rescore_kwargs: dict[str, object] = {}
-    for key, value in values.items():
-        if key == "talas":
-            kwargs["talas"] = tuple(t.strip() for t in value.split(",") if t.strip())
-        elif key in ("p_tihai", "p_sub"):
-            deviation_kwargs[key] = float(value)
-        elif key in simple:
-            kwargs[key] = simple[key](value)
-        elif key in rescore_fields:
-            rescore_kwargs[key] = rescore_fields[key](value)
-        else:
-            raise ValueError(f"unknown suite config key {key!r}")
-    if deviation_kwargs:
-        kwargs["deviation"] = replace(suite.deviation, **deviation_kwargs)
-    if rescore_kwargs:
-        kwargs["rescore"] = replace(suite.rescore, **rescore_kwargs)
-    suite = replace(suite, **kwargs)
-    if seed_override is not None:
-        suite = replace(suite, seed=seed_override)
-    return suite
-
-
 def cmd_bench(args: argparse.Namespace) -> int:
     values = read_config_file(args.suite) if args.suite else {}
-    suite = suite_from_config(values, seed_override=args.seed)
+    suite = evaluation.suite_from_config(values, seed_override=args.seed)
     args.out_dir.mkdir(parents=True, exist_ok=True)
     if args.data_efficiency:
         results = evaluation.run_data_efficiency(suite)

@@ -9,19 +9,18 @@ averaging per-sequence ratios; report headers say so.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Hashable, Sequence
+from typing import Hashable, Iterator, Sequence, get_type_hints
 
 from .core import (
     DeviationConfig,
     StrokeSequence,
     StrokeVocabulary,
-    TalaSpec,
     builtin_tala,
     can_host_tihai,
     default_vocabulary,
     generate_sequence,
 )
-from .lattice import LatticeGenConfig, generate_lattice, viterbi_acoustic
+from .lattice import Lattice, LatticeGenConfig, generate_lattice, viterbi_acoustic
 from .model import train_model
 from .rescorer import RescoreConfig, rescore
 
@@ -176,6 +175,37 @@ def standard_suite(seed: int = 2024) -> BenchmarkSuiteConfig:
     return BenchmarkSuiteConfig(seed=seed)
 
 
+def suite_from_config(values: dict[str, str], seed_override: int | None = None) -> BenchmarkSuiteConfig:
+    """The standard suite with the ``key=value`` strings of a suite file applied.
+
+    ``talas`` takes comma-separated tala names.  Every other key is an
+    ``int`` or ``float`` field of the suite, of its ``deviation`` or of its
+    ``rescore``, and its value is converted by that type.
+    """
+    suite = standard_suite()
+    keys = {
+        name: (part, hint)
+        for part, cls in (("", BenchmarkSuiteConfig), ("deviation", DeviationConfig), ("rescore", RescoreConfig))
+        for name, hint in get_type_hints(cls).items()
+        if hint in (int, float)
+    }
+    changes: dict[str, dict[str, object]] = {"": {}, "deviation": {}, "rescore": {}}
+    for key, value in values.items():
+        if key == "talas":
+            changes[""][key] = tuple(t.strip() for t in value.split(",") if t.strip())
+        elif key in keys:
+            part, convert = keys[key]
+            changes[part][key] = convert(value)
+        else:
+            raise ValueError(f"unknown suite config key {key!r}")
+    top = changes.pop("")
+    for part, part_changes in changes.items():
+        top[part] = replace(getattr(suite, part), **part_changes)
+    if seed_override is not None:
+        top["seed"] = seed_override
+    return replace(suite, **top)
+
+
 @dataclass(frozen=True)
 class BenchRow:
     label: str
@@ -217,13 +247,10 @@ class BenchmarkReport:
     def to_tsv(self) -> str:
         lines = ["config\tser\timprovement_abs\timprovement_rel"]
         for r in self.rows:
-            if r.label == BASELINE_LABEL:
-                lines.append(f"{r.label}\t{r.ser:.6f}\t0.000000\t0.000000")
-            else:
-                lines.append(
-                    f"{r.label}\t{r.ser:.6f}\t{self.improvement_abs(r.label):.6f}"
-                    f"\t{self.improvement_rel(r.label):.6f}"
-                )
+            lines.append(
+                f"{r.label}\t{r.ser:.6f}\t{self.improvement_abs(r.label):.6f}"
+                f"\t{self.improvement_rel(r.label):.6f}"
+            )
         return "".join(f"{l}\n" for l in lines)
 
     def to_table(self) -> str:
@@ -256,11 +283,20 @@ def split_seed(root: int, stream: int, index: int) -> int:
     return (root * 1_000_003 + stream * 7_919 + index * 104_729 + 12_345) & _MASK
 
 
-def _suite_deviation(suite: BenchmarkSuiteConfig, tala: TalaSpec) -> DeviationConfig:
-    dev = suite.deviation
-    if dev.p_tihai > 0 and not can_host_tihai(tala, dev.tihai):
-        return replace(dev, p_tihai=0.0)
-    return dev
+def _suite_sequences(
+    suite: BenchmarkSuiteConfig, vocab: StrokeVocabulary, stream: int, count: int
+) -> Iterator[tuple[int, StrokeSequence]]:
+    """Each tala's first ``count`` sequences drawn from seed ``stream``, tala
+    by tala, with the index their seed was split at (``t_idx * 10_000 + i``).
+    A tala that cannot host its default tihai plays with ``p_tihai`` zero."""
+    for t_idx, name in enumerate(suite.talas):
+        tala = builtin_tala(name, vocab)
+        dev = suite.deviation
+        if dev.p_tihai > 0 and not can_host_tihai(tala, dev.tihai):
+            dev = replace(dev, p_tihai=0.0)
+        for i in range(count):
+            idx = t_idx * 10_000 + i
+            yield idx, generate_sequence(tala, suite.cycles, dev, split_seed(suite.seed, stream, idx), vocab)
 
 
 def build_training_corpus(
@@ -270,14 +306,27 @@ def build_training_corpus(
     """The suite's training split; ``train_fraction`` subsets per tala."""
     vocab = vocab or default_vocabulary()
     count = max(1, round(suite.train_per_tala * suite.train_fraction))
-    corpus: list[StrokeSequence] = []
-    for t_idx, name in enumerate(suite.talas):
-        tala = builtin_tala(name, vocab)
-        dev = _suite_deviation(suite, tala)
-        for i in range(count):
-            seed = split_seed(suite.seed, _TRAIN_STREAM, t_idx * 10_000 + i)
-            corpus.append(generate_sequence(tala, suite.cycles, dev, seed, vocab))
-    return corpus
+    return [seq for _, seq in _suite_sequences(suite, vocab, _TRAIN_STREAM, count)]
+
+
+def suite_test_set(suite: BenchmarkSuiteConfig, vocab: StrokeVocabulary) -> list[tuple[StrokeSequence, Lattice]]:
+    """The suite's ``(truth, lattice)`` test pairs, tala by tala.
+
+    Truths come from seed stream 1 and each lattice's noise from stream 2,
+    both split at the pair's index.
+    """
+    pairs = []
+    for idx, truth in _suite_sequences(suite, vocab, _TEST_STREAM, suite.test_per_tala):
+        lat_cfg = LatticeGenConfig(
+            rng_seed=split_seed(suite.seed, _LATTICE_STREAM, idx),
+            branching=suite.branching,
+            noise_sigma=suite.noise_sigma,
+            margin=suite.margin,
+            p_del=suite.p_del,
+            p_ins=suite.p_ins,
+        )
+        pairs.append((truth, generate_lattice(truth, lat_cfg, vocab)))
+    return pairs
 
 
 def run_benchmark(suite: BenchmarkSuiteConfig) -> BenchmarkReport:
@@ -294,30 +343,13 @@ def run_benchmark(suite: BenchmarkSuiteConfig) -> BenchmarkReport:
     )
 
     labels = [BASELINE_LABEL] + [_sweep_label(m) for m in suite.lambda_modes]
+    configs = [replace(suite.rescore, lambda_mode=m) for m in suite.lambda_modes]
     per_seq: dict[str, list[EditStats]] = {label: [] for label in labels}
-
-    for t_idx, name in enumerate(suite.talas):
-        tala = builtin_tala(name, vocab)
-        dev = _suite_deviation(suite, tala)
-        for i in range(suite.test_per_tala):
-            idx = t_idx * 10_000 + i
-            truth = generate_sequence(
-                tala, suite.cycles, dev, split_seed(suite.seed, _TEST_STREAM, idx), vocab
-            )
-            lat_cfg = LatticeGenConfig(
-                rng_seed=split_seed(suite.seed, _LATTICE_STREAM, idx),
-                branching=suite.branching,
-                noise_sigma=suite.noise_sigma,
-                margin=suite.margin,
-                p_del=suite.p_del,
-                p_ins=suite.p_ins,
-            )
-            lat = generate_lattice(truth, lat_cfg, vocab)
-            per_seq[BASELINE_LABEL].append(ser(truth, viterbi_acoustic(lat)))
-            for mode in suite.lambda_modes:
-                cfg = replace(suite.rescore, lambda_mode=mode)
-                hyp, _, _ = rescore(lat, model, cfg)
-                per_seq[_sweep_label(mode)].append(ser(truth, hyp))
+    for truth, lat in suite_test_set(suite, vocab):
+        per_seq[BASELINE_LABEL].append(ser(truth, viterbi_acoustic(lat)))
+        for label, cfg in zip(labels[1:], configs):
+            hyp, _, _ = rescore(lat, model, cfg)
+            per_seq[label].append(ser(truth, hyp))
 
     rows = []
     for label in labels:

@@ -16,6 +16,10 @@ element-wise operations are correctly rounded either way.  The logarithms
 stay ``np.log``, whose result differs from ``math.log`` in the last bit on
 some inputs.
 
+Both distributions are smoothed by ``_EPS_JSD = 1e-8`` per cell before the
+divergence, so zero cells give no infinities; the smoothing renormalizes by
+``1 + V * 1e-8`` over V cells, which no vocabulary size overflows.
+
 The divergence has two parts.  ``_jsd_half`` smooths the static
 distribution q and takes its logarithms; ``_jsd`` smooths p, forms the
 midpoint and logs p's and the midpoint's cells in one batched call.  The
@@ -36,6 +40,7 @@ from typing import Sequence
 import numpy as np
 
 LOG2 = math.log(2.0)
+_EPS_JSD = 1e-8
 
 
 def parse_lambda_mode(mode: str) -> float | None:

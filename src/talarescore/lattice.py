@@ -8,7 +8,6 @@ Lattices are immutable after construction and safe to share across threads.
 
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -74,9 +73,12 @@ class Lattice:
                 raise LatticeFormatError(f"final node {f} out of range")
         # The bound is StrokeVocabulary.is_playable's, inlined.
         n_symbols = self.vocab.num_symbols
-        isfinite = math.isfinite
+        isfinite, arc_type = math.isfinite, Arc
         dsts = []
-        for i, (src, dst, label, w_ac) in enumerate(self.arcs):
+        for i, arc in enumerate(self.arcs):
+            if type(arc) is not arc_type:
+                raise LatticeFormatError(f"arc {i} is not an Arc")
+            src, dst, label, w_ac = arc
             if not (0 <= src < n and 0 <= dst < n):
                 raise LatticeFormatError(f"arc {i} endpoint out of range")
             if not 1 <= label < n_symbols:
@@ -121,23 +123,22 @@ class Lattice:
 
     @cached_property
     def topological_order(self) -> tuple[int, ...]:
-        """Nodes in topological order; shorter than ``n_nodes`` on a cycle."""
+        """Nodes in a topological order, from Kahn's algorithm with a stack;
+        shorter than ``n_nodes`` on a cycle."""
         arcs, outgoing = self.arcs, self.outgoing
         indeg = [0] * self.n_nodes
         for arc in arcs:
             indeg[arc.dst] += 1
-        # Min-id-first Kahn keeps the order deterministic.
-        heap = [v for v in range(self.n_nodes) if indeg[v] == 0]
-        heapq.heapify(heap)
+        ready = [v for v in range(self.n_nodes) if indeg[v] == 0]
         order = []
-        while heap:
-            v = heapq.heappop(heap)
+        while ready:
+            v = ready.pop()
             order.append(v)
             for aid in outgoing[v]:
                 d = arcs[aid].dst
                 indeg[d] -= 1
                 if indeg[d] == 0:
-                    heapq.heappush(heap, d)
+                    ready.append(d)
         return tuple(order)
 
 

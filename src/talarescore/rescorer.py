@@ -47,6 +47,7 @@ from .core import SENTINEL_ID, StrokeSequence, StrokeVocabulary
 from .dynamic_model import _observe, _predict
 from .errors import RescoreError, VocabularyMismatchError
 from .fusion import (
+    _EPS_JSD,
     _combine,
     _jsd,
     _jsd_half,
@@ -70,7 +71,6 @@ class RescoreConfig:
     beta: float = 0.5
     k_beam: int = 150
     lambda_mode: str = "adaptive"
-    eps_jsd: float = 1e-8
 
     def __post_init__(self) -> None:
         if not isinstance(self.k_beam, int) or isinstance(self.k_beam, bool) or self.k_beam < 1:
@@ -79,8 +79,6 @@ class RescoreConfig:
             raise ValueError("rho must lie in (0, 1)")
         if not 0 <= self.beta < math.inf:  # NaN fails too
             raise ValueError("beta must be non-negative and finite")
-        if not 0 < self.eps_jsd < math.inf:  # NaN fails too
-            raise ValueError("eps_jsd must be positive and finite")
         parse_lambda_mode(self.lambda_mode)
 
 
@@ -198,20 +196,17 @@ class _Scorer:
     """
 
     __slots__ = (
-        "vocab", "rho", "beta", "eps", "scale", "halves", "fixed_lam",
+        "vocab", "rho", "beta", "scale", "halves", "fixed_lam",
         "advance", "dist", "start", "alpha0", "arcs", "confidence",
     )
 
     def __init__(self, lat: Lattice, model: RhythmModel, cfg: RescoreConfig) -> None:
         label_map = _map_labels(lat, model.vocab)
         self.vocab = model.vocab
-        self.rho, self.beta, self.eps = cfg.rho, cfg.beta, cfg.eps_jsd
+        self.rho, self.beta = cfg.rho, cfg.beta
         self.fixed_lam = parse_lambda_mode(cfg.lambda_mode)
         adaptive = self.fixed_lam is None
-        n = model.vocab.num_playable
-        self.scale = 1.0 + n * cfg.eps_jsd
-        if adaptive and self.scale == math.inf:
-            raise RescoreError(f"eps_jsd={cfg.eps_jsd!r} overflows the divergence's smoothing of {n} cells")
+        self.scale = 1.0 + model.vocab.num_playable * _EPS_JSD
         self.halves: dict[tuple[float, ...], tuple[list[float], list[float]]] = {}
         self.advance, self.dist = model.prior.advance, model.prior.dist
         self.start = model.prior.start()
@@ -255,8 +250,8 @@ class _Scorer:
             conf = self.confidence[node]
             half = self.halves.get(p_static)
             if half is None:
-                half = self.halves[p_static] = _jsd_half(p_static, self.eps, self.scale)
-            div = _jsd(p_dyn, half, self.eps, self.scale)
+                half = self.halves[p_static] = _jsd_half(p_static, _EPS_JSD, self.scale)
+            div = _jsd(p_dyn, half, _EPS_JSD, self.scale)
             lam = lambda_k(conf, div)
         else:
             conf = div = math.nan
@@ -310,7 +305,7 @@ def rescore(
     add_acc(0.0)
     prior_snaps[0], alpha_snaps[0] = scorer.start, scorer.alpha0
 
-    pops = pruned_capacity = max_queue = 0
+    pops = max_queue = 0
     # Ascending on (-acc_score, state id): the best state is first, exact ties
     # pop FIFO since ids are given in push order, and pruning cuts the tail.
     queue: list[tuple[float, int]] = [(-0.0, 0)]
@@ -346,7 +341,6 @@ def rescore(
         if queued > max_queue:
             max_queue = queued
         del queue[k_beam:]
-        pruned_capacity += queued - len(queue)
 
     if not terminals:
         raise RescoreError("no terminal state survived pruning; widen k_beam")
@@ -359,7 +353,10 @@ def rescore(
             f"(beta={cfg.beta!r})"
         )
     best = viterbi_expanded(exp)
-    diag = RescoreDiagnostics(pops, len(nodes) - 1, pruned_capacity, max_queue, best)
+    # Every state, the root included, leaves the queue once, popped or cut,
+    # and the queue ends empty.
+    pushes = len(nodes) - 1
+    diag = RescoreDiagnostics(pops, pushes, pushes + 1 - pops, max_queue, best)
     return StrokeSequence(exp.history(best)[1:]), exp, diag
 
 

@@ -3,14 +3,16 @@
 Everything here is deliberately written from scratch against the defining
 formulas, using plain Python dicts and math, and reads only raw count tables;
 none of it shares code with the implementation paths it verifies.
-``EXHAUSTIVE`` is the one package object here: the decode setting whose beam
-never cuts, against which the oracles are compared.
+The package objects here are ``EXHAUSTIVE``, the decode setting whose beam
+never cuts, against which the oracles are compared, and the divergence's
+smoothing constant ``_EPS_JSD``.
 """
 
 from __future__ import annotations
 
 import math
 
+from talarescore.fusion import _EPS_JSD
 from talarescore.rescorer import RescoreConfig
 
 SENTINEL_ID = 0
@@ -208,7 +210,7 @@ def replay_path_score(lat, model, cfg, arc_ids) -> float:
         p_dyn = dirichlet_predict(alpha, prev)
         p_ti = ti_prior_dist(model, history)
         if fixed is None:
-            d = jsd_nats(p_dyn, p_ti, cfg.eps_jsd)
+            d = jsd_nats(p_dyn, p_ti, _EPS_JSD)
             out_scores = [lat.arcs[a].w_ac for a in lat.outgoing[arc.src]]
             if len(out_scores) > 1 and all(s == out_scores[0] for s in out_scores):
                 c = 0.0

@@ -300,6 +300,12 @@ def test_criterion_7_ablation_sweep_shape(benchmark_report, suite):
         assert rerun.to_table() == report.to_table()
 
 
+def test_standard_suite_report_is_pinned(benchmark_report):
+    report, _ = benchmark_report
+    digest = hashlib.sha256(report.to_tsv().encode()).hexdigest()
+    assert digest == "fac9bed87acb0318b74dd8a51468c8cbb44081e5d1d192365dc57eb466dd73f6"
+
+
 def test_criterion_8_ser_matches_independent_dp():
     with criterion(8, "S/D/I totals equal an independent Levenshtein DP on 1000 pairs"):
         rng = random.Random(99)

@@ -5,9 +5,9 @@ import hashlib
 import pytest
 
 from talarescore.cli import main
-from talarescore.core import builtin_tala, default_vocabulary, generate_sequence, load_sequences
-from talarescore.eval import build_training_corpus, split_seed, standard_suite
-from talarescore.lattice import LatticeGenConfig, generate_lattice, load_lattice, save_lattice
+from talarescore.core import default_vocabulary, load_sequences
+from talarescore.eval import build_training_corpus, standard_suite, suite_test_set
+from talarescore.lattice import load_lattice, save_lattice
 from talarescore.model import load_model, save_model, train_model
 from talarescore.rescorer import RescoreConfig, rescore
 
@@ -366,17 +366,8 @@ def test_expanded_dump_is_pinned_on_a_standard_suite_lattice(tmp_path):
     suite = standard_suite()
     vocab = default_vocabulary()
     save_model(train_model(build_training_corpus(suite, vocab), vocab), tmp_path / "m.tiprior")
-    # Streams 1 and 2 of the suite seed draw the test truths and lattices.
-    truth = generate_sequence(
-        builtin_tala("tintal", vocab), suite.cycles, suite.deviation, split_seed(suite.seed, 1, 0), vocab
-    )
-    lat_cfg = LatticeGenConfig(
-        rng_seed=split_seed(suite.seed, 2, 0),
-        branching=suite.branching,
-        noise_sigma=suite.noise_sigma,
-        margin=suite.margin,
-    )
-    save_lattice(generate_lattice(truth, lat_cfg, vocab), tmp_path / "a.lat")
+    _, lat = suite_test_set(suite, vocab)[0]
+    save_lattice(lat, tmp_path / "a.lat")
     pinned = {
         "adaptive": (
             "165a397139f01bd58d338a0bd9bc230b96de637ca10579bdc68b3c5c5b2f8015",

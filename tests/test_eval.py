@@ -12,6 +12,7 @@ from talarescore.eval import (
     ser,
     split_seed,
     standard_suite,
+    suite_from_config,
 )
 from talarescore.rescorer import RescoreConfig
 
@@ -161,3 +162,32 @@ def test_standard_suite_covers_four_talas():
     assert len(suite.talas) == 4
     assert suite.test_per_tala * len(suite.talas) >= 50
     assert suite.cycles >= 3
+
+
+# The keys a ``bench --suite`` file may set besides ``talas``: the int and
+# float fields of the suite, of its deviation and of its rescore config.
+SUITE_KEYS = {
+    "": (
+        "train_per_tala", "test_per_tala", "cycles", "branching", "noise_sigma", "margin", "p_del",
+        "p_ins", "n", "laplace_k", "w_tau", "eps_dir", "seed", "train_fraction",
+    ),
+    "deviation": ("p_tihai", "p_sub"),
+    "rescore": ("rho", "beta", "k_beam"),
+}
+
+
+def test_every_suite_key_written_at_its_standard_value_gives_the_standard_suite():
+    suite = standard_suite()
+    values = {"talas": ",".join(suite.talas)}
+    for part, keys in SUITE_KEYS.items():
+        owner = getattr(suite, part) if part else suite
+        values.update((key, str(getattr(owner, key))) for key in keys)
+    assert len(values) == 20
+    assert suite_from_config(values) == suite
+    assert suite_from_config(values, seed_override=7) == standard_suite(7)
+
+
+@pytest.mark.parametrize("key", ["eps_jsd", "lambda_mode", "lambda_modes", "tihai", "deviation", "rescore"])
+def test_suite_keys_that_are_no_int_or_float_field_are_unknown(key):
+    with pytest.raises(ValueError, match=rf"^unknown suite config key '{key}'$"):
+        suite_from_config({key: "1"})

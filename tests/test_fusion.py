@@ -9,6 +9,7 @@ import pytest
 from talarescore.dynamic_model import _predict
 from talarescore.fusion import (
     LOG2,
+    _EPS_JSD,
     _combine,
     _jsd,
     _jsd_half,
@@ -16,7 +17,6 @@ from talarescore.fusion import (
     lambda_k,
     parse_lambda_mode,
 )
-from talarescore.rescorer import RescoreConfig
 
 from .helpers import two_part_jsd
 from .oracles import confidence as oracle_confidence, jsd_nats
@@ -224,7 +224,7 @@ def test_predict_is_bit_identical_to_numpy_formula():
 def test_jsd_is_bit_identical_to_numpy_formula():
     rng = random.Random(7)
     other = random.Random(8)
-    eps = RescoreConfig().eps_jsd
+    eps = _EPS_JSD
     for n in trial_lengths(rng, 10_000):
         p = rough_dist(rng, n)
         q = p if rng.random() < 0.05 else rough_dist(rng, n)

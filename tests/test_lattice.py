@@ -274,6 +274,18 @@ def test_endpoint_fault_is_reported_before_a_bad_label_on_the_same_arc(vocab):
         Lattice(vocab=vocab, n_nodes=2, arcs=arcs, start=0, finals=frozenset({1}))
 
 
+@pytest.mark.parametrize("bad", [(1, 2, 1, 0.0), (1, 2, 1)], ids=["4-tuple", "3-tuple"])
+def test_an_arc_that_is_not_an_arc_is_reported_in_arc_order(vocab, bad):
+    # A plain tuple is no Arc, whatever its length; the faults of earlier
+    # arcs still come first.
+    arcs = (Arc(0, 1, 1, 0.0), bad)
+    with pytest.raises(LatticeFormatError, match=r"^arc 1 is not an Arc$"):
+        Lattice(vocab=vocab, n_nodes=3, arcs=arcs, start=0, finals=frozenset({2}))
+    arcs = (Arc(0, 9, 1, 0.0), bad)
+    with pytest.raises(LatticeFormatError, match=r"^arc 0 endpoint out of range$"):
+        Lattice(vocab=vocab, n_nodes=3, arcs=arcs, start=0, finals=frozenset({2}))
+
+
 def test_cycle_is_reported_before_a_node_on_no_path(vocab):
     # 2 -> 3 -> 2 is a cycle; node 4 reaches no final node.
     arcs = (Arc(0, 1, 1, 0.0), Arc(1, 2, 1, 0.0), Arc(2, 3, 1, 0.0), Arc(3, 2, 1, 0.0), Arc(0, 4, 1, 0.0))

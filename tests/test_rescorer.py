@@ -4,7 +4,6 @@ import gc
 import hashlib
 import math
 import random
-import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -12,11 +11,11 @@ import pytest
 from hypothesis import given
 
 from talarescore import rescorer
-from talarescore.core import builtin_tala, can_host_tihai, default_vocabulary, generate_sequence
+from talarescore.core import default_vocabulary
 from talarescore.errors import RescoreError, VocabularyMismatchError
-from talarescore.eval import build_training_corpus, split_seed, standard_suite
-from talarescore.fusion import _combine, lambda_k
-from talarescore.lattice import Arc, Lattice, LatticeGenConfig, generate_lattice, viterbi_acoustic
+from talarescore.eval import build_training_corpus, standard_suite, suite_test_set
+from talarescore.fusion import _EPS_JSD, _combine, lambda_k
+from talarescore.lattice import Arc, Lattice, viterbi_acoustic
 from talarescore.model import loads_model, train_model
 from talarescore.rescorer import (
     ExpandedLattice,
@@ -66,9 +65,6 @@ def random_grid_lattice(vocab, rng, stages=4, width=2):
         {"beta": -0.1},
         {"beta": math.nan},
         {"beta": math.inf},
-        {"eps_jsd": 0.0},
-        {"eps_jsd": math.nan},
-        {"eps_jsd": math.inf},
         {"lambda_mode": "sometimes"},
         {"k_beam": 0},
         {"k_beam": 2.5},
@@ -77,7 +73,7 @@ def random_grid_lattice(vocab, rng, stages=4, width=2):
         {"rho": 1.0},
     ],
     ids=[
-        "beta<0", "beta=nan", "beta=inf", "eps_jsd=0", "eps_jsd=nan", "eps_jsd=inf",
+        "beta<0", "beta=nan", "beta=inf",
         "lambda_mode", "k_beam=0", "k_beam=2.5", "k_beam=True", "rho=0", "rho=1",
     ],
 )
@@ -350,45 +346,13 @@ def test_overflowing_score_is_a_rescore_error(vocab, small_model, beta, match):
         rescore(lat, small_model, RescoreConfig(beta=beta))
 
 
-@pytest.mark.parametrize("mode", ["adaptive", "fixed:0.5"], ids=["adaptive", "fixed"])
-def test_eps_jsd_that_overflows_the_smoothing_is_a_rescore_error(vocab, small_model, mode):
-    # 1 + 5 * 1e308 overflows, which would make every divergence NaN; a
-    # fixed weight never computes one, so it still decodes.
-    lat = random_grid_lattice(vocab, random.Random(61), stages=4, width=2)
-    cfg = RescoreConfig(lambda_mode=mode, eps_jsd=1e308)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        if mode == "adaptive":
-            with pytest.raises(RescoreError, match=r"eps_jsd=1e\+308 overflows"):
-                rescore(lat, small_model, cfg)
-        else:
-            hyp, _, _ = rescore(lat, small_model, cfg)
-            assert hyp.strokes == rescore(lat, small_model, replace(cfg, eps_jsd=1e-8))[0].strokes
-
-
 def suite_lattices(per_tala):
     """The standard suite's model and its first ``per_tala`` test lattices of
-    each tala, generated as ``bench`` generates them (streams 1 and 2 of the
-    suite seed draw the truths and the lattice noise)."""
+    each tala, the ones ``bench`` decodes."""
     suite = standard_suite()
     vocab = default_vocabulary()
-    lats = []
-    for t_idx, name in enumerate(suite.talas):
-        tala = builtin_tala(name, vocab)
-        dev = suite.deviation
-        if not can_host_tihai(tala, dev.tihai):
-            dev = replace(dev, p_tihai=0.0)
-        for i in range(per_tala):
-            idx = t_idx * 10_000 + i
-            truth = generate_sequence(tala, suite.cycles, dev, split_seed(suite.seed, 1, idx), vocab)
-            lat_cfg = LatticeGenConfig(
-                rng_seed=split_seed(suite.seed, 2, idx),
-                branching=suite.branching,
-                noise_sigma=suite.noise_sigma,
-                margin=suite.margin,
-            )
-            lats.append(generate_lattice(truth, lat_cfg, vocab))
-    return train_model(build_training_corpus(suite, vocab), vocab), lats
+    pairs = suite_test_set(replace(suite, test_per_tala=per_tala), vocab)
+    return train_model(build_training_corpus(suite, vocab), vocab), [lat for _, lat in pairs]
 
 
 @pytest.fixture(scope="module")
@@ -422,6 +386,8 @@ def test_decodes_are_pinned_where_the_beam_cuts(wide_pin_decodes):
     digest = hashlib.sha256()
     for _, _, cfg, (hyp, exp, diag) in wide_pin_decodes:
         assert diag.pruned_capacity > 0
+        # Every pushed state and the root leave the queue once, popped or cut.
+        assert diag.pops + diag.pruned_capacity == diag.pushes + 1
         counters = (diag.pops, diag.pushes, diag.pruned_capacity, diag.max_queue_size)
         digest.update(f"{cfg.lambda_mode} hyp {' '.join(map(str, hyp.strokes))}\n".encode())
         digest.update(dumps_expanded(exp).encode())
@@ -496,7 +462,7 @@ def test_replayed_steps_equal_the_fusion_formulas(standard_lattice, mode):
     assert len(steps) > 1000
     for tr in steps.values():
         if mode == "adaptive":
-            assert tr.divergence == two_part_jsd(tr.p_dyn, tr.p_static, cfg.eps_jsd)
+            assert tr.divergence == two_part_jsd(tr.p_dyn, tr.p_static, _EPS_JSD)
             assert tr.lam == lambda_k(tr.confidence, tr.divergence)
         else:
             # A fixed weight computes neither term.
