@@ -20,6 +20,7 @@ from .core import (
     default_vocabulary,
     generate_sequence,
 )
+from .fusion import parse_lambda_mode
 from .lattice import Lattice, LatticeGenConfig, generate_lattice, viterbi_acoustic
 from .model import train_model
 from .rescorer import RescoreConfig, rescore
@@ -168,6 +169,9 @@ class BenchmarkSuiteConfig:
             raise ValueError("need at least one training and one test sequence per tala")
         if not 0.0 < self.train_fraction <= 1.0:
             raise ValueError("train_fraction must lie in (0, 1]")
+        # Each mode is one report row; two with one label share a weight.
+        if len({parse_lambda_mode(m) for m in self.lambda_modes}) < len(self.lambda_modes):
+            raise ValueError(f"lambda_modes repeats a weight: {self.lambda_modes!r}")
 
 
 def standard_suite(seed: int = 2024) -> BenchmarkSuiteConfig:

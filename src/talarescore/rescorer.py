@@ -17,8 +17,8 @@ already added to the expanded lattice keep competing in the final selection.
 A pushed state is one row of parallel columns (node, parent, arc, stroke,
 weight, accumulated score).  Its static-prior state and Dirichlet snapshot
 are built from its parent's only when it is popped with outgoing arcs, and
-are kept in two dicts by state id, as the prior state and the bare
-pseudo-count array.  The static prior is the model's ``prior``, a
+ride in its children's queue entries only, so a decode holds at most
+``k_beam + 1`` snapshots.  The static prior is the model's ``prior``, a
 :class:`~talarescore.static_prior.TalaIndependentPrior`; its state is the
 tuple of the last ``max(w_tau, n - 1)`` strokes, ``w_tau`` being the model's
 trained tala window, so a pop copies no path history.  Most pushed states are
@@ -113,18 +113,14 @@ class ExpandedLattice:
     The root is state 0.  Each non-root state is the head of exactly one
     expanded arc, the one from its parent; a parent's id is always below its
     children's.  ``states`` holds one list per field (``states.node``,
-    ``states.parent``, ..., ``states.acc_score``).  ``prior_states`` and
-    ``alphas`` map the id of each state popped with outgoing arcs (the root
-    included) to its static-prior state, the last ``max(w_tau, n - 1)``
-    strokes of its playable history, and its bare Dirichlet pseudo-count
-    array; states never expanded have neither.
+    ``states.parent``, ..., ``states.acc_score``).  No state's Dirichlet or
+    static-prior snapshot is kept: during the decode it lives in its
+    children's queue entries, and :func:`path_terms` rebuilds it by replay.
     """
 
     vocab: StrokeVocabulary
     states: _StateColumns = field(default_factory=_StateColumns)
     terminals: list[int] = field(default_factory=list)
-    prior_states: dict[int, tuple[int, ...]] = field(default_factory=dict)
-    alphas: dict[int, np.ndarray] = field(default_factory=dict)
 
     def history(self, state_id: int) -> tuple[int, ...]:
         """Stroke ids from the root to ``state_id``, led by the start sentinel."""
@@ -210,7 +206,7 @@ class _Scorer:
         self.halves: dict[tuple[float, ...], tuple[list[float], list[float]]] = {}
         self.advance, self.dist = model.prior.advance, model.prior.dist
         self.start = model.prior.start()
-        self.alpha0 = model.alpha0.copy()
+        self.alpha0 = model.alpha0
         arcs, finals = lat.arcs, lat.finals
         self.arcs = [
             tuple((a, arcs[a].dst, label_map[arcs[a].label], arcs[a].w_ac, arcs[a].dst in finals) for a in out)
@@ -296,32 +292,31 @@ def rescore(
     nodes, parents, strokes, accs = cols.node, cols.parent, cols.stroke, cols.acc_score
     add_node, add_parent, add_arc = nodes.append, parents.append, cols.arc_id.append
     add_stroke, add_weight, add_acc = strokes.append, cols.weight.append, accs.append
-    prior_snaps, alpha_snaps = exp.prior_states, exp.alphas
     add_node(lat.start)
     add_parent(None)
     add_arc(None)
     add_stroke(SENTINEL_ID)
     add_weight(0.0)
     add_acc(0.0)
-    prior_snaps[0], alpha_snaps[0] = scorer.start, scorer.alpha0
 
     pops = max_queue = 0
     # Ascending on (-acc_score, state id): the best state is first, exact ties
     # pop FIFO since ids are given in push order, and pruning cuts the tail.
-    queue: list[tuple[float, int]] = [(-0.0, 0)]
+    # Each entry carries its parent's snapshot (the start's at the root); the
+    # ids are unique, so no comparison reaches it.
+    queue: list[tuple[float, int, np.ndarray, tuple[int, ...]]] = [(-0.0, 0, scorer.alpha0, scorer.start)]
     insort = bisect.insort
 
     while queue:
-        sid = queue.pop(0)[1]
+        _, sid, alpha, prior_state = queue.pop(0)
         pops += 1
         node = nodes[sid]
         out = table[node]
         if not out:
             continue
         parent = parents[sid]
-        src, prev = (sid, None) if parent is None else (parent, strokes[parent])
-        alpha, prior_state, weights, _ = step(sid, node, alpha_snaps[src], prior_snaps[src], prev, strokes[sid])
-        alpha_snaps[sid], prior_snaps[sid] = alpha, prior_state
+        prev = None if parent is None else strokes[parent]
+        alpha, prior_state, weights, _ = step(sid, node, alpha, prior_state, prev, strokes[sid])
 
         acc = accs[sid]
         for (arc_id, dst, q, _, final), weight in zip(out, weights):
@@ -335,7 +330,7 @@ def rescore(
             add_acc(child_acc)
             if final:
                 terminals.append(child)
-            insort(queue, (-child_acc, child))
+            insort(queue, (-child_acc, child, alpha, prior_state))
 
         queued = len(queue)
         if queued > max_queue:

@@ -35,7 +35,7 @@ def two_part_jsd(p, q, eps):
 
 def replayed_steps(lat, model, cfg, exp):
     """The replayed terms at every state the decode popped with outgoing
-    arcs, keyed by state id.
+    arcs, keyed by state id: the expanded states, those with a child.
 
     Each expanded state none of whose children was expanded ends one chain,
     extended by the arc to its first child; :func:`path_terms` replays each
@@ -47,9 +47,10 @@ def replayed_steps(lat, model, cfg, exp):
     first_child = {}
     for sid in range(len(cols) - 1, 0, -1):
         first_child[cols.parent[sid]] = sid
-    inner = {cols.parent[sid] for sid in exp.alphas if sid}
+    expanded = first_child.keys()
+    inner = {cols.parent[sid] for sid in expanded if sid}
     steps = {}
-    for leaf in exp.alphas.keys() - inner:
+    for leaf in expanded - inner:
         ids = [first_child[leaf]]
         while ids[-1]:
             ids.append(cols.parent[ids[-1]])
@@ -60,7 +61,7 @@ def replayed_steps(lat, model, cfg, exp):
             assert (term.node, term.arc_id, term.stroke) == (cols.node[sid], cols.arc_id[child], cols.stroke[child])
             assert term.weight == cols.weight[child]
             steps[sid] = term
-    assert steps.keys() == exp.alphas.keys()
+    assert steps.keys() == expanded
     return steps
 
 

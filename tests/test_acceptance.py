@@ -150,7 +150,6 @@ def test_criterion_2_degeneracy_identities(small_lattice_ensemble, model):
                 cfg = replace(EXHAUSTIVE, lambda_mode=mode)
                 _, exp, _ = rescore(lat, model, cfg)
                 steps = replayed_steps(lat, model, cfg, exp)
-                suffix = max(model.prior.w_tau, model.prior.n - 1)
                 # The pseudo-counts of each history, updated eagerly one
                 # transition at a time; a parent's id is below its children's.
                 eager = {(0,): model.alpha0.tolist()}
@@ -160,14 +159,11 @@ def test_criterion_2_degeneracy_identities(small_lattice_ensemble, model):
                     history = exp.history(sid)
                     if len(history) > 1:
                         eager[history] = dirichlet_observe(eager[history[:-1]], cfg.rho, history[-2], history[-1])
-                    assert exp.prior_states[sid] == history[1:][-suffix:]
                     if component == "static":
-                        refs = [np.array(ti_prior_dist(model, history[1:]))]
+                        ref = ti_prior_dist(model, history[1:])
                     else:
-                        stored = exp.alphas[sid].tolist()
-                        refs = [np.array(dirichlet_predict(alpha, history[-1])) for alpha in (stored, eager[history])]
-                    for ref in refs:
-                        assert np.max(np.abs(np.asarray(tr.p_comb) - ref)) < 1e-12
+                        ref = dirichlet_predict(eager[history], history[-1])
+                    assert np.max(np.abs(np.asarray(tr.p_comb) - np.array(ref))) < 1e-12
 
 
 def test_criterion_3_numerical_invariants(model, vocab):
@@ -304,6 +300,15 @@ def test_standard_suite_report_is_pinned(benchmark_report):
     report, _ = benchmark_report
     digest = hashlib.sha256(report.to_tsv().encode()).hexdigest()
     assert digest == "fac9bed87acb0318b74dd8a51468c8cbb44081e5d1d192365dc57eb466dd73f6"
+
+
+def test_deletion_insertion_suite_report_is_pinned(suite):
+    """The only pinned output on lattices whose states at one node differ in
+    depth.  It gates nothing else: its lambda=1 row is worse than its
+    baseline, which is a finding about the model, not a failure."""
+    small = replace(suite, talas=("tintal", "ektal"), test_per_tala=4, p_del=0.1, p_ins=0.1)
+    digest = hashlib.sha256(run_benchmark(small).to_tsv().encode()).hexdigest()
+    assert digest == "0ca58a6f536227de3cf4baa48aa58f639aec01ca695a0839552703cc78b5c161"
 
 
 def test_criterion_8_ser_matches_independent_dp():

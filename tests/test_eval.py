@@ -157,6 +157,21 @@ def test_report_shape_and_labels():
     assert len(tsv) == 5
 
 
+@pytest.mark.parametrize(
+    ("modes", "message"),
+    [
+        (("fixed:0", "fixed:0"), "repeats a weight"),
+        (("fixed:0", "fixed:0.0", "0"), "repeats a weight"),
+        (("adaptive", "fixed:0.5", "adaptive"), "repeats a weight"),
+        (("fixed:2",), "must lie in"),
+        (("fixed:0", "static"), "bad lambda mode"),
+    ],
+)
+def test_suite_rejects_invalid_and_repeated_lambda_modes(modes, message):
+    with pytest.raises(ValueError, match=message):
+        tiny_suite(lambda_modes=modes)
+
+
 def test_standard_suite_covers_four_talas():
     suite = standard_suite()
     assert len(suite.talas) == 4

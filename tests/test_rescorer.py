@@ -4,6 +4,7 @@ import gc
 import hashlib
 import math
 import random
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -27,7 +28,7 @@ from talarescore.rescorer import (
     viterbi_expanded,
 )
 
-from .helpers import PROPERTY_SETTINGS, replayed_steps, small_dags, two_part_jsd
+from .helpers import PROPERTY_SETTINGS, dist_after, replayed_steps, small_dags, two_part_jsd
 from .oracles import (
     EXHAUSTIVE,
     all_paths,
@@ -179,7 +180,6 @@ def test_fixed_lambda_traces_match_component_models(vocab, small_model):
         cfg = replace(EXHAUSTIVE, lambda_mode=mode)
         _, exp, _ = rescore(lat, small_model, cfg)
         steps = replayed_steps(lat, small_model, cfg, exp)
-        suffix = max(small_model.prior.w_tau, small_model.prior.n - 1)
         # The pseudo-counts of each history, updated eagerly one transition
         # at a time; a parent's id is below its children's.
         eager = {(0,): small_model.alpha0.tolist()}
@@ -189,14 +189,11 @@ def test_fixed_lambda_traces_match_component_models(vocab, small_model):
             history = exp.history(sid)
             if len(history) > 1:
                 eager[history] = dirichlet_observe(eager[history[:-1]], cfg.rho, history[-2], history[-1])
-            assert exp.prior_states[sid] == history[1:][-suffix:]
             if pick == "static":
-                refs = [np.array(ti_prior_dist(small_model, history[1:]))]
+                ref = ti_prior_dist(small_model, history[1:])
             else:
-                stored = exp.alphas[sid].tolist()
-                refs = [np.array(dirichlet_predict(alpha, history[-1])) for alpha in (stored, eager[history])]
-            for ref in refs:
-                assert np.max(np.abs(np.asarray(tr.p_comb) - ref)) < 1e-12
+                ref = dirichlet_predict(eager[history], history[-1])
+            assert np.max(np.abs(np.asarray(tr.p_comb) - np.array(ref))) < 1e-12
 
 
 def test_beam_monotonicity_on_seeded_ensemble(vocab, small_model):
@@ -524,15 +521,14 @@ def test_history_and_dirichlet_are_built_at_pop(monkeypatch, standard_lattice, k
     _, exp, diag = rescore(lat, model, cfg)
     monkeypatch.undo()
 
-    # One snapshot per state popped with outgoing arcs; only those were updated.
-    expanded = sorted(exp.alphas)
+    # Only the states popped with outgoing arcs, those with children, were
+    # updated, one transition each beyond the root; states cut by capacity,
+    # or never popped, cost none.
+    cols = exp.states
+    expanded = sorted(set(cols.parent[1:]))
     assert expanded[0] == 0
     assert len(calls) == len(expanded) - 1
     assert diag.pruned_capacity > 0
-    # States cut by capacity, or never popped, hold no snapshot: the states
-    # with one are exactly those with children.
-    cols = exp.states
-    assert set(exp.prior_states) == set(expanded) == set(cols.parent[1:])
 
     # Every history, cut states included, extends its parent's by its stroke.
     histories = {0: (0,)}
@@ -541,35 +537,61 @@ def test_history_and_dirichlet_are_built_at_pop(monkeypatch, standard_lattice, k
         histories[sid] = histories[cols.parent[sid]] + (cols.stroke[sid],)
         assert exp.history(sid) == histories[sid]
 
-    # Each snapshot holds the last max(w_tau, n-1) strokes of its history as
-    # the prior state, and pseudo-counts bit-identical to the model's initial
-    # ones updated along its history one transition at a time.
-    suffix = max(model.prior.w_tau, model.prior.n - 1)
+    # Each expanded state's replayed step predicts from pseudo-counts
+    # bit-identical to the model's initial ones updated along its history one
+    # transition at a time, and reads the static prior stepped along it.
+    steps = replayed_steps(lat, model, cfg, exp)
     eager = {0: model.alpha0.tolist()}
-    for sid in sorted(exp.alphas):
+    for sid in expanded:
         if sid:
             parent = cols.parent[sid]
             eager[sid] = dirichlet_observe(eager[parent], cfg.rho, exp.history(parent)[-1], cols.stroke[sid])
-        assert exp.prior_states[sid] == exp.history(sid)[1:][-suffix:]
-        assert np.array_equal(exp.alphas[sid], eager[sid])
+        assert steps[sid].p_dyn == dirichlet_predict(eager[sid], cols.stroke[sid])
+        assert steps[sid].p_static == dist_after(model.prior, exp.history(sid)[1:])
+
+
+@pytest.mark.parametrize("k_beam", [150, 12])
+def test_a_decode_holds_at_most_k_beam_plus_one_snapshots(monkeypatch, standard_lattice, k_beam):
+    lat, model = standard_lattice
+    # Every Dirichlet snapshot past the root's is made by dynamic_model._observe.
+    real_observe = rescorer._observe
+    alive = []
+    most = calls = 0
+
+    def tracking_observe(alpha, rho, prev, nxt):
+        nonlocal most, calls
+        out = real_observe(alpha, rho, prev, nxt)
+        calls += 1
+        alive[:] = [ref for ref in alive if ref() is not None]
+        alive.append(weakref.ref(out))
+        most = max(most, len(alive))
+        return out
+
+    monkeypatch.setattr(rescorer, "_observe", tracking_observe)
+    rescore(lat, model, RescoreConfig(k_beam=k_beam))
+    monkeypatch.undo()
+    # The queue's entries, the popped parent's and the new one; a decode that
+    # kept every snapshot would hold one per call.
+    assert most <= k_beam + 1
+    assert calls > 2 * (k_beam + 1)
 
 
 def test_expanded_lattice_holds_one_row_per_pushed_state(standard_lattice):
     """Counters read ``len(exp.states)`` as the number of states: one row per
-    push plus the root, in every column, and a snapshot for exactly the
-    states popped with outgoing arcs."""
+    push plus the root, in every column."""
     lat, model = standard_lattice
     _, exp, diag = rescore(lat, model, RescoreConfig())
     cols = exp.states
     assert len(cols) == diag.pushes + 1
     for column in (cols.node, cols.parent, cols.arc_id, cols.stroke, cols.weight, cols.acc_score):
         assert len(column) == len(cols)
-    # A state popped with outgoing arcs pushes one child per arc.
-    assert set(exp.prior_states) == set(exp.alphas) == set(cols.parent[1:])
 
 
-def test_root_snapshot_is_a_copy_of_the_model_alpha0(vocab, small_model):
+def test_decoding_leaves_the_model_alpha0_unchanged(vocab, small_model):
+    # The root's snapshot is the model's own array, so no step may write to it.
+    alpha0 = small_model.alpha0.copy()
     lat = random_grid_lattice(vocab, random.Random(3))
-    _, exp, _ = rescore(lat, small_model, RescoreConfig())
-    assert np.array_equal(exp.alphas[0], small_model.alpha0)
-    assert exp.alphas[0] is not small_model.alpha0
+    cfg = RescoreConfig()
+    _, exp, diag = rescore(lat, small_model, cfg)
+    path_terms(lat, small_model, cfg, exp.arc_chain(diag.best_state))
+    assert np.array_equal(small_model.alpha0, alpha0)
