@@ -11,7 +11,7 @@ from __future__ import annotations
 import argparse
 import sys
 import tempfile
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 from . import core, eval as evaluation, lattice as lattice_mod, model as model_mod, rescorer
@@ -292,19 +292,18 @@ def cmd_bench(args: argparse.Namespace) -> int:
     suite = evaluation.suite_from_config(values, seed_override=args.seed)
     args.out_dir.mkdir(parents=True, exist_ok=True)
     if args.data_efficiency:
-        results = evaluation.run_data_efficiency(suite)
-        tsv_lines = ["subset\tconfig\tser\timprovement_abs\timprovement_rel"]
+        tsv = "subset\tconfig\tser\timprovement_abs\timprovement_rel\n"
         tables = []
-        for name, report in results:
-            for line in report.to_tsv().splitlines()[1:]:
-                tsv_lines.append(f"{name}\t{line}")
+        for name, fraction in evaluation.DATA_EFFICIENCY_SUBSETS:
+            report = evaluation.run_benchmark(replace(suite, train_fraction=fraction))
+            tsv += "".join(f"{name}\t{line}" for line in report.to_tsv().splitlines(keepends=True)[1:])
             tables.append(f"== training subset: {name} ==\n{report.to_table()}")
-        (args.out_dir / "report.tsv").write_text("".join(f"{l}\n" for l in tsv_lines), encoding="utf-8")
-        (args.out_dir / "report.txt").write_text("\n".join(tables), encoding="utf-8")
+        table = "\n".join(tables)
     else:
         report = evaluation.run_benchmark(suite)
-        (args.out_dir / "report.tsv").write_text(report.to_tsv(), encoding="utf-8")
-        (args.out_dir / "report.txt").write_text(report.to_table(), encoding="utf-8")
+        tsv, table = report.to_tsv(), report.to_table()
+    (args.out_dir / "report.tsv").write_text(tsv, encoding="utf-8")
+    (args.out_dir / "report.txt").write_text(table, encoding="utf-8")
     print(f"reports written to {args.out_dir}")
     return 0
 

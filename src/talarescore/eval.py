@@ -4,6 +4,12 @@ SER = (substitutions + deletions + insertions) / reference length, computed
 from a minimal Levenshtein alignment with unit costs.  Aggregate SER pools
 the error counts over the whole test set (the WER convention) rather than
 averaging per-sequence ratios; report headers say so.
+
+``run_benchmark`` trains on a suite's corpus and decodes each test pair
+with the acoustic baseline and each lambda mode.  It keeps one
+``BenchRecord`` per decode, and ``BenchmarkReport`` folds the report rows
+from those records.  ``bench --data-efficiency`` runs it once per training
+subset in ``DATA_EFFICIENCY_SUBSETS``.
 """
 
 from __future__ import annotations
@@ -27,6 +33,8 @@ from .rescorer import RescoreConfig, rescore
 
 BASELINE_LABEL = "baseline"
 DEFAULT_LAMBDA_SWEEP = ("fixed:0", "fixed:0.25", "fixed:0.5", "fixed:0.75", "fixed:1", "adaptive")
+# The ``bench --data-efficiency`` training subsets: name and train_fraction.
+DATA_EFFICIENCY_SUBSETS = (("small", 1 / 3), ("medium", 2 / 3), ("large", 1.0))
 
 
 @dataclass(frozen=True)
@@ -211,49 +219,51 @@ def suite_from_config(values: dict[str, str], seed_override: int | None = None) 
 
 
 @dataclass(frozen=True)
-class BenchRow:
-    label: str
-    pooled: EditStats
-    per_sequence: tuple[EditStats, ...]
+class BenchRecord:
+    """One decode of one test pair: its report row's label and its errors."""
 
-    @property
-    def ser(self) -> float:
-        return self.pooled.ser
+    label: str
+    stats: EditStats
 
 
 @dataclass(frozen=True)
 class BenchmarkReport:
-    """Baseline plus one row per rescoring configuration."""
+    """One record per (test pair, report row), in pair order and, within a
+    pair, in row order: the baseline first, then one row per lambda mode.
+    Every per-label value is folded from the records."""
 
     suite_seed: int
     train_strokes: int
-    rows: tuple[BenchRow, ...]
+    records: tuple[BenchRecord, ...]
 
     @property
-    def baseline(self) -> BenchRow:
-        return self.rows[0]
+    def labels(self) -> tuple[str, ...]:
+        return tuple(dict.fromkeys(r.label for r in self.records))
 
-    def row(self, label: str) -> BenchRow:
-        for r in self.rows:
-            if r.label == label:
-                return r
-        raise KeyError(label)
+    def per_sequence(self, label: str) -> tuple[EditStats, ...]:
+        stats = tuple(r.stats for r in self.records if r.label == label)
+        if not stats:
+            raise KeyError(label)
+        return stats
+
+    def pooled(self, label: str) -> EditStats:
+        return sum(self.per_sequence(label), EditStats())
 
     def improvement_abs(self, label: str) -> float:
-        return self.baseline.ser - self.row(label).ser
+        return self.pooled(BASELINE_LABEL).ser - self.pooled(label).ser
 
     def improvement_rel(self, label: str) -> float:
-        base = self.baseline.ser
+        base = self.pooled(BASELINE_LABEL).ser
         if base == 0:
             return 0.0
-        return (base - self.row(label).ser) / base
+        return (base - self.pooled(label).ser) / base
 
     def to_tsv(self) -> str:
         lines = ["config\tser\timprovement_abs\timprovement_rel"]
-        for r in self.rows:
+        for label in self.labels:
             lines.append(
-                f"{r.label}\t{r.ser:.6f}\t{self.improvement_abs(r.label):.6f}"
-                f"\t{self.improvement_rel(r.label):.6f}"
+                f"{label}\t{self.pooled(label).ser:.6f}\t{self.improvement_abs(label):.6f}"
+                f"\t{self.improvement_rel(label):.6f}"
             )
         return "".join(f"{l}\n" for l in lines)
 
@@ -262,16 +272,17 @@ class BenchmarkReport:
             f"# seed={self.suite_seed} train_strokes={self.train_strokes} "
             "aggregate=pooled S+D+I over pooled N"
         )
-        width = max(len(r.label) for r in self.rows)
+        width = max(map(len, self.labels))
         lines = [header, f"{'config':<{width}}  {'SER%':>7}  {'abs':>7}  {'rel%':>7}"]
-        for r in self.rows:
-            if r.label == BASELINE_LABEL:
-                lines.append(f"{r.label:<{width}}  {100 * r.ser:7.2f}  {'-':>7}  {'-':>7}")
+        for label in self.labels:
+            ser_pct = 100 * self.pooled(label).ser
+            if label == BASELINE_LABEL:
+                lines.append(f"{label:<{width}}  {ser_pct:7.2f}  {'-':>7}  {'-':>7}")
             else:
                 lines.append(
-                    f"{r.label:<{width}}  {100 * r.ser:7.2f}  "
-                    f"{100 * self.improvement_abs(r.label):7.2f}  "
-                    f"{100 * self.improvement_rel(r.label):7.2f}"
+                    f"{label:<{width}}  {ser_pct:7.2f}  "
+                    f"{100 * self.improvement_abs(label):7.2f}  "
+                    f"{100 * self.improvement_rel(label):7.2f}"
                 )
         return "".join(f"{l}\n" for l in lines)
 
@@ -334,7 +345,8 @@ def suite_test_set(suite: BenchmarkSuiteConfig, vocab: StrokeVocabulary) -> list
 
 
 def run_benchmark(suite: BenchmarkSuiteConfig) -> BenchmarkReport:
-    """Generate data, train, decode baseline and all sweep configs, pool SER."""
+    """Train on the suite's corpus, then decode every test pair with the
+    acoustic baseline and each lambda mode, one record per decode."""
     vocab = default_vocabulary()
     corpus = build_training_corpus(suite, vocab)
     model = train_model(
@@ -345,39 +357,17 @@ def run_benchmark(suite: BenchmarkSuiteConfig) -> BenchmarkReport:
         w_tau=suite.w_tau,
         eps_dir=suite.eps_dir,
     )
-
-    labels = [BASELINE_LABEL] + [_sweep_label(m) for m in suite.lambda_modes]
-    configs = [replace(suite.rescore, lambda_mode=m) for m in suite.lambda_modes]
-    per_seq: dict[str, list[EditStats]] = {label: [] for label in labels}
-    for truth, lat in suite_test_set(suite, vocab):
-        per_seq[BASELINE_LABEL].append(ser(truth, viterbi_acoustic(lat)))
-        for label, cfg in zip(labels[1:], configs):
-            hyp, _, _ = rescore(lat, model, cfg)
-            per_seq[label].append(ser(truth, hyp))
-
-    rows = []
-    for label in labels:
-        stats = per_seq[label]
-        pooled = sum(stats, EditStats())
-        rows.append(BenchRow(label=label, pooled=pooled, per_sequence=tuple(stats)))
-    train_strokes = sum(len(s) for s in corpus)
-    return BenchmarkReport(suite_seed=suite.seed, train_strokes=train_strokes, rows=tuple(rows))
+    rows = [(BASELINE_LABEL, None)]
+    rows += [(_sweep_label(m), replace(suite.rescore, lambda_mode=m)) for m in suite.lambda_modes]
+    records = tuple(
+        BenchRecord(label, ser(truth, viterbi_acoustic(lat) if cfg is None else rescore(lat, model, cfg)[0]))
+        for truth, lat in suite_test_set(suite, vocab)
+        for label, cfg in rows
+    )
+    return BenchmarkReport(suite.seed, sum(len(s) for s in corpus), records)
 
 
 def _sweep_label(mode: str) -> str:
-    if mode == "adaptive":
-        return "adaptive"
-    value = mode[len("fixed:"):] if mode.startswith("fixed:") else mode
-    return f"lambda={value}"
-
-
-def run_data_efficiency(
-    suite: BenchmarkSuiteConfig,
-    fractions: Sequence[tuple[str, float]] = (("small", 1 / 3), ("medium", 2 / 3), ("large", 1.0)),
-) -> list[tuple[str, BenchmarkReport]]:
-    """Benchmark at growing training-corpus fractions (stroke-count subsets)."""
-    out = []
-    for name, frac in fractions:
-        sub = replace(suite, train_fraction=frac)
-        out.append((name, run_benchmark(sub)))
-    return out
+    # The weight's shortest repr tells every accepted weight apart; 1.0 reads 1.
+    weight = parse_lambda_mode(mode)
+    return "adaptive" if weight is None else f"lambda={weight!r}".removesuffix(".0")

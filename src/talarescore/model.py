@@ -134,7 +134,7 @@ def load_model(path: str | Path) -> RhythmModel:
 
 
 def loads_model(text: str) -> RhythmModel:
-    lines = [s for l in text.splitlines() if (s := l.strip()) and not l.startswith("#")]
+    lines = [s for l in text.splitlines() if (s := l.strip()) and not s.startswith("#")]
     if not lines or lines[0] != FORMAT_HEADER:
         raise ModelFormatError(f"expected header {FORMAT_HEADER!r}")
     header: dict[str, float] = {}

@@ -266,11 +266,11 @@ def test_criterion_5_state_expansion_keeps_merged_histories(model, vocab):
 def test_criterion_6_trend_reproduction(benchmark_report):
     with criterion(6, "adaptive rescoring cuts SER by >=10% relative on the standard suite"):
         report, elapsed = benchmark_report
-        base = report.baseline.ser
+        base = report.pooled(BASELINE_LABEL).ser
         assert 0.20 <= base <= 0.40, f"baseline SER {base:.3f} outside the tuned band"
         rel = report.improvement_rel("adaptive")
         assert rel >= 0.10, f"adaptive relative improvement {rel:.3f} < 10%"
-        n_seqs = len(report.baseline.per_sequence)
+        n_seqs = len(report.per_sequence(BASELINE_LABEL))
         assert n_seqs >= 50
         assert elapsed < 300.0, f"suite took {elapsed:.0f}s"
 
@@ -278,7 +278,7 @@ def test_criterion_6_trend_reproduction(benchmark_report):
 def test_criterion_7_ablation_sweep_shape(benchmark_report, suite):
     with criterion(7, "full lambda sweep emitted, all rows <= baseline, byte-stable reruns"):
         report, _ = benchmark_report
-        labels = [r.label for r in report.rows]
+        labels = list(report.labels)
         assert labels == [
             BASELINE_LABEL,
             "lambda=0",
@@ -288,9 +288,9 @@ def test_criterion_7_ablation_sweep_shape(benchmark_report, suite):
             "lambda=1",
             "adaptive",
         ]
-        base = report.baseline.ser
-        for row in report.rows[1:]:
-            assert row.ser <= base, f"{row.label} worsened SER"
+        base = report.pooled(BASELINE_LABEL).ser
+        for label in report.labels[1:]:
+            assert report.pooled(label).ser <= base, f"{label} worsened SER"
         rerun = run_benchmark(suite)
         assert rerun.to_tsv() == report.to_tsv()
         assert rerun.to_table() == report.to_table()

@@ -439,6 +439,11 @@ def test_bench_data_efficiency_mode(tmp_path):
     assert tsv[0].startswith("subset\t")
     subsets = {l.split("\t")[0] for l in tsv[1:]}
     assert subsets == {"small", "medium", "large"}
+    digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in ("report.tsv", "report.txt")}
+    assert digests == {
+        "report.tsv": "744ae83f79a66ffd457d3ae1d3ab5abde011a81b4eef1499fc2a373ccca0e416",
+        "report.txt": "89996ee99bc850a170ec9e6917f04ff5d9e4d7946a29271598cf6ca197446d9b",
+    }
 
 
 def test_config_file_provides_defaults_flags_override(tmp_path):

@@ -4,8 +4,9 @@ import random
 
 import pytest
 
-from talarescore.core import DeviationConfig, StrokeSequence
+from talarescore.core import DeviationConfig, StrokeSequence, default_vocabulary
 from talarescore.eval import (
+    BASELINE_LABEL,
     BenchmarkSuiteConfig,
     EditStats,
     run_benchmark,
@@ -13,7 +14,9 @@ from talarescore.eval import (
     split_seed,
     standard_suite,
     suite_from_config,
+    suite_test_set,
 )
+from talarescore.lattice import viterbi_acoustic
 from talarescore.rescorer import RescoreConfig
 
 from .oracles import levenshtein_distance
@@ -117,9 +120,9 @@ def tiny_suite(**overrides):
 
 def test_zero_noise_suite_has_zero_error_everywhere():
     report = run_benchmark(tiny_suite())
-    for row in report.rows:
-        assert row.pooled.total_errors == 0
-        assert row.ser == 0.0
+    for label in report.labels:
+        assert report.pooled(label).total_errors == 0
+        assert report.pooled(label).ser == 0.0
 
 
 def test_beta_zero_row_equals_baseline_row():
@@ -130,9 +133,7 @@ def test_beta_zero_row_equals_baseline_row():
         lambda_modes=("adaptive",),
     )
     report = run_benchmark(suite)
-    base = report.row("baseline")
-    resc = report.row("adaptive")
-    assert resc.per_sequence == base.per_sequence
+    assert report.per_sequence("adaptive") == report.per_sequence("baseline")
 
 
 def test_benchmark_report_is_deterministic():
@@ -146,7 +147,7 @@ def test_benchmark_report_is_deterministic():
 def test_report_shape_and_labels():
     suite = tiny_suite(lambda_modes=("fixed:0", "fixed:0.5", "adaptive"))
     report = run_benchmark(suite)
-    assert [r.label for r in report.rows] == [
+    assert list(report.labels) == [
         "baseline",
         "lambda=0",
         "lambda=0.5",
@@ -155,6 +156,38 @@ def test_report_shape_and_labels():
     tsv = report.to_tsv().splitlines()
     assert tsv[0] == "config\tser\timprovement_abs\timprovement_rel"
     assert len(tsv) == 5
+
+
+def test_report_holds_one_record_per_pair_and_row_in_order():
+    suite = tiny_suite(noise_sigma=0.9, branching=3)
+    report = run_benchmark(suite)
+    pairs = suite_test_set(suite, default_vocabulary())
+    rows = (BASELINE_LABEL, "lambda=0", "adaptive")
+    assert len(report.records) == len(pairs) * (1 + len(suite.lambda_modes))
+    assert [r.label for r in report.records] == list(rows) * len(pairs)
+    assert report.labels == rows
+    assert list(report.per_sequence(BASELINE_LABEL)) == [ser(t, viterbi_acoustic(l)) for t, l in pairs]
+    for read in (report.per_sequence, report.pooled, report.improvement_abs):
+        with pytest.raises(KeyError):
+            read("lambda=0.5")
+
+
+@pytest.mark.parametrize(
+    ("mode", "label"),
+    [
+        ("adaptive", "adaptive"),
+        (" adaptive", "adaptive"),
+        ("fixed:0", "lambda=0"),
+        ("fixed: 0.5", "lambda=0.5"),
+        ("fixed:1.0", "lambda=1"),
+        ("0.25", "lambda=0.25"),
+        ("fixed:0.1234567", "lambda=0.1234567"),
+        ("fixed:0.1234568", "lambda=0.1234568"),
+    ],
+)
+def test_row_label_is_read_from_the_parsed_weight(mode, label):
+    report = run_benchmark(tiny_suite(lambda_modes=(mode,)))
+    assert report.labels == (BASELINE_LABEL, label)
 
 
 @pytest.mark.parametrize(

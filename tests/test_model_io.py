@@ -31,6 +31,12 @@ def test_round_trip_byte_identity(small_corpus, vocab, tmp_path):
     assert again == first
 
 
+def test_comment_lines_are_skipped_indented_or_not(small_corpus, vocab):
+    model = train_model(small_corpus, vocab)
+    header, rest = dumps_model(model).split("\n", 1)
+    assert loads_model(f"{header}\n# note\n  # note\n{rest}") == model
+
+
 @pytest.mark.parametrize(
     "seed, lines, digest",
     [
