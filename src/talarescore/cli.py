@@ -190,7 +190,7 @@ def cmd_gen_lattice(args: argparse.Namespace) -> int:
     args.out_dir.mkdir(parents=True, exist_ok=True)
     for i, seq in enumerate(seqs):
         cfg = lattice_mod.LatticeGenConfig(
-            rng_seed=evaluation.split_seed(args.seed, 2, i),
+            rng_seed=evaluation.split_seed(args.seed, evaluation._LATTICE_STREAM, i),
             branching=args.branching,
             noise_sigma=args.noise_sigma,
             margin=args.margin,

@@ -1,4 +1,4 @@
-"""Stroke vocabularies, tala specifications, and tala-structured corpus generation.
+"""Stroke vocabularies, talas, corpus generation, and the rhythm model's hyperparameter bounds.
 
 Id conventions used across the package:
 
@@ -12,6 +12,7 @@ threads.  Sequence generation is pure given its seed.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from pathlib import Path
@@ -120,6 +121,32 @@ class StrokeSequence:
         return tuple(vocab.symbol_of(s) for s in self.strokes)
 
 
+# The static prior's ``n``, ``laplace_k`` and ``w_tau`` and the Dirichlet model's
+# ``eps_dir``, each with the type its model-file header line holds.
+_HYPERPARAMETERS = {"n": int, "laplace_k": float, "w_tau": int, "eps_dir": float}
+# The largest count, laplace_k, n or w_tau: with tala priors in (0, 1], every
+# n-gram row total and tala posterior weight stays finite.  n and w_tau share
+# the bound so that no header value is too large for a float.
+_MAX_COUNT = 2**53
+# The largest n-gram order.  Every decode state pads its context to n - 1
+# strokes, so decode time and memory grow with n even where no count line
+# reads that far back.
+_MAX_ORDER = 32
+
+
+def _check_hyperparameter(kind: str, value: float) -> None:
+    """Raise ``ValueError`` unless ``value`` lies in the ``kind`` hyperparameter's bounds."""
+    if _HYPERPARAMETERS[kind] is int and (isinstance(value, bool) or not isinstance(value, int)):
+        raise ValueError(f"{kind} must be an integer")
+    # Unlike math.isfinite, a comparison takes an int too large for a float.
+    if not 0 < value < math.inf:
+        raise ValueError(f"{kind} must be positive and finite")
+    if kind != "eps_dir" and value > _MAX_COUNT:
+        raise ValueError(f"{kind} must not exceed 2**53")
+    if kind == "n" and value > _MAX_ORDER:
+        raise ValueError(f"n must not exceed {_MAX_ORDER}")
+
+
 @dataclass(frozen=True)
 class TalaSpec:
     """A tala: cycle length in beats, vibhag start beats, and canonical theka."""
@@ -149,23 +176,18 @@ class TalaSpec:
 class TihaiSpec:
     """A thrice-repeated cadential phrase joined by connector strokes.
 
-    The structure spans ``repetitions * |phrase| + (repetitions - 1) * |connector|``
-    beats in total, but only the first ``total_span - |phrase|`` beats replace the
-    tail of the host cycle: the final repetition begins on the next cycle's first
-    beat (the sam), which is where the cadence resolves.
+    The structure spans ``3 * |phrase| + 2 * |connector|`` beats in total, but
+    only the first ``total_span - |phrase|`` beats replace the tail of the host
+    cycle: the final repetition begins on the next cycle's first beat (the
+    sam), which is where the cadence resolves.
     """
 
     phrase: StrokeSequence
     connector: StrokeSequence
-    repetitions: int = 3
-
-    def __post_init__(self) -> None:
-        if self.repetitions < 2:
-            raise ValueError("a tihai needs at least two repetitions")
 
     @property
     def total_span(self) -> int:
-        return self.repetitions * len(self.phrase) + (self.repetitions - 1) * len(self.connector)
+        return 3 * len(self.phrase) + 2 * len(self.connector)
 
     @property
     def in_cycle_span(self) -> int:
@@ -174,8 +196,7 @@ class TihaiSpec:
 
     def expansion(self) -> tuple[int, ...]:
         """The strokes written into the host cycle: (phrase + connector) repeated."""
-        unit = self.phrase.strokes + self.connector.strokes
-        return unit * (self.repetitions - 1)
+        return (self.phrase.strokes + self.connector.strokes) * 2
 
 
 @dataclass(frozen=True)
@@ -243,7 +264,7 @@ def builtin_tala(name: str, vocab: StrokeVocabulary | None = None) -> TalaSpec:
     raise ValueError(f"unknown tala {name!r}; builtins: {known}")
 
 
-def default_tihai(tala: TalaSpec, vocab: StrokeVocabulary | None = None) -> TihaiSpec:
+def default_tihai(tala: TalaSpec) -> TihaiSpec:
     """Derive a tala's default tihai from its theka.
 
     The phrase is the theka's last vibhag; the connector repeats the theka's
@@ -288,12 +309,11 @@ def generate_sequence(
 
     tihai: TihaiSpec | None = None
     if dev.p_tihai > 0:
-        tihai = dev.tihai or default_tihai(tala, vocab)
-        span = tihai.in_cycle_span
-        if not 1 <= span <= tala.matras:
+        tihai = dev.tihai or default_tihai(tala)
+        if not can_host_tihai(tala, tihai):
             raise ValueError(
                 f"tala {tala.name!r} ({tala.matras} matras) cannot host this tihai: "
-                f"it needs a cycle of at least {span} beats"
+                f"it needs a cycle of at least {tihai.in_cycle_span} beats"
             )
 
     rng = random.Random(rng_seed)
@@ -418,9 +438,10 @@ def save_sequences(seqs: Sequence[StrokeSequence], path: str | Path, vocab: Stro
 
 
 def load_sequences(path: str | Path, vocab: StrokeVocabulary) -> list[StrokeSequence]:
+    """Raises ``VocabularyError`` naming the line for a symbol that is not a playable stroke."""
     seqs: list[StrokeSequence] = []
     label: str | None = None
-    for raw in Path(path).read_text(encoding="utf-8").splitlines():
+    for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
         line = raw.strip()
         if not line:
             continue
@@ -429,6 +450,12 @@ def load_sequences(path: str | Path, vocab: StrokeVocabulary) -> list[StrokeSequ
             continue
         if line.startswith("#"):
             continue
-        seqs.append(StrokeSequence.from_symbols(vocab, line.split(), tala_label=label))
+        try:
+            strokes = tuple(map(vocab.id_of, line.split()))
+        except VocabularyError as exc:
+            raise VocabularyError(f"line {lineno}: {exc}") from None
+        if SENTINEL_ID in strokes:
+            raise VocabularyError(f"line {lineno}: {SENTINEL!r} is not a playable stroke")
+        seqs.append(StrokeSequence(strokes, tala_label=label))
         label = None
     return seqs

@@ -16,7 +16,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .core import SENTINEL_ID, StrokeSequence, StrokeVocabulary
+from .core import SENTINEL_ID, StrokeSequence, StrokeVocabulary, _check_hyperparameter
 
 
 def init_alpha(
@@ -26,14 +26,12 @@ def init_alpha(
 ) -> np.ndarray:
     """Initial pseudo-counts: pooled transition counts plus ``eps_dir``.
 
-    The sentinel row is uniformly 1 regardless of the corpus.  An empty corpus
-    is allowed (warning emitted); playable rows are then all ``eps_dir``.
+    ``eps_dir`` must lie in the model file's bounds.  The sentinel row is
+    uniformly 1 regardless of the corpus.  An empty corpus is allowed
+    (warning emitted); playable rows are then all ``eps_dir``.
     """
-    if eps_dir <= 0:
-        raise ValueError("eps_dir must be positive")
-    n = vocab.num_playable
-    alpha = np.full((n + 1, n), eps_dir, dtype=float)
-    alpha[SENTINEL_ID, :] = 1.0
+    _check_hyperparameter("eps_dir", eps_dir)
+    alpha = _untrained_alpha(vocab.num_playable, eps_dir)
     seen = False
     for seq in corpus:
         seen = True
@@ -42,6 +40,13 @@ def init_alpha(
             alpha[prev, nxt - 1] += 1.0
     if not seen:
         warnings.warn("initializing Dirichlet parameters from an empty corpus", stacklevel=2)
+    return alpha
+
+
+def _untrained_alpha(num_playable: int, eps_dir: float) -> np.ndarray:
+    # The pseudo-counts before any count: eps_dir on playable rows, 1 on the sentinel row.
+    alpha = np.full((num_playable + 1, num_playable), eps_dir, dtype=float)
+    alpha[SENTINEL_ID, :] = 1.0
     return alpha
 
 

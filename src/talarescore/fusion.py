@@ -60,23 +60,25 @@ def parse_lambda_mode(mode: str) -> float | None:
         raise ValueError(f"bad lambda mode {mode!r}; expected 'adaptive' or 'fixed:<v>'") from None
     if not 0.0 <= value <= 1.0:
         raise ValueError(f"fixed lambda must lie in [0, 1], got {value}")
-    return value
+    return value + 0.0  # -0.0 is the weight 0
 
 
-def _jsd_half(q: Sequence[float], eps: float, scale: float) -> tuple[list[float], list[float]]:
-    # The static half of the divergence: q smoothed by eps and renormalized
-    # by scale = 1 + len(q) * eps, and its logarithms.
-    qs = [(x + eps) / scale for x in q]
+def _jsd_half(q: Sequence[float]) -> tuple[list[float], list[float]]:
+    # The static half of the divergence: q smoothed by _EPS_JSD and
+    # renormalized by 1 + len(q) * _EPS_JSD, and its logarithms.
+    scale = 1.0 + len(q) * _EPS_JSD
+    qs = [(x + _EPS_JSD) / scale for x in q]
     return qs, np.log(qs).tolist()
 
 
-def _jsd(p: Sequence[float], half: tuple[list[float], list[float]], eps: float, scale: float) -> float:
+def _jsd(p: Sequence[float], half: tuple[list[float], list[float]]) -> float:
     # The Jensen-Shannon divergence in nats, within [0, log 2], given q's
     # half; p is smoothed as q was, so zero cells give no infinities and
     # the result is exactly symmetric.  Unchecked, for the decode's step.
     qs, log_qs = half
     n = len(qs)
-    ps = [(x + eps) / scale for x in p]
+    scale = 1.0 + n * _EPS_JSD
+    ps = [(x + _EPS_JSD) / scale for x in p]
     m = [0.5 * (a + b) for a, b in zip(ps, qs)]
     logs = np.log(ps + m).tolist()
     kl_pm = 0.0

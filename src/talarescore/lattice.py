@@ -209,6 +209,9 @@ class LatticeGenConfig:
             raise ValueError("branching must be >= 1")
         if self.noise_sigma < 0:
             raise ValueError("noise_sigma must be non-negative")
+        for name, value in (("noise_sigma", self.noise_sigma), ("margin", self.margin)):
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         for name, p in (("p_del", self.p_del), ("p_ins", self.p_ins)):
             if not 0.0 <= p <= 1.0:
                 raise ValueError(f"{name} must lie in [0, 1], got {p}")
@@ -393,7 +396,7 @@ def loads_lattice(
         arcs=tuple(map(tuple.__new__, repeat(Arc), zip(srcs, dsts, labels, scores))),
         start=start,
         finals=frozenset(finals),
-        vocab_ref=vocab_ref or str(vocab.num_playable),
+        vocab_ref=vocab_ref,
     )
 
 

@@ -30,8 +30,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import SENTINEL_ID, StrokeSequence, StrokeVocabulary
-from .dynamic_model import init_alpha
+from .core import _HYPERPARAMETERS, _MAX_COUNT, SENTINEL_ID, StrokeSequence, StrokeVocabulary, _check_hyperparameter
+from .dynamic_model import _untrained_alpha, init_alpha
 from .errors import ModelFormatError, VocabularyError, VocabularyMismatchError
 from .static_prior import TalaIndependentPrior, train_static_prior
 
@@ -79,10 +79,8 @@ def train_model(
     """Train all tables from a tala-labeled corpus; ``n``, ``laplace_k``,
     ``w_tau`` and ``eps_dir`` must lie in the model file's header bounds, and
     every stroke id in ``vocab``, so it loads back."""
-    _check_header_field("n", n)
-    _check_header_field("laplace_k", laplace_k)
-    _check_header_field("w_tau", w_tau)
-    _check_header_field("eps_dir", eps_dir)
+    for kind, value in (("n", n), ("laplace_k", laplace_k), ("w_tau", w_tau), ("eps_dir", eps_dir)):
+        _check_hyperparameter(kind, value)
     if not corpus:
         raise ValueError("empty training corpus")
     top = max(max(seq.strokes) for seq in corpus)
@@ -117,9 +115,7 @@ def dumps_model(model: RhythmModel) -> str:
             f"taucount {tala} {' '.join([symbols[c] for c in window])} {windows[window]}"
             for window in sorted(windows)
         ]
-    defaults = np.full_like(model.alpha0, model.eps_dir)
-    defaults[SENTINEL_ID, :] = 1.0
-    rows, cols = np.nonzero(model.alpha0 != defaults)
+    rows, cols = np.nonzero(model.alpha0 != _untrained_alpha(model.vocab.num_playable, model.eps_dir))
     for r, c in zip(rows.tolist(), cols.tolist()):
         lines.append(f"alpha {symbols[r]} {symbols[c + 1]} {float(model.alpha0[r, c])!r}")
     return "\n".join(lines) + "\n"
@@ -189,19 +185,19 @@ def loads_model(text: str) -> RhythmModel:
                 if key in alphas:
                     raise ValueError("repeated alpha key")
                 alphas[key] = value
-            elif kind in _HEADER_FIELDS:
+            elif kind in _HYPERPARAMETERS:
                 if kind in header:
                     raise ValueError(f"repeated {kind} line")
                 (raw,) = args
-                value = _HEADER_FIELDS[kind](raw)
-                _check_header_field(kind, value)
+                value = _HYPERPARAMETERS[kind](raw)
+                _check_hyperparameter(kind, value)
                 header[kind] = value
             elif kind == "vocab":
                 if vocab is not None:
                     raise ValueError("repeated vocab line")
                 # Count keys, which follow the vocab line, are checked
                 # against n and w_tau as they are read.
-                missing = set(_HEADER_FIELDS) - set(header)
+                missing = set(_HYPERPARAMETERS) - set(header)
                 if missing:
                     raise ModelFormatError(f"missing header fields {sorted(missing)} before the vocab line")
                 vocab = StrokeVocabulary.of(args)
@@ -220,7 +216,7 @@ def loads_model(text: str) -> RhythmModel:
             raise ModelFormatError(f"bad {kind} line {line!r}: {exc}") from None
         except KeyError as exc:
             raise ModelFormatError(f"bad {kind} line {line!r}: unknown stroke symbol {exc.args[0]!r}") from None
-    missing = set(_HEADER_FIELDS) - set(header)
+    missing = set(_HYPERPARAMETERS) - set(header)
     if missing:
         raise ModelFormatError(f"missing header fields: {sorted(missing)}")
     if vocab is None:
@@ -241,35 +237,10 @@ def loads_model(text: str) -> RhythmModel:
         )
     except ValueError as exc:
         raise ModelFormatError(str(exc)) from None
-    alpha0 = np.full((vocab.num_symbols, vocab.num_playable), eps_dir, dtype=float)
-    alpha0[SENTINEL_ID, :] = 1.0
+    alpha0 = _untrained_alpha(vocab.num_playable, eps_dir)
     for (prev, nxt), value in alphas.items():
         alpha0[prev, nxt - 1] = value
     return RhythmModel(vocab=vocab, prior=prior, alpha0=alpha0, eps_dir=eps_dir)
-
-
-_HEADER_FIELDS = {"n": int, "laplace_k": float, "w_tau": int, "eps_dir": float}
-# The largest count, laplace_k, n or w_tau: with tala priors in (0, 1], every
-# n-gram row total and tala posterior weight stays finite.  n and w_tau share
-# the bound so that no header value is too large for a float.
-_MAX_COUNT = 2**53
-# The largest n-gram order.  Every decode state pads its context to n - 1
-# strokes, so decode time and memory grow with n even where no count line
-# reads that far back.
-_MAX_ORDER = 32
-
-
-def _check_header_field(kind: str, value: float) -> None:
-    """Raise ``ValueError`` unless ``value`` lies in the ``kind`` header's bounds."""
-    if _HEADER_FIELDS[kind] is int and (isinstance(value, bool) or not isinstance(value, int)):
-        raise ValueError(f"{kind} must be an integer")
-    # Unlike math.isfinite, a comparison takes an int too large for a float.
-    if not 0 < value < math.inf:
-        raise ValueError(f"{kind} must be positive and finite")
-    if kind != "eps_dir" and value > _MAX_COUNT:
-        raise ValueError(f"{kind} must not exceed 2**53")
-    if kind == "n" and value > _MAX_ORDER:
-        raise ValueError(f"n must not exceed {_MAX_ORDER}")
 
 
 def _playable_id(ids: dict[str, int], symbol: str) -> int:

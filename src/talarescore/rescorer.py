@@ -46,15 +46,7 @@ import numpy as np
 from .core import SENTINEL_ID, StrokeSequence, StrokeVocabulary
 from .dynamic_model import _observe, _predict
 from .errors import RescoreError, VocabularyMismatchError
-from .fusion import (
-    _EPS_JSD,
-    _combine,
-    _jsd,
-    _jsd_half,
-    acoustic_confidence,
-    lambda_k,
-    parse_lambda_mode,
-)
+from .fusion import _combine, _jsd, _jsd_half, acoustic_confidence, lambda_k, parse_lambda_mode
 from .lattice import Lattice
 from .model import RhythmModel
 
@@ -192,7 +184,7 @@ class _Scorer:
     """
 
     __slots__ = (
-        "vocab", "rho", "beta", "scale", "halves", "fixed_lam",
+        "vocab", "rho", "beta", "halves", "fixed_lam",
         "advance", "dist", "start", "alpha0", "arcs", "confidence",
     )
 
@@ -202,7 +194,6 @@ class _Scorer:
         self.rho, self.beta = cfg.rho, cfg.beta
         self.fixed_lam = parse_lambda_mode(cfg.lambda_mode)
         adaptive = self.fixed_lam is None
-        self.scale = 1.0 + model.vocab.num_playable * _EPS_JSD
         self.halves: dict[tuple[float, ...], tuple[list[float], list[float]]] = {}
         self.advance, self.dist = model.prior.advance, model.prior.dist
         self.start = model.prior.start()
@@ -246,8 +237,8 @@ class _Scorer:
             conf = self.confidence[node]
             half = self.halves.get(p_static)
             if half is None:
-                half = self.halves[p_static] = _jsd_half(p_static, _EPS_JSD, self.scale)
-            div = _jsd(p_dyn, half, _EPS_JSD, self.scale)
+                half = self.halves[p_static] = _jsd_half(p_static)
+            div = _jsd(p_dyn, half)
             lam = lambda_k(conf, div)
         else:
             conf = div = math.nan

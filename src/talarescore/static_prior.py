@@ -17,7 +17,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .core import SENTINEL_ID, StrokeSequence
+from .core import SENTINEL_ID, StrokeSequence, _check_hyperparameter
 from .errors import VocabularyError
 
 
@@ -28,7 +28,8 @@ class TalaIndependentPrior:
     labeled ``tala`` (contexts of exactly ``n - 1`` strokes, sentinel-padded
     at the sequence start); ``window_counts[tala][u]`` counts each stroke
     window ``u`` of length 1..w_tau; ``tala_priors`` holds P(tala).  All
-    three name the same talas.
+    three name the same talas.  ``n``, ``laplace_k`` and ``w_tau`` must lie
+    in the model file's bounds.
 
     Its state is the tuple of the last ``max(w_tau, n - 1)`` strokes, all
     the mixture reads.  ``start()`` is the empty history's state,
@@ -56,12 +57,8 @@ class TalaIndependentPrior:
         window_counts: dict[str, dict[tuple[int, ...], int]],
         tala_priors: dict[str, float],
     ) -> None:
-        if n < 1:
-            raise ValueError("n-gram order must be >= 1")
-        if w_tau < 1:
-            raise ValueError("w_tau must be >= 1")
-        if laplace_k <= 0:
-            raise ValueError("laplace_k must be positive")
+        for kind, value in (("n", n), ("laplace_k", laplace_k), ("w_tau", w_tau)):
+            _check_hyperparameter(kind, value)
         if not tala_priors:
             raise ValueError("empty tala set")
         if not set(counts) == set(window_counts) == set(tala_priors):

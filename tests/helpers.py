@@ -27,10 +27,9 @@ def dist_after(ti, history):
     return ti.dist(functools.reduce(ti.advance, history, ti.start()))
 
 
-def two_part_jsd(p, q, eps):
+def two_part_jsd(p, q):
     """The divergence as the decode takes it: q's half, then the rest."""
-    scale = 1.0 + len(q) * eps
-    return _jsd(p, _jsd_half(q, eps, scale), eps, scale)
+    return _jsd(p, _jsd_half(q))
 
 
 def replayed_steps(lat, model, cfg, exp):

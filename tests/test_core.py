@@ -82,10 +82,9 @@ def test_tala_spec_validation(vocab, tintal):
 
 
 def test_default_tihai_matches_appendix_layout(vocab, tintal):
-    tihai = default_tihai(tintal, vocab)
+    tihai = default_tihai(tintal)
     assert tihai.phrase.to_symbols(vocab) == ("Dha", "Tin", "Tin", "Na")
     assert tihai.connector.to_symbols(vocab) == ("Na", "Na")
-    assert tihai.repetitions == 3
     assert tihai.total_span == 16  # 4 + 2 + 4 + 2 + 4
     assert tihai.in_cycle_span == 12
 
@@ -217,6 +216,21 @@ def test_package_public_names_are_pinned():
         "path_terms", "rescore", "run_benchmark", "save_lattice", "save_model", "ser", "standard_suite",
         "train_model", "viterbi_acoustic", "viterbi_expanded",
     ]
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("Dha Na\n#tala=t\nNa Foo\n", "line 3: unknown stroke symbol: 'Foo'"),
+        ("Dha Na\nNa <s> Dha\n", "line 2: '<s>' is not a playable stroke"),
+    ],
+)
+def test_sequence_file_errors_name_the_line_and_symbol(tmp_path, vocab, text, message):
+    path = tmp_path / "bad.txt"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(VocabularyError) as exc:
+        load_sequences(path, vocab)
+    assert str(exc.value) == message
 
 
 def test_unknown_symbol_in_sequence_file(tmp_path, vocab):

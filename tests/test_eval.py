@@ -178,6 +178,7 @@ def test_report_holds_one_record_per_pair_and_row_in_order():
         ("adaptive", "adaptive"),
         (" adaptive", "adaptive"),
         ("fixed:0", "lambda=0"),
+        ("fixed:-0", "lambda=0"),
         ("fixed: 0.5", "lambda=0.5"),
         ("fixed:1.0", "lambda=1"),
         ("0.25", "lambda=0.25"),

@@ -30,13 +30,13 @@ def rand_dist(rng, n):
 
 def test_jsd_identity_is_zero():
     p = np.array([0.2, 0.3, 0.5])
-    assert two_part_jsd(p, p, 1e-8) == 0.0
+    assert two_part_jsd(p, p) == 0.0
 
 
 def test_jsd_disjoint_supports_approach_log2():
     p = np.array([1.0, 0.0])
     q = np.array([0.0, 1.0])
-    assert two_part_jsd(p, q, 1e-8) == pytest.approx(LOG2, abs=1e-3)
+    assert two_part_jsd(p, q) == pytest.approx(LOG2, abs=1e-3)
 
 
 def test_jsd_analytic_value():
@@ -47,7 +47,7 @@ def test_jsd_analytic_value():
         0.5 * math.log(0.5 / 0.75) + 0.5 * math.log(0.5 / 0.25)
     )
     assert expected == pytest.approx(0.2157, abs=1e-3)
-    assert two_part_jsd(p, q, 1e-8) == pytest.approx(expected, abs=1e-3)
+    assert two_part_jsd(p, q) == pytest.approx(expected, abs=1e-3)
 
 
 def test_jsd_exact_symmetry_and_bounds_randomized():
@@ -56,8 +56,8 @@ def test_jsd_exact_symmetry_and_bounds_randomized():
         n = rng.randrange(2, 8)
         p = rand_dist(rng, n)
         q = rand_dist(rng, n)
-        d_pq = two_part_jsd(p, q, 1e-8)
-        d_qp = two_part_jsd(q, p, 1e-8)
+        d_pq = two_part_jsd(p, q)
+        d_qp = two_part_jsd(q, p)
         assert d_pq == d_qp
         assert 0.0 <= d_pq <= LOG2 + 1e-12
 
@@ -67,7 +67,7 @@ def test_jsd_matches_independent_oracle():
     for _ in range(100):
         p = rand_dist(rng, 5)
         q = rand_dist(rng, 5)
-        assert two_part_jsd(p, q, 1e-8) == pytest.approx(jsd_nats(list(p), list(q), 1e-8), abs=1e-12)
+        assert two_part_jsd(p, q) == pytest.approx(jsd_nats(list(p), list(q), 1e-8), abs=1e-12)
 
 
 def test_confidence_single_arc_is_one():
@@ -228,14 +228,13 @@ def test_jsd_is_bit_identical_to_numpy_formula():
     for n in trial_lengths(rng, 10_000):
         p = rough_dist(rng, n)
         q = p if rng.random() < 0.05 else rough_dist(rng, n)
-        got = two_part_jsd(p, q, eps)
+        got = two_part_jsd(p, q)
         assert type(got) is float
         assert got == numpy_jsd(p, q, eps)
         # One static half serves every p it meets.
-        scale = 1.0 + n * eps
-        half = _jsd_half(q, eps, scale)
+        half = _jsd_half(q)
         for p2 in (p, q, rough_dist(other, n)):
-            assert _jsd(p2, half, eps, scale) == numpy_jsd(p2, q, eps)
+            assert _jsd(p2, half) == numpy_jsd(p2, q, eps)
 
 
 def test_np_log_of_a_cell_does_not_depend_on_its_batch():

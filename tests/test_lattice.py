@@ -138,6 +138,25 @@ def test_generated_lattice_is_deterministic_and_byte_stable(vocab, tintal, tmp_p
     assert (tmp_path / "a.lat").read_bytes() == (tmp_path / "b.lat").read_bytes()
 
 
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("noise_sigma", -0.5, "^noise_sigma must be non-negative$"),
+        ("noise_sigma", float("nan"), "^noise_sigma must be finite, got nan$"),
+        ("noise_sigma", float("inf"), "^noise_sigma must be finite, got inf$"),
+        ("margin", float("nan"), "^margin must be finite, got nan$"),
+        ("margin", float("-inf"), "^margin must be finite, got -inf$"),
+        ("branching", 0, "^branching must be >= 1$"),
+        ("p_del", 1.5, r"^p_del must lie in \[0, 1\], got 1.5$"),
+    ],
+)
+def test_generation_config_rejects_values_that_make_no_lattice(field, value, message):
+    # A non-finite score would surface only as the generated lattice's own
+    # format error, blaming the program's output for its input.
+    with pytest.raises(ValueError, match=message):
+        LatticeGenConfig(rng_seed=0, **{field: value})
+
+
 def test_branching_cannot_exceed_vocabulary(vocab):
     truth = StrokeSequence((1, 2))
     with pytest.raises(ValueError, match="branching"):

@@ -1,17 +1,19 @@
 from __future__ import annotations
 
 import hashlib
+import math
 
 import numpy as np
 import pytest
 
 from talarescore.core import StrokeSequence
+from talarescore.dynamic_model import init_alpha
 from talarescore.errors import ModelFormatError, VocabularyError, VocabularyMismatchError
 from talarescore.eval import build_training_corpus, standard_suite
 from talarescore.lattice import LatticeGenConfig, generate_lattice
 from talarescore.model import RhythmModel, dumps_model, load_model, loads_model, save_model, train_model
 from talarescore.rescorer import rescore
-from talarescore.static_prior import train_static_prior
+from talarescore.static_prior import TalaIndependentPrior, train_static_prior
 
 from .helpers import dist_after
 
@@ -188,6 +190,33 @@ def test_train_rejects_a_non_integer_order_or_window(small_corpus, vocab, kind, 
     # with anything else could not load back.
     with pytest.raises(ValueError, match=f"^{kind} must be an integer$"):
         train_model(small_corpus, vocab, **{kind: value})
+
+
+@pytest.mark.parametrize(
+    "kind, value, raw",
+    [
+        ("laplace_k", math.inf, "inf"), ("laplace_k", math.nan, "nan"), ("n", 10**6, "1000000"),
+        ("w_tau", 2**60, str(2**60)), ("eps_dir", math.nan, "nan"), ("eps_dir", math.inf, "inf"),
+        # A header line holds no fractional n: its integer parse fails first.
+        ("n", 2.5, None),
+    ],
+)
+def test_direct_construction_applies_the_model_files_bounds(small_corpus, vocab, kind, value, raw):
+    with pytest.raises(ValueError) as direct:
+        if kind == "eps_dir":
+            init_alpha(small_corpus, vocab, eps_dir=value)
+        else:
+            tables = {"counts": {"t": {}}, "window_counts": {"t": {}}, "tala_priors": {"t": 1.0}}
+            TalaIndependentPrior(**{"n": 2, "laplace_k": 1.0, "w_tau": 4, "num_playable": 2, **tables, kind: value})
+    with pytest.raises(ValueError) as trained:
+        train_model(small_corpus, vocab, **{kind: value})
+    assert str(direct.value) == str(trained.value)
+    if raw is not None:
+        line = f"{kind} {raw}"
+        lines = [line if old.startswith(kind + " ") else old for old in VALID_MODEL.splitlines()]
+        with pytest.raises(ModelFormatError) as loaded:
+            loads_model("\n".join(lines) + "\n")
+        assert str(loaded.value) == f"bad {kind} line {line!r}: {direct.value}"
 
 
 def test_model_rejects_a_prior_over_another_vocabulary(small_model, vocab):

@@ -15,7 +15,7 @@ from talarescore import rescorer
 from talarescore.core import default_vocabulary
 from talarescore.errors import RescoreError, VocabularyMismatchError
 from talarescore.eval import build_training_corpus, standard_suite, suite_test_set
-from talarescore.fusion import _EPS_JSD, _combine, lambda_k
+from talarescore.fusion import _combine, lambda_k
 from talarescore.lattice import Arc, Lattice, viterbi_acoustic
 from talarescore.model import loads_model, train_model
 from talarescore.rescorer import (
@@ -459,7 +459,7 @@ def test_replayed_steps_equal_the_fusion_formulas(standard_lattice, mode):
     assert len(steps) > 1000
     for tr in steps.values():
         if mode == "adaptive":
-            assert tr.divergence == two_part_jsd(tr.p_dyn, tr.p_static, _EPS_JSD)
+            assert tr.divergence == two_part_jsd(tr.p_dyn, tr.p_static)
             assert tr.lam == lambda_k(tr.confidence, tr.divergence)
         else:
             # A fixed weight computes neither term.
