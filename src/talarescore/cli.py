@@ -289,13 +289,16 @@ def _diagnostic_lines(
 
 def cmd_bench(args: argparse.Namespace) -> int:
     values = read_config_file(args.suite) if args.suite else {}
-    suite = evaluation.suite_from_config(values, seed_override=args.seed)
+    if args.seed is not None:
+        values["seed"] = str(args.seed)
+    suite = evaluation.suite_from_config(values)
     args.out_dir.mkdir(parents=True, exist_ok=True)
     if args.data_efficiency:
         tsv = "subset\tconfig\tser\timprovement_abs\timprovement_rel\n"
         tables = []
         for name, fraction in evaluation.DATA_EFFICIENCY_SUBSETS:
-            report = evaluation.run_benchmark(replace(suite, train_fraction=fraction))
+            subset = replace(suite, train_per_tala=max(1, round(suite.train_per_tala * fraction)))
+            report = evaluation.run_benchmark(subset)
             tsv += "".join(f"{name}\t{line}" for line in report.to_tsv().splitlines(keepends=True)[1:])
             tables.append(f"== training subset: {name} ==\n{report.to_table()}")
         table = "\n".join(tables)

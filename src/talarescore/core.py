@@ -76,9 +76,6 @@ class StrokeVocabulary:
             raise VocabularyError(f"stroke id out of range: {stroke_id}")
         return self.symbols[stroke_id]
 
-    def is_playable(self, stroke_id: int) -> bool:
-        return 1 <= stroke_id < len(self.symbols)
-
     def __contains__(self, symbol: str) -> bool:
         return symbol in self.symbols
 
@@ -304,7 +301,7 @@ def generate_sequence(
         raise ValueError("cycles must be >= 1")
     dev = deviation or NO_DEVIATION
     for sid in tala.theka.strokes:
-        if not vocab.is_playable(sid):
+        if sid not in vocab.playable_ids:
             raise VocabularyError(f"theka stroke id {sid} not in vocabulary")
 
     tihai: TihaiSpec | None = None
@@ -384,7 +381,7 @@ def load_tala_specs(path: str | Path, vocab: StrokeVocabulary) -> list[TalaSpec]
         specs.append(TalaSpec(name, matras, boundaries, theka))
 
     seen: set[str] = set()  # the current tala's directives
-    for raw in Path(path).read_text(encoding="utf-8").splitlines():
+    for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -410,7 +407,7 @@ def load_tala_specs(path: str | Path, vocab: StrokeVocabulary) -> list[TalaSpec]
             if kind == "vibhag":
                 boundaries = _ints(line, parts[1:])
             else:
-                theka = StrokeSequence.from_symbols(vocab, parts[1:], tala_label=name)
+                theka = StrokeSequence(_playable_strokes(vocab, parts[1:], lineno), tala_label=name)
     flush()
     if not specs:
         raise ValueError(f"no tala specs found in {path}")
@@ -437,6 +434,17 @@ def save_sequences(seqs: Sequence[StrokeSequence], path: str | Path, vocab: Stro
     Path(path).write_text("".join(f"{l}\n" for l in lines), encoding="utf-8")
 
 
+def _playable_strokes(vocab: StrokeVocabulary, names: Sequence[str], lineno: int) -> tuple[int, ...]:
+    """The ids of ``names``; a symbol that is no playable stroke raises ``VocabularyError`` naming the line."""
+    try:
+        strokes = tuple(map(vocab.id_of, names))
+    except VocabularyError as exc:
+        raise VocabularyError(f"line {lineno}: {exc}") from None
+    if SENTINEL_ID in strokes:
+        raise VocabularyError(f"line {lineno}: {SENTINEL!r} is not a playable stroke")
+    return strokes
+
+
 def load_sequences(path: str | Path, vocab: StrokeVocabulary) -> list[StrokeSequence]:
     """Raises ``VocabularyError`` naming the line for a symbol that is not a playable stroke."""
     seqs: list[StrokeSequence] = []
@@ -450,12 +458,6 @@ def load_sequences(path: str | Path, vocab: StrokeVocabulary) -> list[StrokeSequ
             continue
         if line.startswith("#"):
             continue
-        try:
-            strokes = tuple(map(vocab.id_of, line.split()))
-        except VocabularyError as exc:
-            raise VocabularyError(f"line {lineno}: {exc}") from None
-        if SENTINEL_ID in strokes:
-            raise VocabularyError(f"line {lineno}: {SENTINEL!r} is not a playable stroke")
-        seqs.append(StrokeSequence(strokes, tala_label=label))
+        seqs.append(StrokeSequence(_playable_strokes(vocab, line.split(), lineno), tala_label=label))
         label = None
     return seqs

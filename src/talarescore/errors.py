@@ -22,4 +22,4 @@ class ModelFormatError(TalarescoreError):
 
 
 class RescoreError(TalarescoreError):
-    """Rescoring failed, e.g. no terminal state survived the beam."""
+    """Rescoring failed, e.g. an arc's rescored weight is not finite."""

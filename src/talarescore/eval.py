@@ -33,7 +33,7 @@ from .rescorer import RescoreConfig, rescore
 
 BASELINE_LABEL = "baseline"
 DEFAULT_LAMBDA_SWEEP = ("fixed:0", "fixed:0.25", "fixed:0.5", "fixed:0.75", "fixed:1", "adaptive")
-# The ``bench --data-efficiency`` training subsets: name and train_fraction.
+# The ``bench --data-efficiency`` training subsets: name and share of ``train_per_tala``.
 DATA_EFFICIENCY_SUBSETS = (("small", 1 / 3), ("medium", 2 / 3), ("large", 1.0))
 
 
@@ -148,7 +148,8 @@ class BenchmarkSuiteConfig:
 
     Per-sequence randomness is split deterministically from ``seed`` by
     stream and index, so reruns are byte-identical.  Talas that cannot host
-    their default tihai run with ``p_tihai`` forced to zero.
+    their default tihai run with ``p_tihai`` forced to zero.  ``lambda_modes``
+    sets each report row's mode, so ``rescore.lambda_mode`` is not read.
     """
 
     talas: tuple[str, ...] = ("tintal", "jhaptal", "rupak", "ektal")
@@ -168,15 +169,12 @@ class BenchmarkSuiteConfig:
     rescore: RescoreConfig = field(default_factory=RescoreConfig)
     lambda_modes: tuple[str, ...] = DEFAULT_LAMBDA_SWEEP
     seed: int = 2024
-    train_fraction: float = 1.0
 
     def __post_init__(self) -> None:
         if not self.talas:
             raise ValueError("suite needs at least one tala")
         if self.train_per_tala < 1 or self.test_per_tala < 1:
             raise ValueError("need at least one training and one test sequence per tala")
-        if not 0.0 < self.train_fraction <= 1.0:
-            raise ValueError("train_fraction must lie in (0, 1]")
         # Each mode is one report row; two with one label share a weight.
         if len({parse_lambda_mode(m) for m in self.lambda_modes}) < len(self.lambda_modes):
             raise ValueError(f"lambda_modes repeats a weight: {self.lambda_modes!r}")
@@ -187,7 +185,7 @@ def standard_suite(seed: int = 2024) -> BenchmarkSuiteConfig:
     return BenchmarkSuiteConfig(seed=seed)
 
 
-def suite_from_config(values: dict[str, str], seed_override: int | None = None) -> BenchmarkSuiteConfig:
+def suite_from_config(values: dict[str, str]) -> BenchmarkSuiteConfig:
     """The standard suite with the ``key=value`` strings of a suite file applied.
 
     ``talas`` takes comma-separated tala names.  Every other key is an
@@ -213,8 +211,6 @@ def suite_from_config(values: dict[str, str], seed_override: int | None = None) 
     top = changes.pop("")
     for part, part_changes in changes.items():
         top[part] = replace(getattr(suite, part), **part_changes)
-    if seed_override is not None:
-        top["seed"] = seed_override
     return replace(suite, **top)
 
 
@@ -318,10 +314,9 @@ def build_training_corpus(
     suite: BenchmarkSuiteConfig,
     vocab: StrokeVocabulary | None = None,
 ) -> list[StrokeSequence]:
-    """The suite's training split; ``train_fraction`` subsets per tala."""
+    """The suite's training split: ``train_per_tala`` sequences per tala."""
     vocab = vocab or default_vocabulary()
-    count = max(1, round(suite.train_per_tala * suite.train_fraction))
-    return [seq for _, seq in _suite_sequences(suite, vocab, _TRAIN_STREAM, count)]
+    return [seq for _, seq in _suite_sequences(suite, vocab, _TRAIN_STREAM, suite.train_per_tala)]
 
 
 def suite_test_set(suite: BenchmarkSuiteConfig, vocab: StrokeVocabulary) -> list[tuple[StrokeSequence, Lattice]]:

@@ -46,16 +46,15 @@ _EPS_JSD = 1e-8
 def parse_lambda_mode(mode: str) -> float | None:
     """None for adaptive, otherwise the fixed weight.
 
-    ``mode`` is either ``"adaptive"`` or ``"fixed:<v>"`` with v in [0, 1]; a
-    bare number is accepted as shorthand for the fixed form.
+    ``mode`` is either ``"adaptive"`` or ``"fixed:<v>"`` with v in [0, 1].
     """
     text = str(mode).strip()
     if text == "adaptive":
         return None
-    if text.startswith("fixed:"):
-        text = text[len("fixed:"):]
     try:
-        value = float(text)
+        if not text.startswith("fixed:"):
+            raise ValueError(text)
+        value = float(text[len("fixed:"):])
     except ValueError:
         raise ValueError(f"bad lambda mode {mode!r}; expected 'adaptive' or 'fixed:<v>'") from None
     if not 0.0 <= value <= 1.0:

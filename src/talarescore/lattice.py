@@ -71,7 +71,7 @@ class Lattice:
         for f in self.finals:
             if not 0 <= f < n:
                 raise LatticeFormatError(f"final node {f} out of range")
-        # The bound is StrokeVocabulary.is_playable's, inlined.
+        # The bound is StrokeVocabulary.playable_ids's, inlined.
         n_symbols = self.vocab.num_symbols
         isfinite, arc_type = math.isfinite, Arc
         dsts = []
@@ -149,9 +149,11 @@ def viterbi_acoustic(lat: Lattice) -> StrokeSequence:
     the result deterministic and keeps it consistent with the rescorer's
     tie-break when the rhythmic term vanishes.
     """
-    arcs, start = lat.arcs, lat.start
+    arcs = lat.arcs
     # Each node keeps the score of its best chain and the chain's last arc;
-    # -1 marks the start and nodes not reached yet.
+    # -1 marks the start and nodes not reached yet.  Validation puts every
+    # node on a start-to-final path, so the start precedes every other node
+    # in topological order, and each node and each final is reached.
     score = [0.0] * lat.n_nodes
     back = [-1] * lat.n_nodes
 
@@ -165,8 +167,6 @@ def viterbi_acoustic(lat: Lattice) -> StrokeSequence:
 
     outgoing = lat.outgoing
     for v in lat.topological_order:
-        if back[v] < 0 and v != start:
-            continue
         score_v = score[v]
         for aid in outgoing[v]:
             arc = arcs[aid]
@@ -178,12 +178,8 @@ def viterbi_acoustic(lat: Lattice) -> StrokeSequence:
                 back[dst] = aid
     winner = -1
     for f in sorted(lat.finals):
-        if back[f] < 0:
-            continue
         if winner < 0 or score[f] > score[winner] or (score[f] == score[winner] and chain(f) < chain(winner)):
             winner = f
-    if winner < 0:
-        raise LatticeFormatError("no final node is reachable from the start")
     return StrokeSequence(tuple(arcs[aid].label for aid in chain(winner)))
 
 
@@ -245,14 +241,14 @@ def generate_lattice(
     for k in range(1, k_total + 1):
         true_label = truth.strokes[k - 1]
         arcs.append(Arc(k - 1, k, true_label, noise()))
-        for comp in _competitors(rng, true_label, cfg, vocab):
+        for comp in _competitors(rng, true_label, cfg.branching - 1, vocab):
             arcs.append(Arc(k - 1, k, comp, -cfg.margin + noise()))
         if k < k_total and cfg.p_del > 0 and rng.random() < cfg.p_del:
             arcs.append(Arc(k - 1, k + 1, truth.strokes[k], -cfg.margin + noise()))
         if cfg.p_ins > 0 and rng.random() < cfg.p_ins:
             mid = next_node
             next_node += 1
-            inserted = _competitors(rng, true_label, cfg, vocab, count=1)
+            inserted = _competitors(rng, true_label, 1, vocab)
             arcs.append(Arc(k - 1, mid, true_label, noise()))
             arcs.append(Arc(mid, k, inserted[0], -cfg.margin + noise()))
     return Lattice(
@@ -264,19 +260,12 @@ def generate_lattice(
     )
 
 
-def _competitors(
-    rng: np.random.Generator,
-    true_label: int,
-    cfg: LatticeGenConfig,
-    vocab: StrokeVocabulary,
-    count: int | None = None,
-) -> list[int]:
-    """Distinct competitor labels for one position, drawn uniformly."""
-    want = cfg.branching - 1 if count is None else count
-    if want <= 0:
+def _competitors(rng: np.random.Generator, true_label: int, count: int, vocab: StrokeVocabulary) -> list[int]:
+    """Up to ``count`` distinct competitor labels for one position, drawn uniformly."""
+    if count <= 0:
         return []
     ids = [p for p in vocab.playable_ids if p != true_label]
-    want = min(want, len(ids))
+    want = min(count, len(ids))
     probs = np.ones(len(ids)) / len(ids)
     chosen = rng.choice(len(ids), size=want, replace=False, p=probs)
     return [ids[int(i)] for i in chosen]

@@ -114,27 +114,24 @@ class ExpandedLattice:
     states: _StateColumns = field(default_factory=_StateColumns)
     terminals: list[int] = field(default_factory=list)
 
+    def _walk(self, state_id: int) -> list[int]:
+        # The state ids from the root to ``state_id``, root first.
+        parent = self.states.parent
+        ids = [state_id]
+        while (sid := parent[ids[-1]]) is not None:
+            ids.append(sid)
+        ids.reverse()
+        return ids
+
     def history(self, state_id: int) -> tuple[int, ...]:
         """Stroke ids from the root to ``state_id``, led by the start sentinel."""
-        parent, stroke = self.states.parent, self.states.stroke
-        strokes: list[int] = []
-        sid: int | None = state_id
-        while sid is not None:
-            strokes.append(stroke[sid])
-            sid = parent[sid]
-        strokes.reverse()
-        return tuple(strokes)
+        stroke = self.states.stroke
+        return tuple(stroke[sid] for sid in self._walk(state_id))
 
     def arc_chain(self, state_id: int) -> tuple[int, ...]:
         """Original lattice arc ids from the root to ``state_id``."""
-        parent, arc_id = self.states.parent, self.states.arc_id
-        chain: list[int] = []
-        sid = state_id
-        while arc_id[sid] is not None:
-            chain.append(arc_id[sid])
-            sid = parent[sid]
-        chain.reverse()
-        return tuple(chain)
+        arc_id = self.states.arc_id
+        return tuple(arc_id[sid] for sid in self._walk(state_id)[1:])
 
 
 @dataclass(frozen=True)
@@ -328,8 +325,11 @@ def rescore(
             max_queue = queued
         del queue[k_beam:]
 
-    if not terminals:
-        raise RescoreError("no terminal state survived pruning; widen k_beam")
+    # ``terminals`` is not empty: the queue empties only after a pop that
+    # pushes nothing (k_beam is at least 1), and validation puts every node on
+    # a start-to-final path, so that pop is at a final node, whose state
+    # became a terminal when it was pushed.
+
     # Finite weights can still sum past the float range, and tied infinite
     # scores would leave the choice to the arc-id tie-break.
     overflowed = next((t for t in terminals if not -math.inf < accs[t] < math.inf), None)

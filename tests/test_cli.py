@@ -540,3 +540,66 @@ def test_decode_defaults_pin_standard_hyperparameters():
     assert train.laplace_k == 1.0
     assert train.w_tau == 16
     assert train.eps_dir == 1.0
+
+
+def test_gen_corpus_reads_the_tala_from_a_talas_file(tmp_path, capsys):
+    talas = tmp_path / "talas.txt"
+    talas.write_text("tala t 4\nvibhag 1 3\ntheka Dha Na Tin Na\n", encoding="utf-8")
+    out = gen_corpus(tmp_path, tala="t", count=2, extra=("--talas-file", str(talas)))
+    seqs = load_sequences(out, default_vocabulary())
+    assert [(s.tala_label, len(s)) for s in seqs] == [("t", 8), ("t", 8)]
+    capsys.readouterr()
+    argv = ["gen-corpus", "--tala", "tintal", "--seed", "1", "--out", str(tmp_path / "x.txt")]
+    assert run([*argv, "--talas-file", str(talas)]) == 1
+    assert capsys.readouterr().err == f"error: tala 'tintal' not in {talas}\n"
+
+
+def test_config_file_true_value_sets_the_flag(tmp_path, capsys):
+    corpus = gen_corpus(tmp_path, count=3)
+    model_path = tmp_path / "model.tiprior"
+    assert run(["train", "--corpus", str(corpus), "--out", str(model_path)]) == 0
+    lat_dir = tmp_path / "lats"
+    assert run(["gen-lattice", "--sequences", str(corpus), "--out-dir", str(lat_dir), "--seed", "9",
+                "--branching", "3", "--noise-sigma", "0.9"]) == 0
+    lats = sorted(map(str, lat_dir.glob("*.lat")))
+    cfg = tmp_path / "rescore.cfg"
+    cfg.write_text("baseline=true\n", encoding="utf-8")
+    flag_out, file_out = tmp_path / "flag.txt", tmp_path / "file.txt"
+    assert run(["rescore", *lats, "--model", str(model_path), "--out", str(flag_out), "--baseline"]) == 0
+    assert run(["rescore", *lats, "--model", str(model_path), "--out", str(file_out), "--config", str(cfg)]) == 0
+    assert file_out.read_text() == flag_out.read_text()
+    # The file's flag meets --diagnostics like the spelled-out one.
+    with pytest.raises(SystemExit) as exc:
+        run(["rescore", *lats, "--model", str(model_path), "--out", str(file_out), "--config", str(cfg),
+             "--diagnostics", str(tmp_path / "d.txt")])
+    assert exc.value.code == 2
+    assert "--baseline does not rescore" in capsys.readouterr().err
+
+
+def test_gen_lattice_on_a_file_with_no_sequences_fails(tmp_path, capsys):
+    seqs = tmp_path / "empty.txt"
+    seqs.write_text("# no sequences\n", encoding="utf-8")
+    out_dir = tmp_path / "lats"
+    assert run(["gen-lattice", "--sequences", str(seqs), "--out-dir", str(out_dir), "--seed", "1"]) == 1
+    assert capsys.readouterr().err == f"error: no sequences in {seqs}\n"
+    assert not out_dir.exists()
+
+
+def test_ser_with_more_references_than_hypotheses_fails(tmp_path, capsys):
+    ref, hyp = tmp_path / "ref.txt", tmp_path / "hyp.txt"
+    ref.write_text("Dha Na\nTin Na\n", encoding="utf-8")
+    hyp.write_text("Dha Na\n", encoding="utf-8")
+    assert run(["ser", "--ref", str(ref), "--hyp", str(hyp)]) == 1
+    assert capsys.readouterr().err == "error: 2 references vs 1 hypotheses\n"
+
+
+def test_bench_seed_flag_overrides_the_suite_files_seed(tmp_path):
+    text = "talas=tintal\ntrain_per_tala=3\ntest_per_tala=1\ncycles=2\nbranching=2\nnoise_sigma=0.5\nk_beam=40\n"
+    flagged, keyed = tmp_path / "flagged.cfg", tmp_path / "keyed.cfg"
+    flagged.write_text(text + "seed=3\n", encoding="utf-8")
+    keyed.write_text(text + "seed=7\n", encoding="utf-8")
+    assert run(["bench", "--suite", str(flagged), "--seed", "7", "--out-dir", str(tmp_path / "flag")]) == 0
+    assert run(["bench", "--suite", str(keyed), "--out-dir", str(tmp_path / "key")]) == 0
+    for name in ("report.tsv", "report.txt"):
+        assert (tmp_path / "flag" / name).read_bytes() == (tmp_path / "key" / name).read_bytes()
+    assert (tmp_path / "flag" / "report.txt").read_text().startswith("# seed=7 ")

@@ -37,7 +37,7 @@ def test_vocabulary_ids_dense_with_sentinel_at_zero(vocab):
     assert list(vocab.playable_ids) == list(range(1, vocab.num_playable + 1))
     for sid in vocab.playable_ids:
         assert vocab.id_of(vocab.symbol_of(sid)) == sid
-    assert not vocab.is_playable(SENTINEL_ID)
+    assert SENTINEL_ID not in vocab.playable_ids
 
 
 def test_vocabulary_rejects_duplicates_and_bad_names():
@@ -238,3 +238,55 @@ def test_unknown_symbol_in_sequence_file(tmp_path, vocab):
     path.write_text("Dha Zzz\n", encoding="utf-8")
     with pytest.raises(VocabularyError, match="Zzz"):
         load_sequences(path, vocab)
+
+
+@pytest.mark.parametrize(
+    "theka, message",
+    [
+        ("Dha Foo", "line 3: unknown stroke symbol: 'Foo'"),
+        ("Dha <s>", "line 3: '<s>' is not a playable stroke"),
+    ],
+)
+def test_tala_file_theka_errors_name_the_line_and_symbol(tmp_path, vocab, theka, message):
+    path = tmp_path / "talas.txt"
+    path.write_text(f"tala t 2\nvibhag 1\ntheka {theka}\n", encoding="utf-8")
+    with pytest.raises(VocabularyError) as exc:
+        load_tala_specs(path, vocab)
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("tala t 4\nvibhag 1 3\n", "tala 't' has no theka line"),
+        ("tala t\n", "bad tala line: 'tala t'"),
+        ("tala t 4\nbol Dha\n", "unknown directive in tala file: 'bol'"),
+        ("", "no tala specs found in {path}"),
+    ],
+    ids=["no-theka", "bad-tala-line", "unknown-directive", "empty"],
+)
+def test_malformed_tala_files_fail(tmp_path, vocab, text, message):
+    path = tmp_path / "talas.txt"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(ValueError) as exc:
+        load_tala_specs(path, vocab)
+    assert type(exc.value) is ValueError
+    assert str(exc.value) == message.format(path=path)
+
+
+def test_tala_without_vibhag_takes_the_last_four_beats_as_its_tihai_phrase(tmp_path, vocab):
+    path = tmp_path / "talas.txt"
+    path.write_text("tala t 8\ntheka Dha Ta Dhin Na Dha Ta Tin Na\n", encoding="utf-8")
+    (tala,) = load_tala_specs(path, vocab)
+    assert tala.vibhag_boundaries == ()
+    tihai = default_tihai(tala)
+    assert tihai.phrase.to_symbols(vocab) == ("Dha", "Ta", "Tin", "Na")
+    assert tihai.connector.to_symbols(vocab) == ("Na", "Na")
+
+
+def test_vocabulary_file_naming_the_sentinel_fails(tmp_path):
+    path = tmp_path / "vocab.txt"
+    path.write_text("Dha\n<s>\n", encoding="utf-8")
+    with pytest.raises(VocabularyError) as exc:
+        load_vocabulary(path)
+    assert str(exc.value) == "'<s>' is reserved and implicit"

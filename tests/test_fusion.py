@@ -152,7 +152,8 @@ def test_combine_cellwise_bounds():
 def test_lambda_mode_parsing():
     assert parse_lambda_mode("adaptive") is None
     assert parse_lambda_mode("fixed:0.25") == 0.25
-    assert parse_lambda_mode("0.75") == 0.75
+    with pytest.raises(ValueError, match="bad lambda mode"):
+        parse_lambda_mode("0.75")
     with pytest.raises(ValueError):
         parse_lambda_mode("fixed:1.5")
     with pytest.raises(ValueError):

@@ -352,3 +352,34 @@ def test_inline_vocab_count_is_checked_in_linear_time():
     text = f"lattice v1\nvocab 5\nstart 0\nfinal {n}\n" + "".join(f"arc {i} {i + 1} s{i} -1.0\n" for i in range(n))
     with pytest.raises(LatticeFormatError, match=r"^vocab count 5 smaller than 50000 distinct arc symbols$"):
         loads_lattice(text)
+
+
+@pytest.mark.parametrize(
+    "n_nodes, start, finals, message",
+    [
+        (0, 0, {1}, "lattice needs at least one node"),
+        (2, 2, {1}, "start node 2 out of range"),
+        (2, 0, set(), "lattice needs at least one final node"),
+        (2, 0, {0, 1}, "start node may not be final (paths must carry strokes)"),
+        (2, 0, {1, 2}, "final node 2 out of range"),
+    ],
+    ids=["no-nodes", "start-out-of-range", "no-final", "final-start", "final-out-of-range"],
+)
+def test_lattice_rejects_bad_node_sets(vocab, n_nodes, start, finals, message):
+    with pytest.raises(LatticeFormatError) as exc:
+        Lattice(vocab=vocab, n_nodes=n_nodes, arcs=(Arc(0, 1, 1, 0.0),), start=start, finals=frozenset(finals))
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("", "expected header 'lattice v1'"),
+        ("lattice v1\nstart 0\nfinal 1\narc 0 1 Dha -1.0\n", "no vocab directive and no vocabulary supplied"),
+    ],
+    ids=["empty", "no-vocab-line"],
+)
+def test_lattice_text_without_header_or_vocabulary_fails(text, message):
+    with pytest.raises(LatticeFormatError) as exc:
+        loads_lattice(text)
+    assert str(exc.value) == message

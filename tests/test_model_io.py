@@ -281,3 +281,22 @@ def test_train_rejects_a_stroke_id_outside_the_vocabulary(vocab):
     corpus = [StrokeSequence((1, 2, 3), tala_label="t"), StrokeSequence((1, 2, 9), tala_label="t")]
     with pytest.raises(VocabularyError, match="stroke id out of range: 9"):
         train_model(corpus, vocab)
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        (
+            "tiprior v1\nn 2\nlaplace_k 1.0\nw_tau 4\neps_dir 1.0\ncount t Dha Na 1\nvocab Dha Na\ntala t 1.0\n",
+            "count line before vocab line",
+        ),
+        ("tiprior v1\ntala t 1.0\n", "missing header fields: ['eps_dir', 'laplace_k', 'n', 'w_tau']"),
+        ("tiprior v1\nn 2\nlaplace_k 1.0\nw_tau 4\neps_dir 1.0\ntala t 1.0\n", "missing vocab line"),
+        ("tiprior v1\nn 2\nlaplace_k 1.0\nw_tau 4\neps_dir 1.0\nvocab Dha Na\n", "no tala lines"),
+    ],
+    ids=["count-before-vocab", "no-header-no-vocab", "no-vocab", "no-tala"],
+)
+def test_model_files_missing_a_section_fail(text, message):
+    with pytest.raises(ModelFormatError) as exc:
+        loads_model(text)
+    assert str(exc.value) == message

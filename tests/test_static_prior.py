@@ -248,3 +248,14 @@ def test_memo_arrays_are_read_only():
     mix = dist_after(ti, (A, B, A))
     assert isinstance(mix, tuple)
     assert list(ti._cache.values()) == [mix]
+
+
+def test_ti_prior_rejects_an_empty_tala_set():
+    with pytest.raises(ValueError, match=r"^empty tala set$"):
+        windows_only({}, {})
+
+
+def test_distribution_of_an_untrained_tala_fails():
+    prior = windows_only({"t": {}}, {"t": 1.0})
+    with pytest.raises(ValueError, match=r"^tala 'u' not in trained prior$"):
+        prior.distribution("u", ())
