@@ -296,9 +296,13 @@ def cmd_bench(args: argparse.Namespace) -> int:
     if args.data_efficiency:
         tsv = "subset\tconfig\tser\timprovement_abs\timprovement_rel\n"
         tables = []
+        # Two fractions can round to one training size; its subset is decoded once.
+        reports: dict[int, evaluation.BenchmarkReport] = {}
         for name, fraction in evaluation.DATA_EFFICIENCY_SUBSETS:
-            subset = replace(suite, train_per_tala=max(1, round(suite.train_per_tala * fraction)))
-            report = evaluation.run_benchmark(subset)
+            size = max(1, round(suite.train_per_tala * fraction))
+            report = reports.get(size)
+            if report is None:
+                report = reports[size] = evaluation.run_benchmark(replace(suite, train_per_tala=size))
             tsv += "".join(f"{name}\t{line}" for line in report.to_tsv().splitlines(keepends=True)[1:])
             tables.append(f"== training subset: {name} ==\n{report.to_table()}")
         table = "\n".join(tables)

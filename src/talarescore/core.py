@@ -14,9 +14,10 @@ from __future__ import annotations
 
 import math
 import random
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import VocabularyError
 
@@ -156,17 +157,31 @@ class TalaSpec:
     def __post_init__(self) -> None:
         if not self.name:
             raise ValueError("tala name must be non-empty")
-        if self.matras < 1:
-            raise ValueError("matras must be positive")
-        if len(self.theka) != self.matras:
-            raise ValueError(
-                f"theka length {len(self.theka)} differs from matras {self.matras}"
-            )
-        prev = 0
-        for b in self.vibhag_boundaries:
-            if not 1 <= b <= self.matras or b <= prev:
-                raise ValueError(f"vibhag boundaries must be strictly increasing in [1, {self.matras}]")
-            prev = b
+        _check_matras(self.matras)
+        _check_theka(self.theka, self.matras)
+        _check_vibhag(self.vibhag_boundaries, self.matras)
+
+
+# A tala's structural rules, one per field; ``load_tala_specs`` checks each on
+# the line that sets the field.
+
+
+def _check_matras(matras: int) -> None:
+    if matras < 1:
+        raise ValueError("matras must be positive")
+
+
+def _check_theka(theka: StrokeSequence, matras: int) -> None:
+    if len(theka) != matras:
+        raise ValueError(f"theka length {len(theka)} differs from matras {matras}")
+
+
+def _check_vibhag(boundaries: tuple[int, ...], matras: int) -> None:
+    prev = 0
+    for b in boundaries:
+        if not 1 <= b <= matras or b <= prev:
+            raise ValueError(f"vibhag boundaries must be strictly increasing in [1, {matras}]")
+        prev = b
 
 
 @dataclass(frozen=True)
@@ -394,6 +409,8 @@ def load_tala_specs(path: str | Path, vocab: StrokeVocabulary) -> list[TalaSpec]
             if any(spec.name == parts[1] for spec in specs):
                 raise ValueError(f"repeated tala name: {line!r}")
             name, (matras,) = parts[1], _ints(line, parts[2:])
+            with _in_tala(lineno, name):
+                _check_matras(matras)
             boundaries, theka = (), None
             seen.clear()
         elif kind not in ("vibhag", "theka"):
@@ -406,12 +423,26 @@ def load_tala_specs(path: str | Path, vocab: StrokeVocabulary) -> list[TalaSpec]
             seen.add(kind)
             if kind == "vibhag":
                 boundaries = _ints(line, parts[1:])
+                with _in_tala(lineno, name):
+                    _check_vibhag(boundaries, matras)
             else:
-                theka = StrokeSequence(_playable_strokes(vocab, parts[1:], lineno), tala_label=name)
+                strokes = _playable_strokes(vocab, parts[1:], lineno)
+                with _in_tala(lineno, name):
+                    theka = StrokeSequence(strokes, tala_label=name)
+                    _check_theka(theka, matras)
     flush()
     if not specs:
         raise ValueError(f"no tala specs found in {path}")
     return specs
+
+
+@contextmanager
+def _in_tala(lineno: int, name: str) -> Iterator[None]:
+    # A tala's structural fault, prefixed with the line that set the field and the tala's name.
+    try:
+        yield
+    except ValueError as exc:
+        raise ValueError(f"line {lineno}: tala {name}: {exc}") from None
 
 
 def _ints(line: str, fields: list[str]) -> tuple[int, ...]:

@@ -25,12 +25,27 @@ trained tala window, so a pop copies no path history.  Most pushed states are
 cut by the capacity rule and never popped, so they cost only their row;
 histories (the winner's, the dump's) are rebuilt from the parent column.
 
-Everything a popped state costs beyond the queue is one step,
-``_Scorer.step``: Dirichlet observe, predict, static ``dist``, divergence,
-interpolation weight, combination and the outgoing arcs' weights, read from
-a per-node arc table built once per decode.  :func:`rescore` runs it for
-every popped state and only searches; :func:`path_terms` runs it for every
-arc of a given path and reports each arc's terms, so both give the same bits.
+Everything a popped state costs beyond the queue is one step in two halves.
+``_Scorer.snapshot`` observes the Dirichlet transition, advances the static
+prior and reads its ``dist``; ``_Scorer.score`` predicts, takes the
+divergence, the interpolation weight and the combination, and gives the
+outgoing arcs' weights, read from a per-node arc table built once per decode.
+:func:`rescore` runs both for every popped state and only searches;
+:func:`path_terms` runs both for every arc of a given path and reports each
+arc's terms, so both give the same bits.
+
+The scoring half reads the history through two values only: row ``stroke``
+of the state's Dirichlet snapshot and its static distribution.  Two states on
+one node whose histories differ in neither get the same weights, bit for
+bit, so :func:`rescore` keeps a memo from
+``(node, stroke, alpha[stroke].tobytes(), p_static)`` to the node's arc
+weights and scores each distinct key once.  A hit is bit-exact because the
+key holds every input of the scoring half: the row's bytes, the static
+distribution's values (each weight is the same for equal values), and the
+node, which fixes the arcs and their acoustic confidence.  The first state
+with a key is the one that scores it, so a failing step raises at the same
+state, with the same message.  The memo is local to one call and dies with
+it; it holds one weights tuple per scored key.
 """
 
 from __future__ import annotations
@@ -159,17 +174,23 @@ class StepTrace:
 
 @dataclass(frozen=True)
 class RescoreDiagnostics:
-    """One decode's beam counters and the terminal state it selected."""
+    """One decode's beam counters and the terminal state it selected.
+
+    ``scored`` counts the popped states whose arc weights were computed, the
+    memo's misses; every other popped state with outgoing arcs reused the
+    weights of an earlier state with the same key.
+    """
 
     pops: int
     pushes: int
     pruned_capacity: int
     max_queue_size: int
     best_state: int
+    scored: int
 
 
 class _Scorer:
-    """One decode's scoring constants, its per-node arc table, and the step.
+    """One decode's scoring constants, its per-node arc table, and the step's two halves.
 
     ``arcs[node]`` lists the node's outgoing arcs, in arc-id order, as
     ``(arc id, dst, model stroke, w_ac, dst is final)``; ``confidence[node]``
@@ -205,21 +226,31 @@ class _Scorer:
             for out in lat.outgoing
         ]
 
-    def step(
-        self, sid: int, node: int, alpha: np.ndarray, prior_state: tuple[int, ...], prev: int | None, stroke: int
-    ) -> tuple[np.ndarray, tuple[int, ...], list[float], tuple]:
-        """Score the state ``sid`` on ``node``, reached by ``stroke``.
+    def snapshot(
+        self, alpha: np.ndarray, prior_state: tuple[int, ...], prev: int | None, stroke: int
+    ) -> tuple[np.ndarray, tuple[int, ...], tuple[float, ...]]:
+        """The snapshot of a state reached by ``stroke`` and its static distribution.
 
         ``alpha`` and ``prior_state`` are the parent's snapshot and ``prev``
         the parent's stroke; at the root ``prev`` is None, the snapshot is the
-        start's and ``stroke`` the sentinel.  Returns the state's snapshot,
-        the weight of each of ``arcs[node]`` and the terms
-        ``(confidence, divergence, lam, p_static, p_dyn, p_comb)``; the
-        confidence and divergence are NaN where a fixed weight skips them.
+        start's and ``stroke`` the sentinel.
         """
         if prev is not None:
             alpha = _observe(alpha, self.rho, prev, stroke)
             prior_state = self.advance(prior_state, stroke)
+        return alpha, prior_state, self.dist(prior_state)
+
+    def score(
+        self, sid: int, node: int, alpha: np.ndarray, stroke: int, p_static: tuple[float, ...]
+    ) -> tuple[tuple[float, ...], tuple]:
+        """Score the state ``sid`` on ``node``, reached by ``stroke``.
+
+        ``alpha`` and ``p_static`` are the state's snapshot and static
+        distribution from :meth:`snapshot`; only row ``stroke`` of ``alpha``
+        is read.  Returns the weight of each of ``arcs[node]`` and the terms
+        ``(confidence, divergence, lam, p_static, p_dyn, p_comb)``; the
+        confidence and divergence are NaN where a fixed weight skips them.
+        """
         try:
             p_dyn = _predict(alpha, stroke)
         except ZeroDivisionError:
@@ -228,7 +259,6 @@ class _Scorer:
                 f"state {sid} (node {node}): the Dirichlet row after {self.vocab.symbol_of(stroke)} "
                 f"underflowed to zero (rho={self.rho!r})"
             ) from None
-        p_static = self.dist(prior_state)
         lam = self.fixed_lam
         if lam is None:
             conf = self.confidence[node]
@@ -256,7 +286,7 @@ class _Scorer:
                     f"of {self.vocab.symbol_of(q)} is not finite (beta={beta!r})"
                 )
             weights.append(weight)
-        return alpha, prior_state, weights, (conf, div, lam, p_static, p_dyn, probs)
+        return tuple(weights), (conf, div, lam, p_static, p_dyn, probs)
 
 
 def rescore(
@@ -272,8 +302,10 @@ def rescore(
     """
     cfg = cfg or RescoreConfig()
     scorer = _Scorer(lat, model, cfg)
-    step, table = scorer.step, scorer.arcs
+    snapshot, score, table = scorer.snapshot, scorer.score, scorer.arcs
     k_beam = cfg.k_beam
+    # Each scored key's arc weights; see the module docstring.
+    scored: dict[tuple[int, int, bytes, tuple[float, ...]], tuple[float, ...]] = {}
 
     exp = ExpandedLattice(vocab=model.vocab)
     cols, terminals = exp.states, exp.terminals
@@ -304,7 +336,12 @@ def rescore(
             continue
         parent = parents[sid]
         prev = None if parent is None else strokes[parent]
-        alpha, prior_state, weights, _ = step(sid, node, alpha, prior_state, prev, strokes[sid])
+        stroke = strokes[sid]
+        alpha, prior_state, p_static = snapshot(alpha, prior_state, prev, stroke)
+        key = (node, stroke, alpha[stroke].tobytes(), p_static)
+        weights = scored.get(key)
+        if weights is None:
+            weights = scored[key] = score(sid, node, alpha, stroke, p_static)[0]
 
         acc = accs[sid]
         for (arc_id, dst, q, _, final), weight in zip(out, weights):
@@ -342,18 +379,18 @@ def rescore(
     # Every state, the root included, leaves the queue once, popped or cut,
     # and the queue ends empty.
     pushes = len(nodes) - 1
-    diag = RescoreDiagnostics(pops, pushes, pushes + 1 - pops, max_queue, best)
+    diag = RescoreDiagnostics(pops, pushes, pushes + 1 - pops, max_queue, best, len(scored))
     return StrokeSequence(exp.history(best)[1:]), exp, diag
 
 
 def path_terms(lat: Lattice, model: RhythmModel, cfg: RescoreConfig, arc_ids: Sequence[int]) -> list[StepTrace]:
     """The terms of each arc of the path ``arc_ids`` from the start node.
 
-    The path is replayed through the same per-state step :func:`rescore`
-    runs, so each arc's terms and weight are the decode's own bits; the path
-    need not end on a final node.  The step's errors name the arc's position
-    on the path as the state.  Raises ``ValueError`` when an arc does not
-    leave the node the path has reached.
+    The path is replayed through the same two halves of the step
+    :func:`rescore` runs, without its memo, so each arc's terms and weight
+    are the decode's own bits; the path need not end on a final node.  The
+    step's errors name the arc's position on the path as the state.  Raises
+    ``ValueError`` when an arc does not leave the node the path has reached.
     """
     scorer = _Scorer(lat, model, cfg)
     node, alpha, prior_state = lat.start, scorer.alpha0, scorer.start
@@ -364,7 +401,8 @@ def path_terms(lat: Lattice, model: RhythmModel, cfg: RescoreConfig, arc_ids: Se
         pos = next((i for i, arc in enumerate(out) if arc[0] == arc_id), None)
         if pos is None:
             raise ValueError(f"arc {arc_id} does not leave node {node}")
-        alpha, prior_state, weights, fused = scorer.step(depth, node, alpha, prior_state, prev, stroke)
+        alpha, prior_state, p_static = scorer.snapshot(alpha, prior_state, prev, stroke)
+        weights, fused = scorer.score(depth, node, alpha, stroke, p_static)
         _, dst, q, w_ac, _ = out[pos]
         terms.append(StepTrace(depth, node, arc_id, q, w_ac, *fused, weights[pos]))
         prev, stroke, node = stroke, q, dst

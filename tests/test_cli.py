@@ -4,6 +4,7 @@ import hashlib
 
 import pytest
 
+from talarescore import cli
 from talarescore.cli import main
 from talarescore.core import default_vocabulary, load_sequences
 from talarescore.eval import build_training_corpus, standard_suite, suite_test_set
@@ -443,6 +444,35 @@ def test_bench_data_efficiency_mode(tmp_path):
     assert digests == {
         "report.tsv": "744ae83f79a66ffd457d3ae1d3ab5abde011a81b4eef1499fc2a373ccca0e416",
         "report.txt": "89996ee99bc850a170ec9e6917f04ff5d9e4d7946a29271598cf6ca197446d9b",
+    }
+
+
+def test_bench_data_efficiency_decodes_a_repeated_subset_once(tmp_path, monkeypatch):
+    # With two sequences per tala, "small" and "medium" both train on one:
+    # that subset is decoded once and its report printed under both names.
+    real_run_benchmark = cli.evaluation.run_benchmark
+    sizes = []
+
+    def counting_run_benchmark(suite):
+        sizes.append(suite.train_per_tala)
+        return real_run_benchmark(suite)
+
+    monkeypatch.setattr(cli.evaluation, "run_benchmark", counting_run_benchmark)
+    suite = tmp_path / "suite.cfg"
+    suite.write_text(
+        "talas=tintal\ntrain_per_tala=2\ntest_per_tala=1\ncycles=2\n"
+        "branching=2\nnoise_sigma=0.5\nk_beam=40\nseed=3\n",
+        encoding="utf-8",
+    )
+    out = tmp_path / "r"
+    assert run(["bench", "--suite", str(suite), "--out-dir", str(out), "--data-efficiency"]) == 0
+    assert sizes == [1, 2]
+    rows = [l.split("\t", 1) for l in (out / "report.tsv").read_text().splitlines()[1:]]
+    assert [r for name, r in rows if name == "small"] == [r for name, r in rows if name == "medium"]
+    digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in ("report.tsv", "report.txt")}
+    assert digests == {
+        "report.tsv": "00c00c4d19e0cc908c3ae300d1488f60b7f7c62b26bfd6a2649a61c9c5bc311c",
+        "report.txt": "53ae8d7f39424706e3fddf4787e7fc6dde6bbac75883ea6161c66b9771fcd0e9",
     }
 
 

@@ -262,8 +262,19 @@ def test_tala_file_theka_errors_name_the_line_and_symbol(tmp_path, vocab, theka,
         ("tala t\n", "bad tala line: 'tala t'"),
         ("tala t 4\nbol Dha\n", "unknown directive in tala file: 'bol'"),
         ("", "no tala specs found in {path}"),
+        # A tala's structural fault names the line that set the field.
+        ("tala t 4\ntheka Dha Na\n", "line 2: tala t: theka length 2 differs from matras 4"),
+        ("tala t 4\ntheka\n", "line 2: tala t: stroke sequence must contain at least one stroke"),
+        (
+            "tala t 4\nvibhag 3 1\ntheka Dha Na Tin Na\n",
+            "line 2: tala t: vibhag boundaries must be strictly increasing in [1, 4]",
+        ),
+        ("tala t 0\ntheka Dha\n", "line 1: tala t: matras must be positive"),
     ],
-    ids=["no-theka", "bad-tala-line", "unknown-directive", "empty"],
+    ids=[
+        "no-theka", "bad-tala-line", "unknown-directive", "empty",
+        "theka-length", "empty-theka", "vibhag-order", "matras",
+    ],
 )
 def test_malformed_tala_files_fail(tmp_path, vocab, text, message):
     path = tmp_path / "talas.txt"

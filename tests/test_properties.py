@@ -23,7 +23,7 @@ from talarescore.errors import VocabularyError
 from talarescore.eval import ser
 from talarescore.lattice import dumps_lattice, loads_lattice, viterbi_acoustic
 from talarescore.model import dumps_model, loads_model, train_model
-from talarescore.rescorer import rescore
+from talarescore.rescorer import path_terms, rescore
 from talarescore.static_prior import TalaIndependentPrior, train_static_prior
 
 from .helpers import PROPERTY_SETTINGS, dist_after, small_dags
@@ -39,6 +39,30 @@ def test_exhaustive_rescore_equals_replay_oracle(small_model, mode, lat):
     oracle_labels, oracle_score = best_path_by_replay(lat, small_model, cfg)
     assert hyp.strokes == oracle_labels
     assert max(exp.states.acc_score[t] for t in exp.terminals) == pytest.approx(oracle_score, abs=1e-9)
+
+
+@pytest.mark.parametrize("mode", ["adaptive", "fixed:0.5"])
+@PROPERTY_SETTINGS
+@given(lat=small_dags())
+def test_every_decoded_weight_equals_its_replay(small_model, mode, lat):
+    # The decode scores each (node, Dirichlet row, static distribution) key
+    # once and hands its weights to every later state with that key.  Tied
+    # scores and parallel arcs make keys repeat across states and nodes, so
+    # each state's path is replayed without the memo: the chain to every
+    # state without children covers every state.
+    cfg = replace(EXHAUSTIVE, lambda_mode=mode)
+    _, exp, diag = rescore(lat, small_model, cfg)
+    cols = exp.states
+    assert diag.scored <= diag.pops
+    parents = set(cols.parent)
+    for leaf in range(1, len(cols)):
+        if leaf in parents:
+            continue
+        ids = [leaf]
+        while cols.parent[ids[-1]]:
+            ids.append(cols.parent[ids[-1]])
+        terms = path_terms(lat, small_model, cfg, exp.arc_chain(leaf))
+        assert [t.weight for t in terms] == [cols.weight[sid] for sid in reversed(ids)]
 
 
 @PROPERTY_SETTINGS

@@ -392,6 +392,17 @@ def test_decodes_are_pinned_where_the_beam_cuts(wide_pin_decodes):
     assert digest.hexdigest() == WIDE_PIN_SHA256
 
 
+def test_each_decode_scores_at_most_one_state_per_pop(wide_pin_decodes, standard_lattice):
+    for _, _, _, (_, _, diag) in wide_pin_decodes:
+        assert 0 < diag.scored <= diag.pops
+    # About half the standard lattice's pops repeat a key an earlier state
+    # scored; a key that stopped hitting (one holding the state id, say)
+    # would score every pop with outgoing arcs.
+    lat, model = standard_lattice
+    _, _, diag = rescore(lat, model, RescoreConfig())
+    assert diag.scored < 0.7 * diag.pops
+
+
 def test_prior_memo_is_pinned_after_the_wide_pin_decodes(wide_pin_decodes):
     # Every decode shares the model's prior, so its memo holds one entry per
     # (window counts, context) key those decodes met.
