@@ -19,6 +19,14 @@ on playable rows, 1 on the sentinel row).  ``n`` is at most 32.  Counts,
 ``w_tau`` and ``laplace_k`` are at most 2**53, tala priors lie in (0, 1],
 ``laplace_k`` times at least one tala prior is positive, and every stroke
 symbol is on the ``vocab`` line.
+
+A trained ``taucount`` table is prefix-closed, and :func:`dumps_model` writes
+its lines sorted, so each window's line follows its prefix's and is spelled
+as that line plus one symbol.  :func:`loads_model` accepts the lines in any
+order and with any whitespace between fields; only its speed relies on the
+order: it builds a window from its prefix's when the prefix's line, spelled
+the same, is the last line before it with a window of that length, and
+parses the window in full otherwise.
 """
 
 from __future__ import annotations
@@ -111,10 +119,20 @@ def dumps_model(model: RhythmModel) -> str:
             lines += [f"{head} {symbols[nxt]} {row[nxt]}" for nxt in sorted(row)]
     for tala in prior.talas:
         windows = prior.window_counts[tala]
-        lines += [
-            f"taucount {tala} {' '.join([symbols[c] for c in window])} {windows[window]}"
-            for window in sorted(windows)
-        ]
+        # In sorted order, the last window one stroke shorter than a window
+        # is its prefix whenever the table holds the prefix, as a trained
+        # table does: the window is spelled as that line plus one symbol.  A
+        # window whose prefix is missing, as in a hand-edited table, is
+        # spelled in full.
+        last: dict[int, tuple[tuple[int, ...], str]] = {}  # window length -> the last such window and its spelling
+        for window in sorted(windows):
+            prev = last.get(len(window) - 1)
+            if prev is not None and prev[0] == window[:-1]:
+                text = f"{prev[1]} {symbols[window[-1]]}"
+            else:
+                text = f"taucount {tala} {' '.join([symbols[c] for c in window])}"
+            last[len(window)] = (window, text)
+            lines.append(f"{text} {windows[window]}")
     rows, cols = np.nonzero(model.alpha0 != _untrained_alpha(model.vocab.num_playable, model.eps_dir))
     for r, c in zip(rows.tolist(), cols.tolist()):
         lines.append(f"alpha {symbols[r]} {symbols[c + 1]} {float(model.alpha0[r, c])!r}")
@@ -141,8 +159,22 @@ def loads_model(text: str) -> RhythmModel:
     tau_counts: dict[str, dict[tuple[int, ...], int]] = {}
     alphas: dict[tuple[int, int], float] = {}
     tala_uses: dict[str, str] = {}  # tala -> the first count line naming it
+    # Window length -> the last taucount line read with a window of that
+    # length, spelled "taucount <tala> <window...>", its window and its table.
+    last: dict[int, tuple[str, tuple[int, ...], dict[tuple[int, ...], int]]] = {}
     for line in lines[1:]:
-        kind, *args = line.split()
+        # A taucount line that spells an earlier line's window plus one
+        # symbol takes that window and parses only the symbol and the count;
+        # any other line is split in full.  The earlier line is looked for
+        # only among the last of each window length, by the spaces in the
+        # text: in the order dumps_model writes, that is the prefix's line.
+        parts = line.rsplit(None, 2)
+        prefix = last.get(parts[0].count(" ") - 1) if len(parts) == 3 else None
+        if prefix is None or prefix[0] != parts[0]:
+            prefix = None
+            kind, *args = line.split()
+        else:
+            kind = "taucount"
         # Tuple unpacking checks each directive's arity; it and every numeric
         # conversion raise ValueError, and a symbol not in ``ids`` KeyError,
         # both reported below with the line.
@@ -150,18 +182,24 @@ def loads_model(text: str) -> RhythmModel:
             if vocab is None and kind in ("count", "taucount", "alpha"):
                 raise ModelFormatError(f"{kind} line before vocab line")
             if kind == "taucount":  # nearly every line of a trained model
-                tala, *win_syms, raw = args
-                window = tuple([ids[s] for s in win_syms])
+                if prefix is None:
+                    tala, *win_syms, raw = args
+                    window = tuple([ids[s] for s in win_syms])
+                    windows = tau_counts.get(tala)
+                    if windows is None:
+                        windows = tau_counts[tala] = {}
+                        tala_uses.setdefault(tala, line)
+                else:
+                    _, window, windows = prefix
+                    window += (ids[parts[1]],)
+                    raw = parts[2]
                 count = int(raw)
                 if not (0 <= count <= _MAX_COUNT and 0 < len(window) <= header["w_tau"]):
                     raise ValueError("want a window of 1..w_tau strokes and a count in 0..2**53")
-                windows = tau_counts.get(tala)
-                if windows is None:
-                    windows = tau_counts[tala] = {}
-                    tala_uses.setdefault(tala, line)
                 if window in windows:
                     raise ValueError("repeated taucount key")
                 windows[window] = count
+                last[len(window)] = (f"{parts[0]} {parts[1]}", window, windows)
             elif kind == "count":
                 tala, *ctx_syms, nxt_sym, raw = args
                 if len(ctx_syms) != header["n"] - 1:

@@ -9,6 +9,12 @@ stepped along a path and answers one query, ``dist``; it memoizes the
 mixture on the values it depends on, so its memo is bounded by the training
 data, not by decode traffic.  :func:`train_static_prior` builds it in one
 pass over a tala-labeled corpus.
+
+A trained window table is prefix-closed: every prefix of a window in it is
+a window in it too.  So training counts one window of up to ``w_tau``
+strokes per position and passes each distinct window's count to its
+prefixes, and the model file is written and read through the prefixes
+(:mod:`talarescore.model`).
 """
 
 from __future__ import annotations
@@ -28,8 +34,9 @@ class TalaIndependentPrior:
     labeled ``tala`` (contexts of exactly ``n - 1`` strokes, sentinel-padded
     at the sequence start); ``window_counts[tala][u]`` counts each stroke
     window ``u`` of length 1..w_tau; ``tala_priors`` holds P(tala).  All
-    three name the same talas.  ``n``, ``laplace_k`` and ``w_tau`` must lie
-    in the model file's bounds.
+    three name the same talas, each a non-empty name with no whitespace.
+    ``n``, ``laplace_k`` and ``w_tau`` must lie in the model file's bounds.
+    A trained window table is prefix-closed; a hand-edited one need not be.
 
     Its state is the tuple of the last ``max(w_tau, n - 1)`` strokes, all
     the mixture reads.  ``start()`` is the empty history's state,
@@ -63,6 +70,10 @@ class TalaIndependentPrior:
             raise ValueError("empty tala set")
         if not set(counts) == set(window_counts) == set(tala_priors):
             raise ValueError("n-gram counts, window counts and tala priors name different tala sets")
+        for tala in tala_priors:
+            if tala.split() != [tala]:
+                # The model file's lines are split on whitespace.
+                raise ValueError(f"tala name {tala!r} is empty or holds whitespace")
         if not any(laplace_k * p > 0 for p in tala_priors.values()):
             # Every weight of a window seen in no tala would be 0.
             raise ValueError(
@@ -176,9 +187,12 @@ def train_static_prior(
     corpus: Iterable[StrokeSequence], num_playable: int, n: int, laplace_k: float, w_tau: int
 ) -> TalaIndependentPrior:
     """Count n-grams and every stroke window of length 1..w_tau per tala in
-    one pass; P(tala) is each tala's stroke share of the corpus."""
+    one pass; P(tala) is each tala's stroke share of the corpus.
+
+    The windows are counted as one window of up to ``w_tau`` strokes per
+    position, whose count each of its prefixes then takes too."""
     counts: dict[str, dict[tuple[int, ...], dict[int, int]]] = {}
-    window_counts: dict[str, dict[tuple[int, ...], int]] = {}
+    longest_windows: dict[str, dict[tuple[int, ...], int]] = {}  # the window of up to w_tau strokes at each position
     stroke_totals: dict[str, int] = {}
     for seq in corpus:
         tala = seq.tala_label
@@ -191,13 +205,21 @@ def train_static_prior(
         for i, nxt in enumerate(s):
             slot = table.setdefault(padded[i : i + n - 1], {})
             slot[nxt] = slot.get(nxt, 0) + 1
-        windows = window_counts.setdefault(tala, {})
-        for length in range(1, min(w_tau, len(s)) + 1):
-            for i in range(len(s) - length + 1):
-                key = s[i : i + length]
-                windows[key] = windows.get(key, 0) + 1
+        longest = longest_windows.setdefault(tala, {})
+        for i in range(len(s)):
+            key = s[i : i + w_tau]
+            longest[key] = longest.get(key, 0) + 1
     if not stroke_totals:
         raise ValueError("empty training corpus")
+    # Every window that starts at a position is a prefix of the longest one
+    # there, so each distinct longest window passes its count to its prefixes.
+    window_counts: dict[str, dict[tuple[int, ...], int]] = {}
+    for tala, longest in longest_windows.items():
+        windows = window_counts[tala] = {}
+        for window, c in longest.items():
+            for length in range(1, len(window) + 1):
+                key = window[:length]
+                windows[key] = windows.get(key, 0) + c
     total = sum(stroke_totals.values())
     return TalaIndependentPrior(
         n=n, laplace_k=laplace_k, w_tau=w_tau, num_playable=num_playable, counts=counts,

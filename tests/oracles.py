@@ -111,6 +111,20 @@ def path_count(lat) -> int:
     return sum(ways[f] for f in lat.finals)
 
 
+def window_counts(corpus, w_tau):
+    """Per tala, how often each stroke window of 1..w_tau strokes occurs in
+    ``corpus``, a list of ``(tala, strokes)`` pairs: every window of every
+    length at every start is sliced and counted."""
+    table = {}
+    for tala, strokes in corpus:
+        counts = table.setdefault(tala, {})
+        for length in range(1, w_tau + 1):
+            for start in range(len(strokes) - length + 1):
+                window = tuple(strokes[start : start + length])
+                counts[window] = counts.get(window, 0) + 1
+    return table
+
+
 def ngram_prob(counts, num_playable, laplace_k, tala, context, nxt) -> float:
     """Laplace-smoothed P(nxt | tala, context) from raw n-gram counts."""
     table = counts.get(tala, {}).get(context, {})

@@ -318,6 +318,16 @@ def test_train_rejects_an_n_gram_order_above_the_bound_before_training(tmp_path,
     assert not model_path.exists()
 
 
+def test_train_rejects_a_tala_label_that_holds_whitespace(tmp_path, capsys):
+    # The model's tala line would read "tala jhap tal 1.0", which no loader splits back.
+    corpus = tmp_path / "corpus.txt"
+    corpus.write_text("#tala=jhap tal\nDha Dhin Na Dha Dhin\n", encoding="utf-8")
+    model_path = tmp_path / "model.tiprior"
+    assert run(["train", "--corpus", str(corpus), "--out", str(model_path)]) == 1
+    assert capsys.readouterr().err == "error: tala name 'jhap tal' is empty or holds whitespace\n"
+    assert not model_path.exists()
+
+
 def test_rescore_model_with_an_n_gram_order_above_the_bound_fails(tmp_path, capsys):
     corpus = gen_corpus(tmp_path, count=1)
     model_path = tmp_path / "model.tiprior"

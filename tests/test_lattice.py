@@ -383,3 +383,32 @@ def test_lattice_text_without_header_or_vocabulary_fails(text, message):
     with pytest.raises(LatticeFormatError) as exc:
         loads_lattice(text)
     assert str(exc.value) == message
+
+
+def test_generator_draws_are_pinned(vocab):
+    # The suite's lattice noise comes from numpy's Generator.normal, its
+    # competitors from .choice(p=...) and its deletions and insertions from
+    # .random().  NumPy keeps bit-generator streams stable across versions,
+    # but not the streams of distribution methods, so a numpy upgrade could
+    # move report.tsv with no code change; this pin then names the cause.
+    truth = StrokeSequence((1, 2, 2, 1, 1, 2, 2, 1))
+    cfg = LatticeGenConfig(rng_seed=2024, branching=3, noise_sigma=0.95, p_del=0.1, p_ins=0.1)
+    lat = generate_lattice(truth, cfg, vocab)
+    drawn = [(a.src, a.dst, vocab.symbol_of(a.label), repr(a.w_ac)) for a in lat.arcs[:15]]
+    assert drawn == [
+        (0, 1, "Dha", "0.9774140302543062"),
+        (0, 1, "Dhin", "-1.9245205397008371"),
+        (0, 1, "Na", "-2.323160091558025"),
+        (0, 9, "Dha", "1.719771295580519"),  # an insertion through node 9
+        (9, 1, "Dhin", "-0.28669870050377766"),
+        (1, 2, "Dhin", "0.6077715762348893"),
+        (1, 2, "Tin", "0.41018530639951667"),
+        (1, 2, "Dha", "-0.9535332170839426"),
+        (2, 3, "Dhin", "-0.41455219904877827"),
+        (2, 3, "Tin", "-0.1420900761435525"),
+        (2, 3, "Na", "-2.4065522587693353"),
+        (3, 4, "Dha", "-0.5913532111497888"),
+        (3, 4, "Na", "-1.239675271664039"),
+        (3, 4, "Ta", "-1.2107684638327822"),
+        (3, 5, "Dha", "-1.4096918209425777"),  # a deletion: one arc spans strokes 4 and 5
+    ]

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import random
 
 import numpy as np
 import pytest
@@ -300,3 +301,61 @@ def test_model_files_missing_a_section_fail(text, message):
     with pytest.raises(ModelFormatError) as exc:
         loads_model(text)
     assert str(exc.value) == message
+
+
+@pytest.fixture(scope="module")
+def standard_model_text(vocab):
+    suite = standard_suite(2024)
+    model = train_model(
+        build_training_corpus(suite, vocab), vocab,
+        n=suite.n, laplace_k=suite.laplace_k, w_tau=suite.w_tau, eps_dir=suite.eps_dir,
+    )
+    return model, dumps_model(model)
+
+
+def test_window_lines_in_any_order_load_to_the_same_model(standard_model_text):
+    # The loader reads a window from its prefix's line only when that line
+    # came first; in any other order it parses the window in full.
+    model, text = standard_model_text
+    lines = text.splitlines()
+    slots = [i for i, line in enumerate(lines) if line.startswith("taucount ")]
+    shuffled = [lines[i] for i in slots]
+    random.Random(3).shuffle(shuffled)
+    for i, line in zip(slots, shuffled):
+        lines[i] = line
+    assert lines != text.splitlines()
+    assert loads_model("\n".join(lines) + "\n") == model
+
+
+def test_window_lines_with_tabs_and_runs_of_spaces_load_to_the_same_model(standard_model_text):
+    model, text = standard_model_text
+    rng = random.Random(5)
+    lines = [
+        "".join(token + rng.choice(("\t", "  ", " \t ", " ")) for token in line.split()).rstrip(" ")
+        if line.startswith("taucount ") else line
+        for line in text.splitlines()
+    ]
+    assert sum("\t" in line for line in lines) > 1000
+    assert loads_model("\n".join(lines) + "\n") == model
+
+
+def test_a_window_table_without_a_prefix_loads_and_dumps_the_same_text(standard_model_text):
+    # A hand-edited table may lack a window whose longer windows it holds:
+    # the loader parses those in full, and the dump spells them in full,
+    # so the edited text comes back byte for byte.
+    model, text = standard_model_text
+    windows = model.prior.window_counts["tintal"]
+    # Not the first window of its length, whose line would follow no window of that length.
+    prefix = max(u for u in windows if len(u) == 3 and sum(w[:3] == u for w in windows) > 3)
+    line = f"taucount tintal {' '.join(model.vocab.symbol_of(c) for c in prefix)} {windows[prefix]}\n"
+    assert text.count(line) == 1
+    edited = text.replace(line, "")
+    prior = model.prior
+    window_counts = {**prior.window_counts, "tintal": {u: c for u, c in windows.items() if u != prefix}}
+    without = TalaIndependentPrior(
+        n=prior.n, laplace_k=prior.laplace_k, w_tau=prior.w_tau, num_playable=prior.num_playable,
+        counts=prior.counts, window_counts=window_counts, tala_priors=prior.tala_priors,
+    )
+    loaded = loads_model(edited)
+    assert loaded == RhythmModel(vocab=model.vocab, prior=without, alpha0=model.alpha0, eps_dir=model.eps_dir)
+    assert dumps_model(loaded) == edited

@@ -19,15 +19,17 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from talarescore.core import StrokeSequence, StrokeVocabulary
+from talarescore.dynamic_model import init_alpha
 from talarescore.errors import VocabularyError
 from talarescore.eval import ser
 from talarescore.lattice import dumps_lattice, loads_lattice, viterbi_acoustic
-from talarescore.model import dumps_model, loads_model, train_model
-from talarescore.rescorer import path_terms, rescore
+from talarescore.model import RhythmModel, dumps_model, loads_model, train_model
+from talarescore.rescorer import RescoreConfig, path_terms, rescore
 from talarescore.static_prior import TalaIndependentPrior, train_static_prior
 
 from .helpers import PROPERTY_SETTINGS, dist_after, small_dags
-from .oracles import EXHAUSTIVE, all_paths, best_path_by_replay, edit_decomposition, levenshtein_distance
+from .oracles import EXHAUSTIVE, all_paths, best_path_by_replay, edit_decomposition, levenshtein_distance, window_counts
+from .reference_beam import assert_rescore_equals_reference
 
 
 @pytest.mark.parametrize("mode", ["adaptive", "fixed:0.5"])
@@ -63,6 +65,13 @@ def test_every_decoded_weight_equals_its_replay(small_model, mode, lat):
             ids.append(cols.parent[ids[-1]])
         terms = path_terms(lat, small_model, cfg, exp.arc_chain(leaf))
         assert [t.weight for t in terms] == [cols.weight[sid] for sid in reversed(ids)]
+
+
+@pytest.mark.parametrize("mode", ["adaptive", "fixed:0.5", "fixed:0"])
+@PROPERTY_SETTINGS
+@given(lat=small_dags(), k_beam=st.integers(1, 4))
+def test_rescore_equals_the_reference_beam(small_model, mode, lat, k_beam):
+    assert_rescore_equals_reference(lat, small_model, RescoreConfig(k_beam=k_beam, lambda_mode=mode))
 
 
 @PROPERTY_SETTINGS
@@ -288,6 +297,36 @@ def test_window_tables_nest(corpus, wide):
     full = windows(wide)
     for w in range(1, wide + 1):
         assert windows(w) == {tala: {u: c for u, c in table.items() if len(u) <= w} for tala, table in full.items()}
+
+
+@PROPERTY_SETTINGS
+@given(
+    corpus=st.lists(
+        st.tuples(st.sampled_from(TALAS), st.lists(STROKES, min_size=1, max_size=12)), min_size=1, max_size=4
+    ),
+    w_tau=st.integers(1, 6),
+)
+def test_window_counts_equal_the_oracle(corpus, w_tau):
+    # Sequences run from 1 to 12 strokes, so both shorter and longer than w_tau.
+    seqs = [StrokeSequence(tuple(strokes), tala_label=tala) for tala, strokes in corpus]
+    trained = train_static_prior(seqs, ABC.num_playable, n=1, laplace_k=1.0, w_tau=w_tau)
+    assert trained.window_counts == window_counts(corpus, w_tau)
+
+
+@PROPERTY_SETTINGS
+@given(data=st.data())
+def test_a_window_table_that_is_not_prefix_closed_round_trips(data):
+    # The dump spells a window whose prefix is missing in full, and the
+    # loader parses it in full.
+    tables, _ = data.draw(stepped_priors("not_closed"))
+    corpus = [StrokeSequence((1, 2), tala_label="t1")]
+    model = RhythmModel(
+        vocab=ABC, prior=TalaIndependentPrior(**tables), alpha0=init_alpha(corpus, ABC, eps_dir=1.0), eps_dir=1.0
+    )
+    text = dumps_model(model)
+    loaded = loads_model(text)
+    assert loaded == model
+    assert dumps_model(loaded) == text
 
 
 @st.composite

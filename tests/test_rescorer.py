@@ -14,7 +14,7 @@ from hypothesis import given
 from talarescore import rescorer
 from talarescore.core import default_vocabulary
 from talarescore.errors import RescoreError, VocabularyMismatchError
-from talarescore.eval import build_training_corpus, standard_suite, suite_test_set
+from talarescore.eval import DEFAULT_LAMBDA_SWEEP, build_training_corpus, standard_suite, suite_test_set
 from talarescore.fusion import _combine, lambda_k
 from talarescore.lattice import Arc, Lattice, viterbi_acoustic
 from talarescore.model import loads_model, train_model
@@ -35,9 +35,11 @@ from .oracles import (
     best_path_by_replay,
     dirichlet_observe,
     dirichlet_predict,
+    path_count,
     replay_path_score,
     ti_prior_dist,
 )
+from .reference_beam import assert_rescore_equals_reference
 
 WIDE_PIN_SHA256 = "f0fbc5c96a9dd230a67c4c608c269f5d65db99573ed09ded16db0b627a9508bb"
 # The static-prior memo those decodes leave: its length and the sha256 of its
@@ -357,6 +359,17 @@ def standard_lattice():
     """The standard suite's first tintal test lattice and the suite's model."""
     model, lats = suite_lattices(1)
     return lats[0], model
+
+
+@pytest.mark.parametrize("mode", DEFAULT_LAMBDA_SWEEP)
+def test_rescore_equals_the_reference_beam_on_short_suite_lattices(standard_lattice, mode):
+    # One cycle of each tala: 7 to 16 strokes, with far more histories than the beam keeps.
+    _, model = standard_lattice
+    k_beam = 10
+    suite = replace(standard_suite(), cycles=1, test_per_tala=1)
+    for _, lat in suite_test_set(suite, default_vocabulary()):
+        assert path_count(lat) > k_beam
+        assert_rescore_equals_reference(lat, model, RescoreConfig(k_beam=k_beam, lambda_mode=mode))
 
 
 # A beam narrow enough that it cuts on every decode.

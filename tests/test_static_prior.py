@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+import re
 from types import SimpleNamespace
 
 import numpy as np
@@ -259,3 +260,14 @@ def test_distribution_of_an_untrained_tala_fails():
     prior = windows_only({"t": {}}, {"t": 1.0})
     with pytest.raises(ValueError, match=r"^tala 'u' not in trained prior$"):
         prior.distribution("u", ())
+
+
+@pytest.mark.parametrize("tala", ["jhap tal", "jhap\ttal", " tintal", ""])
+def test_ti_prior_rejects_a_tala_name_the_model_file_cannot_hold(tala):
+    # Model lines are split on whitespace, so such a name would not load back.
+    message = "^" + re.escape(f"tala name {tala!r} is empty or holds whitespace") + "$"
+    with pytest.raises(ValueError, match=message):
+        windows_only({tala: {}}, {tala: 1.0})
+    if tala:  # training refuses an empty label earlier
+        with pytest.raises(ValueError, match=message):
+            train([StrokeSequence((A, B), tala_label=tala)])
