@@ -18,7 +18,8 @@ Persists to a versioned line-oriented text file that round-trips exactly:
 on playable rows, 1 on the sentinel row).  ``n`` is at most 32.  Counts,
 ``w_tau`` and ``laplace_k`` are at most 2**53, tala priors lie in (0, 1],
 ``laplace_k`` times at least one tala prior is positive, and every stroke
-symbol is on the ``vocab`` line.
+symbol is on the ``vocab`` line; only an n-gram context and an ``alpha``
+line's ``prev`` may hold the start sentinel ``<s>``.
 
 A trained ``taucount`` table is prefix-closed, and :func:`dumps_model` writes
 its lines sorted, so each window's line follows its prefix's and is spelled
@@ -100,7 +101,18 @@ def train_model(
 
 
 def dumps_model(model: RhythmModel) -> str:
-    symbols, prior = model.vocab.symbols, model.prior
+    """The model file's text.
+
+    Raises ``ValueError`` naming the tala and the key for a count table the
+    file cannot hold: a stroke id outside the vocabulary (a window stroke or
+    a next stroke outside 1..V, a context stroke outside 0..V), a context
+    that is not ``n - 1`` strokes long, a window that is empty or longer
+    than ``w_tau``, or a count that is not an ``int`` in 0..2**53.
+    """
+    prior = model.prior
+    # Stroke id -> symbol as dicts, so that no id is read from the list's end.
+    symbols = dict(enumerate(model.vocab.symbols))
+    playable = {i: s for i, s in symbols.items() if i != SENTINEL_ID}
     lines = [
         FORMAT_HEADER,
         f"n {prior.n}",
@@ -111,28 +123,54 @@ def dumps_model(model: RhythmModel) -> str:
     ]
     for tala in prior.talas:
         lines.append(f"tala {tala} {prior.tala_priors[tala]!r}")
+    top = model.vocab.num_playable
     for tala in prior.talas:
         table = prior.counts[tala]
         for ctx in sorted(table):
             row = table[ctx]
-            head = " ".join(["count", tala, *[symbols[c] for c in ctx]])
-            lines += [f"{head} {symbols[nxt]} {row[nxt]}" for nxt in sorted(row)]
+            if len(ctx) != prior.n - 1:
+                raise ValueError(f"tala {tala!r}: n-gram context {ctx!r} is not n - 1 = {prior.n - 1} strokes long")
+            try:
+                head = " ".join(["count", tala, *[symbols[c] for c in ctx]])
+            except KeyError:
+                raise ValueError(f"tala {tala!r}: n-gram context {ctx!r} holds a stroke id not in 0..{top}") from None
+            for nxt in sorted(row):
+                count = row[nxt]
+                if type(count) is not int or not 0 <= count <= _MAX_COUNT:
+                    raise ValueError(
+                        f"tala {tala!r}: n-gram {ctx!r} -> {nxt!r}: count {count!r} is not an int in 0..2**53"
+                    )
+                try:
+                    lines.append(f"{head} {playable[nxt]} {count}")
+                except KeyError:
+                    raise ValueError(
+                        f"tala {tala!r}: n-gram {ctx!r} -> {nxt!r}: next stroke id not in 1..{top}"
+                    ) from None
+    w_tau = prior.w_tau
     for tala in prior.talas:
         windows = prior.window_counts[tala]
         # In sorted order, the last window one stroke shorter than a window
         # is its prefix whenever the table holds the prefix, as a trained
-        # table does: the window is spelled as that line plus one symbol.  A
-        # window whose prefix is missing, as in a hand-edited table, is
-        # spelled in full.
+        # table does: the window is spelled as that line plus one symbol,
+        # the only one not checked with the prefix.  A window whose prefix
+        # is missing, as in a hand-edited table, is spelled in full.
         last: dict[int, tuple[tuple[int, ...], str]] = {}  # window length -> the last such window and its spelling
         for window in sorted(windows):
+            count = windows[window]
+            if not 0 < len(window) <= w_tau:
+                raise ValueError(f"tala {tala!r}: window {window!r} is not 1..w_tau = {w_tau} strokes long")
+            if type(count) is not int or not 0 <= count <= _MAX_COUNT:
+                raise ValueError(f"tala {tala!r}: window {window!r}: count {count!r} is not an int in 0..2**53")
             prev = last.get(len(window) - 1)
-            if prev is not None and prev[0] == window[:-1]:
-                text = f"{prev[1]} {symbols[window[-1]]}"
-            else:
-                text = f"taucount {tala} {' '.join([symbols[c] for c in window])}"
+            try:
+                if prev is not None and prev[0] == window[:-1]:
+                    text = f"{prev[1]} {playable[window[-1]]}"
+                else:
+                    text = f"taucount {tala} {' '.join([playable[c] for c in window])}"
+            except KeyError:
+                raise ValueError(f"tala {tala!r}: window {window!r} holds a stroke id not in 1..{top}") from None
             last[len(window)] = (window, text)
-            lines.append(f"{text} {windows[window]}")
+            lines.append(f"{text} {count}")
     rows, cols = np.nonzero(model.alpha0 != _untrained_alpha(model.vocab.num_playable, model.eps_dir))
     for r, c in zip(rows.tolist(), cols.tolist()):
         lines.append(f"alpha {symbols[r]} {symbols[c + 1]} {float(model.alpha0[r, c])!r}")
@@ -154,6 +192,7 @@ def loads_model(text: str) -> RhythmModel:
     header: dict[str, float] = {}
     vocab: StrokeVocabulary | None = None
     ids: dict[str, int] = {}  # symbol -> stroke id, filled by the vocab line
+    playable: dict[str, int] = {}  # the same without the sentinel
     priors: dict[str, float] = {}
     ngram_counts: dict[str, dict[tuple[int, ...], dict[int, int]]] = {}
     tau_counts: dict[str, dict[tuple[int, ...], int]] = {}
@@ -176,22 +215,23 @@ def loads_model(text: str) -> RhythmModel:
         else:
             kind = "taucount"
         # Tuple unpacking checks each directive's arity; it and every numeric
-        # conversion raise ValueError, and a symbol not in ``ids`` KeyError,
-        # both reported below with the line.
+        # conversion raise ValueError, and a symbol not in ``ids`` or, where
+        # only a playable stroke fits, not in ``playable`` KeyError, both
+        # reported below with the line.
         try:
             if vocab is None and kind in ("count", "taucount", "alpha"):
                 raise ModelFormatError(f"{kind} line before vocab line")
             if kind == "taucount":  # nearly every line of a trained model
                 if prefix is None:
                     tala, *win_syms, raw = args
-                    window = tuple([ids[s] for s in win_syms])
+                    window = tuple([playable[s] for s in win_syms])
                     windows = tau_counts.get(tala)
                     if windows is None:
                         windows = tau_counts[tala] = {}
                         tala_uses.setdefault(tala, line)
                 else:
                     _, window, windows = prefix
-                    window += (ids[parts[1]],)
+                    window += (playable[parts[1]],)
                     raw = parts[2]
                 count = int(raw)
                 if not (0 <= count <= _MAX_COUNT and 0 < len(window) <= header["w_tau"]):
@@ -205,7 +245,7 @@ def loads_model(text: str) -> RhythmModel:
                 if len(ctx_syms) != header["n"] - 1:
                     raise ValueError(f"want a context of n-1 = {header['n'] - 1} strokes")
                 ctx = tuple([ids[s] for s in ctx_syms])
-                nxt = _playable_id(ids, nxt_sym)
+                nxt = playable[nxt_sym]
                 count = int(raw)
                 if not 0 <= count <= _MAX_COUNT:
                     raise ValueError("count must lie in 0..2**53")
@@ -219,7 +259,7 @@ def loads_model(text: str) -> RhythmModel:
                 value = float(raw)
                 if not (value > 0 and math.isfinite(value)):
                     raise ValueError("alpha must be positive and finite")
-                key = (ids[prev_sym], _playable_id(ids, next_sym))
+                key = (ids[prev_sym], playable[next_sym])
                 if key in alphas:
                     raise ValueError("repeated alpha key")
                 alphas[key] = value
@@ -240,6 +280,7 @@ def loads_model(text: str) -> RhythmModel:
                     raise ModelFormatError(f"missing header fields {sorted(missing)} before the vocab line")
                 vocab = StrokeVocabulary.of(args)
                 ids = {s: i for i, s in enumerate(vocab.symbols)}
+                playable = {s: i for s, i in ids.items() if i != SENTINEL_ID}
             elif kind == "tala":
                 tala, raw = args
                 prior = float(raw)
@@ -253,7 +294,9 @@ def loads_model(text: str) -> RhythmModel:
         except ValueError as exc:
             raise ModelFormatError(f"bad {kind} line {line!r}: {exc}") from None
         except KeyError as exc:
-            raise ModelFormatError(f"bad {kind} line {line!r}: unknown stroke symbol {exc.args[0]!r}") from None
+            symbol = exc.args[0]
+            why = f"{symbol!r} is not a playable stroke" if symbol in ids else f"unknown stroke symbol {symbol!r}"
+            raise ModelFormatError(f"bad {kind} line {line!r}: {why}") from None
     missing = set(_HYPERPARAMETERS) - set(header)
     if missing:
         raise ModelFormatError(f"missing header fields: {sorted(missing)}")
@@ -280,9 +323,3 @@ def loads_model(text: str) -> RhythmModel:
         alpha0[prev, nxt - 1] = value
     return RhythmModel(vocab=vocab, prior=prior, alpha0=alpha0, eps_dir=eps_dir)
 
-
-def _playable_id(ids: dict[str, int], symbol: str) -> int:
-    stroke_id = ids[symbol]
-    if stroke_id == SENTINEL_ID:
-        raise ValueError(f"{symbol!r} is not a playable stroke")
-    return stroke_id

@@ -19,9 +19,10 @@ weight, accumulated score).  Its static-prior state and Dirichlet snapshot
 are built from its parent's only when it is popped with outgoing arcs, and
 ride in its children's queue entries only, so a decode holds at most
 ``k_beam + 1`` snapshots.  The static prior is the model's ``prior``, a
-:class:`~talarescore.static_prior.TalaIndependentPrior`; its state is the
-tuple of the last ``max(w_tau, n - 1)`` strokes, ``w_tau`` being the model's
-trained tala window, so a pop copies no path history.  Most pushed states are
+:class:`~talarescore.static_prior.TalaIndependentPrior`; its state is a node
+of an automaton over the model's tala windows, shared by every decode, so a
+pop copies no path history and, once the node exists, advancing it is one
+list read and its distribution one attribute read.  Most pushed states are
 cut by the capacity rule and never popped, so they cost only their row;
 histories (the winner's, the dump's) are rebuilt from the parent column.
 
@@ -227,8 +228,8 @@ class _Scorer:
         ]
 
     def snapshot(
-        self, alpha: np.ndarray, prior_state: tuple[int, ...], prev: int | None, stroke: int
-    ) -> tuple[np.ndarray, tuple[int, ...], tuple[float, ...]]:
+        self, alpha: np.ndarray, prior_state: object, prev: int | None, stroke: int
+    ) -> tuple[np.ndarray, object, tuple[float, ...]]:
         """The snapshot of a state reached by ``stroke`` and its static distribution.
 
         ``alpha`` and ``prior_state`` are the parent's snapshot and ``prev``
@@ -324,7 +325,7 @@ def rescore(
     # pop FIFO since ids are given in push order, and pruning cuts the tail.
     # Each entry carries its parent's snapshot (the start's at the root); the
     # ids are unique, so no comparison reaches it.
-    queue: list[tuple[float, int, np.ndarray, tuple[int, ...]]] = [(-0.0, 0, scorer.alpha0, scorer.start)]
+    queue: list[tuple[float, int, np.ndarray, object]] = [(-0.0, 0, scorer.alpha0, scorer.start)]
     insort = bisect.insort
 
     while queue:

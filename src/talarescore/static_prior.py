@@ -7,8 +7,12 @@ holds the order ``n``, ``laplace_k``, the tala window ``w_tau`` and each
 count table once; it is the one next-stroke prior the rescorer reads.  It is
 stepped along a path and answers one query, ``dist``; it memoizes the
 mixture on the values it depends on, so its memo is bounded by the training
-data, not by decode traffic.  :func:`train_static_prior` builds it in one
-pass over a tala-labeled corpus.
+data, not by decode traffic.  The path's state is a node of an automaton
+over the window table (Aho and Corasick, CACM 1975) that keeps only the
+longest suffix of the history that can still grow into a window; its nodes
+are built on first use and bounded by the training data too.
+:func:`train_static_prior` builds the prior in one pass over a tala-labeled
+corpus.
 
 A trained window table is prefix-closed: every prefix of a window in it is
 a window in it too.  So training counts one window of up to ``w_tau``
@@ -38,19 +42,38 @@ class TalaIndependentPrior:
     ``n``, ``laplace_k`` and ``w_tau`` must lie in the model file's bounds.
     A trained window table is prefix-closed; a hand-edited one need not be.
 
-    Its state is the tuple of the last ``max(w_tau, n - 1)`` strokes, all
-    the mixture reads.  ``start()`` is the empty history's state,
-    ``advance(state, stroke)`` checks the stroke id and appends it, and
-    ``dist(state)`` returns the mixture as a tuple of floats, one entry per
-    playable stroke (index ``stroke_id - 1``); it is the one query.
+    Its state is an opaque node of a window automaton.  ``start()`` is the
+    empty history's state, ``advance(state, stroke)`` checks the stroke id
+    and steps to the state after it, and ``dist(state)`` returns the mixture
+    as a tuple of floats, one entry per playable stroke (index
+    ``stroke_id - 1``); it is the one query.
+
+    A node's key is ``(q, full, ctx)``.  ``q`` is the longest suffix of the
+    history, at most ``w_tau`` strokes long, that is a prefix of a window in
+    the table (in a trained, prefix- and suffix-closed table, the longest
+    suffix that is a window); ``full`` is False only while the whole history
+    is ``q`` and shorter than ``w_tau``; ``ctx`` is the n-gram context.  The
+    key fixes the mixture exactly: the window the posterior reads, the last
+    ``min(len(history), w_tau)`` strokes, is ``q`` when ``full`` is False or
+    ``q`` is ``w_tau`` long, and otherwise is no window prefix at all, since
+    ``q`` would then be longer.  Every suffix of the history that is a window
+    prefix ends in a suffix of ``q``, so a step needs only ``q`` and the
+    stroke: it drops strokes from the left of ``q + (stroke,)``, cut to
+    ``w_tau``, until the rest is a window prefix.  Nodes and their
+    transitions are built on first use and shared by every path and decode;
+    there are at most twice as many as there are (window prefix, context)
+    pairs, the empty prefix included, however much is decoded.
 
     The memo key is ``(counts, ctx)``: the window's training count per tala
     in ``talas`` order (``None`` for an empty window, whose posterior is the
     normalized prior) and the n-gram context.  The counts come from one
     probe of a table from each training window to its counts, merged over
-    the talas on the first query.  Windows never seen in training share one
-    zero tuple, so the memo is bounded by the training data.  Each value is
-    the mixture's tuple, which no caller can change.
+    the talas on the first query; it holds every prefix of a window too, a
+    prefix missing from a hand-edited table with the unseen counts.  Windows
+    never seen in training share one zero tuple, so the memo is bounded by
+    the training data.  Each value is the mixture's tuple, which no caller
+    can change.  A node reads its mixture from the memo on its first
+    ``dist`` and keeps it.
     """
 
     def __init__(
@@ -89,11 +112,12 @@ class TalaIndependentPrior:
         self.tala_priors = tala_priors
         self.talas: tuple[str, ...] = tuple(sorted(tala_priors))
         self._prior_vec = np.array([tala_priors[t] for t in self.talas])
-        self._suffix = max(w_tau, n - 1)
         self._unseen = (0,) * len(self.talas)
         # Built on the first query, so that training and loading do not pay for it.
         self._probe: dict[tuple[int, ...], tuple[int, ...]] | None = None
         self._cache: dict[tuple[tuple[int, ...] | None, tuple[int, ...]], tuple[float, ...]] = {}
+        self._root = _Node(((), False, (SENTINEL_ID,) * (n - 1)), num_playable)
+        self._nodes: dict[tuple[tuple[int, ...], bool, tuple[int, ...]], _Node] = {self._root.key: self._root}
 
     def context_of(self, history: Sequence[int]) -> tuple[int, ...]:
         """The last ``n - 1`` strokes, sentinel-padded on the left."""
@@ -121,42 +145,75 @@ class TalaIndependentPrior:
         key = tuple(u)
         return self._weights(self._window_probe().get(key, self._unseen) if key else None)
 
-    def start(self) -> tuple[int, ...]:
+    def start(self) -> _Node:
         """The state of the empty history."""
-        return ()
+        return self._root
 
-    def advance(self, state: tuple[int, ...], stroke: int) -> tuple[int, ...]:
+    def advance(self, state: _Node, stroke: int) -> _Node:
         """The state after ``stroke``; raises ``VocabularyError`` for a foreign id."""
         if not 1 <= stroke <= self.num_playable:
             raise VocabularyError(f"stroke id {stroke} is outside the prior's vocabulary")
-        state += (stroke,)
-        return state[1:] if len(state) > self._suffix else state
+        target = state.next[stroke]
+        if target is None:
+            target = state.next[stroke] = self._step(state.key, stroke)
+        return target
 
-    def dist(self, state: tuple[int, ...]) -> tuple[float, ...]:
+    def dist(self, state: _Node) -> tuple[float, ...]:
         """The next-stroke mixture after ``state``, as a tuple of floats."""
-        w_tau = self.w_tau
-        u = state[len(state) - w_tau :] if len(state) > w_tau else state
-        ctx = self.context_of(state)
-        probe = self._probe
-        if probe is None:
-            probe = self._window_probe()
-        counts = probe.get(u, self._unseen) if u else None
-        cached = self._cache.get((counts, ctx))
-        if cached is None:
-            mix = np.zeros(self.num_playable)
-            for weight, tala in zip(self._weights(counts), self.talas):
-                mix += weight * self.distribution(tala, ctx)
-            cached = self._cache[counts, ctx] = tuple(mix.tolist())
-        return cached
+        mix = state.dist
+        if mix is None:
+            q, full, ctx = state.key
+            if not (full or q):
+                counts = None  # the empty history
+            elif not full or len(q) == self.w_tau:
+                counts = self._window_probe()[q]
+            else:
+                counts = self._unseen
+            mix = self._cache.get((counts, ctx))
+            if mix is None:
+                total = np.zeros(self.num_playable)
+                for weight, tala in zip(self._weights(counts), self.talas):
+                    total += weight * self.distribution(tala, ctx)
+                mix = self._cache.setdefault((counts, ctx), tuple(total.tolist()))
+            state.dist = mix
+        return mix
+
+    def _step(self, key: tuple[tuple[int, ...], bool, tuple[int, ...]], stroke: int) -> _Node:
+        # The node after ``stroke`` from the node ``key``; see the class
+        # docstring.  A racing thread that built the same node first wins.
+        q, full, ctx = key
+        prefixes = self._window_probe()
+        c = q + (stroke,)
+        if len(c) > self.w_tau:
+            c = c[1:]
+        while c and c not in prefixes:
+            c = c[1:]
+        full = full or len(c) != len(q) + 1 or len(c) == self.w_tau
+        if ctx:
+            ctx = ctx[1:] + (stroke,)
+        key = (c, full, ctx)
+        node = self._nodes.get(key)
+        if node is None:
+            node = self._nodes.setdefault(key, _Node(key, self.num_playable))
+        return node
 
     def _window_probe(self) -> dict[tuple[int, ...], tuple[int, ...]]:
-        # Each training window to its counts in ``talas`` order.
+        # Each training window to its counts in ``talas`` order, and each
+        # prefix of one that the table lacks to the unseen counts.
         if self._probe is None:
             merged: dict[tuple[int, ...], list[int]] = {}
             for i, tala in enumerate(self.talas):
                 for u, c in self.window_counts[tala].items():
                     merged.setdefault(u, [0] * len(self.talas))[i] = c
-            self._probe = {u: tuple(c) for u, c in merged.items()}
+            probe = {u: tuple(c) for u, c in merged.items()}
+            for u in merged:
+                # A prefix already in the probe is a window, whose own
+                # prefixes this loop covers, or was added with its prefixes.
+                for length in range(len(u) - 1, 0, -1):
+                    if u[:length] in probe:
+                        break
+                    probe[u[:length]] = self._unseen
+            self._probe = probe
         return self._probe
 
     def _weights(self, counts: tuple[int, ...] | None) -> np.ndarray:
@@ -181,6 +238,21 @@ class TalaIndependentPrior:
             and self.window_counts == other.window_counts
             and self.tala_priors == other.tala_priors
         )
+
+
+class _Node:
+    """One state of :class:`TalaIndependentPrior`'s window automaton.
+
+    ``next[stroke]`` is the node after a playable ``stroke`` and ``dist`` the
+    mixture after this node's histories, each None until first asked for.
+    """
+
+    __slots__ = ("key", "next", "dist")
+
+    def __init__(self, key: tuple[tuple[int, ...], bool, tuple[int, ...]], num_playable: int) -> None:
+        self.key = key
+        self.next: list[_Node | None] = [None] * (num_playable + 1)
+        self.dist: tuple[float, ...] | None = None
 
 
 def train_static_prior(

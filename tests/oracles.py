@@ -125,6 +125,30 @@ def window_counts(corpus, w_tau):
     return table
 
 
+def prior_state_key(window_counts, w_tau, n, history):
+    """The static prior's state after ``history`` as ``(q, full, ctx)``, by
+    brute force from the history.
+
+    ``q`` is the longest suffix of the last ``w_tau`` strokes that equals the
+    start of some window of some tala; ``full`` is False only while the
+    history is ``q`` itself and shorter than ``w_tau``; ``ctx`` is the last
+    ``n - 1`` strokes, sentinel-padded on the left.
+    """
+    history = tuple(history)
+    tail = history[max(0, len(history) - w_tau) :]
+    windows = [w for table in window_counts.values() for w in table]
+    q = ()
+    for start in range(len(tail)):
+        suffix = tail[start:]
+        if any(w[: len(suffix)] == suffix for w in windows):
+            q = suffix
+            break
+    full = not (history == q and len(history) < w_tau)
+    padded = (SENTINEL_ID,) * (n - 1) + history
+    ctx = padded[len(padded) - (n - 1) :]
+    return q, full, ctx
+
+
 def ngram_prob(counts, num_playable, laplace_k, tala, context, nxt) -> float:
     """Laplace-smoothed P(nxt | tala, context) from raw n-gram counts."""
     table = counts.get(tala, {}).get(context, {})

@@ -3,6 +3,7 @@ from __future__ import annotations
 import hashlib
 import math
 import random
+import re
 
 import numpy as np
 import pytest
@@ -271,6 +272,65 @@ def test_count_keys_are_checked_against_the_header():
     early = "tiprior v1\nn 3\nlaplace_k 1.0\nvocab Dha Na\nw_tau 2\neps_dir 1.0\ntala t 1.0\n"
     with pytest.raises(ModelFormatError, match=r"missing header fields \['eps_dir', 'w_tau'\] before the vocab"):
         loads_model(early + "count t Dha Na Na 7\n")
+
+
+def model_of_tables(vocab, counts=None, window_counts=None, n=2, w_tau=2):
+    """A model whose prior is built directly from one tala's hand-written tables."""
+    prior = TalaIndependentPrior(
+        n=n, laplace_k=1.0, w_tau=w_tau, num_playable=vocab.num_playable,
+        counts={"t": counts or {}}, window_counts={"t": window_counts or {}}, tala_priors={"t": 1.0},
+    )
+    alpha0 = init_alpha([StrokeSequence((1, 2), tala_label="t")], vocab, eps_dir=1.0)
+    return RhythmModel(vocab=vocab, prior=prior, alpha0=alpha0, eps_dir=1.0)
+
+
+@pytest.mark.parametrize(
+    "tables, message",
+    [
+        # stroke ids the vocabulary of 5 strokes does not hold, negative ones
+        # included, which a list would read from its end
+        ({"window_counts": {(-1,): 4}}, "window (-1,) holds a stroke id not in 1..5"),
+        ({"window_counts": {(9,): 1}}, "window (9,) holds a stroke id not in 1..5"),
+        ({"window_counts": {(0,): 1}}, "window (0,) holds a stroke id not in 1..5"),
+        ({"window_counts": {(1,): 1, (1, -1): 1}}, "window (1, -1) holds a stroke id not in 1..5"),
+        ({"counts": {(1,): {-1: 2}}}, "n-gram (1,) -> -1: next stroke id not in 1..5"),
+        ({"counts": {(1,): {0: 2}}}, "n-gram (1,) -> 0: next stroke id not in 1..5"),
+        ({"counts": {(-1,): {1: 2}}}, "n-gram context (-1,) holds a stroke id not in 0..5"),
+        ({"counts": {(6,): {1: 2}}}, "n-gram context (6,) holds a stroke id not in 0..5"),
+        # keys of a length the file cannot hold
+        ({"window_counts": {(1, 2, 1): 1}}, "window (1, 2, 1) is not 1..w_tau = 2 strokes long"),
+        ({"window_counts": {(): 3}}, "window () is not 1..w_tau = 2 strokes long"),
+        ({"counts": {(1, 1): {1: 2}}}, "n-gram context (1, 1) is not n - 1 = 1 strokes long"),
+        # counts that are not integers in 0..2**53
+        ({"window_counts": {(1,): -2}}, "window (1,): count -2 is not an int in 0..2**53"),
+        ({"window_counts": {(1,): 2**53 + 1}}, f"window (1,): count {2**53 + 1} is not an int in 0..2**53"),
+        ({"window_counts": {(1,): 2.0}}, "window (1,): count 2.0 is not an int in 0..2**53"),
+        ({"window_counts": {(1,): True}}, "window (1,): count True is not an int in 0..2**53"),
+        ({"counts": {(1,): {2: -2}}}, "n-gram (1,) -> 2: count -2 is not an int in 0..2**53"),
+    ],
+)
+def test_dump_rejects_tables_the_file_cannot_hold(vocab, tables, message):
+    # Each of these used to be written as a line that loads as another key
+    # or that the loader refuses.
+    model = model_of_tables(vocab, **tables)
+    with pytest.raises(ValueError, match="^" + re.escape(f"tala 't': {message}") + "$"):
+        dumps_model(model)
+
+
+def test_dump_writes_the_bounds_of_the_file(vocab):
+    model = model_of_tables(vocab, counts={(0,): {5: 2**53}}, window_counts={(5,): 0, (5, 1): 2**53})
+    text = dumps_model(model)
+    assert "count t <s> Ta 9007199254740992\n" in text
+    assert loads_model(text) == model
+
+
+@pytest.mark.parametrize("lines", ["taucount t <s> 1", "taucount t Dha <s> 1", "taucount t Dha 1\ntaucount t Dha <s> 1"])
+def test_a_window_holding_the_start_sentinel_fails_to_load(lines):
+    # The last case reads the window from its prefix's line.
+    bad = lines.splitlines()[-1]
+    message = f"bad taucount line {bad!r}: '<s>' is not a playable stroke"
+    with pytest.raises(ModelFormatError, match="^" + re.escape(message) + "$"):
+        loads_model(VALID_MODEL + lines + "\n")
 
 
 def test_train_rejects_empty_corpus(vocab):

@@ -28,7 +28,15 @@ from talarescore.rescorer import RescoreConfig, path_terms, rescore
 from talarescore.static_prior import TalaIndependentPrior, train_static_prior
 
 from .helpers import PROPERTY_SETTINGS, dist_after, small_dags
-from .oracles import EXHAUSTIVE, all_paths, best_path_by_replay, edit_decomposition, levenshtein_distance, window_counts
+from .oracles import (
+    EXHAUSTIVE,
+    all_paths,
+    best_path_by_replay,
+    edit_decomposition,
+    levenshtein_distance,
+    prior_state_key,
+    window_counts,
+)
 from .reference_beam import assert_rescore_equals_reference
 
 
@@ -255,13 +263,12 @@ def test_stepped_prior_state_equals_the_mixture_of_the_history(case, data):
     tables, history = data.draw(stepped_priors(case))
     stepped = TalaIndependentPrior(**tables)
     fresh = TalaIndependentPrior(**tables)  # its own memo
-    suffix = max(tables["w_tau"], tables["n"] - 1)
     state = stepped.start()
     for i in range(len(history) + 1):
         seen = history[:i]
         if i:
             state = stepped.advance(state, history[i - 1])
-        assert state == seen[max(0, len(seen) - suffix) :]
+        assert state.key == prior_state_key(tables["window_counts"], tables["w_tau"], tables["n"], seen)
         assert stepped.dist(state) == dist_after(fresh, seen) == reference_mixture(stepped, seen)
 
 

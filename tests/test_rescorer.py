@@ -4,6 +4,8 @@ import gc
 import hashlib
 import math
 import random
+import sys
+import threading
 import weakref
 from dataclasses import replace
 
@@ -442,17 +444,74 @@ def test_merged_window_counts_equal_the_per_tala_lookups(standard_lattice):
 
 def test_repeated_decodes_hold_no_more_memory():
     # A long-running process: decoding the same lattices again adds no memo
-    # entries, and no decode's scorer, with its per-decode divergence
-    # halves, outlives the decode.
+    # entries and no prior automaton nodes, and no decode's scorer, with its
+    # per-decode divergence halves, outlives the decode.
     model, lats = suite_lattices(2)
-    sizes = []
+    sizes, nodes = [], []
     for _ in range(2):
         for lat in lats:
             rescore(lat, model, RescoreConfig())
         gc.collect()
         assert not any(type(obj) is rescorer._Scorer for obj in gc.get_objects())
         sizes.append(len(model.prior._cache))
+        nodes.append(len(model.prior._nodes))
     assert sizes[1] <= sizes[0]
+    assert nodes[1] == nodes[0]
+
+
+def test_threads_sharing_one_model_decode_as_one_thread_does():
+    # The prior builds its automaton nodes, their transitions and its memo
+    # entries on first use, so threads that share a fresh model race to
+    # build them; each decode must still give the serial decode's bits, and
+    # each transition must lead to the one node of its key.
+    vocab = default_vocabulary()
+    suite = standard_suite()
+    lats = [lat for _, lat in suite_test_set(replace(suite, cycles=1, test_per_tala=1), vocab)]
+    assert len(lats) == 4
+
+    def fresh_model():
+        return train_model(build_training_corpus(suite, vocab), vocab)
+
+    def decode(lat, model):
+        hyp, exp, diag = rescore(lat, model, RescoreConfig())
+        return hyp, diag, hashlib.sha256(dumps_expanded(exp).encode()).hexdigest()
+
+    serial_model = fresh_model()
+    expected = [decode(lat, serial_model) for lat in lats]
+    shared = fresh_model()
+    # Four threads, more than the two cores of the machine this was written
+    # on.  All start on one lattice, so that they race to build the same
+    # nodes, then part.
+    orders = [(0, 1, 2, 3), (0, 2, 3, 1), (0, 3, 1, 2), (0, 1, 3, 2)]
+    barrier = threading.Barrier(len(orders))
+    results, errors = [], []
+
+    def work(order):
+        try:
+            barrier.wait(timeout=60)
+            for i in order:
+                results.append((i, decode(lats[i], shared)))
+        except Exception as exc:  # reported by the assertion below
+            errors.append(exc)
+
+    threads = [threading.Thread(target=work, args=(order,)) for order in orders]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=300)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
+    assert sorted(i for i, _ in results) == sorted(i for order in orders for i in order)
+    for i, got in results:
+        assert got == expected[i]
+    nodes = shared.prior._nodes
+    for node in nodes.values():
+        assert all(target is None or target is nodes[target.key] for target in node.next)
 
 
 def test_adaptive_winners_pass_windows_where_the_tala_posterior_moves_the_prior():
@@ -464,11 +523,11 @@ def test_adaptive_winners_pass_windows_where_the_tala_posterior_moves_the_prior(
     prior_only = ti.posterior(())
     for lat in lats:
         hyp, _, _ = rescore(lat, model, RescoreConfig())
-        state, moved = ti.start(), 0
+        state, history, moved = ti.start(), (), 0
         for stroke in hyp.strokes:
-            state = ti.advance(state, stroke)
-            if any(state[-ti.w_tau :] in ti.window_counts[t] for t in ti.talas):
-                ctx = ti.context_of(state)
+            state, history = ti.advance(state, stroke), history + (stroke,)
+            if any(history[-ti.w_tau :] in ti.window_counts[t] for t in ti.talas):
+                ctx = ti.context_of(history)
                 alone = sum(w * ti.distribution(t, ctx) for w, t in zip(prior_only, ti.talas))
                 moved += np.max(np.abs(np.asarray(ti.dist(state)) - alone)) > 1e-6
         assert moved >= 1, hyp.strokes

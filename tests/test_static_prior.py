@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import random
 import re
+import threading
 from types import SimpleNamespace
 
 import numpy as np
@@ -220,6 +221,51 @@ def test_memo_is_bounded_by_training_not_by_traffic():
             seen.add(history[-10:])
     assert len(histories) > 500 and seen
     assert len(ti._cache) <= len(contexts) + len(seen)
+
+
+def test_automaton_is_bounded_by_training_not_by_traffic():
+    # The traffic of the memo's bound above: each node's key is a prefix of
+    # a trained window or the empty one, a flag and a context, however many
+    # histories reach it.
+    rng = random.Random(5)
+    corpus = [
+        StrokeSequence(tuple(rng.choice((A, B)) for _ in range(40)), tala_label=t) for t in ("t1", "t2")
+    ]
+    ti = train(corpus, n=3, w_tau=10)
+    histories = {tuple(rng.choice((A, B)) for _ in range(12)) for _ in range(600)}
+    contexts = set()
+    for history in histories:
+        dist_after(ti, history)
+        contexts.update(ti.context_of(history[:i]) for i in range(len(history) + 1))
+    prefixes = {w[:k] for t in ti.talas for w in ti.window_counts[t] for k in range(1, len(w) + 1)}
+    assert len(histories) > 500
+    assert {q for q, _, _ in ti._nodes} <= prefixes | {()}
+    assert {ctx for _, _, ctx in ti._nodes} <= contexts
+    assert len(ti._nodes) <= 2 * (len(prefixes) + 1) * len(contexts)
+
+
+def test_threads_that_race_on_one_transition_get_one_node():
+    # Both threads miss the node before either stores it; the store that
+    # comes second must keep the first one's node.
+    ti = train([StrokeSequence((A, B, A), tala_label="t1")])
+    both_missed = threading.Barrier(2)
+
+    class RacingNodes(dict):
+        def get(self, key, default=None):
+            node = super().get(key, default)
+            if node is None:
+                both_missed.wait(timeout=60)
+            return node
+
+    ti._nodes = RacingNodes(ti._nodes)
+    got = []
+    threads = [threading.Thread(target=lambda: got.append(ti.advance(ti.start(), A))) for _ in range(2)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=60)
+    assert not any(t.is_alive() for t in threads)
+    assert len(got) == 2 and got[0] is got[1] is ti._nodes[got[0].key] is ti.start().next[A]
 
 
 @pytest.mark.parametrize("first", ["empty", "unseen"])
