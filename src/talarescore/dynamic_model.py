@@ -60,10 +60,9 @@ def _observe(alpha: np.ndarray, rho: float, prev: int, nxt: int) -> np.ndarray:
 
 
 def _predict(alpha: np.ndarray, prev: int) -> list[float]:
-    # The next-stroke distribution, the normalized prev row, as a list.  It
-    # runs once per expanded decoding state, so it works on Python floats;
-    # the row total is summed left to right, as numpy sums fewer than 8
-    # cells (see talarescore.fusion).
+    # The next-stroke distribution, the normalized prev row, as a list, on
+    # Python floats for the decode's step; the row total is summed left to
+    # right from 0.0, like every sum in the step (see talarescore.fusion).
     row = alpha[prev].tolist()
     total = 0.0
     for x in row:

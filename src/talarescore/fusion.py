@@ -7,37 +7,29 @@ distributions, normalized by its log 2 upper bound; it is therefore confined
 to [0, 1] and yields a convex combination.  Every function here is pure.
 
 The divergence and the combination run once per expanded decoding state on
-distributions of a handful of cells, so they work on Python floats: per-call
-numpy overhead, not arithmetic, would set their cost.  They are the decode
-step's unchecked ``_jsd_half``/``_jsd`` and ``_combine``.  Their results
-must stay bit-identical to the same formulas on numpy arrays (the tests keep
-those as references), since the pinned outputs rest on them.  The
-element-wise operations are correctly rounded either way.  The logarithms
-stay ``np.log``, whose result differs from ``math.log`` in the last bit on
-some inputs.
+distributions of a handful of cells, so they work on Python floats; they are
+the decode step's unchecked ``_jsd_half``/``_jsd`` and ``_combine``.  Every
+logarithm and exponential is ``math.log``/``math.exp`` on one cell: the C
+library's, which gives the arc weights their logs too, so the step has one
+logarithm whatever SIMD kernels numpy would pick on the CPU.  Every sum runs
+left to right from ``0.0`` (the builtin ``sum`` is compensated from Python
+3.12 on).
 
 Both distributions are smoothed by ``_EPS_JSD = 1e-8`` per cell before the
 divergence, so zero cells give no infinities; the smoothing renormalizes by
 ``1 + V * 1e-8`` over V cells, which no vocabulary size overflows.
 
-The divergence has two parts.  ``_jsd_half`` smooths the static
-distribution q and takes its logarithms; ``_jsd`` smooths p, forms the
-midpoint and logs p's and the midpoint's cells in one batched call.  The
-decode computes a static distribution's half once and reuses it for every
-state whose prior gives that distribution, so a state logs 2n cells, not 3n.
-The split keeps the bits because ``np.log`` gives each element the same bits
-whatever the array's length or the element's position.  The sums are
-explicit left-to-right loops from ``0.0``: that is what numpy's sum does
-below 8 cells (from 8 on it sums pairwise), whereas the builtin ``sum`` is
-compensated from Python 3.12 on.
+The divergence has two parts: ``_jsd_half`` smooths the static distribution
+q and logs its cells; ``_jsd`` walks the cells once, smoothing p's cell and
+adding its log and the midpoint's to both Kullback-Leibler sums.  The decode
+computes a static distribution's half once and reuses it for every state
+whose prior gives that distribution, so a state logs 2n cells, not 3n.
 """
 
 from __future__ import annotations
 
 import math
 from typing import Sequence
-
-import numpy as np
 
 LOG2 = math.log(2.0)
 _EPS_JSD = 1e-8
@@ -67,7 +59,7 @@ def _jsd_half(q: Sequence[float]) -> tuple[list[float], list[float]]:
     # renormalized by 1 + len(q) * _EPS_JSD, and its logarithms.
     scale = 1.0 + len(q) * _EPS_JSD
     qs = [(x + _EPS_JSD) / scale for x in q]
-    return qs, np.log(qs).tolist()
+    return qs, [math.log(x) for x in qs]
 
 
 def _jsd(p: Sequence[float], half: tuple[list[float], list[float]]) -> float:
@@ -75,17 +67,13 @@ def _jsd(p: Sequence[float], half: tuple[list[float], list[float]]) -> float:
     # half; p is smoothed as q was, so zero cells give no infinities and
     # the result is exactly symmetric.  Unchecked, for the decode's step.
     qs, log_qs = half
-    n = len(qs)
-    scale = 1.0 + n * _EPS_JSD
-    ps = [(x + _EPS_JSD) / scale for x in p]
-    m = [0.5 * (a + b) for a, b in zip(ps, qs)]
-    logs = np.log(ps + m).tolist()
-    kl_pm = 0.0
-    kl_qm = 0.0
-    for i in range(n):
-        log_m = logs[n + i]
-        kl_pm += ps[i] * (logs[i] - log_m)
-        kl_qm += qs[i] * (log_qs[i] - log_m)
+    scale = 1.0 + len(qs) * _EPS_JSD
+    kl_pm = kl_qm = 0.0
+    for x, q, log_q in zip(p, qs, log_qs):
+        ps = (x + _EPS_JSD) / scale
+        log_m = math.log(0.5 * (ps + q))
+        kl_pm += ps * (math.log(ps) - log_m)
+        kl_qm += q * (log_q - log_m)
     return max(0.5 * kl_pm + 0.5 * kl_qm, 0.0)
 
 
@@ -95,23 +83,28 @@ def acoustic_confidence(arc_scores: Sequence[float]) -> float:
     Softmax-normalize the scores, then return one minus the entropy over the
     maximum possible entropy ``log(max(n, 2))``.  A single arc is fully
     confident; exactly equal scores across several arcs give zero confidence.
-    Stable for scores spanning +-700 thanks to max subtraction.
+    Stable for scores spanning +-700 thanks to max subtraction.  Raises
+    ValueError for no scores or a score that is not finite.
     """
-    scores = np.asarray(arc_scores, dtype=float)
-    n = scores.shape[0]
+    n = len(arc_scores)
     if n == 0:
         raise ValueError("confidence needs at least one outgoing arc")
+    if not all(map(math.isfinite, arc_scores)):
+        raise ValueError(f"confidence needs finite arc scores, got {list(arc_scores)!r}")
     if n == 1:
         return 1.0
-    if np.all(scores == scores[0]):
+    top = max(arc_scores)
+    if all(s == top for s in arc_scores):
         return 0.0
-    shifted = scores - scores.max()
-    weights = np.exp(shifted)
-    probs = weights / weights.sum()
-    nonzero = probs > 0
-    entropy = -float(np.sum(probs[nonzero] * np.log(probs[nonzero])))
-    conf = 1.0 - entropy / math.log(max(n, 2))
-    return min(max(conf, 0.0), 1.0)
+    weights = [math.exp(s - top) for s in arc_scores]
+    total = entropy = 0.0
+    for w in weights:
+        total += w
+    for w in weights:
+        p = w / total
+        if p > 0.0:
+            entropy -= p * math.log(p)
+    return min(max(1.0 - entropy / math.log(n), 0.0), 1.0)
 
 
 def lambda_k(confidence: float, divergence: float) -> float:

@@ -103,12 +103,15 @@ def train_model(
 def dumps_model(model: RhythmModel) -> str:
     """The model file's text.
 
-    Raises ``ValueError`` naming the tala and the key for a count table the
-    file cannot hold: a stroke id outside the vocabulary (a window stroke or
+    Raises ``ValueError`` for what :func:`loads_model` would refuse, naming
+    the field, tala, cell or key: an ``eps_dir`` out of bounds, a tala prior
+    outside (0, 1], an ``alpha0`` cell that is not positive and finite, or a
+    count table with a stroke id outside the vocabulary (a window stroke or
     a next stroke outside 1..V, a context stroke outside 0..V), a context
     that is not ``n - 1`` strokes long, a window that is empty or longer
     than ``w_tau``, or a count that is not an ``int`` in 0..2**53.
     """
+    _check_hyperparameter("eps_dir", model.eps_dir)
     prior = model.prior
     # Stroke id -> symbol as dicts, so that no id is read from the list's end.
     symbols = dict(enumerate(model.vocab.symbols))
@@ -121,8 +124,10 @@ def dumps_model(model: RhythmModel) -> str:
         f"eps_dir {model.eps_dir!r}",
         "vocab " + " ".join(model.vocab.playable_symbols),
     ]
-    for tala in prior.talas:
-        lines.append(f"tala {tala} {prior.tala_priors[tala]!r}")
+    for tala, p in sorted(prior.tala_priors.items()):
+        if not 0 < p <= 1:
+            raise ValueError(f"tala {tala!r}: prior {p!r} does not lie in (0, 1]")
+        lines.append(f"tala {tala} {p!r}")
     top = model.vocab.num_playable
     for tala in prior.talas:
         table = prior.counts[tala]
@@ -173,7 +178,10 @@ def dumps_model(model: RhythmModel) -> str:
             lines.append(f"{text} {count}")
     rows, cols = np.nonzero(model.alpha0 != _untrained_alpha(model.vocab.num_playable, model.eps_dir))
     for r, c in zip(rows.tolist(), cols.tolist()):
-        lines.append(f"alpha {symbols[r]} {symbols[c + 1]} {float(model.alpha0[r, c])!r}")
+        value = float(model.alpha0[r, c])
+        if not 0 < value < math.inf:
+            raise ValueError(f"alpha0[{r}, {c}] = {value!r} is not positive and finite")
+        lines.append(f"alpha {symbols[r]} {symbols[c + 1]} {value!r}")
     return "\n".join(lines) + "\n"
 
 

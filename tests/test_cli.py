@@ -1,6 +1,10 @@
 from __future__ import annotations
 
 import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -11,6 +15,13 @@ from talarescore.eval import build_training_corpus, standard_suite, suite_test_s
 from talarescore.lattice import load_lattice, save_lattice
 from talarescore.model import load_model, save_model, train_model
 from talarescore.rescorer import RescoreConfig, rescore
+
+try:
+    from numpy._core._multiarray_umath import __cpu_features__ as CPU_FEATURES
+    CPU_FEATURES_MODULE = "numpy._core._multiarray_umath"
+except ImportError:  # numpy < 2
+    from numpy.core._multiarray_umath import __cpu_features__ as CPU_FEATURES
+    CPU_FEATURES_MODULE = "numpy.core._multiarray_umath"
 
 
 def run(argv):
@@ -371,17 +382,25 @@ def test_rescore_model_with_an_integer_header_too_large_for_a_float_fails(tmp_pa
     assert "Traceback" not in err
 
 
-def test_expanded_dump_is_pinned_on_a_standard_suite_lattice(tmp_path):
-    """``--dump-expanded-dir`` bytes and beam counters for the standard suite's
-    first tintal test lattice, pinned under adaptive and fixed interpolation."""
+def suite_rescore_argv(tmp_path):
+    """A ``rescore`` command line for the standard suite's first tintal test
+    lattice under a model trained on the suite, both written to ``tmp_path``."""
     suite = standard_suite()
     vocab = default_vocabulary()
     save_model(train_model(build_training_corpus(suite, vocab), vocab), tmp_path / "m.tiprior")
     _, lat = suite_test_set(suite, vocab)[0]
     save_lattice(lat, tmp_path / "a.lat")
+    return ["rescore", str(tmp_path / "a.lat"), "--model", str(tmp_path / "m.tiprior"),
+            "--out", str(tmp_path / "h.txt")]
+
+
+def test_expanded_dump_is_pinned_on_a_standard_suite_lattice(tmp_path):
+    """``--dump-expanded-dir`` bytes and beam counters for the standard suite's
+    first tintal test lattice, pinned under adaptive and fixed interpolation."""
+    rescore_argv = suite_rescore_argv(tmp_path)
     pinned = {
         "adaptive": (
-            "165a397139f01bd58d338a0bd9bc230b96de637ca10579bdc68b3c5c5b2f8015",
+            "fd831d7d6efd72a3e718de5e7055dd0510319cde4448a15c320bd8a8514ef33b",
             "summary pops=6117 pushes=17601 pruned_capacity=11485 max_queue=152",
         ),
         "fixed:0": (
@@ -392,12 +411,42 @@ def test_expanded_dump_is_pinned_on_a_standard_suite_lattice(tmp_path):
     for mode, (digest, summary) in pinned.items():
         dump_dir = tmp_path / mode.replace(":", "_")
         diag = dump_dir / "diag.txt"
-        argv = ["rescore", str(tmp_path / "a.lat"), "--model", str(tmp_path / "m.tiprior"),
-                "--out", str(tmp_path / "h.txt"), "--lambda", mode,
-                "--dump-expanded-dir", str(dump_dir), "--diagnostics", str(diag)]
+        argv = [*rescore_argv, "--lambda", mode, "--dump-expanded-dir", str(dump_dir), "--diagnostics", str(diag)]
         assert run(argv) == 0
         assert hashlib.sha256((dump_dir / "0000.exp").read_bytes()).hexdigest() == digest
         assert diag.read_text().splitlines()[1] == summary
+
+
+# The names NPY_DISABLE_CPU_FEATURES takes for numpy's AVX-512 kernels, which
+# numpy picks at run time (NEP 38) where the CPU has them.
+AVX512_FEATURES = ("AVX512F", "AVX512CD", "AVX512_SKX", "AVX512_CLX", "AVX512_CNL", "AVX512_ICL", "AVX512_SPR", "X86_V4")
+
+
+def test_expanded_dump_does_not_depend_on_numpy_simd_kernels(tmp_path):
+    """The pinned adaptive decode gives the same dump bytes in a process that
+    switches off numpy's AVX-512 kernels, so its pins hold on any x86 CPU."""
+    present = [name for name in AVX512_FEATURES if CPU_FEATURES.get(name)]
+    argv = [*suite_rescore_argv(tmp_path), "--lambda", "adaptive"]
+    assert run([*argv, "--dump-expanded-dir", str(tmp_path / "here")]) == 0
+    package_root = str(Path(cli.__file__).resolve().parents[1])
+    env = {
+        **os.environ,
+        "NPY_DISABLE_CPU_FEATURES": " ".join(present),
+        "PYTHONPATH": os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")])),
+    }
+    script = (
+        "import os, sys\n"
+        f"from {CPU_FEATURES_MODULE} import __cpu_features__\n"
+        "from talarescore.cli import main\n"
+        "named = os.environ['NPY_DISABLE_CPU_FEATURES'].split()\n"
+        "assert not ('X86_V4' in named and __cpu_features__['X86_V4']), 'numpy kept its AVX-512 kernels'\n"
+        "sys.exit(main(sys.argv[1:]))\n"
+    )
+    done = subprocess.run([sys.executable, "-c", script, *argv, "--dump-expanded-dir", str(tmp_path / "there")],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    here = (tmp_path / "here" / "0000.exp").read_bytes()
+    assert (tmp_path / "there" / "0000.exp").read_bytes() == here
 
 
 def test_bench_emits_seven_rows_and_is_byte_stable(tmp_path):

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import math
 import random
@@ -322,6 +323,34 @@ def test_dump_writes_the_bounds_of_the_file(vocab):
     text = dumps_model(model)
     assert "count t <s> Ta 9007199254740992\n" in text
     assert loads_model(text) == model
+
+
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        *[("tala", v, f"tala 'u': prior {v!r} does not lie in (0, 1]") for v in (1.5, 0.0, math.inf, math.nan)],
+        *[("alpha0", v, f"alpha0[1, 1] = {v!r} is not positive and finite") for v in (-2.0, 0.0, math.inf, math.nan)],
+        *[("eps_dir", v, "eps_dir must be positive and finite") for v in (0.0, -1.0, math.nan)],
+    ],
+)
+def test_dump_rejects_values_the_loader_refuses(vocab, field, value, message):
+    # Each of these used to be written as a line that the loader refuses.
+    model = model_of_tables(vocab)
+    if field == "tala":
+        priors = {"t": 0.5, "u": value}  # next to a positive prior, which the prior itself asks for
+        prior = TalaIndependentPrior(
+            n=2, laplace_k=1.0, w_tau=2, num_playable=vocab.num_playable,
+            counts={tala: {} for tala in priors}, window_counts={tala: {} for tala in priors}, tala_priors=priors,
+        )
+        model = dataclasses.replace(model, prior=prior)
+    elif field == "alpha0":
+        alpha0 = model.alpha0.copy()
+        alpha0[1, 1] = value
+        model = dataclasses.replace(model, alpha0=alpha0)
+    else:
+        model = dataclasses.replace(model, eps_dir=value)
+    with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+        dumps_model(model)
 
 
 @pytest.mark.parametrize("lines", ["taucount t <s> 1", "taucount t Dha <s> 1", "taucount t Dha 1\ntaucount t Dha <s> 1"])

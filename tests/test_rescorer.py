@@ -43,7 +43,7 @@ from .oracles import (
 )
 from .reference_beam import assert_rescore_equals_reference
 
-WIDE_PIN_SHA256 = "f0fbc5c96a9dd230a67c4c608c269f5d65db99573ed09ded16db0b627a9508bb"
+WIDE_PIN_SHA256 = "5b440ef7d8b9bef9b45d45006d1df142a8e7b87b546e797d1525e6e455d5da76"
 # The static-prior memo those decodes leave: its length and the sha256 of its
 # keys, sorted by repr.
 WIDE_PIN_MEMO = (299, "2b120dde2972982e30557be34dd7c16de344673a31c24d2c04044aed95fe59cc")
