@@ -8,7 +8,8 @@ to [0, 1] and yields a convex combination.  Every function here is pure.
 
 The divergence and the combination run once per expanded decoding state on
 distributions of a handful of cells, so they work on Python floats; they are
-the decode step's unchecked ``_jsd_half``/``_jsd`` and ``_combine``.  Every
+the decode step's unchecked ``_jsd_half``/``_jsd`` and ``_combine`` (the step
+computes ``_combine``'s cell at each outgoing arc, by the same formula).  Every
 logarithm and exponential is ``math.log``/``math.exp`` on one cell: the C
 library's, which gives the arc weights their logs too, so the step has one
 logarithm whatever SIMD kernels numpy would pick on the CPU.  Every sum runs

@@ -149,38 +149,56 @@ def viterbi_acoustic(lat: Lattice) -> StrokeSequence:
     the result deterministic and keeps it consistent with the rescorer's
     tie-break when the rhythmic term vanishes.
     """
-    arcs = lat.arcs
+    arcs, order = lat.arcs, lat.topological_order
     # Each node keeps the score of its best chain and the chain's last arc;
     # -1 marks the start and nodes not reached yet.  Validation puts every
     # node on a start-to-final path, so the start precedes every other node
     # in topological order, and each node and each final is reached.
     score = [0.0] * lat.n_nodes
     back = [-1] * lat.n_nodes
+    # Each node's place in topological order, filled at the first tie.
+    rank: dict[int, int] = {}
 
-    def chain(v: int) -> list[int]:
-        ids = []
-        while (aid := back[v]) >= 0:
-            ids.append(aid)
-            v = arcs[aid].src
-        ids.reverse()
-        return ids
+    def precedes(x: int, ax: int, y: int, ay: int) -> bool:
+        # Whether x's best chain followed by arc ax sorts before y's followed
+        # by ay, where -1 is no arc.  The best chains form a tree rooted at
+        # the start, so two of them share the chain to the node where they
+        # meet and first differ in the arcs that leave it; a chain that ends
+        # there is a prefix of the other, and -1 sorts it first.  A node
+        # later in topological order cannot be that meeting node, so it is
+        # the one stepped back.
+        if not rank:
+            rank.update(zip(order, range(len(order))))
+        while x != y:
+            if rank[x] > rank[y]:
+                ax = back[x]
+                x = arcs[ax].src
+            else:
+                ay = back[y]
+                y = arcs[ay].src
+        return ax < ay
 
     outgoing = lat.outgoing
-    for v in lat.topological_order:
+    for v in order:
         score_v = score[v]
         for aid in outgoing[v]:
             arc = arcs[aid]
             dst = arc.dst
             cand = score_v + arc.w_ac
-            # Chains are rebuilt only to settle an exact tie.
-            if back[dst] < 0 or cand > score[dst] or (cand == score[dst] and chain(v) + [aid] < chain(dst)):
+            best = back[dst]
+            if best < 0 or cand > score[dst] or (cand == score[dst] and precedes(v, aid, arcs[best].src, best)):
                 score[dst] = cand
                 back[dst] = aid
     winner = -1
     for f in sorted(lat.finals):
-        if winner < 0 or score[f] > score[winner] or (score[f] == score[winner] and chain(f) < chain(winner)):
+        if winner < 0 or score[f] > score[winner] or (score[f] == score[winner] and precedes(f, -1, winner, -1)):
             winner = f
-    return StrokeSequence(tuple(arcs[aid].label for aid in chain(winner)))
+    chain = []
+    while (aid := back[winner]) >= 0:
+        chain.append(aid)
+        winner = arcs[aid].src
+    chain.reverse()
+    return StrokeSequence(tuple(arcs[aid].label for aid in chain))
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -341,6 +359,9 @@ def loads_lattice(
                 (ref,) = fields[1:]
                 if vocab_ref:
                     raise ValueError("repeated vocab line")
+                if ref.isdigit():
+                    # An inline count; digits such as '²' pass isdigit but not int.
+                    int(ref)
                 vocab_ref = ref
             elif kind == "start":
                 (raw,) = fields[1:]

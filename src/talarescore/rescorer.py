@@ -26,24 +26,31 @@ list read and its distribution one attribute read.  Most pushed states are
 cut by the capacity rule and never popped, so they cost only their row;
 histories (the winner's, the dump's) are rebuilt from the parent column.
 
-Everything a popped state costs beyond the queue is one step in two halves.
-``_Scorer.snapshot`` observes the Dirichlet transition, advances the static
-prior and reads its ``dist``; ``_Scorer.score`` predicts, takes the
-divergence, the interpolation weight and the combination, and gives the
-outgoing arcs' weights, read from a per-node arc table built once per decode.
-:func:`rescore` runs both for every popped state and only searches;
-:func:`path_terms` runs both for every arc of a given path and reports each
-arc's terms, so both give the same bits.
+The push rule: a child whose key ``(-acc_score, id)`` sorts after the
+``k_beam``-th entry of a full queue is past the cut whatever else the pop
+pushes, since later children only push entries back; and its id is the
+largest yet, so a tie with that entry puts it after.  Such a child gets its
+row and, on a final node, its place in ``terminals``, but no queue entry.
 
-The scoring half reads the history through two values only: row ``stroke``
-of the state's Dirichlet snapshot and its static distribution.  Two states on
-one node whose histories differ in neither get the same weights, bit for
-bit, so :func:`rescore` keeps a memo from
+Everything a popped state costs beyond the queue is one step.  The state
+observes its Dirichlet transition (``dynamic_model._observe``) and advances
+the static prior, whose ``dist`` it reads; ``_Scorer.fuse`` predicts and
+takes the divergence and the interpolation weight; ``_Scorer.weights`` gives
+the outgoing arcs' weights, read from a per-node arc table built once per
+decode, each from its own cell of the combination.  :func:`rescore` runs the
+step for every popped state and only searches; :func:`path_terms` runs it for
+every arc of a given path and reports each arc's terms, with the whole
+combination from ``fusion._combine``, so both give the same bits.
+
+``fuse`` and ``weights`` read the history through two values only: row
+``stroke`` of the state's Dirichlet snapshot and its static distribution.
+Two states on one node whose histories differ in neither get the same
+weights, bit for bit, so :func:`rescore` keeps a memo from
 ``(node, stroke, alpha[stroke].tobytes(), p_static)`` to the node's arc
 weights and scores each distinct key once.  A hit is bit-exact because the
-key holds every input of the scoring half: the row's bytes, the static
-distribution's values (each weight is the same for equal values), and the
-node, which fixes the arcs and their acoustic confidence.  The first state
+key holds every input of ``fuse`` and ``weights``: the row's bytes, the
+static distribution's values (each weight is the same for equal values), and
+the node, which fixes the arcs and their acoustic confidence.  The first state
 with a key is the one that scores it, so a failing step raises at the same
 state, with the same message.  The memo is local to one call and dies with
 it; it holds one weights tuple per scored key.
@@ -179,7 +186,10 @@ class RescoreDiagnostics:
 
     ``scored`` counts the popped states whose arc weights were computed, the
     memo's misses; every other popped state with outgoing arcs reused the
-    weights of an earlier state with the same key.
+    weights of an earlier state with the same key.  ``max_queue_size`` is
+    the queue's length before a cut, and ``pruned_capacity`` counts the
+    states the cut drops; both include the children the push rule records
+    but never queues.
     """
 
     pops: int
@@ -191,7 +201,7 @@ class RescoreDiagnostics:
 
 
 class _Scorer:
-    """One decode's scoring constants, its per-node arc table, and the step's two halves.
+    """One decode's scoring constants, its per-node arc table, and the step's scoring.
 
     ``arcs[node]`` lists the node's outgoing arcs, in arc-id order, as
     ``(arc id, dst, model stroke, w_ac, dst is final)``; ``confidence[node]``
@@ -227,29 +237,14 @@ class _Scorer:
             for out in lat.outgoing
         ]
 
-    def snapshot(
-        self, alpha: np.ndarray, prior_state: object, prev: int | None, stroke: int
-    ) -> tuple[np.ndarray, object, tuple[float, ...]]:
-        """The snapshot of a state reached by ``stroke`` and its static distribution.
-
-        ``alpha`` and ``prior_state`` are the parent's snapshot and ``prev``
-        the parent's stroke; at the root ``prev`` is None, the snapshot is the
-        start's and ``stroke`` the sentinel.
-        """
-        if prev is not None:
-            alpha = _observe(alpha, self.rho, prev, stroke)
-            prior_state = self.advance(prior_state, stroke)
-        return alpha, prior_state, self.dist(prior_state)
-
-    def score(
+    def fuse(
         self, sid: int, node: int, alpha: np.ndarray, stroke: int, p_static: tuple[float, ...]
-    ) -> tuple[tuple[float, ...], tuple]:
-        """Score the state ``sid`` on ``node``, reached by ``stroke``.
+    ) -> tuple[list[float], float, float, float]:
+        """The dynamic distribution and ``(confidence, divergence, lam)`` of
+        the state ``sid`` on ``node``, reached by ``stroke``.
 
         ``alpha`` and ``p_static`` are the state's snapshot and static
-        distribution from :meth:`snapshot`; only row ``stroke`` of ``alpha``
-        is read.  Returns the weight of each of ``arcs[node]`` and the terms
-        ``(confidence, divergence, lam, p_static, p_dyn, p_comb)``; the
+        distribution; only row ``stroke`` of ``alpha`` is read.  The
         confidence and divergence are NaN where a fixed weight skips them.
         """
         try:
@@ -270,11 +265,21 @@ class _Scorer:
             lam = lambda_k(conf, div)
         else:
             conf = div = math.nan
-        probs = _combine(p_static, p_dyn, lam)
-        beta = self.beta
+        return p_dyn, conf, div, lam
+
+    def weights(
+        self, sid: int, node: int, p_static: tuple[float, ...], p_dyn: list[float], lam: float
+    ) -> tuple[float, ...]:
+        """The weight of each of ``arcs[node]`` for the state ``sid``, given
+        the terms :meth:`fuse` gives it.
+
+        Each arc's combined probability is ``fusion._combine``'s cell, taken
+        at that arc alone.
+        """
+        keep, beta = 1.0 - lam, self.beta
         weights = []
         for arc_id, _, q, w_ac, _ in self.arcs[node]:
-            p = probs[q - 1]
+            p = keep * p_static[q - 1] + lam * p_dyn[q - 1]
             if not 0.0 < p < math.inf:  # NaN fails too
                 raise RescoreError(
                     f"state {sid} (node {node}), arc {arc_id}: combined probability "
@@ -287,7 +292,7 @@ class _Scorer:
                     f"of {self.vocab.symbol_of(q)} is not finite (beta={beta!r})"
                 )
             weights.append(weight)
-        return tuple(weights), (conf, div, lam, p_static, p_dyn, probs)
+        return tuple(weights)
 
 
 def rescore(
@@ -303,8 +308,10 @@ def rescore(
     """
     cfg = cfg or RescoreConfig()
     scorer = _Scorer(lat, model, cfg)
-    snapshot, score, table = scorer.snapshot, scorer.score, scorer.arcs
+    fuse, arc_weights, table = scorer.fuse, scorer.weights, scorer.arcs
+    advance, dist, rho = scorer.advance, scorer.dist, scorer.rho
     k_beam = cfg.k_beam
+    last = k_beam - 1
     # Each scored key's arc weights; see the module docstring.
     scored: dict[tuple[int, int, bytes, tuple[float, ...]], tuple[float, ...]] = {}
 
@@ -335,15 +342,22 @@ def rescore(
         out = table[node]
         if not out:
             continue
-        parent = parents[sid]
-        prev = None if parent is None else strokes[parent]
         stroke = strokes[sid]
-        alpha, prior_state, p_static = snapshot(alpha, prior_state, prev, stroke)
+        parent = parents[sid]
+        if parent is not None:
+            alpha = _observe(alpha, rho, strokes[parent], stroke)
+            prior_state = advance(prior_state, stroke)
+        p_static = dist(prior_state)
         key = (node, stroke, alpha[stroke].tobytes(), p_static)
         weights = scored.get(key)
         if weights is None:
-            weights = scored[key] = score(sid, node, alpha, stroke, p_static)[0]
+            p_dyn, _, _, lam = fuse(sid, node, alpha, stroke, p_static)
+            weights = scored[key] = arc_weights(sid, node, p_static, p_dyn, lam)
 
+        # The queue's length before the cut counts every child, queued or not.
+        queued = len(queue) + len(out)
+        if queued > max_queue:
+            max_queue = queued
         acc = accs[sid]
         for (arc_id, dst, q, _, final), weight in zip(out, weights):
             child = len(nodes)
@@ -356,11 +370,11 @@ def rescore(
             add_acc(child_acc)
             if final:
                 terminals.append(child)
-            insort(queue, (-child_acc, child, alpha, prior_state))
-
-        queued = len(queue)
-        if queued > max_queue:
-            max_queue = queued
+            # A child that sorts after a full queue's k_beam-th entry (its id
+            # is the largest yet, so a tie puts it after) stays past the cut
+            # whatever follows it: it is recorded and never queued.
+            if len(queue) < k_beam or -child_acc < queue[last][0]:
+                insort(queue, (-child_acc, child, alpha, prior_state))
         del queue[k_beam:]
 
     # ``terminals`` is not empty: the queue empties only after a pop that
@@ -387,9 +401,9 @@ def rescore(
 def path_terms(lat: Lattice, model: RhythmModel, cfg: RescoreConfig, arc_ids: Sequence[int]) -> list[StepTrace]:
     """The terms of each arc of the path ``arc_ids`` from the start node.
 
-    The path is replayed through the same two halves of the step
-    :func:`rescore` runs, without its memo, so each arc's terms and weight
-    are the decode's own bits; the path need not end on a final node.  The
+    The path is replayed through the same step :func:`rescore` runs,
+    without its memo, so each arc's terms and weight are the decode's own
+    bits; the path need not end on a final node.  The
     step's errors name the arc's position on the path as the state.  Raises
     ``ValueError`` when an arc does not leave the node the path has reached.
     """
@@ -402,10 +416,15 @@ def path_terms(lat: Lattice, model: RhythmModel, cfg: RescoreConfig, arc_ids: Se
         pos = next((i for i, arc in enumerate(out) if arc[0] == arc_id), None)
         if pos is None:
             raise ValueError(f"arc {arc_id} does not leave node {node}")
-        alpha, prior_state, p_static = scorer.snapshot(alpha, prior_state, prev, stroke)
-        weights, fused = scorer.score(depth, node, alpha, stroke, p_static)
+        if prev is not None:
+            alpha = _observe(alpha, scorer.rho, prev, stroke)
+            prior_state = scorer.advance(prior_state, stroke)
+        p_static = scorer.dist(prior_state)
+        p_dyn, conf, div, lam = scorer.fuse(depth, node, alpha, stroke, p_static)
+        weights = scorer.weights(depth, node, p_static, p_dyn, lam)
         _, dst, q, w_ac, _ = out[pos]
-        terms.append(StepTrace(depth, node, arc_id, q, w_ac, *fused, weights[pos]))
+        p_comb = _combine(p_static, p_dyn, lam)
+        terms.append(StepTrace(depth, node, arc_id, q, w_ac, conf, div, lam, p_static, p_dyn, p_comb, weights[pos]))
         prev, stroke, node = stroke, q, dst
     return terms
 

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import time
+
 import pytest
 
 from talarescore.core import StrokeSequence, generate_sequence
@@ -87,6 +89,19 @@ def test_viterbi_tie_breaks_by_smallest_arc_ids(vocab):
     )
     lat = Lattice(vocab=vocab, n_nodes=2, arcs=arcs, start=0, finals=frozenset({1}))
     assert viterbi_acoustic(lat).to_symbols(vocab) == ("Na",)
+
+
+def test_viterbi_is_linear_on_tied_scores(vocab):
+    # Every score is 0.0, so every arc ties at every position and the first
+    # arc wins each; its label turns with the position.  Settling each tie
+    # by rebuilding both chains from the start took minutes at this length.
+    n = 40_000
+    arcs = tuple(Arc(k, k + 1, (k + j) % 3 + 1, 0.0) for k in range(n) for j in range(3))
+    lat = Lattice(vocab=vocab, n_nodes=n + 1, arcs=arcs, start=0, finals=frozenset({n}))
+    began = time.perf_counter()
+    hyp = viterbi_acoustic(lat)
+    assert time.perf_counter() - began < 20.0
+    assert hyp.strokes == tuple(k % 3 + 1 for k in range(n))
 
 
 def test_viterbi_equals_enumeration_argmax_on_random_grids(vocab):
@@ -245,6 +260,16 @@ def test_malformed_files_rejected():
         text = f"lattice v1\nvocab 2\nstart 0\nfinal 1\n{bad}\n"
         with pytest.raises(LatticeFormatError, match=f"bad .*{bad!r}"):
             loads_lattice(text)
+
+
+def test_vocab_count_must_be_a_decimal_integer():
+    # '²' passes str.isdigit but int() rejects it; other scripts' decimal
+    # digits are counts as int() reads them.
+    text = "lattice v1\nvocab {}\nstart 0\nfinal 1\narc 0 1 Dha -1.0\n"
+    with pytest.raises(LatticeFormatError, match="bad vocab line 'vocab ²'"):
+        loads_lattice(text.format("²"))
+    lat = loads_lattice(text.format("٣"))
+    assert lat.vocab_ref == "٣" and lat.vocab.playable_symbols == ("Dha",)
 
 
 @pytest.mark.parametrize("first, repeat", [("vocab 3", "vocab 2"), ("start 1", "start 0")])
