@@ -173,6 +173,12 @@ class BenchmarkSuiteConfig:
     def __post_init__(self) -> None:
         if not self.talas:
             raise ValueError("suite needs at least one tala")
+        for name in ("train_per_tala", "test_per_tala", "cycles"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+        if self.cycles < 1:
+            raise ValueError("cycles must be >= 1")
         if self.train_per_tala < 1 or self.test_per_tala < 1:
             raise ValueError("need at least one training and one test sequence per tala")
         # Each mode is one report row; two with one label share a weight.

@@ -145,60 +145,48 @@ class Lattice:
 def viterbi_acoustic(lat: Lattice) -> StrokeSequence:
     """Best start-to-final path by total acoustic score.
 
-    Ties break on the lexicographically smallest arc-id sequence, which makes
-    the result deterministic and keeps it consistent with the rescorer's
-    tie-break when the rhythmic term vanishes.
+    Of the best-scoring paths, the one with the lexicographically smallest
+    arc-id sequence wins, a prefix before its extensions, as in the
+    rescorer's ``viterbi_expanded``.  No tie is settled during the search: a
+    forward pass keeps each node's best score, and one descent from the
+    start reads off the winner.
     """
-    arcs, order = lat.arcs, lat.topological_order
-    # Each node keeps the score of its best chain and the chain's last arc;
-    # -1 marks the start and nodes not reached yet.  Validation puts every
-    # node on a start-to-final path, so the start precedes every other node
-    # in topological order, and each node and each final is reached.
-    score = [0.0] * lat.n_nodes
-    back = [-1] * lat.n_nodes
-    # Each node's place in topological order, filled at the first tie.
-    rank: dict[int, int] = {}
-
-    def precedes(x: int, ax: int, y: int, ay: int) -> bool:
-        # Whether x's best chain followed by arc ax sorts before y's followed
-        # by ay, where -1 is no arc.  The best chains form a tree rooted at
-        # the start, so two of them share the chain to the node where they
-        # meet and first differ in the arcs that leave it; a chain that ends
-        # there is a prefix of the other, and -1 sorts it first.  A node
-        # later in topological order cannot be that meeting node, so it is
-        # the one stepped back.
-        if not rank:
-            rank.update(zip(order, range(len(order))))
-        while x != y:
-            if rank[x] > rank[y]:
-                ax = back[x]
-                x = arcs[ax].src
-            else:
-                ay = back[y]
-                y = arcs[ay].src
-        return ax < ay
-
-    outgoing = lat.outgoing
+    arcs, order, outgoing = lat.arcs, lat.topological_order, lat.outgoing
+    # Validation makes the start the one node without incoming arcs: first.
+    score = [-math.inf] * lat.n_nodes
+    score[lat.start] = 0.0
     for v in order:
         score_v = score[v]
         for aid in outgoing[v]:
             arc = arcs[aid]
             dst = arc.dst
             cand = score_v + arc.w_ac
-            best = back[dst]
-            if best < 0 or cand > score[dst] or (cand == score[dst] and precedes(v, aid, arcs[best].src, best)):
+            if cand > score[dst]:
                 score[dst] = cand
-                back[dst] = aid
-    winner = -1
-    for f in sorted(lat.finals):
-        if winner < 0 or score[f] > score[winner] or (score[f] == score[winner] and precedes(f, -1, winner, -1)):
-            winner = f
-    chain = []
-    while (aid := back[winner]) >= 0:
-        chain.append(aid)
-        winner = arcs[aid].src
-    chain.reverse()
-    return StrokeSequence(tuple(arcs[aid].label for aid in chain))
+    # A path scores the top score exactly when every arc on it is tight (its
+    # source's score plus w_ac is its destination's).  A node's step is its
+    # smallest tight arc toward a top-scoring final, -1 at such a final (a
+    # prefix sorts first), and None where no tight path leads to one.
+    top = max(map(score.__getitem__, lat.finals))
+    step: list[int | None] = [None] * lat.n_nodes
+    for f in lat.finals:
+        if score[f] == top:
+            step[f] = -1
+    for v in reversed(order):
+        if step[v] is None:
+            score_v = score[v]
+            for aid in outgoing[v]:
+                arc = arcs[aid]
+                dst = arc.dst
+                if step[dst] is not None and score_v + arc.w_ac == score[dst]:
+                    step[v] = aid
+                    break
+    labels = []
+    v = lat.start
+    while (aid := step[v]) >= 0:
+        labels.append(arcs[aid].label)
+        v = arcs[aid].dst
+    return StrokeSequence(tuple(labels))
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -219,6 +207,8 @@ class LatticeGenConfig:
     margin: float = 1.0
 
     def __post_init__(self) -> None:
+        if isinstance(self.branching, bool) or not isinstance(self.branching, int):
+            raise ValueError(f"branching must be an integer, got {self.branching!r}")
         if self.branching < 1:
             raise ValueError("branching must be >= 1")
         if self.noise_sigma < 0:

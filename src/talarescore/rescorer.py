@@ -442,24 +442,33 @@ def path_score(lat: Lattice, model: RhythmModel, cfg: RescoreConfig, arc_ids: Se
 def viterbi_expanded(exp: ExpandedLattice) -> int:
     """Id of the best-scoring terminal state.
 
-    Ties break on the lexicographically smallest chain of original lattice
-    arc ids, matching the acoustic Viterbi tie-break.
+    Of the top-scoring terminals, the one with the lexicographically smallest
+    chain of lattice arc ids wins, a prefix first, as in ``viterbi_acoustic``.
+    No chain is built: each top terminal walks up to the first marked state,
+    marking each parent with its smallest-arc child toward a top terminal,
+    and one descent from the root reads off the winner.
     """
     if not exp.terminals:
         raise RescoreError("expanded lattice has no terminal state")
-    acc = exp.states.acc_score
-    best_id: int | None = None
-    best_chain: tuple[int, ...] | None = None
+    acc, parent, arc_id = exp.states.acc_score, exp.states.parent, exp.states.arc_id
+    top = max(acc[sid] for sid in exp.terminals)
+    # Each marked state's child; a top terminal's -1 ends the descent there.
+    down: dict[int, int] = {}
     for sid in exp.terminals:
-        if best_id is None or acc[sid] > acc[best_id]:
-            best_id, best_chain = sid, None
-        elif acc[sid] == acc[best_id]:
-            if best_chain is None:
-                best_chain = exp.arc_chain(best_id)
-            chain = exp.arc_chain(sid)
-            if chain < best_chain:
-                best_id, best_chain = sid, chain
-    return best_id
+        if acc[sid] != top:
+            continue
+        down[sid] = -1
+        while (up := parent[sid]) is not None:
+            child = down.get(up)
+            if child is None or (child >= 0 and arc_id[sid] < arc_id[child]):
+                down[up] = sid
+            if child is not None:
+                break
+            sid = up
+    sid = 0
+    while (child := down[sid]) >= 0:
+        sid = child
+    return sid
 
 
 def _map_labels(lat: Lattice, vocab: StrokeVocabulary) -> dict[int, int]:

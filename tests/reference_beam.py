@@ -21,8 +21,9 @@ def reference_beam(lat, model, cfg):
     is sorted again, and cut to ``k_beam`` states.  The winner is the
     terminal child with the highest score, then the smallest arc chain.
 
-    Returns ``(hypothesis in model stroke ids, winner's score, pops, pushes,
-    max_queue)``, where ``max_queue`` is the longest list before a cut.
+    Returns ``(hypothesis in model stroke ids, winner's arc chain, winner's
+    score, pops, pushes, max_queue)``, where ``max_queue`` is the longest
+    list before a cut.
     """
     beam = [(0.0, 0, ())]
     terminals = []
@@ -46,12 +47,17 @@ def reference_beam(lat, model, cfg):
         del beam[cfg.k_beam :]
     score, chain = min(terminals, key=lambda terminal: (-terminal[0], terminal[1]))
     hypothesis = tuple(model.vocab.id_of(lat.vocab.symbol_of(lat.arcs[a].label)) for a in chain)
-    return hypothesis, score, pops, pushes, max_queue
+    return hypothesis, chain, score, pops, pushes, max_queue
 
 
 def assert_rescore_equals_reference(lat, model, cfg):
     """``rescore`` and :func:`reference_beam` agree bit for bit on the
-    hypothesis, pops, pushes, ``max_queue`` and the winner's ``acc_score``."""
+    hypothesis, the winner's arc chain and ``acc_score``, pops, pushes and
+    ``max_queue``; the arc chain checks the tie rule where tied paths carry
+    the same labels."""
     hyp, exp, diag = rescore(lat, model, cfg)
-    decoded = (hyp.strokes, exp.states.acc_score[diag.best_state], diag.pops, diag.pushes, diag.max_queue_size)
+    best = diag.best_state
+    decoded = (
+        hyp.strokes, exp.arc_chain(best), exp.states.acc_score[best], diag.pops, diag.pushes, diag.max_queue_size
+    )
     assert decoded == reference_beam(lat, model, cfg)

@@ -206,6 +206,22 @@ def test_suite_rejects_invalid_and_repeated_lambda_modes(modes, message):
         tiny_suite(lambda_modes=modes)
 
 
+@pytest.mark.parametrize(
+    ("field", "value", "message"),
+    [
+        ("train_per_tala", 2.0, "^train_per_tala must be an integer, got 2.0$"),
+        ("test_per_tala", 1.5, "^test_per_tala must be an integer, got 1.5$"),
+        ("test_per_tala", float("nan"), "^test_per_tala must be an integer, got nan$"),
+        ("cycles", True, "^cycles must be an integer, got True$"),
+        ("cycles", 0, "^cycles must be >= 1$"),
+        ("train_per_tala", 0, "^need at least one training and one test sequence per tala$"),
+    ],
+)
+def test_suite_rejects_counts_that_are_no_positive_integer(field, value, message):
+    with pytest.raises(ValueError, match=message):
+        tiny_suite(**{field: value})
+
+
 def test_standard_suite_covers_four_talas():
     suite = standard_suite()
     assert len(suite.talas) == 4

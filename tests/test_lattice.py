@@ -91,17 +91,44 @@ def test_viterbi_tie_breaks_by_smallest_arc_ids(vocab):
     assert viterbi_acoustic(lat).to_symbols(vocab) == ("Na",)
 
 
-def test_viterbi_is_linear_on_tied_scores(vocab):
-    # Every score is 0.0, so every arc ties at every position and the first
-    # arc wins each; its label turns with the position.  Settling each tie
-    # by rebuilding both chains from the start took minutes at this length.
-    n = 40_000
+def tied_sausage(vocab, n, finals):
+    # Three arcs per position, every score 0.0; the first arc's label turns
+    # with the position.
     arcs = tuple(Arc(k, k + 1, (k + j) % 3 + 1, 0.0) for k in range(n) for j in range(3))
-    lat = Lattice(vocab=vocab, n_nodes=n + 1, arcs=arcs, start=0, finals=frozenset({n}))
-    began = time.perf_counter()
-    hyp = viterbi_acoustic(lat)
-    assert time.perf_counter() - began < 20.0
-    assert hyp.strokes == tuple(k % 3 + 1 for k in range(n))
+    return Lattice(vocab=vocab, n_nodes=n + 1, arcs=arcs, start=0, finals=frozenset(finals))
+
+
+def tied_braid(vocab, n):
+    # Two chains, a (label 1) and b (label 2), that never share a node; at
+    # every position k both enter a merge node m_k (label 3), which rejoins
+    # chain a (label 4).  Every score is 0.0, and the one final is m_n.
+    a, b, m = (lambda k: 3 * k - 2), (lambda k: 3 * k - 1), (lambda k: 3 * k)
+    arcs = [Arc(0, a(1), 1, 0.0), Arc(0, b(1), 2, 0.0)]
+    for k in range(1, n):
+        arcs += [Arc(a(k), a(k + 1), 1, 0.0), Arc(a(k), m(k), 3, 0.0)]
+        arcs += [Arc(b(k), b(k + 1), 2, 0.0), Arc(b(k), m(k), 3, 0.0), Arc(m(k), a(k + 1), 4, 0.0)]
+    arcs += [Arc(a(n), m(n), 3, 0.0), Arc(b(n), m(n), 3, 0.0)]
+    return Lattice(vocab=vocab, n_nodes=3 * n + 1, arcs=tuple(arcs), start=0, finals=frozenset({m(n)}))
+
+
+def test_viterbi_is_linear_on_tied_scores(vocab):
+    # Each lattice ties everywhere.  Settling each tie during the search, by
+    # rebuilding both chains from the start or by walking both back to where
+    # they meet, took up to minutes on these lattices.
+    n = 40_000
+    cases = [
+        # The first arc wins at every position.
+        (tied_sausage(vocab, n, {n}), tuple(k % 3 + 1 for k in range(n))),
+        # Every node is final, so the first arc alone wins: a prefix first.
+        (tied_sausage(vocab, n, range(1, n + 1)), (1,)),
+        # Chain a all the way, then into the final merge node.
+        (tied_braid(vocab, 20_000), (1,) * 20_000 + (3,)),
+    ]
+    for lat, expected in cases:
+        began = time.perf_counter()
+        hyp = viterbi_acoustic(lat)
+        assert time.perf_counter() - began < 20.0
+        assert hyp.strokes == expected
 
 
 def test_viterbi_equals_enumeration_argmax_on_random_grids(vocab):
@@ -162,6 +189,9 @@ def test_generated_lattice_is_deterministic_and_byte_stable(vocab, tintal, tmp_p
         ("margin", float("nan"), "^margin must be finite, got nan$"),
         ("margin", float("-inf"), "^margin must be finite, got -inf$"),
         ("branching", 0, "^branching must be >= 1$"),
+        ("branching", 2.0, "^branching must be an integer, got 2.0$"),
+        ("branching", float("nan"), "^branching must be an integer, got nan$"),
+        ("branching", True, "^branching must be an integer, got True$"),
         ("p_del", 1.5, r"^p_del must lie in \[0, 1\], got 1.5$"),
     ],
 )

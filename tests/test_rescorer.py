@@ -6,6 +6,7 @@ import math
 import random
 import sys
 import threading
+import time
 import weakref
 from dataclasses import replace
 
@@ -293,6 +294,24 @@ def test_viterbi_expanded_picks_best_terminal_directly(vocab, small_model):
         cols.acc_score.append(acc_score)
     exp.terminals.extend([1, 2])
     assert viterbi_expanded(exp) == 1
+
+
+def test_viterbi_expanded_is_linear_on_tied_terminals(vocab, small_model):
+    # At beta 0 every weight is its arc's score, 0.0 on this sausage, so its
+    # 178k terminals all tie.  Settling each tie by rebuilding both arc
+    # chains from the root took about 5 s, and walking both back to where
+    # they meet about 1.5 s.
+    n = 400
+    arcs = tuple(Arc(k, k + 1, (k + j) % 3 + 1, 0.0) for k in range(n) for j in range(3))
+    lat = Lattice(vocab=vocab, n_nodes=n + 1, arcs=arcs, start=0, finals=frozenset(range(1, n + 1)))
+    hyp, exp, diag = rescore(lat, small_model, RescoreConfig(beta=0.0))
+    began = time.perf_counter()
+    best = viterbi_expanded(exp)
+    assert time.perf_counter() - began < 1.0
+    # Every node is final, so the start's first arc alone wins: a prefix first.
+    assert best == diag.best_state
+    assert exp.arc_chain(best) == (0,)
+    assert hyp.strokes == (1,)
 
 
 def test_zero_combined_probability_from_a_model_file_is_a_rescore_error(vocab):
