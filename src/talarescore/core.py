@@ -38,7 +38,9 @@ class StrokeVocabulary:
             raise VocabularyError("vocabulary needs at least one playable stroke")
         seen: set[str] = set()
         for name in self.symbols:
-            if not name or name.split() != [name]:
+            # Every sequence and vocabulary file reads a line that begins
+            # with '#' as a comment.
+            if not name or name.split() != [name] or name.startswith("#"):
                 raise VocabularyError(f"invalid symbol name: {name!r}")
             if name in seen:
                 raise VocabularyError(f"duplicate symbol: {name!r}")

@@ -12,9 +12,10 @@ the decode step's unchecked ``_jsd_half``/``_jsd`` and ``_combine`` (the step
 computes ``_combine``'s cell at each outgoing arc, by the same formula).  Every
 logarithm and exponential is ``math.log``/``math.exp`` on one cell: the C
 library's, which gives the arc weights their logs too, so the step has one
-logarithm whatever SIMD kernels numpy would pick on the CPU.  Every sum runs
-left to right from ``0.0`` (the builtin ``sum`` is compensated from Python
-3.12 on).
+logarithm whatever SIMD kernels numpy would pick on the CPU.  Every sum of
+the step, the static prior's mixture and the Dirichlet row total included,
+runs left to right from ``0.0`` (the builtin ``sum`` is compensated from
+Python 3.12 on).
 
 Both distributions are smoothed by ``_EPS_JSD = 1e-8`` per cell before the
 divergence, so zero cells give no infinities; the smoothing renormalizes by

@@ -106,10 +106,10 @@ def dumps_model(model: RhythmModel) -> str:
     Raises ``ValueError`` for what :func:`loads_model` would refuse, naming
     the field, tala, cell or key: an ``eps_dir`` out of bounds, a tala prior
     outside (0, 1], an ``alpha0`` cell that is not positive and finite, or a
-    count table with a stroke id outside the vocabulary (a window stroke or
-    a next stroke outside 1..V, a context stroke outside 0..V), a context
-    that is not ``n - 1`` strokes long, a window that is empty or longer
-    than ``w_tau``, or a count that is not an ``int`` in 0..2**53.
+    count table with a stroke id outside the vocabulary (a window stroke
+    outside 1..V, a context stroke outside 0..V), a context that is not
+    ``n - 1`` strokes long, a window that is empty or longer than
+    ``w_tau``, or a count that is not an ``int`` in 0..2**53.
     """
     _check_hyperparameter("eps_dir", model.eps_dir)
     prior = model.prior
@@ -145,12 +145,8 @@ def dumps_model(model: RhythmModel) -> str:
                     raise ValueError(
                         f"tala {tala!r}: n-gram {ctx!r} -> {nxt!r}: count {count!r} is not an int in 0..2**53"
                     )
-                try:
-                    lines.append(f"{head} {playable[nxt]} {count}")
-                except KeyError:
-                    raise ValueError(
-                        f"tala {tala!r}: n-gram {ctx!r} -> {nxt!r}: next stroke id not in 1..{top}"
-                    ) from None
+                # The prior's constructor refused a next stroke outside 1..V.
+                lines.append(f"{head} {playable[nxt]} {count}")
     w_tau = prior.w_tau
     for tala in prior.talas:
         windows = prior.window_counts[tala]

@@ -5,14 +5,14 @@ estimated from a recent-history window, weights per-tala Laplace-smoothed
 n-gram distributions over the next stroke.  :class:`TalaIndependentPrior`
 holds the order ``n``, ``laplace_k``, the tala window ``w_tau`` and each
 count table once; it is the one next-stroke prior the rescorer reads.  It is
-stepped along a path and answers one query, ``dist``; it memoizes the
-mixture on the values it depends on, so its memo is bounded by the training
-data, not by decode traffic.  The path's state is a node of an automaton
-over the window table (Aho and Corasick, CACM 1975) that keeps only the
-longest suffix of the history that can still grow into a window; its nodes
-are built on first use and bounded by the training data too.
-:func:`train_static_prior` builds the prior in one pass over a tala-labeled
-corpus.
+stepped along a path and answers one query, ``dist``; it computes the
+mixture on Python floats, every sum left to right from ``0.0``, and memoizes
+it on the values it depends on, so its memo is bounded by the training data,
+not by decode traffic.  The path's state is a node of an automaton over the
+window table (Aho and Corasick, CACM 1975) that keeps only the longest suffix
+of the history that can still grow into a window; its nodes are built on
+first use and bounded by the training data too.  :func:`train_static_prior`
+builds the prior in one pass over a tala-labeled corpus.
 
 A trained window table is prefix-closed: every prefix of a window in it is
 a window in it too.  So training counts one window of up to ``w_tau``
@@ -23,9 +23,7 @@ prefixes, and the model file is written and read through the prefixes
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
-
-import numpy as np
+from typing import Iterable
 
 from .core import SENTINEL_ID, StrokeSequence, _check_hyperparameter
 from .errors import VocabularyError
@@ -46,7 +44,11 @@ class TalaIndependentPrior:
     empty history's state, ``advance(state, stroke)`` checks the stroke id
     and steps to the state after it, and ``dist(state)`` returns the mixture
     as a tuple of floats, one entry per playable stroke (index
-    ``stroke_id - 1``); it is the one query.
+    ``stroke_id - 1``); it is the one query.  Each tala's weight is
+    ``(c + laplace_k) * P(tala)``, ``c`` the window's count in the tala
+    (``P(tala)`` for the empty window), over the weights' total, and its
+    n-gram row is ``laplace_k`` per cell plus the counts, over the row's
+    total.  Every next-stroke id in ``counts`` must lie in 1..num_playable.
 
     A node's key is ``(q, full, ctx)``.  ``q`` is the longest suffix of the
     history, at most ``w_tau`` strokes long, that is a prefix of a window in
@@ -97,6 +99,13 @@ class TalaIndependentPrior:
             if tala.split() != [tala]:
                 # The model file's lines are split on whitespace.
                 raise ValueError(f"tala name {tala!r} is empty or holds whitespace")
+        for tala, table in counts.items():
+            for ctx, row in table.items():
+                for nxt in row:
+                    if not 1 <= nxt <= num_playable:
+                        raise ValueError(
+                            f"tala {tala!r}: n-gram {ctx!r} -> {nxt!r}: next stroke id not in 1..{num_playable}"
+                        )
         if not any(laplace_k * p > 0 for p in tala_priors.values()):
             # Every weight of a window seen in no tala would be 0.
             raise ValueError(
@@ -111,39 +120,12 @@ class TalaIndependentPrior:
         self.window_counts = window_counts
         self.tala_priors = tala_priors
         self.talas: tuple[str, ...] = tuple(sorted(tala_priors))
-        self._prior_vec = np.array([tala_priors[t] for t in self.talas])
         self._unseen = (0,) * len(self.talas)
         # Built on the first query, so that training and loading do not pay for it.
         self._probe: dict[tuple[int, ...], tuple[int, ...]] | None = None
         self._cache: dict[tuple[tuple[int, ...] | None, tuple[int, ...]], tuple[float, ...]] = {}
         self._root = _Node(((), False, (SENTINEL_ID,) * (n - 1)), num_playable)
         self._nodes: dict[tuple[tuple[int, ...], bool, tuple[int, ...]], _Node] = {self._root.key: self._root}
-
-    def context_of(self, history: Sequence[int]) -> tuple[int, ...]:
-        """The last ``n - 1`` strokes, sentinel-padded on the left."""
-        need = self.n - 1
-        ctx = tuple(history[-need:]) if need else ()
-        if len(ctx) < need:
-            ctx = (SENTINEL_ID,) * (need - len(ctx)) + ctx
-        return ctx
-
-    def distribution(self, tala: str, context: tuple[int, ...]) -> np.ndarray:
-        """Smoothed conditional of one tala's n-gram over playable strokes, as a fresh array."""
-        table = self.counts.get(tala)
-        if table is None:
-            raise ValueError(f"tala {tala!r} not in trained prior")
-        probs = np.full(self.num_playable, self.laplace_k, dtype=float)
-        for nxt, c in table.get(context, {}).items():
-            probs[nxt - 1] += c
-        probs /= probs.sum()
-        return probs
-
-    def posterior(self, u: Sequence[int]) -> np.ndarray:
-        """P(tala | u) over ``talas``; reduces to the prior for an empty or unseen u."""
-        if len(u) > self.w_tau:
-            raise ValueError(f"history window longer than w_tau={self.w_tau}")
-        key = tuple(u)
-        return self._weights(self._window_probe().get(key, self._unseen) if key else None)
 
     def start(self) -> _Node:
         """The state of the empty history."""
@@ -171,10 +153,7 @@ class TalaIndependentPrior:
                 counts = self._unseen
             mix = self._cache.get((counts, ctx))
             if mix is None:
-                total = np.zeros(self.num_playable)
-                for weight, tala in zip(self._weights(counts), self.talas):
-                    total += weight * self.distribution(tala, ctx)
-                mix = self._cache.setdefault((counts, ctx), tuple(total.tolist()))
+                mix = self._cache.setdefault((counts, ctx), self._mixture(counts, ctx))
             state.dist = mix
         return mix
 
@@ -216,15 +195,27 @@ class TalaIndependentPrior:
             self._probe = probe
         return self._probe
 
-    def _weights(self, counts: tuple[int, ...] | None) -> np.ndarray:
-        # The tala posterior of a window with these per-tala counts; None,
-        # the empty window, has no evidence yet, so Bayes' rule collapses to
-        # the prior.
-        if counts is None:
-            return self._prior_vec / self._prior_vec.sum()
+    def _mixture(self, counts: tuple[int, ...] | None, ctx: tuple[int, ...]) -> tuple[float, ...]:
+        # The mixture after a window with these per-tala counts and the
+        # n-gram context ``ctx``; None, the empty window, has no evidence
+        # yet, so Bayes' rule collapses to the prior.
         k = self.laplace_k
-        weights = np.array([(c + k) * self.tala_priors[t] for c, t in zip(counts, self.talas)])
-        return weights / weights.sum()
+        priors = [self.tala_priors[t] for t in self.talas]
+        weights = priors if counts is None else [(c + k) * p for c, p in zip(counts, priors)]
+        z = 0.0
+        for weight in weights:
+            z += weight
+        mix = [0.0] * self.num_playable
+        for weight, tala in zip(weights, self.talas):
+            row = [float(k)] * self.num_playable
+            for nxt, c in self.counts[tala].get(ctx, {}).items():
+                row[nxt - 1] += c
+            total = 0.0
+            for cell in row:
+                total += cell
+            for i, cell in enumerate(row):
+                mix[i] += weight / z * (cell / total)
+        return tuple(mix)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, TalaIndependentPrior):

@@ -26,6 +26,8 @@ from talarescore.core import (
     save_vocabulary,
 )
 from talarescore.errors import VocabularyError
+from talarescore.lattice import loads_lattice
+from talarescore.model import loads_model
 
 TINTAL_THEKA = (
     "Dha Dhin Dhin Dha Dha Dhin Dhin Dha Na Tin Tin Na Dha Tin Tin Na"
@@ -49,6 +51,18 @@ def test_vocabulary_rejects_duplicates_and_bad_names():
         StrokeVocabulary.of(["Dha", "bad name"])
     with pytest.raises(VocabularyError):
         StrokeVocabulary.of([])
+
+
+def test_vocabulary_refuses_a_symbol_that_reads_as_a_comment():
+    # Sequence and vocabulary files drop a line that begins with '#', so a
+    # saved sequence that began with such a symbol would not load back.
+    message = r"^invalid symbol name: '#x'$"
+    with pytest.raises(VocabularyError, match=message):
+        StrokeVocabulary.of(["Dha", "#x"])
+    with pytest.raises(VocabularyError, match=message):
+        loads_lattice("lattice v1\nvocab 2\nstart 0\nfinal 2\narc 0 1 #x -1.0\narc 1 2 Dha -1.0\n")
+    with pytest.raises(VocabularyError, match=message):
+        loads_model("tiprior v1\nn 2\nlaplace_k 1.0\nw_tau 2\neps_dir 1.0\nvocab #x Dha\ntala t 1.0\n")
 
 
 def test_stroke_sequence_rejects_sentinel_and_empty():

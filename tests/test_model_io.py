@@ -6,7 +6,6 @@ import math
 import random
 import re
 
-import numpy as np
 import pytest
 
 from talarescore.core import StrokeSequence
@@ -19,6 +18,7 @@ from talarescore.rescorer import rescore
 from talarescore.static_prior import TalaIndependentPrior, train_static_prior
 
 from .helpers import dist_after
+from .oracles import ngram_prob
 
 
 def test_round_trip_structural_equality(small_corpus, vocab, tmp_path):
@@ -90,10 +90,10 @@ def test_alpha_defaults_not_stored(vocab):
 def test_single_tala_model_prior_equals_its_ngram(vocab):
     corpus = [StrokeSequence((1, 2, 1, 2, 3), tala_label="solo")]
     model = train_model(corpus, vocab, n=2)
-    history = (1, 2)
-    mix = dist_after(model.prior, history)
-    ngram = model.prior.distribution("solo", model.prior.context_of(history))
-    assert np.array_equal(mix, ngram)
+    prior = model.prior
+    # After (1, 2) the context is (2,), and the one tala's weight is 1.
+    ngram = tuple(ngram_prob(prior.counts, vocab.num_playable, 1.0, "solo", (2,), q) for q in vocab.playable_ids)
+    assert dist_after(prior, (1, 2)) == ngram
 
 
 def test_static_prior_cache_is_shared(small_corpus, vocab):
@@ -313,9 +313,9 @@ def model_of_tables(vocab, counts=None, window_counts=None, n=2, w_tau=2):
 def test_dump_rejects_tables_the_file_cannot_hold(vocab, tables, message):
     # Each of these used to be written as a line that loads as another key
     # or that the loader refuses.
-    model = model_of_tables(vocab, **tables)
+    # The prior's constructor refuses a next stroke outside 1..V, before a dump.
     with pytest.raises(ValueError, match="^" + re.escape(f"tala 't': {message}") + "$"):
-        dumps_model(model)
+        dumps_model(model_of_tables(vocab, **tables))
 
 
 def test_dump_writes_the_bounds_of_the_file(vocab):

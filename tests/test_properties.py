@@ -13,12 +13,11 @@ from __future__ import annotations
 
 from dataclasses import replace
 
-import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from talarescore.core import StrokeSequence, StrokeVocabulary
+from talarescore.core import SENTINEL_ID, StrokeSequence, StrokeVocabulary
 from talarescore.dynamic_model import init_alpha
 from talarescore.errors import VocabularyError
 from talarescore.eval import ser
@@ -217,24 +216,26 @@ def stepped_priors(draw, case):
 
     ``case`` fixes the shape: ``"unigram"`` has n=1, ``"short_window"`` a
     tala window shorter than the n-gram context, ``"not_closed"`` a window
-    table that holds windows without their sub-windows.
+    table that holds windows without their sub-windows, ``"many_talas"``
+    8 to 10 talas, whose weights a pairwise sum would add in another order.
     """
     n = 1 if case == "unigram" else draw(st.integers(3 if case == "short_window" else 2, 4))
     w_tau = draw(st.integers(1, n - 2)) if case == "short_window" else draw(st.integers(1, 5))
     laplace_k = draw(st.sampled_from((1.0, 0.3)))
+    talas = tuple(f"t{i}" for i in range(1, draw(st.integers(8, 10)) + 1)) if case == "many_talas" else TALAS
     corpus = [
         StrokeSequence(tuple(draw(st.lists(STROKES, min_size=1, max_size=12))), tala_label=tala)
-        for tala in TALAS
+        for tala in talas
     ]
     trained = train_static_prior(corpus, ABC.num_playable, n=n, laplace_k=laplace_k, w_tau=w_tau)
     windows = trained.window_counts
     if case == "not_closed":
-        for tala in TALAS:
+        for tala in talas:
             for window in [w for w in windows[tala] if len(w) < w_tau and draw(st.booleans())]:
                 del windows[tala][window]
         for _ in range(draw(st.integers(1, 4))):
             window = tuple(draw(st.lists(STROKES, min_size=2, max_size=w_tau))) if w_tau > 1 else (1,)
-            windows[draw(st.sampled_from(TALAS))][window] = draw(st.integers(1, 5))
+            windows[draw(st.sampled_from(talas))][window] = draw(st.integers(1, 5))
     tables = dict(
         n=n, laplace_k=laplace_k, w_tau=w_tau, num_playable=ABC.num_playable,
         counts=trained.counts, window_counts=windows, tala_priors=trained.tala_priors,
@@ -243,24 +244,35 @@ def stepped_priors(draw, case):
     return tables, history
 
 
-def reference_mixture(ti, history) -> tuple[float, ...]:
-    """The mixture from the tables, without the state, the memo or the
-    merged window table: each tala's weight reads its own window dict."""
-    w_tau = ti.w_tau
-    window = history[len(history) - w_tau :] if len(history) > w_tau else history
+def reference_mixture(tables, history) -> tuple[float, ...]:
+    """The mixture from the raw tables on Python floats, with no prior: each
+    tala's weight reads its own window dict, and every sum runs left to
+    right from 0.0, the talas in sorted order."""
+    k, v = tables["laplace_k"], tables["num_playable"]
+    priors = tables["tala_priors"]
+    talas = sorted(priors)
+    window = history[max(0, len(history) - tables["w_tau"]) :]
     if window:
-        weights = [(ti.window_counts[t].get(window, 0) + ti.laplace_k) * ti.tala_priors[t] for t in ti.talas]
+        weights = [(tables["window_counts"][t].get(window, 0) + k) * priors[t] for t in talas]
     else:
-        weights = [ti.tala_priors[t] for t in ti.talas]
-    weights = np.array(weights)
-    ctx = ti.context_of(history)
-    mix = np.zeros(ti.num_playable)
-    for weight, tala in zip(weights / weights.sum(), ti.talas):
-        mix += weight * ti.distribution(tala, ctx)
-    return tuple(mix.tolist())
+        weights = [priors[t] for t in talas]
+    z = 0.0
+    for weight in weights:
+        z += weight
+    ctx = ((SENTINEL_ID,) * (tables["n"] - 1) + history)[len(history) :]
+    mix = [0.0] * v
+    for weight, tala in zip(weights, talas):
+        row = tables["counts"][tala].get(ctx, {})
+        cells = [k + row.get(q, 0) for q in range(1, v + 1)]
+        total = 0.0
+        for cell in cells:
+            total += cell
+        for i, cell in enumerate(cells):
+            mix[i] += weight / z * (cell / total)
+    return tuple(mix)
 
 
-@pytest.mark.parametrize("case", ["unigram", "short_window", "not_closed", "trained"])
+@pytest.mark.parametrize("case", ["unigram", "short_window", "not_closed", "trained", "many_talas"])
 @PROPERTY_SETTINGS
 @given(data=st.data())
 def test_stepped_prior_state_equals_the_mixture_of_the_history(case, data):
@@ -273,7 +285,7 @@ def test_stepped_prior_state_equals_the_mixture_of_the_history(case, data):
         if i:
             state = stepped.advance(state, history[i - 1])
         assert state.key == prior_state_key(tables["window_counts"], tables["w_tau"], tables["n"], seen)
-        assert stepped.dist(state) == dist_after(fresh, seen) == reference_mixture(stepped, seen)
+        assert stepped.dist(state) == dist_after(fresh, seen) == reference_mixture(tables, seen)
 
 
 @PROPERTY_SETTINGS

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given
 
 from talarescore import rescorer
-from talarescore.core import default_vocabulary
+from talarescore.core import SENTINEL_ID, default_vocabulary
 from talarescore.errors import RescoreError, VocabularyMismatchError
 from talarescore.eval import DEFAULT_LAMBDA_SWEEP, build_training_corpus, standard_suite, suite_test_set
 from talarescore.fusion import _combine, lambda_k
@@ -38,8 +38,10 @@ from .oracles import (
     best_path_by_replay,
     dirichlet_observe,
     dirichlet_predict,
+    ngram_prob,
     path_count,
     replay_path_score,
+    tala_posterior,
     ti_prior_dist,
 )
 from .reference_beam import assert_rescore_equals_reference
@@ -539,16 +541,18 @@ def test_adaptive_winners_pass_windows_where_the_tala_posterior_moves_the_prior(
     # it does not.
     model, lats = suite_lattices(2)
     ti = model.prior
-    prior_only = ti.posterior(())
+    prior_only = tala_posterior(ti.window_counts, ti.tala_priors, ti.laplace_k, ())
+    v, k = ti.num_playable, ti.laplace_k
     for lat in lats:
         hyp, _, _ = rescore(lat, model, RescoreConfig())
         state, history, moved = ti.start(), (), 0
         for stroke in hyp.strokes:
             state, history = ti.advance(state, stroke), history + (stroke,)
             if any(history[-ti.w_tau :] in ti.window_counts[t] for t in ti.talas):
-                ctx = ti.context_of(history)
-                alone = sum(w * ti.distribution(t, ctx) for w, t in zip(prior_only, ti.talas))
-                moved += np.max(np.abs(np.asarray(ti.dist(state)) - alone)) > 1e-6
+                ctx = ((SENTINEL_ID,) * (ti.n - 1) + history)[len(history) :]
+                rows = {t: [ngram_prob(ti.counts, v, k, t, ctx, q) for q in range(1, v + 1)] for t in ti.talas}
+                alone = [sum(w * rows[t][i] for t, w in prior_only.items()) for i in range(v)]
+                moved += max(abs(a - b) for a, b in zip(ti.dist(state), alone)) > 1e-6
         assert moved >= 1, hyp.strokes
 
 

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import functools
 import random
 import re
 import threading
@@ -12,7 +13,7 @@ from talarescore.core import SENTINEL_ID, StrokeSequence, StrokeVocabulary
 from talarescore.static_prior import TalaIndependentPrior, train_static_prior
 
 from .helpers import dist_after
-from .oracles import ti_prior_dist
+from .oracles import ngram_prob, tala_posterior, ti_prior_dist
 
 AB = StrokeVocabulary.of(["A", "B"])
 A, B = 1, 2
@@ -23,11 +24,24 @@ def train(corpus, n=2, w_tau=4, laplace_k=1.0):
 
 
 def windows_only(window_counts, tala_priors, w_tau=4):
-    """A unigram prior with no n-gram counts, for its tala posterior alone."""
+    """A unigram prior whose mixture shows its tala posterior: tala ``t1``
+    has counted stroke A once and every other tala stroke B once, so with
+    ``laplace_k`` 1 the mixture's A cell is (1 + P(t1 | window)) / 3."""
     return TalaIndependentPrior(
         n=1, laplace_k=1.0, w_tau=w_tau, num_playable=AB.num_playable,
-        counts={t: {} for t in tala_priors}, window_counts=window_counts, tala_priors=tala_priors,
+        counts={t: {(): {A if t == "t1" else B: 1}} for t in tala_priors},
+        window_counts=window_counts, tala_priors=tala_priors,
     )
+
+
+def t1_posterior(prior, history):
+    """P(t1 | window) after ``history``, read off a :func:`windows_only` mixture."""
+    return 3 * dist_after(prior, history)[A - 1] - 1
+
+
+def context(n, history):
+    """The last ``n - 1`` strokes of ``history``, sentinel-padded on the left."""
+    return ((SENTINEL_ID,) * (n - 1) + history)[len(history) :]
 
 
 def test_bigram_counts_by_hand():
@@ -36,27 +50,23 @@ def test_bigram_counts_by_hand():
     assert prior.counts["t1"][(A,)][B] == 2
     assert prior.counts["t1"][(B,)][A] == 1
     assert prior.counts["t1"][(SENTINEL_ID,)][A] == 1
-    # Laplace k=1: P(B|A) = (2+1)/(2+2) = 0.75
-    dist = prior.distribution("t1", (A,))
-    assert dist[B - 1] == pytest.approx(0.75, abs=1e-12)
-    assert dist[A - 1] == pytest.approx(0.25, abs=1e-12)
+    # Laplace k=1: P(B|A) = (2+1)/(2+2) = 0.75, the one tala's whole mixture
+    assert dist_after(prior, (A,)) == (0.25, 0.75)
 
 
 def test_unigram_order_ignores_context():
     corpus = [StrokeSequence((A, A, A, B), tala_label="t1")]
     prior = train(corpus, n=1)
-    d1 = prior.distribution("t1", ())
-    # counts: A=3, B=1, k=1 -> (4/6, 2/6)
-    assert d1[A - 1] == pytest.approx(4 / 6, abs=1e-12)
-    assert d1[B - 1] == pytest.approx(2 / 6, abs=1e-12)
-    assert prior.context_of((A, B, B)) == ()
+    # counts: A=3, B=1, k=1 -> (4/6, 2/6) after any history
+    for history in ((), (A,), (A, B, B)):
+        assert dist_after(prior, history) == (4 / 6, 2 / 6)
+        assert functools.reduce(prior.advance, history, prior.start()).key[2] == ()
 
 
 def test_unseen_context_is_uniform():
     corpus = [StrokeSequence((A, B), tala_label="t1")]
     prior = train(corpus, n=3)
-    dist = prior.distribution("t1", (B, B))
-    assert np.allclose(dist, [0.5, 0.5])
+    assert dist_after(prior, (A, B, B)) == (0.5, 0.5)
 
 
 def test_training_requires_labels_and_content():
@@ -69,37 +79,28 @@ def test_training_requires_labels_and_content():
 def test_context_padding_with_sentinel():
     corpus = [StrokeSequence((A, B), tala_label="t1")]
     prior = train(corpus, n=3)
-    assert prior.context_of(()) == (SENTINEL_ID, SENTINEL_ID)
-    assert prior.context_of((A,)) == (SENTINEL_ID, A)
-    assert prior.context_of((B, A, B)) == (A, B)
+    for history, ctx in [((), (SENTINEL_ID, SENTINEL_ID)), ((A,), (SENTINEL_ID, A)), ((B, A, B), (A, B))]:
+        assert functools.reduce(prior.advance, history, prior.start()).key[2] == ctx
     assert (SENTINEL_ID, SENTINEL_ID) in prior.counts["t1"]
 
 
 def test_posterior_hand_example():
     prior = windows_only({"t1": {(A,): 3}, "t2": {}}, {"t1": 0.5, "t2": 0.5})
-    post = prior.posterior((A,))
     # (3+1)*0.5 vs (0+1)*0.5 -> 0.8 / 0.2
-    assert post[prior.talas.index("t1")] == pytest.approx(0.8, abs=1e-12)
-    assert post[prior.talas.index("t2")] == pytest.approx(0.2, abs=1e-12)
+    assert t1_posterior(prior, (A,)) == pytest.approx(0.8, abs=1e-12)
+    assert dist_after(prior, (A,)) == pytest.approx((0.6, 0.4), abs=1e-12)
 
 
 def test_posterior_unseen_window_equals_prior():
     prior = windows_only({"t1": {}, "t2": {}}, {"t1": 0.7, "t2": 0.3})
-    post = prior.posterior((B, B))
-    assert post[prior.talas.index("t1")] == pytest.approx(0.7, abs=1e-12)
-    post_empty = prior.posterior(())
-    assert post_empty[prior.talas.index("t1")] == pytest.approx(0.7, abs=1e-12)
+    assert t1_posterior(prior, (B, B)) == pytest.approx(0.7, abs=1e-12)
+    assert t1_posterior(prior, ()) == pytest.approx(0.7, abs=1e-12)
 
 
 def test_posterior_single_tala_is_one():
+    # The one tala's n-gram row is the whole mixture, bit for bit.
     prior = windows_only({"t1": {}}, {"t1": 1.0})
-    assert prior.posterior((A,))[0] == pytest.approx(1.0, abs=1e-15)
-
-
-def test_posterior_rejects_overlong_window():
-    prior = windows_only({"t1": {}}, {"t1": 1.0}, w_tau=2)
-    with pytest.raises(ValueError, match="w_tau"):
-        prior.posterior((A, B, A))
+    assert dist_after(prior, (A,)) == dist_after(prior, ()) == (2 / 3, 1 / 3)
 
 
 def test_posterior_monotone_in_count():
@@ -107,7 +108,7 @@ def test_posterior_monotone_in_count():
     last = -1.0
     for c in range(0, 8):
         prior = windows_only({"t1": {(A,): c}, "t2": {(A,): 2}}, priors)
-        p1 = prior.posterior((A,))[prior.talas.index("t1")]
+        p1 = t1_posterior(prior, (A,))
         assert p1 > last
         last = p1
 
@@ -139,8 +140,8 @@ def test_ti_prior_single_tala_degenerates_to_ngram():
     prior = train(corpus, n=2, w_tau=3)
     history = (A, B, A)
     mix = dist_after(prior, history)
-    ngram = prior.distribution("t1", prior.context_of(history))
-    assert np.array_equal(mix, ngram)
+    ngram = tuple(ngram_prob(prior.counts, 2, 1.0, "t1", (A,), q) for q in (A, B))
+    assert mix == ngram
 
 
 def test_ti_prior_two_tala_hand_mixture():
@@ -149,13 +150,9 @@ def test_ti_prior_two_tala_hand_mixture():
         StrokeSequence((B, B, B, B), tala_label="t2"),
     ]
     prior = train(corpus, n=2, w_tau=2)
-    history = (A, B)
-    post = prior.posterior(history)
-    expected = np.zeros(2)
-    for w, tala in zip(post, prior.talas):
-        expected += w * prior.distribution(tala, (B,))
-    got = np.asarray(dist_after(prior, history))
-    assert np.all(np.abs(got - expected) < 1e-12)
+    # Window (A, B): (2+1)*0.5 vs (0+1)*0.5 -> 0.75 / 0.25.  After B, t1's
+    # row is (2/3, 1/3) and t2's (1/5, 4/5).
+    assert dist_after(prior, (A, B)) == pytest.approx((0.55, 0.45), abs=1e-12)
 
 
 def test_ti_prior_mixture_bounds_and_normalization():
@@ -170,8 +167,8 @@ def test_ti_prior_mixture_bounds_and_normalization():
         mix = np.asarray(dist_after(prior, history))
         assert mix.sum() == pytest.approx(1.0, abs=1e-9)
         assert (mix > 0).all()
-        ctx = prior.context_of(history)
-        per_tala = np.array([prior.distribution(t, ctx) for t in prior.talas])
+        ctx = context(3, history)
+        per_tala = np.array([[ngram_prob(prior.counts, 2, 1.0, t, ctx, q) for q in (A, B)] for t in prior.talas])
         assert (mix >= per_tala.min(axis=0) - 1e-12).all()
         assert (mix <= per_tala.max(axis=0) + 1e-12).all()
 
@@ -216,7 +213,7 @@ def test_memo_is_bounded_by_training_not_by_traffic():
     contexts, seen = set(), set()
     for history in histories:
         assert np.allclose(dist_after(ti, history), ti_prior_dist(model, history), rtol=0, atol=1e-15)
-        contexts.add(ti.context_of(history))
+        contexts.add(context(3, history))
         if any(history[-10:] in ti.window_counts[t] for t in ti.talas):
             seen.add(history[-10:])
     assert len(histories) > 500 and seen
@@ -236,7 +233,7 @@ def test_automaton_is_bounded_by_training_not_by_traffic():
     contexts = set()
     for history in histories:
         dist_after(ti, history)
-        contexts.update(ti.context_of(history[:i]) for i in range(len(history) + 1))
+        contexts.update(context(3, history[:i]) for i in range(len(history) + 1))
     prefixes = {w[:k] for t in ti.talas for w in ti.window_counts[t] for k in range(1, len(w) + 1)}
     assert len(histories) > 500
     assert {q for q, _, _ in ti._nodes} <= prefixes | {()}
@@ -272,7 +269,8 @@ def test_threads_that_race_on_one_transition_get_one_node():
 def test_empty_history_keeps_the_normalized_prior(first):
     # With laplace_k != 1 the normalized prior and the zero-count posterior
     # can differ in the last bits, so an empty window must not share the memo
-    # entry of an unseen window with the same (here empty) context.
+    # entry of an unseen window with the same (here empty) context: each
+    # mixture equals the one a prior with a fresh memo gives, bit for bit.
     corpus = [StrokeSequence((A,), tala_label="t1"), StrokeSequence((B,) * 7, tala_label="t2")]
     ti = train(corpus, n=1, w_tau=4, laplace_k=0.3)
     histories = {"empty": (), "unseen": (B, A, A, A)}
@@ -280,15 +278,15 @@ def test_empty_history_keeps_the_normalized_prior(first):
     results = {}
     for name in order:
         history = histories[name]
-        expected = np.zeros(2)
-        for weight, tala in zip(ti.posterior(history), ti.talas):
-            expected += weight * ti.distribution(tala, ())
         results[name] = dist_after(ti, history)
-        assert np.array_equal(results[name], expected)
-    assert not np.array_equal(results["empty"], results["unseen"])
+        assert results[name] == dist_after(train(corpus, n=1, w_tau=4, laplace_k=0.3), history)
+        post = tala_posterior(ti.window_counts, ti.tala_priors, 0.3, history)
+        expected = [sum(post[t] * ngram_prob(ti.counts, 2, 0.3, t, (), q) for t in post) for q in (A, B)]
+        assert results[name] == pytest.approx(expected, rel=1e-12)
+    assert results["empty"] != results["unseen"]
 
 
-def test_memo_arrays_are_read_only():
+def test_memo_hands_out_its_own_tuple():
     corpus = [StrokeSequence((A, B, A, B, B), tala_label="t1"), StrokeSequence((B, A, A), tala_label="t2")]
     ti = train(corpus, n=2, w_tau=3)
     # The memo hands out its own tuple, which no caller can change.
@@ -302,10 +300,15 @@ def test_ti_prior_rejects_an_empty_tala_set():
         windows_only({}, {})
 
 
-def test_distribution_of_an_untrained_tala_fails():
-    prior = windows_only({"t": {}}, {"t": 1.0})
-    with pytest.raises(ValueError, match=r"^tala 'u' not in trained prior$"):
-        prior.distribution("u", ())
+@pytest.mark.parametrize("nxt", [0, AB.num_playable + 1])
+def test_ti_prior_rejects_a_next_stroke_outside_the_vocabulary(nxt):
+    # Id 0 would add its count to the last stroke's cell, and V + 1 has no cell.
+    message = "^" + re.escape(f"tala 't': n-gram (0,) -> {nxt}: next stroke id not in 1..2") + "$"
+    with pytest.raises(ValueError, match=message):
+        TalaIndependentPrior(
+            n=2, laplace_k=1.0, w_tau=2, num_playable=AB.num_playable,
+            counts={"t": {(SENTINEL_ID,): {nxt: 6}}}, window_counts={"t": {}}, tala_priors={"t": 1.0},
+        )
 
 
 @pytest.mark.parametrize("tala", ["jhap tal", "jhap\ttal", " tintal", ""])
