@@ -314,6 +314,8 @@ def generate_sequence(
     independently with ``p_sub``.  Deterministic given ``rng_seed``.
     """
     vocab = vocab or default_vocabulary()
+    if isinstance(cycles, bool) or not isinstance(cycles, int):
+        raise ValueError(f"cycles must be an integer, got {cycles!r}")
     if cycles < 1:
         raise ValueError("cycles must be >= 1")
     dev = deviation or NO_DEVIATION

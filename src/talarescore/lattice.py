@@ -9,8 +9,8 @@ Lattices are immutable after construction and safe to share across threads.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import repeat
 from pathlib import Path
 from typing import NamedTuple
@@ -43,6 +43,12 @@ class Lattice:
     ``vocab_ref`` is the verbatim argument of the file header's ``vocab``
     directive (a path or an inline playable-symbol count) and is re-emitted
     unchanged on save so round-trips are byte-identical.
+
+    Construction freezes ``arcs`` to a tuple and ``finals`` to a frozenset,
+    and the pass that checks them also sets two attributes that are not
+    fields: ``outgoing``, the arc ids leaving each node in arc-id order, and
+    ``topological_order``, the nodes in the order Kahn's algorithm with a
+    stack visits them.
     """
 
     vocab: StrokeVocabulary
@@ -53,15 +59,22 @@ class Lattice:
     vocab_ref: str = ""
 
     def __post_init__(self) -> None:
+        # An exact tuple or frozenset is kept as it is, not copied.
+        object.__setattr__(self, "arcs", tuple(self.arcs))
+        object.__setattr__(self, "finals", frozenset(self.finals))
         if not self.vocab_ref:
             object.__setattr__(self, "vocab_ref", str(self.vocab.num_playable))
         self._validate()
 
     def _validate(self) -> None:
         n = self.n_nodes
+        if not _is_index(n):
+            raise LatticeFormatError(f"node count {n!r} is not an integer")
         if n < 1:
             raise LatticeFormatError("lattice needs at least one node")
         start = self.start
+        if not _is_index(start):
+            raise LatticeFormatError(f"start node {start!r} is not an integer")
         if not 0 <= start < n:
             raise LatticeFormatError(f"start node {start} out of range")
         if not self.finals:
@@ -69,13 +82,17 @@ class Lattice:
         if start in self.finals:
             raise LatticeFormatError("start node may not be final (paths must carry strokes)")
         for f in self.finals:
+            if not _is_index(f):
+                raise LatticeFormatError(f"final node {f!r} is not an integer")
             if not 0 <= f < n:
                 raise LatticeFormatError(f"final node {f} out of range")
         # The bound is StrokeVocabulary.playable_ids's, inlined.
         n_symbols = self.vocab.num_symbols
         isfinite, arc_type = math.isfinite, Arc
-        dsts = []
-        for i, arc in enumerate(self.arcs):
+        arcs = self.arcs
+        outgoing: list[list[int]] = [[] for _ in range(n)]
+        indeg = [0] * n
+        for i, arc in enumerate(arcs):
             if type(arc) is not arc_type:
                 raise LatticeFormatError(f"arc {i} is not an Arc")
             src, dst, label, w_ac = arc
@@ -85,51 +102,11 @@ class Lattice:
                 raise LatticeFormatError(f"arc {i} label {label} is not a playable stroke")
             if not isfinite(w_ac):
                 raise LatticeFormatError(f"arc {i} score {w_ac!r} is not finite")
-            dsts.append(dst)
-        if start in dsts:
+            outgoing[src].append(i)
+            indeg[dst] += 1
+        if indeg[start]:
             raise LatticeFormatError("start node has incoming arcs")
-        order = self.topological_order
-        if len(order) != n:
-            raise LatticeFormatError("lattice contains a cycle")
-        # On a DAG one sweep in topological order settles what the start
-        # reaches, and one in reverse order what reaches a final node.
-        outgoing = self.outgoing
-        fwd = [False] * n
-        fwd[start] = True
-        for v in order:
-            if fwd[v]:
-                for aid in outgoing[v]:
-                    fwd[dsts[aid]] = True
-        bwd = [False] * n
-        for f in self.finals:
-            bwd[f] = True
-        for v in reversed(order):
-            if not bwd[v]:
-                for aid in outgoing[v]:
-                    if bwd[dsts[aid]]:
-                        bwd[v] = True
-                        break
-        for v in range(n):
-            if not (fwd[v] and bwd[v]):
-                raise LatticeFormatError(f"node {v} lies on no start-to-final path")
-
-    @cached_property
-    def outgoing(self) -> tuple[tuple[int, ...], ...]:
-        """Arc ids leaving each node, in arc-id order."""
-        out: list[list[int]] = [[] for _ in range(self.n_nodes)]
-        for i, arc in enumerate(self.arcs):
-            out[arc.src].append(i)
-        return tuple(tuple(ids) for ids in out)
-
-    @cached_property
-    def topological_order(self) -> tuple[int, ...]:
-        """Nodes in a topological order, from Kahn's algorithm with a stack;
-        shorter than ``n_nodes`` on a cycle."""
-        arcs, outgoing = self.arcs, self.outgoing
-        indeg = [0] * self.n_nodes
-        for arc in arcs:
-            indeg[arc.dst] += 1
-        ready = [v for v in range(self.n_nodes) if indeg[v] == 0]
+        ready = [v for v in range(n) if not indeg[v]]
         order = []
         while ready:
             v = ready.pop()
@@ -137,9 +114,42 @@ class Lattice:
             for aid in outgoing[v]:
                 d = arcs[aid].dst
                 indeg[d] -= 1
-                if indeg[d] == 0:
+                if not indeg[d]:
                     ready.append(d)
-        return tuple(order)
+        if len(order) != n:
+            raise LatticeFormatError("lattice contains a cycle")
+        # On a DAG one sweep in topological order settles what the start
+        # reaches, and one in reverse order what reaches a final node.
+        fwd = [False] * n
+        fwd[start] = True
+        for v in order:
+            if fwd[v]:
+                for aid in outgoing[v]:
+                    fwd[arcs[aid].dst] = True
+        bwd = [False] * n
+        for f in self.finals:
+            bwd[f] = True
+        for v in reversed(order):
+            if not bwd[v]:
+                for aid in outgoing[v]:
+                    if bwd[arcs[aid].dst]:
+                        bwd[v] = True
+                        break
+        for v in range(n):
+            if not (fwd[v] and bwd[v]):
+                raise LatticeFormatError(f"node {v} lies on no start-to-final path")
+        object.__setattr__(self, "outgoing", tuple(map(tuple, outgoing)))
+        object.__setattr__(self, "topological_order", tuple(order))
+
+
+def _is_index(value: object) -> bool:
+    """Whether ``value`` can be a node id or count: ``operator.index`` takes
+    it, and it is no bool."""
+    try:
+        operator.index(value)
+    except TypeError:
+        return False
+    return not isinstance(value, bool)
 
 
 def viterbi_acoustic(lat: Lattice) -> StrokeSequence:

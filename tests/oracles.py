@@ -111,6 +111,40 @@ def path_count(lat) -> int:
     return sum(ways[f] for f in lat.finals)
 
 
+def outgoing_arc_ids(lat):
+    """Per node, the ids of the arcs whose source it is, in arc-id order:
+    one scan of the whole arc list per node."""
+    return tuple(
+        tuple(aid for aid, arc in enumerate(lat.arcs) if arc.src == node)
+        for node in range(lat.n_nodes)
+    )
+
+
+def kahn_stack_order(lat):
+    """The nodes in the order Kahn's algorithm visits them when its ready
+    nodes form a stack.
+
+    In-degrees are counted from all arcs.  The stack starts with the nodes
+    of in-degree 0 in id order, and the last one pushed is visited next.  A
+    visited node's arcs, in arc-id order, each take one from their
+    destination's in-degree, and a destination is pushed when that reaches 0.
+    """
+    indegree = {node: 0 for node in range(lat.n_nodes)}
+    for arc in lat.arcs:
+        indegree[arc.dst] += 1
+    stack = [node for node in range(lat.n_nodes) if indegree[node] == 0]
+    order = []
+    while stack:
+        node = stack.pop()
+        order.append(node)
+        for arc in lat.arcs:
+            if arc.src == node:
+                indegree[arc.dst] -= 1
+                if indegree[arc.dst] == 0:
+                    stack.append(arc.dst)
+    return tuple(order)
+
+
 def window_counts(corpus, w_tau):
     """Per tala, how often each stroke window of 1..w_tau strokes occurs in
     ``corpus``, a list of ``(tala, strokes)`` pairs: every window of every

@@ -121,6 +121,21 @@ def test_generation_length_law_and_determinism(vocab):
             assert len(a) == cycles * tala.matras
 
 
+@pytest.mark.parametrize(
+    "cycles, message",
+    [
+        (2.0, r"^cycles must be an integer, got 2\.0$"),
+        (True, r"^cycles must be an integer, got True$"),
+        ("2", r"^cycles must be an integer, got '2'$"),
+        (0, r"^cycles must be >= 1$"),
+    ],
+    ids=["float", "bool", "str", "zero"],
+)
+def test_generate_sequence_refuses_a_bad_cycle_count(vocab, tintal, cycles, message):
+    with pytest.raises(ValueError, match=message):
+        generate_sequence(tintal, cycles, None, 0, vocab)
+
+
 def test_forced_tihai_on_cycle_three_matches_worked_example(vocab, tintal):
     dev = DeviationConfig(p_tihai=1.0)
     seq = generate_sequence(tintal, 3, dev, 0, vocab)

@@ -1,7 +1,10 @@
 from __future__ import annotations
 
+import random
 import time
+from dataclasses import fields, replace
 
+import numpy as np
 import pytest
 
 from talarescore.core import StrokeSequence, generate_sequence
@@ -18,7 +21,7 @@ from talarescore.lattice import (
     viterbi_acoustic,
 )
 
-from .oracles import all_paths, path_count
+from .oracles import all_paths, kahn_stack_order, outgoing_arc_ids, path_count
 
 
 def chain_lattice(vocab, labeled_scores):
@@ -66,6 +69,43 @@ def test_arc_is_a_named_tuple(vocab):
     again = loads_lattice(dumps_lattice(lat))
     assert again.arcs == lat.arcs
     assert all(type(a) is Arc for a in again.arcs)
+
+
+def test_a_lattice_keeps_what_it_was_built_from(vocab):
+    arcs = [Arc(0, 1, 1, -1.0), Arc(1, 2, 2, -0.5), Arc(0, 2, 3, -2.0)]
+    finals = {2}
+    lat = Lattice(vocab=vocab, n_nodes=3, arcs=arcs, start=0, finals=finals)
+    built = (lat.arcs, lat.finals, lat.outgoing, lat.topological_order, viterbi_acoustic(lat))
+    assert built[:4] == (tuple(arcs), frozenset({2}), ((0, 2), (1,), ()), (0, 1, 2))
+    # Changing the caller's list and set afterwards changes nothing the
+    # lattice reports: it holds a tuple and a frozenset of its own.
+    arcs.append(Arc(2, 0, 1, 0.0))
+    arcs[2] = Arc(0, 2, 3, 9.0)
+    finals.add(1)
+    assert type(lat.arcs) is tuple and type(lat.finals) is frozenset
+    assert (lat.arcs, lat.finals, lat.outgoing, lat.topological_order, viterbi_acoustic(lat)) == built
+    # A tuple and a frozenset are kept, not copied; the index is no field,
+    # and replace() builds it anew.
+    again = Lattice(vocab=vocab, n_nodes=3, arcs=lat.arcs, start=0, finals=lat.finals)
+    assert again.arcs is lat.arcs and again.finals is lat.finals
+    assert [f.name for f in fields(Lattice)] == ["vocab", "n_nodes", "arcs", "start", "finals", "vocab_ref"]
+    shorter = replace(lat, arcs=(Arc(0, 1, 1, 0.0),), n_nodes=2, finals=[1])
+    assert (shorter.outgoing, shorter.topological_order, shorter.finals) == (((0,), ()), (0, 1), frozenset({1}))
+
+
+def test_adjacency_equals_its_definition_on_lattices_with_deletions_and_insertions(vocab):
+    # Insertion nodes are numbered after the positions' nodes, so their ids
+    # do not follow the topological order.
+    rng = random.Random(32)
+    out_of_id_order = 0
+    for seed in range(200):
+        truth = StrokeSequence(tuple(rng.randint(1, vocab.num_playable) for _ in range(rng.randint(2, 20))))
+        cfg = LatticeGenConfig(rng_seed=seed, branching=rng.randint(1, 3), noise_sigma=1.0, p_del=0.3, p_ins=0.3)
+        lat = generate_lattice(truth, cfg, vocab)
+        assert lat.outgoing == outgoing_arc_ids(lat)
+        assert lat.topological_order == kahn_stack_order(lat)
+        out_of_id_order += lat.topological_order != tuple(sorted(lat.topological_order))
+    assert out_of_id_order > 150
 
 
 def test_viterbi_single_path(vocab):
@@ -132,8 +172,6 @@ def test_viterbi_is_linear_on_tied_scores(vocab):
 
 
 def test_viterbi_equals_enumeration_argmax_on_random_grids(vocab):
-    import random
-
     rng = random.Random(7)
     symbols = vocab.playable_symbols
     for trial in range(25):
@@ -424,6 +462,36 @@ def test_lattice_rejects_bad_node_sets(vocab, n_nodes, start, finals, message):
     with pytest.raises(LatticeFormatError) as exc:
         Lattice(vocab=vocab, n_nodes=n_nodes, arcs=(Arc(0, 1, 1, 0.0),), start=start, finals=frozenset(finals))
     assert str(exc.value) == message
+
+
+@pytest.mark.parametrize(
+    "n_nodes, start, finals, message",
+    [
+        (3.0, 0, {1}, "node count 3.0 is not an integer"),
+        (True, 0, {1}, "node count True is not an integer"),
+        # Each type check comes ahead of its field's range check.
+        (2.0, 5, {9}, "node count 2.0 is not an integer"),
+        (2, "0", {1}, "start node '0' is not an integer"),
+        (2, False, {1}, "start node False is not an integer"),
+        (2, 0.0, {1}, "start node 0.0 is not an integer"),
+        (2, 0, {2.0}, "final node 2.0 is not an integer"),
+        (2, 0, {"2"}, "final node '2' is not an integer"),
+        (2, 0, {True}, "final node True is not an integer"),
+    ],
+    ids=["count-float", "count-bool", "count-before-range", "start-str", "start-bool", "start-float",
+         "final-float", "final-str", "final-bool"],
+)
+def test_lattice_rejects_node_ids_that_are_not_integers(vocab, n_nodes, start, finals, message):
+    with pytest.raises(LatticeFormatError) as exc:
+        Lattice(vocab=vocab, n_nodes=n_nodes, arcs=(Arc(0, 1, 1, 0.0),), start=start, finals=frozenset(finals))
+    assert str(exc.value) == message
+
+
+def test_lattice_takes_integer_node_ids_of_any_index_type(vocab):
+    # operator.index takes numpy's integers, as the range checks do.
+    i64 = np.int64
+    lat = Lattice(vocab=vocab, n_nodes=i64(2), arcs=(Arc(0, 1, 1, 0.0),), start=i64(0), finals=frozenset({i64(1)}))
+    assert lat.topological_order == (0, 1)
 
 
 @pytest.mark.parametrize(

@@ -32,7 +32,9 @@ from .oracles import (
     all_paths,
     best_path_by_replay,
     edit_decomposition,
+    kahn_stack_order,
     levenshtein_distance,
+    outgoing_arc_ids,
     prior_state_key,
     window_counts,
 )
@@ -90,6 +92,13 @@ def test_rescore_equals_the_reference_beam(small_model, mode, lat, k_beam, beta)
 def test_beta_zero_equals_acoustic_viterbi(small_model, lat):
     hyp, _, _ = rescore(lat, small_model, replace(EXHAUSTIVE, beta=0.0))
     assert hyp.strokes == viterbi_acoustic(lat).strokes
+
+
+@PROPERTY_SETTINGS
+@given(lat=small_dags())
+def test_adjacency_equals_its_definition(lat):
+    assert lat.outgoing == outgoing_arc_ids(lat)
+    assert lat.topological_order == kahn_stack_order(lat)
 
 
 @PROPERTY_SETTINGS
