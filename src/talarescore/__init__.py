@@ -24,7 +24,6 @@ from .errors import (
     VocabularyMismatchError,
 )
 from .eval import BenchmarkReport, BenchmarkSuiteConfig, EditStats, run_benchmark, ser, standard_suite
-from .fusion import acoustic_confidence, lambda_k
 from .lattice import (
     Arc,
     Lattice,

@@ -83,7 +83,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", type=Path, required=True)
     p.add_argument("--out", type=Path, required=True)
     p.add_argument("--baseline", action="store_true", help="acoustic-only Viterbi instead")
-    _add_rescore_flags(p)
+    defaults = rescorer.RescoreConfig()
+    p.add_argument("--rho", type=float, default=defaults.rho)
+    p.add_argument("--beta", type=float, default=defaults.beta)
+    p.add_argument("--k-beam", type=int, default=defaults.k_beam)
+    p.add_argument("--lambda", dest="lambda_mode", default=defaults.lambda_mode, help="adaptive or fixed:<v>")
     p.add_argument("--dump-expanded-dir", type=Path, default=None)
     p.add_argument("--diagnostics", type=Path, default=None, help="beam counters and the winner's path, term by term")
     p.add_argument("--config", type=Path, default=None)
@@ -104,14 +108,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", type=Path, default=None)
     p.set_defaults(func=cmd_ser)
     return parser
-
-
-def _add_rescore_flags(p: argparse.ArgumentParser) -> None:
-    defaults = rescorer.RescoreConfig()
-    p.add_argument("--rho", type=float, default=defaults.rho)
-    p.add_argument("--beta", type=float, default=defaults.beta)
-    p.add_argument("--k-beam", type=int, default=defaults.k_beam)
-    p.add_argument("--lambda", dest="lambda_mode", default=defaults.lambda_mode, help="adaptive or fixed:<v>")
 
 
 def _apply_config_file(argv: list[str]) -> tuple[list[str], Path | None]:

@@ -231,9 +231,6 @@ class DeviationConfig:
                 raise ValueError(f"{name} must lie in [0, 1], got {p}")
 
 
-NO_DEVIATION = DeviationConfig()
-
-
 def _theka(vocab: StrokeVocabulary, name: str, names: Sequence[str]) -> StrokeSequence:
     return StrokeSequence.from_symbols(vocab, names, tala_label=name)
 
@@ -318,7 +315,7 @@ def generate_sequence(
         raise ValueError(f"cycles must be an integer, got {cycles!r}")
     if cycles < 1:
         raise ValueError("cycles must be >= 1")
-    dev = deviation or NO_DEVIATION
+    dev = deviation or DeviationConfig()
     for sid in tala.theka.strokes:
         if sid not in vocab.playable_ids:
             raise VocabularyError(f"theka stroke id {sid} not in vocabulary")

@@ -83,8 +83,8 @@ def ser(ref: Sequence[Hashable] | StrokeSequence, hyp: Sequence[Hashable] | Stro
     must be hashable, with ``==`` consistent with their hash; the dict also
     takes an item as equal to itself, even a NaN.
     """
-    r = _items(ref)
-    h = _items(hyp)
+    r = tuple(ref)
+    h = tuple(hyp)
     if not r:
         raise ValueError("reference sequence must be non-empty")
     # Bit i-1 of a mask stands for row i, that is ref item i.
@@ -136,12 +136,6 @@ def ser(ref: Sequence[Hashable] | StrokeSequence, hyp: Sequence[Hashable] | Stro
     return EditStats(substitutions=s, deletions=d + i, insertions=ins_n + j, n_ref=len(r))
 
 
-def _items(seq: Sequence[Hashable] | StrokeSequence) -> tuple:
-    if isinstance(seq, StrokeSequence):
-        return seq.strokes
-    return tuple(seq)
-
-
 @dataclass(frozen=True, kw_only=True)
 class BenchmarkSuiteConfig:
     """Everything a benchmark run needs, rooted in one seed.
@@ -149,7 +143,8 @@ class BenchmarkSuiteConfig:
     Per-sequence randomness is split deterministically from ``seed`` by
     stream and index, so reruns are byte-identical.  Talas that cannot host
     their default tihai run with ``p_tihai`` forced to zero.  ``lambda_modes``
-    sets each report row's mode, so ``rescore.lambda_mode`` is not read.
+    sets each report row's mode, so ``rescore.lambda_mode`` must keep its
+    default.
     """
 
     talas: tuple[str, ...] = ("tintal", "jhaptal", "rupak", "ektal")
@@ -173,6 +168,10 @@ class BenchmarkSuiteConfig:
     def __post_init__(self) -> None:
         if not self.talas:
             raise ValueError("suite needs at least one tala")
+        if self.rescore.lambda_mode != RescoreConfig.lambda_mode:
+            raise ValueError(
+                f"rescore.lambda_mode={self.rescore.lambda_mode!r} is not read; set the modes to run in lambda_modes"
+            )
         for name in ("train_per_tala", "test_per_tala", "cycles"):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, int):

@@ -213,8 +213,7 @@ class _Scorer:
     """
 
     __slots__ = (
-        "vocab", "rho", "beta", "halves", "fixed_lam",
-        "advance", "dist", "start", "alpha0", "arcs", "confidence",
+        "vocab", "rho", "beta", "halves", "fixed_lam", "arcs", "confidence",
     )
 
     def __init__(self, lat: Lattice, model: RhythmModel, cfg: RescoreConfig) -> None:
@@ -224,9 +223,6 @@ class _Scorer:
         self.fixed_lam = parse_lambda_mode(cfg.lambda_mode)
         adaptive = self.fixed_lam is None
         self.halves: dict[tuple[float, ...], tuple[list[float], list[float]]] = {}
-        self.advance, self.dist = model.prior.advance, model.prior.dist
-        self.start = model.prior.start()
-        self.alpha0 = model.alpha0
         arcs, finals = lat.arcs, lat.finals
         self.arcs = [
             tuple((a, arcs[a].dst, label_map[arcs[a].label], arcs[a].w_ac, arcs[a].dst in finals) for a in out)
@@ -309,7 +305,7 @@ def rescore(
     cfg = cfg or RescoreConfig()
     scorer = _Scorer(lat, model, cfg)
     fuse, arc_weights, table = scorer.fuse, scorer.weights, scorer.arcs
-    advance, dist, rho = scorer.advance, scorer.dist, scorer.rho
+    advance, dist, rho = model.prior.advance, model.prior.dist, scorer.rho
     k_beam = cfg.k_beam
     last = k_beam - 1
     # Each scored key's arc weights; see the module docstring.
@@ -332,7 +328,7 @@ def rescore(
     # pop FIFO since ids are given in push order, and pruning cuts the tail.
     # Each entry carries its parent's snapshot (the start's at the root); the
     # ids are unique, so no comparison reaches it.
-    queue: list[tuple[float, int, np.ndarray, object]] = [(-0.0, 0, scorer.alpha0, scorer.start)]
+    queue: list[tuple[float, int, np.ndarray, object]] = [(-0.0, 0, model.alpha0, model.prior.start())]
     insort = bisect.insort
 
     while queue:
@@ -408,7 +404,7 @@ def path_terms(lat: Lattice, model: RhythmModel, cfg: RescoreConfig, arc_ids: Se
     ``ValueError`` when an arc does not leave the node the path has reached.
     """
     scorer = _Scorer(lat, model, cfg)
-    node, alpha, prior_state = lat.start, scorer.alpha0, scorer.start
+    node, alpha, prior_state = lat.start, model.alpha0, model.prior.start()
     prev, stroke = None, SENTINEL_ID
     terms: list[StepTrace] = []
     for depth, arc_id in enumerate(arc_ids):
@@ -418,8 +414,8 @@ def path_terms(lat: Lattice, model: RhythmModel, cfg: RescoreConfig, arc_ids: Se
             raise ValueError(f"arc {arc_id} does not leave node {node}")
         if prev is not None:
             alpha = _observe(alpha, scorer.rho, prev, stroke)
-            prior_state = scorer.advance(prior_state, stroke)
-        p_static = scorer.dist(prior_state)
+            prior_state = model.prior.advance(prior_state, stroke)
+        p_static = model.prior.dist(prior_state)
         p_dyn, conf, div, lam = scorer.fuse(depth, node, alpha, stroke, p_static)
         weights = scorer.weights(depth, node, p_static, p_dyn, lam)
         _, dst, q, w_ac, _ = out[pos]

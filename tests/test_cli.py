@@ -692,3 +692,12 @@ def test_bench_seed_flag_overrides_the_suite_files_seed(tmp_path):
     for name in ("report.tsv", "report.txt"):
         assert (tmp_path / "flag" / name).read_bytes() == (tmp_path / "key" / name).read_bytes()
     assert (tmp_path / "flag" / "report.txt").read_text().startswith("# seed=7 ")
+
+
+def test_config_file_comment_lines_are_skipped(tmp_path):
+    cfg = tmp_path / "gen.cfg"
+    cfg.write_text("# corpus settings\ntala=tintal\n  # indented\ncycles=2\n#count=5\nseed=11\n", encoding="utf-8")
+    assert cli.read_config_file(cfg) == {"tala": "tintal", "cycles": "2", "seed": "11"}
+    out = tmp_path / "seqs.txt"
+    assert run(["gen-corpus", "--config", str(cfg), "--out", str(out)]) == 0
+    assert [len(seq) for seq in load_sequences(out, default_vocabulary())] == [32]

@@ -239,9 +239,9 @@ def test_package_public_names_are_pinned():
         "ExpandedLattice", "Lattice", "LatticeFormatError", "LatticeGenConfig", "ModelFormatError",
         "RescoreConfig", "RescoreDiagnostics", "RescoreError", "RhythmModel", "SENTINEL", "SENTINEL_ID",
         "StrokeSequence", "StrokeVocabulary", "TalaIndependentPrior", "TalaSpec", "TalarescoreError",
-        "TihaiSpec", "VocabularyError", "VocabularyMismatchError", "acoustic_confidence",
+        "TihaiSpec", "VocabularyError", "VocabularyMismatchError",
         "builtin_tala", "builtin_talas", "default_tihai", "default_vocabulary", "generate_lattice",
-        "generate_sequence", "init_alpha", "lambda_k", "load_lattice", "load_model", "path_score",
+        "generate_sequence", "init_alpha", "load_lattice", "load_model", "path_score",
         "path_terms", "rescore", "run_benchmark", "save_lattice", "save_model", "ser", "standard_suite",
         "train_model", "viterbi_acoustic", "viterbi_expanded",
     ]
@@ -330,3 +330,68 @@ def test_vocabulary_file_naming_the_sentinel_fails(tmp_path):
     with pytest.raises(VocabularyError) as exc:
         load_vocabulary(path)
     assert str(exc.value) == "'<s>' is reserved and implicit"
+
+
+def test_vocabulary_whose_symbol_zero_is_not_the_sentinel_fails():
+    with pytest.raises(VocabularyError) as exc:
+        StrokeVocabulary(("Dha", "Na"))
+    assert type(exc.value) is VocabularyError
+    assert str(exc.value) == "symbol 0 must be the start sentinel '<s>'"
+
+
+def test_symbol_of_an_id_past_the_vocabulary_fails(vocab):
+    with pytest.raises(VocabularyError) as exc:
+        vocab.symbol_of(9)
+    assert type(exc.value) is VocabularyError
+    assert str(exc.value) == "stroke id out of range: 9"
+
+
+def test_tala_spec_with_an_empty_name_fails(tintal):
+    with pytest.raises(ValueError) as exc:
+        TalaSpec("", 16, (1, 5, 9, 13), tintal.theka)
+    assert type(exc.value) is ValueError
+    assert str(exc.value) == "tala name must be non-empty"
+
+
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [
+        ({"p_tihai": 1.5}, "p_tihai must lie in [0, 1], got 1.5"),
+        ({"p_sub": -0.25}, "p_sub must lie in [0, 1], got -0.25"),
+    ],
+)
+def test_deviation_probability_outside_the_unit_interval_fails(kwargs, message):
+    with pytest.raises(ValueError) as exc:
+        DeviationConfig(**kwargs)
+    assert type(exc.value) is ValueError
+    assert str(exc.value) == message
+
+
+def test_generate_sequence_refuses_a_theka_stroke_outside_the_vocabulary(vocab):
+    tala = TalaSpec("t", 2, (), StrokeSequence((1, 7)))
+    with pytest.raises(VocabularyError) as exc:
+        generate_sequence(tala, 1, None, 0, vocab)
+    assert type(exc.value) is VocabularyError
+    assert str(exc.value) == "theka stroke id 7 not in vocabulary"
+
+
+def test_substitution_on_a_one_stroke_vocabulary_keeps_every_stroke():
+    # No other playable stroke exists to substitute.
+    one = StrokeVocabulary.of(["Dha"])
+    tala = TalaSpec("t", 2, (), StrokeSequence((1, 1)))
+    seq = generate_sequence(tala, 3, DeviationConfig(p_sub=1.0), 0, one)
+    assert seq.strokes == (1,) * 6
+
+
+def test_comment_and_blank_lines_in_vocabulary_tala_and_sequence_files_are_skipped(tmp_path, vocab):
+    path = tmp_path / "vocab.txt"
+    path.write_text("# playable strokes\nDha\n#Na\nTin\n", encoding="utf-8")
+    assert load_vocabulary(path) == StrokeVocabulary.of(["Dha", "Tin"])
+    path = tmp_path / "talas.txt"
+    path.write_text("# one tala\n" + TALA_LINES.replace("\nvibhag", "\n# vibhag next\nvibhag"), encoding="utf-8")
+    assert load_tala_specs(path, vocab) == [
+        TalaSpec("t", 4, (1, 3), StrokeSequence.from_symbols(vocab, "Dha Na Tin Na".split(), tala_label="t"))
+    ]
+    path = tmp_path / "seqs.txt"
+    path.write_text("# a comment\nDha Na\n\n#tala=t\n# between\nTin\n", encoding="utf-8")
+    assert load_sequences(path, vocab) == [StrokeSequence((1, 3)), StrokeSequence((4,), tala_label="t")]

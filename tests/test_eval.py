@@ -265,3 +265,27 @@ def test_a_tala_that_cannot_host_its_tihai_plays_without_one(vocab, tala):
     plain = replace(suite, deviation=DeviationConfig(p_tihai=0.0, p_sub=0.03))
     truths = [truth for truth, _ in suite_test_set(suite, vocab)]
     assert truths == [truth for truth, _ in suite_test_set(plain, vocab)]
+
+
+def test_ser_of_empty_edit_stats_is_undefined():
+    with pytest.raises(ValueError) as exc:
+        EditStats().ser
+    assert type(exc.value) is ValueError
+    assert str(exc.value) == "SER undefined for an empty reference"
+
+
+def test_suite_without_talas_fails():
+    with pytest.raises(ValueError) as exc:
+        BenchmarkSuiteConfig(talas=())
+    assert type(exc.value) is ValueError
+    assert str(exc.value) == "suite needs at least one tala"
+
+
+def test_suite_refuses_a_rescore_lambda_mode_that_the_sweep_would_replace():
+    # run_benchmark decodes each entry of lambda_modes, so a mode set here
+    # would silently run the whole sweep instead.
+    with pytest.raises(ValueError) as exc:
+        BenchmarkSuiteConfig(rescore=RescoreConfig(lambda_mode="fixed:0"))
+    assert type(exc.value) is ValueError
+    assert str(exc.value) == "rescore.lambda_mode='fixed:0' is not read; set the modes to run in lambda_modes"
+    assert BenchmarkSuiteConfig(rescore=RescoreConfig(rho=0.05)).rescore.rho == 0.05

@@ -14,14 +14,16 @@ and ``rescore`` answer alike on both lattices:
    dump, byte for byte;
 4. adding a constant to every arc that leaves the middle node of the
    topological order, which every path of a sausage passes: the same
-   ``viterbi_acoustic`` hypothesis.  The global queue of ``rescore`` ranks
-   states of different depths against each other, so this relation does not
-   hold for it.
+   ``viterbi_acoustic`` hypothesis, and the same winning chain of the
+   per-node reference beam, which only ranks paths that meet at one node.
+   The global queue of ``rescore`` ranks states of different depths against
+   each other, so this relation does not hold for it.
 
 The inputs are the seed-7 standard lattices, which carry continuous noise and
 so no exact ties.  Relation 3 also runs on the small tied DAGs of
 ``helpers.small_dags``: it renumbers no arc and no node, so the tie-break
-sees the same ids.
+sees the same ids.  The per-node reference replays every path from the
+root, so relation 4 runs on it only on one-cycle seed-7 lattices.
 """
 
 from __future__ import annotations
@@ -41,6 +43,7 @@ from talarescore.model import train_model
 from talarescore.rescorer import RescoreConfig, dumps_expanded, rescore
 
 from .helpers import PROPERTY_SETTINGS, small_dags
+from .reference_beam import per_node_reference
 
 RESCORE_MODES = ("adaptive", "fixed:0", "fixed:1")
 
@@ -177,6 +180,15 @@ def test_vocabulary_order_changes_nothing_on_tied_lattices(small_model, lat, sym
         assert dumps_expanded(exp2) == dumps_expanded(exp), mode
 
 
+def shift_middle_node(lat, c):
+    """The lattice with ``c`` added to every arc that leaves the middle node
+    of its topological order."""
+    order = lat.topological_order
+    mid = order[len(order) // 2]
+    assert mid not in (lat.start, *lat.finals)
+    return replace(lat, arcs=tuple(a._replace(w_ac=a.w_ac + c) if a.src == mid else a for a in lat.arcs))
+
+
 @pytest.mark.parametrize("c", [3.0, -3.0])
 def test_viterbi_ignores_a_constant_at_a_cut_node(lattices, c):
     # Every path of a sausage passes its middle node, so the constant moves
@@ -184,13 +196,35 @@ def test_viterbi_ignores_a_constant_at_a_cut_node(lattices, c):
     # rounding tie: both winners score within 1e-9 on the original lattice.
     skips = 0
     for lat in lattices:
-        order = lat.topological_order
-        mid = order[len(order) // 2]
-        assert mid not in (lat.start, *lat.finals)
-        shifted = replace(lat, arcs=tuple(a._replace(w_ac=a.w_ac + c) if a.src == mid else a for a in lat.arcs))
+        shifted = shift_middle_node(lat, c)
         want, got = viterbi_acoustic(lat), viterbi_acoustic(shifted)
         if got != want:
             gap = best_score_spelling(lat, want.strokes) - best_score_spelling(lat, got.strokes)
             assert abs(gap) <= 1e-9, f"hypothesis moved by a constant, original scores {gap} apart"
             skips += 1
     print(f"constant {c:+}: {skips} of {len(lattices)} lattices skipped as rounding ties")
+
+
+@pytest.mark.parametrize("mode", ["adaptive", "fixed:0"])
+@pytest.mark.parametrize("c", [3.0, -3.0])
+def test_per_node_reference_ignores_a_constant_at_a_cut_node(suite, suite_model, mode, c):
+    # Two one-cycle lattices of each tala, 7 to 16 strokes, with far more
+    # histories than the beam keeps.  The constant reaches every arrival at a
+    # node after the middle one, so it reorders nothing the per-node cut
+    # compares.  A case where some compared pair lies within 1e-9, on either
+    # lattice, is skipped and counted: the constant may move such a pair by
+    # a last bit.
+    cfg = RescoreConfig(k_beam=10, lambda_mode=mode)
+    short = replace(suite, cycles=1, test_per_tala=2)
+    skips = 0
+    for _, lat in suite_test_set(short, default_vocabulary()):
+        hyp, chain, score, margin = per_node_reference(lat, suite_model, cfg)
+        hyp2, chain2, score2, margin2 = per_node_reference(shift_middle_node(lat, c), suite_model, cfg)
+        if min(margin, margin2) <= 1e-9:
+            skips += 1
+            continue
+        assert (hyp2, chain2) == (hyp, chain)
+        assert score2 == pytest.approx(score + c, abs=1e-9)
+    total = len(short.talas) * short.test_per_tala
+    assert skips < total
+    print(f"{mode}, constant {c:+}: {skips} of {total} lattices skipped as near ties")

@@ -448,3 +448,9 @@ def test_a_window_table_without_a_prefix_loads_and_dumps_the_same_text(standard_
     loaded = loads_model(edited)
     assert loaded == RhythmModel(vocab=model.vocab, prior=without, alpha0=model.alpha0, eps_dir=model.eps_dir)
     assert dumps_model(loaded) == edited
+
+
+def test_model_compared_with_another_type_is_unequal(small_model):
+    assert small_model.__eq__(small_model.prior) is NotImplemented
+    assert small_model != small_model.prior
+    assert not small_model == "model"

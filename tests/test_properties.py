@@ -38,7 +38,7 @@ from .oracles import (
     prior_state_key,
     window_counts,
 )
-from .reference_beam import assert_rescore_equals_reference
+from .reference_beam import assert_rescore_equals_reference, per_node_reference
 
 
 @pytest.mark.parametrize("mode", ["adaptive", "fixed:0.5"])
@@ -85,6 +85,28 @@ def test_rescore_equals_the_reference_beam(small_model, mode, lat, k_beam, beta)
     # which a tie leaves ahead of them.
     cfg = RescoreConfig(k_beam=k_beam, beta=beta, lambda_mode=mode)
     assert_rescore_equals_reference(lat, small_model, cfg)
+
+
+@pytest.mark.parametrize("mode", ["adaptive", "fixed:0.5"])
+@PROPERTY_SETTINGS
+@given(lat=small_dags())
+def test_exhaustive_per_node_reference_equals_replay_oracle(small_model, mode, lat):
+    cfg = replace(EXHAUSTIVE, lambda_mode=mode)
+    hypothesis, _, score, _ = per_node_reference(lat, small_model, cfg)
+    oracle_labels, oracle_score = best_path_by_replay(lat, small_model, cfg)
+    assert hypothesis == oracle_labels
+    assert score == pytest.approx(oracle_score, abs=1e-9)
+
+
+@PROPERTY_SETTINGS
+@given(lat=small_dags())
+def test_per_node_reference_of_width_one_at_beta_zero_equals_acoustic_viterbi(small_model, lat):
+    # At beta 0 each weight is its arc's acoustic score, and these scores
+    # add exactly, so the arrival that leads a node by (-score, chain) leads
+    # every extension of it by the same arcs: a cut to one arrival per node
+    # keeps Viterbi's path, ties included.
+    hypothesis, _, _, _ = per_node_reference(lat, small_model, RescoreConfig(k_beam=1, beta=0.0))
+    assert hypothesis == viterbi_acoustic(lat).strokes
 
 
 @PROPERTY_SETTINGS

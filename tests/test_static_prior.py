@@ -320,3 +320,10 @@ def test_ti_prior_rejects_a_tala_name_the_model_file_cannot_hold(tala):
     if tala:  # training refuses an empty label earlier
         with pytest.raises(ValueError, match=message):
             train([StrokeSequence((A, B), tala_label=tala)])
+
+
+def test_prior_compared_with_another_type_is_unequal(small_model):
+    prior = small_model.prior
+    assert prior.__eq__(small_model) is NotImplemented
+    assert prior != small_model
+    assert not prior == (prior.n, prior.w_tau)
